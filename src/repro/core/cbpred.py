@@ -23,7 +23,7 @@ NOTE: the batched engine's flat interpreter
 (:class:`repro.sim.engine._FlatStepper`) inlines the hot fill-time
 decision (PFQ match, bHIST probe, bypass/DP-mark) at every LLC fill
 site — stat names and event order included. Changes here must be
-mirrored there; ``tests/test_engine_equivalence.py`` enforces the
+made there too; ``tests/test_engine_equivalence.py`` enforces the
 bit-identity.
 """
 

@@ -22,7 +22,7 @@ NOTE: the batched engine's flat interpreter
 (:class:`repro.sim.engine._FlatStepper`) inlines the hot paths of
 :meth:`DeadPagePredictor.on_fill`, :meth:`on_evict`, and the shadow-miss
 branch of :meth:`on_miss` — stat names, event order, and table indexing
-included. Changes here must be mirrored there;
+included. Changes here must be made there too;
 ``tests/test_engine_equivalence.py`` enforces the bit-identity.
 """
 

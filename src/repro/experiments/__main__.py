@@ -258,20 +258,11 @@ def main(argv=None) -> int:
                     f"{row['tottime_s']:9.3f}s tot  "
                     f"{row['ncalls']:>10} calls  {row['function']}"
                 )
-            reasons = totals["fallback_reasons"]
-            declines = totals.get("flat_declines", {})
+            declines = totals["flat_declines"]
             print(
-                f"  engine: {totals['batched']}/{totals['runs']} runs "
-                f"batched, {totals['fallbacks']} scalar fallbacks"
-                + (
-                    " ("
-                    + ", ".join(
-                        f"{why}: {n}" for why, n in sorted(reasons.items())
-                    )
-                    + ")"
-                    if reasons
-                    else ""
-                )
+                f"  engine: {totals['runs']} runs, "
+                f"{totals['flat_records']} flat / "
+                f"{totals['scalar_records']} scalar records"
                 + (
                     "; flat declines ("
                     + ", ".join(

@@ -157,8 +157,8 @@ def predictor_frontier(budget: int = DEFAULT_BUDGET) -> ExperimentReport:
         f"{arithmetic_mean(corr_vals):.1f}% (Table III anchor)"
     )
     report.add_note(
-        "engine: Leeway/perceptron configs run the batched bulk+scalar "
-        "hybrid (flat interpreter declines with the counted 'predictor' "
-        "reason); dpPred+cbPred keeps the full bulk+flat hybrid"
+        "engine: Leeway/perceptron configs run on the scalar reference "
+        "(flat interpreter declines with the counted 'predictor' "
+        "reason); dpPred+cbPred runs wholly on the flat interpreter"
     )
     return report

@@ -182,11 +182,6 @@ class SetAssocCache:
         self.residency: Optional[ResidencyTracker] = (
             ResidencyTracker() if track_residency else None
         )
-        # Monotone membership version: bumped whenever the set of resident
-        # blocks changes (install, eviction, invalidation) — hits never
-        # bump it. The batched engine's numpy tag mirror (see
-        # :meth:`mirror_into`) revalidates against this before each window.
-        self.content_version = 0
 
     # ------------------------------------------------------------------ #
     # Geometry helpers
@@ -310,7 +305,6 @@ class SetAssocCache:
         line = acquire_line(block, is_write)
         lines[way] = line
         tags[block] = way
-        self.content_version += 1
         if lru is not None and not distant:
             lru._clock += 1
             self._lru_stamps[set_idx][way] = lru._clock
@@ -344,7 +338,6 @@ class SetAssocCache:
         assert line is not None
         del self._tags[set_idx][line.tag]
         self._lines[set_idx][way] = None
-        self.content_version += 1
         stat = self._stat
         stat["evictions"] += 1
         if line.dirty:
@@ -356,19 +349,6 @@ class SetAssocCache:
         if self.listener is not None:
             self.listener.on_evict(self, line, now)
         return line
-
-    # ------------------------------------------------------------------ #
-    # Vectorized-engine support
-    # ------------------------------------------------------------------ #
-    def mirror_into(self, tags) -> None:
-        """Export resident block addresses into a (num_sets, assoc) numpy
-        array (empty ways keep the caller's sentinel). See
-        :meth:`repro.vm.tlb.Tlb.mirror_into`; the batched engine
-        revalidates the mirror via :attr:`content_version`."""
-        for set_idx, ways in enumerate(self._lines):
-            for way, line in enumerate(ways):
-                if line is not None:
-                    tags[set_idx, way] = line.tag
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -54,7 +54,7 @@ class PredictorSpec(Protocol):
     * ``storage_bits(num_entries)`` — hardware budget accounting
       (Section V-D).
 
-    **Engine-mirror contract.** The batched engine's flat interpreter
+    **Flat-interpreter contract.** The batched engine's flat interpreter
     (:class:`repro.sim.engine._FlatStepper`) inlines only
     :class:`~repro.core.dppred.DeadPagePredictor` and
     :class:`~repro.core.cbpred.CorrelatingDeadBlockPredictor` — their
@@ -62,13 +62,12 @@ class PredictorSpec(Protocol):
     instruction (stat names, event order, table indexing). Any *other*
     listener type makes :func:`repro.sim.engine.flat_reason` return
     ``"predictor"`` (an exact ``type()`` check, so subclasses decline
-    too): the run still uses the bulk numpy tier but executes every
-    listener-visible record through the real scalar path, and the decline
+    too): the whole run goes to the scalar reference loop, and the decline
     is counted in ``engine_stats["flat_reason"]`` and
     ``engine_totals()["flat_declines"]`` — never silent. A new predictor
     therefore needs **no** engine changes to stay bit-exact; teaching the
     flat interpreter its hot paths is a later, purely-performance step
-    that must mirror this module's semantics exactly
+    that must reproduce this module's semantics exactly
     (``tests/test_engine_equivalence.py`` enforces the bit-identity).
     """
 

@@ -30,7 +30,7 @@ Leeway's dueling-sampler analogue made deterministic), re-observing the
 signature's behaviour.
 
 Per :class:`~repro.predictors.base.PredictorSpec`, the flat interpreter
-does not model this listener: Leeway configs run the bulk+scalar hybrid
+does not model this listener: Leeway configs run on the scalar reference
 with a counted ``predictor`` decline. Semantics live here only.
 """
 

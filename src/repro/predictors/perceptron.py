@@ -24,8 +24,8 @@ Bypassed fills never evict and so never train; as in
 fill of a signature set is allocated anyway so the tables keep learning.
 
 Per :class:`~repro.predictors.base.PredictorSpec`, the flat interpreter
-does not model this listener: perceptron configs run the bulk+scalar
-hybrid with a counted ``predictor`` decline.
+does not model this listener: perceptron configs run on the scalar
+reference with a counted ``predictor`` decline.
 """
 
 from __future__ import annotations

@@ -1,58 +1,27 @@
-"""Batched (vectorized) trace-execution engine and engine selection.
+"""Batched trace-execution engine and engine selection.
 
-The paper's premise is that the L1 structures absorb the bulk of
-references — only L1-TLB / L1-D misses ever reach the LLT and LLC where
-dpPred and cbPred live. This engine exploits that with two tiers:
+The batched engine runs each trace one of two ways, both bit-identical
+to the scalar reference loop (:meth:`Machine.run_scalar`):
 
-* a **bulk** tier: a vectorized pre-pass over a numpy window of trace
-  records computes VPN / PFN / block indices and tests them against
-  array *mirrors* of the L1 I-TLB, L1 D-TLB, and L1D contents. The
-  longest prefix of records that is guaranteed to hit in all three is
-  retired array-at-a-time — hit counters, fused-LRU stamp updates,
-  Accessed/dirty bits, the same-page filter state, and the
-  ``(gap + 1) * base_cpi`` cycle fold are all applied in bulk with
-  exactly the state transitions of the scalar loop;
-* a **flat** tier (:class:`_FlatStepper`): residual (miss) records run
-  through a fully inlined per-record interpreter over the canonical
-  structures — L2 TLB (LLT), radix walker + PWCs, L2/LLC, writeback
-  cascades, SRRIP and residency tracking, and the paper's predictors.
-  dpPred's fill-time decision (pHIST probe, shadow-FIFO promote/evict,
-  PFQ push, bypass, eviction-time training) and cbPred's fill decision
-  (PFQ match, bHIST probe, LLC bypass, DP-marking) are inlined with
-  their stats and decision events byte-for-byte; rare paths (shadow
-  hits, the demote ablation) delegate to the real predictor methods.
-
-Configs the bulk tier can mirror (order-based L1 replacement, no L1
-listeners) run *hybrid* — bulk prefixes, flat residuals. Configs it
-cannot (SRRIP anywhere) run the flat tier for the whole trace. Configs
-the flat tier cannot model either (``ship``/``fifo``/``random``
-policies, reference tracking, odd dtypes) fall back to scalar with a
-per-reason counter (:func:`flat_reason`, :func:`engine_totals`).
+* **flat** — :class:`_FlatStepper` runs the whole trace through one
+  inlined per-record interpreter over the canonical structures: the L1
+  TLBs with the same-page filter, the L2 TLB (LLT), the radix walker and
+  its PWCs, L1D/L2/LLC with writeback and inclusion cascades, LRU and
+  SRRIP, residency tracking, and the paper's predictors. dpPred's
+  fill-time decision (pHIST probe, shadow-FIFO promote/evict, PFQ push,
+  bypass, eviction-time training) and cbPred's fill decision (PFQ match,
+  bHIST probe, LLC bypass, DP-marking) are inlined with their stats and
+  decision events byte-for-byte; rare paths (shadow hits, the demote
+  ablation) delegate to the real predictor methods.
+* **scalar** — a machine or trace the flat interpreter does not model
+  runs :meth:`Machine.run_scalar` instead, with exactly one counted
+  reason (:func:`flat_reason`, ``engine_stats["flat_reason"]``,
+  :func:`engine_totals`): FIFO/random policies, listeners other than
+  dpPred/cbPred, reference structures, ASID-carrying traces, huge-page
+  mappings, unexpected trace dtypes, or an empty trace.
 
 Bit-identity with the scalar engine is a hard guarantee, not a goal
-(``tests/test_engine_equivalence.py`` enforces it property-wise):
-
-* membership mirrors are revalidated against each structure's
-  ``content_version``, which only moves on install/evict — an all-hit
-  prefix cannot change membership, so the mirror stays valid for exactly
-  the records the engine retires in bulk;
-* the same-page TLB filter is replicated via a page-*change* mask, so
-  filtered records touch neither the LRU clock nor the stamps — and the
-  carried ``_last_*`` entry objects are the same ones the scalar filter
-  would touch, stale or not;
-* per-record LRU stamps are reconstructed from the change ordinals
-  (``clock0 + ordinal + 1`` at each entry's last touch), leaving the
-  victim ordering bit-equal;
-* cycles are accumulated with ``np.add.accumulate`` — a strict left
-  fold, unlike pairwise ``np.sum`` — so the non-dyadic ``base_cpi``
-  (0.4) rounds exactly as the scalar ``+=`` chain does;
-* timeline sampling splits bulk segments at the same "first record at or
-  past the boundary" points the scalar telemetry loop uses.
-
-Low-locality workloads (the suite's TLB-thrashing kernels) produce short
-all-hit prefixes where vectorization cannot pay; the engine detects this
-and adaptively degrades to scalar bursts with geometric escalation, so
-its worst case is the scalar engine plus a vanishing probe overhead.
+(``tests/test_engine_equivalence.py`` enforces it property-wise).
 
 Engine selection: ``resolve_engine`` — explicit argument, then
 :func:`set_default_engine` (the CLI's ``--engine``), then the
@@ -69,12 +38,7 @@ import numpy as np
 from repro.common.bitops import fold_xor
 from repro.core.cbpred import CorrelatingDeadBlockPredictor
 from repro.core.dppred import ACTION_BYPASS, DeadPagePredictor
-from repro.mem.cache import (
-    _LINE_POOL,
-    CacheLine,
-    acquire_line,
-    release_line,
-)
+from repro.mem.cache import _LINE_POOL, CacheLine
 from repro.mem.replacement import LruPolicy, SrripPolicy
 from repro.obs.events import (
     EV_LLC_BYPASS,
@@ -90,11 +54,7 @@ from repro.obs.events import (
 )
 from repro.vm.pagetable import LEVEL_BITS, NUM_LEVELS, VPN_BITS, _Node
 from repro.vm.physmem import PAGE_SHIFT
-from repro.vm.tlb import (
-    _ENTRY_POOL,
-    ASID_SHIFT,
-    TlbEntry,
-)
+from repro.vm.tlb import _ENTRY_POOL, TlbEntry
 from repro.vm.walker import BLOCK_SHIFT
 
 ENGINE_BATCHED = "batched"
@@ -102,24 +62,6 @@ ENGINE_SCALAR = "scalar"
 ENGINES = (ENGINE_BATCHED, ENGINE_SCALAR)
 
 _default_engine: Optional[str] = None
-
-_PAGE_SHIFT_U = np.uint64(PAGE_SHIFT)
-_ASID_SHIFT_U = np.uint64(ASID_SHIFT)
-_BLOCK_SHIFT_U = np.uint64(BLOCK_SHIFT)
-_BLOCK_OFFSET_U = np.uint64(PAGE_SHIFT - BLOCK_SHIFT)
-_BLOCK_IN_PAGE_U = np.uint64((1 << (PAGE_SHIFT - BLOCK_SHIFT)) - 1)
-#: Empty-way sentinel in the tag mirrors; no reachable VPN or block
-#: address comes near 2**64.
-_EMPTY = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-
-#: Adaptive window/burst tuning. Windows double while prefixes run full
-#: (amortising the probe); repeated short prefixes escalate scalar bursts
-#: geometrically so miss-dominated phases pay almost no probe cost.
-_WINDOW_MIN = 512
-_WINDOW_MAX = 65536
-_GOOD_PREFIX = 64
-_BURST_MIN = 256
-_BURST_MAX = 32768
 
 
 def set_default_engine(engine: Optional[str]) -> None:
@@ -156,39 +98,18 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 # --------------------------------------------------------------------- #
 # Eligibility
 # --------------------------------------------------------------------- #
-def batchable(machine) -> bool:
-    """Whether the batched fast path is sound for this machine.
-
-    The bulk path retires records whose only side effects are hit
-    counters, fused-LRU stamps, and Accessed/dirty bits. That requires
-    the same-page filter's preconditions (order-based replacement) plus
-    listener-free, residency-free L1 structures — the L1 I-TLB, L1
-    D-TLB, and L1D never carry predictors or residency tracking in any
-    shipped configuration, but custom wiring falls back to scalar.
-    """
-    if not machine._page_filter:
-        return False
-    for struct in (machine.l1_itlb, machine.l1_dtlb, machine.l1d):
-        if (
-            struct._lru is None
-            or struct.listener is not None
-            or struct.residency is not None
-        ):
-            return False
-    return True
-
-
-#: Fallback / flat-ineligibility reasons (``engine_stats["fallback_reasons"]``
-#: and the per-process :func:`engine_totals` accumulator).
+#: Why a run went to the scalar reference instead of the flat tier
+#: (``engine_stats["flat_reason"]`` and :func:`engine_totals`'s
+#: ``flat_declines``).
 REASON_POLICY = "policy"        # fifo/random replacement: no flat model
 REASON_PREDICTOR = "predictor"  # non-dpPred/cbPred listener, or L1 wiring
 REASON_REFERENCE = "reference"  # ground-truth reference structures attached
 REASON_DTYPE = "dtype"          # unexpected trace array dtypes
 REASON_EMPTY = "empty"          # zero-record trace
-REASON_TENANT = "tenant"        # ASID-carrying trace: flat declines,
-#                                 bulk+scalar hybrid handles it
-REASON_HUGEPAGE = "hugepage"    # huge-page mappings: flat declines
-#                                 (its inlined walk is 4 KB-only)
+REASON_TENANT = "tenant"        # ASID-carrying trace: the inlined walk
+#                                 models no per-ASID tables
+REASON_HUGEPAGE = "hugepage"    # huge-page mappings: the inlined walk
+#                                 is 4 KB-only
 
 
 def flat_reason(machine) -> Optional[str]:
@@ -209,11 +130,11 @@ def flat_reason(machine) -> Optional[str]:
       correlation — including anything registered through
       :mod:`repro.predictors.registry`) declines via the exact ``type()``
       checks below, so a new predictor is bit-exact with zero engine
-      work: it keeps the bulk+scalar hybrid, and the decline is counted
+      work: it runs on the scalar reference, and the decline is counted
       (``engine_stats["flat_reason"]``, ``engine_totals()``'s
       ``flat_declines``) — never silent;
-    * ground-truth reference structures hook the residual scalar path
-      only, so they keep the bulk+scalar hybrid instead.
+    * ground-truth reference structures hook the scalar access path
+      only, so they decline too.
     """
     if machine.ref_llt is not None or machine.ref_llc is not None:
         return REASON_REFERENCE
@@ -239,14 +160,25 @@ def flat_reason(machine) -> Optional[str]:
     return None
 
 
-def _trace_ok(trace) -> bool:
-    return (
-        len(trace) > 0
-        and trace.pcs.dtype == np.uint64
+def _decline_reason(machine, trace) -> Optional[str]:
+    """Why this run goes to the scalar reference (None = it runs flat)."""
+    asids = getattr(trace, "asids", None)
+    if len(trace) == 0:
+        return REASON_EMPTY
+    if not (
+        trace.pcs.dtype == np.uint64
         and trace.vaddrs.dtype == np.uint64
         and trace.writes.dtype == np.bool_
         and trace.gaps.dtype.kind in "iu"
-    )
+        and (asids is None or asids.dtype.kind in "iu")
+    ):
+        return REASON_DTYPE
+    why = flat_reason(machine)
+    if why is None and asids is not None:
+        why = REASON_TENANT
+    if why is None and machine.config.huge_fraction > 0:
+        why = REASON_HUGEPAGE
+    return why
 
 
 # --------------------------------------------------------------------- #
@@ -254,25 +186,19 @@ def _trace_ok(trace) -> bool:
 # --------------------------------------------------------------------- #
 _totals = {
     "runs": 0,
-    "batched": 0,
-    "fallbacks": 0,
-    "bulk_records": 0,
     "flat_records": 0,
     "scalar_records": 0,
-    "fallback_reasons": {},
     "flat_declines": {},
 }
 
 
 def engine_totals() -> dict:
     """Snapshot of batched-engine dispatch since the last reset: runs,
-    fallbacks with per-reason counts, the bulk/flat/scalar record split,
-    and per-reason counts of hybrid runs where the flat interpreter
-    declined (``flat_declines`` — e.g. every Leeway/perceptron/SHiP run
-    counts one ``predictor``). Diagnostics only — never part of
-    simulation results."""
+    the flat/scalar record split, and per-reason counts of runs sent to
+    the scalar reference (``flat_declines`` — e.g. every Leeway,
+    perceptron or SHiP run counts one ``predictor``). Diagnostics only —
+    never part of simulation results."""
     out = dict(_totals)
-    out["fallback_reasons"] = dict(_totals["fallback_reasons"])
     out["flat_declines"] = dict(_totals["flat_declines"])
     return out
 
@@ -288,469 +214,33 @@ def reset_engine_totals() -> None:
 def run_batched(machine, trace):
     """Run ``trace`` on ``machine`` with the batched engine.
 
-    Dispatch is three-tier, bit-identical to :meth:`Machine.run_scalar`
-    in every tier:
-
-    1. machines the flat interpreter models run hybrid (bulk numpy
-       prefixes + flat residual spans), or pure flat when the bulk
-       pre-pass is ineligible (e.g. SRRIP, which defeats the same-page
-       filter the bulk prefix test relies on);
-    2. machines with listeners the flat path excludes (SHiP/AIP/oracle/
-       correlation, reference tracking) keep the bulk + per-record
-       scalar hybrid;
-    3. everything else — FIFO/random policies, custom L1 wiring, odd
-       trace dtypes — falls back to the scalar loop, recording why in
-       ``engine_stats["fallback_reasons"]``.
+    The whole trace runs on the flat interpreter when it models this
+    machine and trace; otherwise it runs on :meth:`Machine.run_scalar`
+    and the reason is counted. Either way the result is bit-identical to
+    the scalar engine.
     """
     _totals["runs"] += 1
-    asids = getattr(trace, "asids", None)
-    if not _trace_ok(trace) or (
-        asids is not None and asids.dtype.kind not in "iu"
-    ):
-        reason = REASON_EMPTY if len(trace) == 0 else REASON_DTYPE
-        return _fall_back(machine, trace, reason)
-    why = flat_reason(machine)
-    if why is None:
-        # ASID-carrying traces and huge-mapped tables run the bulk +
-        # scalar hybrid: the bulk tier probes combined (asid, vpn) keys
-        # (and is untouched by huge mappings — only the LLT holds 2 MB
-        # entries, the L1 TLBs get splintered 4 KB granules), while the
-        # flat interpreter declines — its inlined walk models neither
-        # per-ASID tables nor huge leaves.
-        if asids is not None:
-            why = REASON_TENANT
-        elif machine.config.huge_fraction > 0:
-            why = REASON_HUGEPAGE
-    bulk_ok = batchable(machine)
-    if why is None:
-        run = _BatchedRun(machine, _FlatStepper(machine))
-        return run.run(trace) if bulk_ok else run.run_flat(trace)
-    if bulk_ok:
+    n = len(trace)
+    why = _decline_reason(machine, trace)
+    if why is not None:
         declines = _totals["flat_declines"]
         declines[why] = declines.get(why, 0) + 1
-        return _BatchedRun(machine, None, why).run(trace)
-    return _fall_back(machine, trace, why)
-
-
-def _fall_back(machine, trace, reason: str):
-    _totals["fallbacks"] += 1
-    reasons = _totals["fallback_reasons"]
-    reasons[reason] = reasons.get(reason, 0) + 1
+        _totals["scalar_records"] += n
+        machine.engine_stats = {
+            "engine": ENGINE_BATCHED,
+            "mode": "scalar",
+            "scalar_records": n,
+            "flat_reason": why,
+        }
+        return machine.run_scalar(trace)
+    _FlatStepper(machine).run(trace)
+    _totals["flat_records"] += n
     machine.engine_stats = {
-        "engine": ENGINE_SCALAR,
-        "fallback": True,
-        "fallback_reasons": {reason: 1},
+        "engine": ENGINE_BATCHED,
+        "mode": "flat",
+        "flat_records": n,
     }
-    return machine.run_scalar(trace)
-
-
-# --------------------------------------------------------------------- #
-# Mirrors
-# --------------------------------------------------------------------- #
-class _Mirror:
-    """Numpy mirror of one set-associative structure's contents."""
-
-    __slots__ = ("struct", "tags", "pfns", "set_mask", "assoc", "version")
-
-    def __init__(self, struct, with_pfns: bool):
-        self.struct = struct
-        self.assoc = struct.assoc
-        self.set_mask = np.uint64(struct.num_sets - 1)
-        self.tags = np.full(
-            (struct.num_sets, struct.assoc), _EMPTY, dtype=np.uint64
-        )
-        self.pfns = (
-            np.zeros((struct.num_sets, struct.assoc), dtype=np.uint64)
-            if with_pfns
-            else None
-        )
-        self.version = -1
-
-    def refresh(self) -> None:
-        if self.version == self.struct.content_version:
-            return
-        self.tags.fill(_EMPTY)
-        if self.pfns is None:
-            self.struct.mirror_into(self.tags)
-        else:
-            self.struct.mirror_into(self.tags, self.pfns)
-        self.version = self.struct.content_version
-
-
-class _Window:
-    """Precomputed per-record vectors for one probe window."""
-
-    __slots__ = (
-        "pc", "gap1", "ok",
-        "ivpn", "iset", "iway",
-        "dvpn", "dset", "dway",
-        "cset", "cway",
-    )
-
-
-# --------------------------------------------------------------------- #
-# The batched run
-# --------------------------------------------------------------------- #
-class _BatchedRun:
-    """One trace execution under the batched engine."""
-
-    def __init__(self, machine, flat=None, flat_why: Optional[str] = None):
-        self.m = machine
-        self.flat = flat
-        self.flat_why = flat_why
-        self.im = _Mirror(machine.l1_itlb, with_pfns=True)
-        self.dm = _Mirror(machine.l1_dtlb, with_pfns=True)
-        self.cm = _Mirror(machine.l1d, with_pfns=False)
-        self.sampler = machine._timeline
-        self.interval = (
-            self.sampler.interval if self.sampler is not None else 0
-        )
-        self.next_at = self.interval
-        # Multi-tenant bookkeeping (mirrors _run_scalar_tenants): the
-        # running ASID, and the set of tenants already counted. The bulk
-        # prefix is truncated at the first record of a different ASID,
-        # which then runs scalar with full context-switch bookkeeping.
-        self.asids = None
-        self.cur_asid = -1
-        self.seen_asids = set()
-
-    def run(self, trace):
-        m = self.m
-        pcs, vaddrs = trace.pcs, trace.vaddrs
-        writes, gaps = trace.writes, trace.gaps
-        self.asids = getattr(trace, "asids", None)
-        n = len(pcs)
-        i = 0
-        window = _WINDOW_MIN
-        burst = 0
-        bulk_records = flat_records = scalar_records = windows = 0
-        while i < n:
-            b = min(i + window, n)
-            win = self._precompute(pcs, vaddrs, gaps, i, b)
-            windows += 1
-            full = bool(win.ok.all())
-            prefix = (b - i) if full else int(np.argmin(win.ok))
-            if prefix:
-                self._apply(win, prefix, writes[i:i + prefix])
-                bulk_records += prefix
-                i += prefix
-            if full:
-                window = min(window * 2, _WINDOW_MAX)
-                burst = 0
-                continue
-            # First non-guaranteed record: the ordinary per-access path.
-            self._scalar_one(pcs, vaddrs, writes, gaps, i)
-            i += 1
-            scalar_records += 1
-            if prefix >= _GOOD_PREFIX:
-                burst = 0
-            else:
-                burst = min(burst * 2 if burst else _BURST_MIN, _BURST_MAX)
-                span_end = min(i + burst, n)
-                self._scalar_span(pcs, vaddrs, writes, gaps, i, span_end)
-                if self.flat is not None:
-                    flat_records += span_end - i
-                else:
-                    scalar_records += span_end - i
-                i = span_end
-                window = _WINDOW_MIN
-        sampler = self.sampler
-        if sampler is not None and (
-            not sampler.marks or sampler.marks[-1] != m.instructions
-        ):
-            sampler.sample(m.instructions, m.cycles)
-        stats = {
-            "engine": ENGINE_BATCHED,
-            "mode": "hybrid",
-            "bulk_records": bulk_records,
-            "flat_records": flat_records,
-            "scalar_records": scalar_records,
-            "windows": windows,
-        }
-        if self.flat is None:
-            stats["flat_reason"] = self.flat_why
-        m.engine_stats = stats
-        _totals["batched"] += 1
-        _totals["bulk_records"] += bulk_records
-        _totals["flat_records"] += flat_records
-        _totals["scalar_records"] += scalar_records
-        return m.finalize(trace.name)
-
-    def run_flat(self, trace):
-        """Whole-trace flat execution. Used when the bulk pre-pass is
-        ineligible (SRRIP defeats the same-page filter and the fused-LRU
-        mirrors) but the flat interpreter models the machine exactly."""
-        m = self.m
-        n = len(trace)
-        self.next_at = self.flat.run_span(
-            trace.pcs, trace.vaddrs, trace.writes, trace.gaps, 0, n,
-            self.sampler, self.next_at,
-        )
-        sampler = self.sampler
-        if sampler is not None and (
-            not sampler.marks or sampler.marks[-1] != m.instructions
-        ):
-            sampler.sample(m.instructions, m.cycles)
-        m.engine_stats = {
-            "engine": ENGINE_BATCHED,
-            "mode": "flat",
-            "bulk_records": 0,
-            "flat_records": n,
-            "scalar_records": 0,
-            "windows": 0,
-        }
-        _totals["batched"] += 1
-        _totals["flat_records"] += n
-        return m.finalize(trace.name)
-
-    # -- window probe --------------------------------------------------- #
-    def _precompute(self, pcs, vaddrs, gaps, a, b) -> _Window:
-        im, dm, cm = self.im, self.dm, self.cm
-        im.refresh()
-        dm.refresh()
-        cm.refresh()
-        win = _Window()
-        pc = pcs[a:b]
-        va = vaddrs[a:b]
-        win.pc = pc
-        win.gap1 = gaps[a:b].astype(np.int64) + 1
-
-        # TLB probes use the combined (asid, vpn) key — identical to the
-        # raw VPN at ASID 0, so single-tenant traces skip the OR. The
-        # mirrors export ``entry.vpn``, which already stores the full
-        # combined key, and the set index is ``key & set_mask`` exactly
-        # as in ``Tlb.lookup``.
-        ivpn = pc >> _PAGE_SHIFT_U
-        dvpn = va >> _PAGE_SHIFT_U
-        asids = self.asids
-        if asids is not None:
-            akey = asids[a:b].astype(np.uint64) << _ASID_SHIFT_U
-            ivpn = ivpn | akey
-            dvpn = dvpn | akey
-        iset = (ivpn & im.set_mask).astype(np.intp)
-        imatch = im.tags[iset] == ivpn[:, None]
-        ihit = imatch.any(axis=1)
-        win.ivpn, win.iset, win.iway = ivpn, iset, imatch.argmax(axis=1)
-
-        dset = (dvpn & dm.set_mask).astype(np.intp)
-        dmatch = dm.tags[dset] == dvpn[:, None]
-        dhit = dmatch.any(axis=1)
-        dway = dmatch.argmax(axis=1)
-        win.dvpn, win.dset, win.dway = dvpn, dset, dway
-
-        # PFN (and hence block) is garbage on D-miss rows, but those rows
-        # are already excluded by ``ok``; the set index stays in range.
-        pfn = dm.pfns[dset, dway]
-        block = (pfn << _BLOCK_OFFSET_U) | (
-            (va >> _BLOCK_SHIFT_U) & _BLOCK_IN_PAGE_U
-        )
-        cset = (block & cm.set_mask).astype(np.intp)
-        cmatch = cm.tags[cset] == block[:, None]
-        win.cset, win.cway = cset, cmatch.argmax(axis=1)
-
-        win.ok = ihit & dhit & cmatch.any(axis=1)
-        if asids is not None:
-            # A record of a different ASID than the running one carries
-            # context-switch side effects; it must run scalar.
-            cur = self.cur_asid
-            if cur < 0:
-                win.ok[:] = False
-            else:
-                win.ok &= asids[a:b] == cur
-        return win
-
-    # -- bulk retirement ------------------------------------------------ #
-    def _apply(self, win, k: int, writes_seg) -> None:
-        """Retire the guaranteed-hit prefix ``[0, k)`` of ``win`` in bulk,
-        splitting at timeline boundaries exactly like the scalar loop."""
-        m = self.m
-        gap1 = win.gap1[:k]
-        icsum = np.add.accumulate(gap1) + m.instructions
-        inc = gap1.astype(np.float64) * m._base_cpi
-        # Seed the fold with the running total: addition is commutative
-        # bit-for-bit, so inc[0] + cycles == cycles + inc[0].
-        inc[0] += m.cycles
-        ccsum = np.add.accumulate(inc)
-        sampler = self.sampler
-        if sampler is None:
-            self._apply_span(win, 0, k, icsum, ccsum, writes_seg)
-            return
-        cur = 0
-        while True:
-            pos = int(np.searchsorted(icsum, self.next_at, side="left"))
-            if pos >= k:
-                if cur < k:
-                    self._apply_span(win, cur, k, icsum, ccsum, writes_seg)
-                return
-            self._apply_span(win, cur, pos + 1, icsum, ccsum, writes_seg)
-            sampler.sample(int(icsum[pos]), float(ccsum[pos]))
-            self.next_at = int(icsum[pos]) + self.interval
-            cur = pos + 1
-
-    def _apply_span(self, win, s, e, icsum, ccsum, writes_seg) -> None:
-        m = self.m
-        k = e - s
-        m.now += k
-        m.instructions = int(icsum[e - 1])
-        m.cycles = float(ccsum[e - 1])
-        m.context.pc = int(win.pc[e - 1])
-
-        last_iv, last_ie = self._touch_tlb(
-            m.l1_itlb, m._itlb_stat,
-            win.ivpn, win.iset, win.iway, s, e,
-            m._last_ivpn, m._last_ientry,
-        )
-        m._last_ivpn, m._last_ientry = last_iv, last_ie
-        last_dv, last_de = self._touch_tlb(
-            m.l1_dtlb, m._dtlb_stat,
-            win.dvpn, win.dset, win.dway, s, e,
-            m._last_dvpn, m._last_dentry,
-        )
-        m._last_dvpn, m._last_dentry = last_dv, last_de
-        self._touch_l1d(win, s, e, writes_seg)
-
-    @staticmethod
-    def _touch_tlb(tlb, stat, vpn, sets, ways, s, e, last_vpn, last_entry):
-        """Apply one span's L1-TLB effects: hit counters for every record,
-        LRU clock/stamps and Accessed bits only at page-*change* records —
-        the same-page filter's exact semantics."""
-        k = e - s
-        stat["hits"] += k
-        v = vpn[s:e]
-        change = np.empty(k, dtype=bool)
-        change[0] = last_vpn is None or v[0] != last_vpn
-        if k > 1:
-            np.not_equal(v[1:], v[:-1], out=change[1:])
-        if not change[0] and last_entry is not None:
-            # Carried filter hit: the scalar path marks the carried entry
-            # object (even a stale one) accessed, and nothing else.
-            last_entry.accessed = True
-        entries = tlb._entries
-        nch = int(change.sum())
-        if nch:
-            idx = np.flatnonzero(change)
-            assoc = tlb.assoc
-            key = sets[s:e][idx] * assoc + ways[s:e][idx]
-            # Last change-ordinal per distinct (set, way): reverse-unique.
-            uniq, rev_first = np.unique(key[::-1], return_index=True)
-            lru = tlb._lru
-            clock0 = lru._clock
-            lru._clock = clock0 + nch
-            stamps = tlb._lru_stamps
-            last_ord = nch - 1
-            for u, r in zip(uniq.tolist(), rev_first.tolist()):
-                set_idx, way = divmod(u, assoc)
-                stamps[set_idx][way] = clock0 + (last_ord - r) + 1
-                entries[set_idx][way].accessed = True
-            last_vpn = int(v[-1])
-            last_entry = entries[int(sets[e - 1])][int(ways[e - 1])]
-        return last_vpn, last_entry
-
-    def _touch_l1d(self, win, s, e, writes_seg) -> None:
-        """Apply one span's L1D effects: every record is a promoting hit
-        (clock tick + stamp), writes dirty their line."""
-        m = self.m
-        k = e - s
-        m.hierarchy._stat["accesses"] += k
-        cache = m.l1d
-        cache._stat["hits"] += k
-        assoc = cache.assoc
-        key = win.cset[s:e] * assoc + win.cway[s:e]
-        uniq, rev_first = np.unique(key[::-1], return_index=True)
-        lru = cache._lru
-        clock0 = lru._clock
-        lru._clock = clock0 + k
-        stamps = cache._lru_stamps
-        lines = cache._lines
-        last_ord = k - 1
-        for u, r in zip(uniq.tolist(), rev_first.tolist()):
-            set_idx, way = divmod(u, assoc)
-            stamps[set_idx][way] = clock0 + (last_ord - r) + 1
-            lines[set_idx][way].accessed = True
-        w = writes_seg[s:e]
-        if w.any():
-            for u in np.unique(key[w]).tolist():
-                set_idx, way = divmod(u, assoc)
-                lines[set_idx][way].dirty = True
-
-    # -- residual / fallback scalar execution --------------------------- #
-    def _switch_to(self, asid: int) -> None:
-        """ASID bookkeeping preceding a scalar record, replicating
-        ``Machine._run_scalar_tenants`` exactly (context-switch event +
-        optional shootdown, first-sighting tenant count)."""
-        m = self.m
-        if self.cur_asid >= 0:
-            m._context_switch(self.cur_asid, asid)
-        if asid not in self.seen_asids:
-            self.seen_asids.add(asid)
-            m.tenancy.add("tenants_seen")
-        self.cur_asid = asid
-
-    def _scalar_one(self, pcs, vaddrs, writes, gaps, j) -> None:
-        m = self.m
-        asids = self.asids
-        if asids is None:
-            m.access(
-                int(pcs[j]), int(vaddrs[j]), bool(writes[j]), int(gaps[j])
-            )
-        else:
-            asid = int(asids[j])
-            if asid != self.cur_asid:
-                self._switch_to(asid)
-            m.access(
-                int(pcs[j]), int(vaddrs[j]), bool(writes[j]),
-                int(gaps[j]), asid,
-            )
-        if self.sampler is not None and m.instructions >= self.next_at:
-            self.sampler.sample(m.instructions, m.cycles)
-            self.next_at = m.instructions + self.interval
-
-    def _scalar_span(self, pcs, vaddrs, writes, gaps, a, b) -> None:
-        if a >= b:
-            return
-        if self.flat is not None:
-            self.next_at = self.flat.run_span(
-                pcs, vaddrs, writes, gaps, a, b, self.sampler, self.next_at
-            )
-            return
-        m = self.m
-        access = m.access
-        asids = self.asids
-        records = zip(
-            pcs[a:b].tolist(),
-            vaddrs[a:b].tolist(),
-            writes[a:b].tolist(),
-            gaps[a:b].tolist(),
-        )
-        sampler = self.sampler
-        if asids is not None:
-            cur = self.cur_asid
-            next_at = self.next_at
-            interval = self.interval
-            for (pc, vaddr, is_write, gap), asid in zip(
-                records, asids[a:b].tolist()
-            ):
-                if asid != cur:
-                    self._switch_to(asid)
-                    cur = asid
-                access(pc, vaddr, is_write, gap, asid)
-                if sampler is not None and m.instructions >= next_at:
-                    sampler.sample(m.instructions, m.cycles)
-                    next_at = m.instructions + interval
-            self.next_at = next_at
-            return
-        if sampler is None:
-            for pc, vaddr, is_write, gap in records:
-                access(pc, vaddr, is_write, gap)
-            return
-        next_at = self.next_at
-        interval = self.interval
-        for pc, vaddr, is_write, gap in records:
-            access(pc, vaddr, is_write, gap)
-            if m.instructions >= next_at:
-                sampler.sample(m.instructions, m.cycles)
-                next_at = m.instructions + interval
-        self.next_at = next_at
+    return machine.finalize(trace.name)
 
 
 # --------------------------------------------------------------------- #
@@ -759,23 +249,23 @@ class _BatchedRun:
 class _FlatStepper:
     """Flattened per-record interpreter over the canonical structures.
 
-    The bulk pre-pass retires only guaranteed-L1-hit prefixes; this
-    interpreter executes *arbitrary* records — L1 misses, LLT misses and
-    page walks, LLC fills and inclusion victims, dpPred/cbPred
-    decisions, SRRIP aging, residency tracking — by inlining the scalar
-    access chain into one straight-line loop over Python scalars. It is
-    what makes miss-dominated (TLB-thrashing) workloads faster than the
-    scalar engine: the per-event method dispatch, listener checks and
-    Stats lookups of ``machine.access()`` collapse into locals and plain
-    dict operations on the very same state objects.
+    This interpreter executes every record of a trace — L1 hits and
+    misses, LLT misses and page walks, LLC fills and inclusion victims,
+    dpPred/cbPred decisions, SRRIP aging, residency tracking — by
+    inlining the scalar access chain into one straight-line loop over
+    Python scalars. It is what makes miss-dominated (TLB-thrashing)
+    workloads faster than the scalar engine: the per-event method
+    dispatch, listener checks and Stats lookups of ``machine.access()``
+    collapse into locals and plain dict operations on the very same
+    state objects.
 
     Soundness of mixing inline updates with real method calls: every
     simulated event is handled exactly once, either inline or by the
     real method. All *structural* state (tags, entries, stamps, RRPVs,
-    clocks, content versions, predictor tables, residency trackers)
+    clocks, predictor tables, residency trackers)
     lives on the real objects; the only locally buffered state is
     additive Stats counter deltas, flushed into the live dicts before
-    every telemetry sample and at span end. Rare or complex events call
+    every telemetry sample and at run end. Rare or complex events call
     the real methods — dpPred's shadow *hits* (misprediction refills),
     LLT fills under the demote ablation, DP-marked LLC evictions —
     while the hot paths stay inline: dpPred's fill-time prediction
@@ -805,14 +295,16 @@ class _FlatStepper:
         # blocks of a page share one fold_xor call.
         self._fx_pgb = {}
 
-    def run_span(self, pcs, vaddrs, writes, gaps, a, b, sampler, next_at):
-        """Execute records ``[a, b)``; returns the updated telemetry
-        boundary. Machine state is read at entry and written back at
-        exit; counter deltas are flushed before each timeline sample so
-        samples observe exactly the scalar loop's counter values."""
-        if b <= a:
-            return next_at
+    def run(self, trace) -> None:
+        """Execute every record of ``trace``. Machine state is read at
+        entry and written back at exit; counter deltas are flushed before
+        each timeline sample so samples observe exactly the scalar loop's
+        counter values. The caller finalizes the machine."""
         m = self.m
+        pcs, vaddrs = trace.pcs, trace.vaddrs
+        writes, gaps = trace.writes, trace.gaps
+        n = len(pcs)
+        sampler = m._timeline
         fx_pc = self._fx_pc
         fx_vpn = self._fx_vpn
         fx_blk = self._fx_blk
@@ -826,7 +318,7 @@ class _FlatStepper:
         epool_ = _ENTRY_POOL
         entry_cls = TlbEntry
         # Predictor-stat deltas, flushed with the structure-stat
-        # deltas at telemetry boundaries and span end. The flushes
+        # deltas at telemetry boundaries and run end. The flushes
         # are guarded so a counter that never fired does not create
         # a zero-valued key the scalar engine would not have.
         d_cb_pfqm = d_cb_doap = d_cb_note = d_cb_evobs = 0
@@ -854,6 +346,7 @@ class _FlatStepper:
         if sampler is not None:
             interval = sampler.interval
             sample = sampler.sample
+            next_at = interval
         else:
             interval = 0
             sample = None
@@ -1040,8 +533,8 @@ class _FlatStepper:
         sh3 = LEVEL_BITS
         widx_mask = (1 << LEVEL_BITS) - 1
         # PWC probe/fill inlined: the three fully-associative LRU levels
-        # as bare OrderedDicts with local clocks (written back at span
-        # end; no other code reads them mid-span), cumulative probe
+        # as bare OrderedDicts with local clocks (written back at run
+        # end; no other code reads them mid-run), cumulative probe
         # latencies, and the telemetry-registered pwc stats as delta
         # counters flushed with the rest.
         pwcs = walker.pwc
@@ -1072,10 +565,9 @@ class _FlatStepper:
         last_dvpn = m._last_dvpn
         last_dent = m._last_dentry
 
-        pc = 0  # last processed PC (context write-back for empty guard)
-        pos = a
-        while pos < b:
-            seg = min(pos + 65536, b)
+        pos = 0
+        while pos < n:
+            seg = min(pos + 65536, n)
             for pc, vaddr, is_write, gap in zip(
                 pcs[pos:seg].tolist(),
                 vaddrs[pos:seg].tolist(),
@@ -1351,7 +843,6 @@ class _FlatStepper:
                                                 victim3 = lines3[w3]
                                                 del tc3[victim3.tag]
                                                 lines3[w3] = None
-                                                l3.content_version += 1
                                                 l3_evicts += 1
                                                 if victim3.dirty:
                                                     l3_wb += 1
@@ -1409,7 +900,6 @@ class _FlatStepper:
                                                 ln.dp = True
                                             lines3[w3] = ln
                                             tc3[blk] = w3
-                                            l3.content_version += 1
                                             if l3_lru is not None:
                                                 l3_lru._clock += 1
                                                 l3_stamps[set_c3][w3] = (
@@ -1434,7 +924,6 @@ class _FlatStepper:
                                                 in1 = l1_lines[s1][wv]
                                                 del l1_tags[s1][vt]
                                                 l1_lines[s1][wv] = None
-                                                l1.content_version += 1
                                                 l1_evicts += 1
                                                 if in1.dirty:
                                                     l1_wb += 1
@@ -1448,7 +937,6 @@ class _FlatStepper:
                                                 in2 = l2_lines[s2][wv2]
                                                 del l2_tags[s2][vt]
                                                 l2_lines[s2][wv2] = None
-                                                l2.content_version += 1
                                                 l2_evicts += 1
                                                 if in2.dirty:
                                                     l2_wb += 1
@@ -1515,7 +1003,6 @@ class _FlatStepper:
                                         victim2 = lines2[w2]
                                         del tc[victim2.tag]
                                         lines2[w2] = None
-                                        l2.content_version += 1
                                         l2_evicts += 1
                                         if victim2.dirty:
                                             l2_wb += 1
@@ -1530,7 +1017,6 @@ class _FlatStepper:
                                         ln = line_cls(blk, False)
                                     lines2[w2] = ln
                                     tc[blk] = w2
-                                    l2.content_version += 1
                                     if l2_lru is not None:
                                         l2_lru._clock += 1
                                         l2_stamps[set_c][w2] = l2_lru._clock
@@ -1709,7 +1195,6 @@ class _FlatStepper:
                                         victim_l = entries_l[wl]
                                         del tags_l[victim_l.vpn]
                                         entries_l[wl] = None
-                                        lt.content_version += 1
                                         lt_evicts += 1
                                         # pooled early: only read (never reissued) until the fill below
                                         if (
@@ -1765,7 +1250,6 @@ class _FlatStepper:
                                         le = entry_cls(ivpn, pfn_i, lt_pch)
                                     entries_l[wl] = le
                                     tags_l[ivpn] = wl
-                                    lt.content_version += 1
                                     if lt_lru is not None:
                                         lt_lru._clock += 1
                                         lt_stamps[set_l][wl] = lt_lru._clock
@@ -1816,7 +1300,6 @@ class _FlatStepper:
                             victim_i = entries_i[wi_]
                             del tags_i[victim_i.vpn]
                             entries_i[wi_] = None
-                            it.content_version += 1
                             it_evicts += 1
                             if (
                                 victim_i is not last_ient
@@ -1837,7 +1320,6 @@ class _FlatStepper:
                             ent = entry_cls(ivpn, pfn_i, pc)
                         entries_i[wi_] = ent
                         tags_i[ivpn] = wi_
-                        it.content_version += 1
                         if it_lru is not None:
                             it_lru._clock += 1
                             it_stamps[set_i][wi_] = it_lru._clock
@@ -2114,7 +1596,6 @@ class _FlatStepper:
                                                 victim3 = lines3[w3]
                                                 del tc3[victim3.tag]
                                                 lines3[w3] = None
-                                                l3.content_version += 1
                                                 l3_evicts += 1
                                                 if victim3.dirty:
                                                     l3_wb += 1
@@ -2172,7 +1653,6 @@ class _FlatStepper:
                                                 ln.dp = True
                                             lines3[w3] = ln
                                             tc3[blk] = w3
-                                            l3.content_version += 1
                                             if l3_lru is not None:
                                                 l3_lru._clock += 1
                                                 l3_stamps[set_c3][w3] = (
@@ -2197,7 +1677,6 @@ class _FlatStepper:
                                                 in1 = l1_lines[s1][wv]
                                                 del l1_tags[s1][vt]
                                                 l1_lines[s1][wv] = None
-                                                l1.content_version += 1
                                                 l1_evicts += 1
                                                 if in1.dirty:
                                                     l1_wb += 1
@@ -2211,7 +1690,6 @@ class _FlatStepper:
                                                 in2 = l2_lines[s2][wv2]
                                                 del l2_tags[s2][vt]
                                                 l2_lines[s2][wv2] = None
-                                                l2.content_version += 1
                                                 l2_evicts += 1
                                                 if in2.dirty:
                                                     l2_wb += 1
@@ -2278,7 +1756,6 @@ class _FlatStepper:
                                         victim2 = lines2[w2]
                                         del tc[victim2.tag]
                                         lines2[w2] = None
-                                        l2.content_version += 1
                                         l2_evicts += 1
                                         if victim2.dirty:
                                             l2_wb += 1
@@ -2293,7 +1770,6 @@ class _FlatStepper:
                                         ln = line_cls(blk, False)
                                     lines2[w2] = ln
                                     tc[blk] = w2
-                                    l2.content_version += 1
                                     if l2_lru is not None:
                                         l2_lru._clock += 1
                                         l2_stamps[set_c][w2] = l2_lru._clock
@@ -2472,7 +1948,6 @@ class _FlatStepper:
                                         victim_l = entries_l[wl]
                                         del tags_l[victim_l.vpn]
                                         entries_l[wl] = None
-                                        lt.content_version += 1
                                         lt_evicts += 1
                                         # pooled early: only read (never reissued) until the fill below
                                         if (
@@ -2528,7 +2003,6 @@ class _FlatStepper:
                                         le = entry_cls(dvpn, pfn, lt_pch)
                                     entries_l[wl] = le
                                     tags_l[dvpn] = wl
-                                    lt.content_version += 1
                                     if lt_lru is not None:
                                         lt_lru._clock += 1
                                         lt_stamps[set_l][wl] = lt_lru._clock
@@ -2579,7 +2053,6 @@ class _FlatStepper:
                             victim_d = entries_d[wd_]
                             del tags_d[victim_d.vpn]
                             entries_d[wd_] = None
-                            dt.content_version += 1
                             dt_evicts += 1
                             if (
                                 victim_d is not last_ient
@@ -2600,7 +2073,6 @@ class _FlatStepper:
                             dent = entry_cls(dvpn, pfn, pc)
                         entries_d[wd_] = dent
                         tags_d[dvpn] = wd_
-                        dt.content_version += 1
                         if dt_lru is not None:
                             dt_lru._clock += 1
                             dt_stamps[set_d][wd_] = dt_lru._clock
@@ -2760,7 +2232,6 @@ class _FlatStepper:
                                     victim3 = lines3[w3f]
                                     del t3[victim3.tag]
                                     lines3[w3f] = None
-                                    l3.content_version += 1
                                     l3_evicts += 1
                                     if victim3.dirty:
                                         l3_wb += 1
@@ -2813,7 +2284,6 @@ class _FlatStepper:
                                     ln.dp = True
                                 lines3[w3f] = ln
                                 t3[block] = w3f
-                                l3.content_version += 1
                                 if l3_lru is not None:
                                     l3_lru._clock += 1
                                     l3_stamps[set_3][w3f] = l3_lru._clock
@@ -2832,7 +2302,6 @@ class _FlatStepper:
                                     in1 = l1_lines[s1][wv]
                                     del l1_tags[s1][vt]
                                     l1_lines[s1][wv] = None
-                                    l1.content_version += 1
                                     l1_evicts += 1
                                     if in1.dirty:
                                         l1_wb += 1
@@ -2846,7 +2315,6 @@ class _FlatStepper:
                                     in2 = l2_lines[s2][wv2]
                                     del l2_tags[s2][vt]
                                     l2_lines[s2][wv2] = None
-                                    l2.content_version += 1
                                     l2_evicts += 1
                                     if in2.dirty:
                                         l2_wb += 1
@@ -2910,7 +2378,6 @@ class _FlatStepper:
                             victim2 = lines2[w2f]
                             del t2b[victim2.tag]
                             lines2[w2f] = None
-                            l2.content_version += 1
                             l2_evicts += 1
                             if victim2.dirty:
                                 l2_wb += 1
@@ -2925,7 +2392,6 @@ class _FlatStepper:
                             ln = line_cls(block, False)
                         lines2[w2f] = ln
                         t2b[block] = w2f
-                        l2.content_version += 1
                         if l2_lru is not None:
                             l2_lru._clock += 1
                             l2_stamps[set_2b][w2f] = l2_lru._clock
@@ -2986,7 +2452,6 @@ class _FlatStepper:
                         victim1 = lines1[w1f]
                         del t1[victim1.tag]
                         lines1[w1f] = None
-                        l1.content_version += 1
                         l1_evicts += 1
                         if victim1.dirty:
                             l1_wb += 1
@@ -3001,7 +2466,6 @@ class _FlatStepper:
                         ln = line_cls(block, is_write)
                     lines1[w1f] = ln
                     t1[block] = w1f
-                    l1.content_version += 1
                     if l1_lru is not None:
                         l1_lru._clock += 1
                         l1_stamps[set_1][w1f] = l1_lru._clock
@@ -3171,7 +2635,7 @@ class _FlatStepper:
                     next_at = instructions + interval
             pos = seg
 
-        # --- span-end flush and state write-back ------------------------ #
+        # --- run-end flush and state write-back ------------------------- #
         it_stat["hits"] += it_hits
         it_stat["misses"] += it_misses
         it_stat["fills"] += it_fills
@@ -3289,4 +2753,7 @@ class _FlatStepper:
         m._last_ientry = last_ient
         m._last_dvpn = last_dvpn
         m._last_dentry = last_dent
-        return next_at
+        if sampler is not None and (
+            not sampler.marks or sampler.marks[-1] != instructions
+        ):
+            sample(instructions, cycles)

@@ -158,8 +158,8 @@ class Machine:
         self.cycles = 0.0
         self.pfn_to_vpn: Dict[int, int] = {}
         # Populated by run(): which engine executed the trace and, for the
-        # batched engine, its bulk/scalar record split (diagnostics only —
-        # never part of SimResult).
+        # batched engine, whether it ran flat or on the scalar reference
+        # and why (diagnostics only — never part of SimResult).
         self.engine_stats: Optional[dict] = None
 
         # Timing scalars hoisted out of the per-access path (reading them
@@ -428,9 +428,8 @@ class Machine:
                 self._l2_tlb_fill(vpn, pfn, pc, now, asid)
             else:
                 # Only the LLT holds the 2 MB entry; the L1 TLBs below get
-                # splintered 4 KB granules, so their geometry, the
-                # same-page filter, and the batched engine's L1 mirrors
-                # are untouched by huge mappings.
+                # splintered 4 KB granules, so their geometry and the
+                # same-page filter are untouched by huge mappings.
                 self._l2_tlb_fill(vpn, huge_base, pc, now, asid, huge=True)
         l1_tlb.fill(vpn, pfn, pc, now, asid)
         return pfn, penalty
@@ -501,8 +500,8 @@ class Machine:
         ``engine`` overrides the engine for this run; otherwise the
         process default applies (see :func:`repro.sim.engine.resolve_engine`
         — CLI ``--engine``, then ``REPRO_ENGINE``, then batched). Both
-        engines are bit-identical; the batched one falls back to scalar
-        when its fast path is not sound for this machine or trace.
+        engines are bit-identical; the batched one runs the scalar loop
+        when its flat interpreter does not model this machine or trace.
         """
         from repro.sim.engine import ENGINE_BATCHED, resolve_engine, run_batched
 

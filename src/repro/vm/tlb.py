@@ -14,13 +14,13 @@ brought the entry in (stored at fill time; Section V-A).
 Multi-tenant scenarios tag every entry with an ASID. Tags are stored as a
 single combined key ``(asid << VPN_BITS) | vpn`` so that ASID-0 (the only
 address space single-tenant runs ever use) keys are bit-identical to the
-raw VPNs the rest of the simulator — including the batched engine's numpy
-mirrors — already handles. Two further key namespaces share the same tag
-dicts: *global* pages (kernel-style mappings valid under every ASID) and
-2 MB *huge* pages (one entry covering 512 consecutive VPNs; only the LLT
-installs these — the L1 TLBs are filled with splintered 4 KB granules, as
-several real cores do). Both extra probes are gated on per-TLB entry
-counts, so single-tenant 4 KB-only runs never pay for them.
+raw VPNs the rest of the simulator already handles. Two further key
+namespaces share the same tag dicts: *global* pages (kernel-style
+mappings valid under every ASID) and 2 MB *huge* pages (one entry
+covering 512 consecutive VPNs; only the LLT installs these — the L1 TLBs
+are filled with splintered 4 KB granules, as several real cores do).
+Both extra probes are gated on per-TLB entry counts, so single-tenant
+4 KB-only runs never pay for them.
 """
 
 from __future__ import annotations
@@ -240,12 +240,6 @@ class Tlb:
         # zero, keeping the single-tenant 4 KB miss path unchanged.
         self._global_count = 0
         self._huge_count = 0
-        # Monotone membership version: bumped whenever the set of resident
-        # (vpn -> pfn) pairs changes (install, eviction, invalidation).
-        # Hits never bump it, so the batched engine's numpy mirror of the
-        # contents (see :meth:`mirror_into`) stays valid across arbitrarily
-        # long all-hit stretches and is rebuilt only after a real refill.
-        self.content_version = 0
 
     # ------------------------------------------------------------------ #
     # Access path
@@ -420,7 +414,6 @@ class Tlb:
         entry = TlbEntry(key, pfn, pc_hash, asid, global_page, huge)
         entries[way] = entry
         tags[key] = way
-        self.content_version += 1
         if huge:
             self._huge_count += 1
         elif global_page:
@@ -523,7 +516,6 @@ class Tlb:
         assert entry is not None
         del self._tags[set_idx][entry.vpn]
         self._entries[set_idx][way] = None
-        self.content_version += 1
         self._stat["evictions"] += 1
         if entry.huge:
             self._huge_count -= 1
@@ -536,23 +528,6 @@ class Tlb:
         if self.listener is not None:
             self.listener.on_evict(self, entry, now)
         return entry
-
-    # ------------------------------------------------------------------ #
-    # Vectorized-engine support
-    # ------------------------------------------------------------------ #
-    def mirror_into(self, tags, pfns) -> None:
-        """Export the current contents into (num_sets, assoc) numpy arrays.
-
-        ``tags`` receives each resident entry's VPN (empty ways keep
-        whatever sentinel the caller pre-filled), ``pfns`` the matching
-        PFN. The batched engine keys its array-at-a-time membership tests
-        on these mirrors and revalidates them via :attr:`content_version`.
-        """
-        for set_idx, ways in enumerate(self._entries):
-            for way, entry in enumerate(ways):
-                if entry is not None:
-                    tags[set_idx, way] = entry.vpn
-                    pfns[set_idx, way] = entry.pfn
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -1,11 +1,12 @@
 """Differential tests: the batched engine is bit-identical to scalar.
 
-The batched engine (:mod:`repro.sim.engine`) retires guaranteed L1-hit
-prefixes array-at-a-time. Its contract is byte equality with the scalar
-reference loop — same ``SimResult.to_dict()``, same telemetry payloads
-(timeline marks/deltas and decision-event streams), same disk-cache
-bytes — on every workload kernel and on adversarial random traces. These
-tests are the contract's enforcement.
+The batched engine (:mod:`repro.sim.engine`) runs a trace either whole on
+its flat interpreter or on the scalar reference loop. Its contract is
+byte equality with the scalar reference loop — same
+``SimResult.to_dict()``, same telemetry payloads (timeline marks/deltas
+and decision-event streams), same disk-cache bytes — on every workload
+kernel and on adversarial random traces. These tests are the contract's
+enforcement.
 """
 
 import json
@@ -17,7 +18,14 @@ from hypothesis import strategies as st
 
 import repro.sim.engine as engine_mod
 from repro.obs.telemetry import TelemetrySpec
-from repro.sim.config import fast_config
+from repro.sim.config import (
+    fast_config,
+    hugepage_config,
+    leeway_config,
+    mix2_config,
+    mix4_config,
+    perceptron_config,
+)
 from repro.sim.engine import (
     ENGINE_BATCHED,
     ENGINE_SCALAR,
@@ -42,7 +50,7 @@ def fingerprint(result) -> bytes:
 
 def run_both(trace, config, telemetry=False, seed=SEED):
     """Run one trace under both engines; returns the two (result, machine)
-    pairs. Telemetry uses a small interval so bulk spans straddle many
+    pairs. Telemetry uses a small interval so flat runs straddle many
     sampling boundaries."""
     out = []
     for engine in (ENGINE_SCALAR, ENGINE_BATCHED):
@@ -90,21 +98,11 @@ def test_extra_workloads_bit_identical(workload):
     ids=["dppred", "dppred+cbpred", "ship", "residency", "reference"],
 )
 def test_predictor_configs_bit_identical(kwargs):
-    """Predictors/instrumentation live beyond the L1s; the bulk path must
-    leave their slow-path event streams untouched."""
+    """Predictors/instrumentation live beyond the L1s; their slow-path
+    event streams must match whichever way the batched engine runs."""
     for workload in ("sssp", "locality"):
         trace = get_trace(workload, BUDGET, SEED)
         assert_equivalent(trace, fast_config(**kwargs), telemetry=True)
-
-
-def test_locality_workload_exercises_bulk_path():
-    """The showcase workload must actually take the vectorized path —
-    otherwise every equivalence test above is vacuous."""
-    trace = get_trace("locality", BUDGET, SEED)
-    machine = assert_equivalent(trace, fast_config(), telemetry=True)
-    stats = machine.engine_stats
-    assert stats["engine"] == ENGINE_BATCHED
-    assert stats["bulk_records"] > stats["scalar_records"]
 
 
 # --------------------------------------------------------------------- #
@@ -143,8 +141,9 @@ def test_random_traces_bit_identical(records):
 @settings(max_examples=15, deadline=None)
 @given(records=RECORDS, run_length=st.integers(2, 64))
 def test_repeated_traces_bit_identical(records, run_length):
-    """Tiling the stream manufactures long all-hit stretches, driving the
-    window-doubling and boundary-splitting paths."""
+    """Tiling the stream manufactures long all-hit stretches (same-page
+    filter hits, LRU promotions without fills) across many telemetry
+    boundaries."""
     trace = build_trace(records * run_length)
     assert_equivalent(trace, fast_config(), telemetry=True)
 
@@ -157,11 +156,11 @@ def test_random_traces_with_predictors(records):
 
 
 # --------------------------------------------------------------------- #
-# Fallback + selection
+# Dispatch + selection
 # --------------------------------------------------------------------- #
 def test_srrip_policy_runs_flat():
-    """SRRIP has no fused-LRU bulk path (and no same-page filter), so the
-    batched engine runs the flat interpreter for the whole trace."""
+    """SRRIP disables the same-page filter; the flat interpreter models
+    it and runs the whole trace."""
     trace = get_trace("locality", BUDGET, SEED)
     config = fast_config(tlb_policy="srrip", cache_policy="srrip")
     machine = assert_equivalent(trace, config, telemetry=True)
@@ -169,12 +168,12 @@ def test_srrip_policy_runs_flat():
     assert stats["engine"] == ENGINE_BATCHED
     assert stats["mode"] == "flat"
     assert stats["flat_records"] == len(trace)
-    assert "fallback" not in stats
+    assert "flat_reason" not in stats
 
 
 def test_predictor_configs_run_batched_without_fallback():
-    """The headline configs — dpPred alone and dpPred+cbPred — must take
-    the batched engine's hybrid (bulk + flat) path, not scalar."""
+    """The headline configs — dpPred alone and dpPred+cbPred — must run
+    the whole trace on the flat interpreter, not scalar."""
     trace = get_trace("sssp", BUDGET, SEED)
     for kwargs in (
         {"tlb_predictor": "dppred"},
@@ -182,25 +181,25 @@ def test_predictor_configs_run_batched_without_fallback():
     ):
         machine = assert_equivalent(trace, fast_config(**kwargs), telemetry=True)
         stats = machine.engine_stats
-        assert stats["engine"] == ENGINE_BATCHED
-        assert "fallback" not in stats
-        assert stats["flat_records"] > 0
-        assert (
-            stats["bulk_records"] + stats["flat_records"]
-            + stats["scalar_records"] == len(trace)
-        )
+        assert stats == {
+            "engine": ENGINE_BATCHED,
+            "mode": "flat",
+            "flat_records": len(trace),
+        }
 
 
 def test_fifo_policy_falls_back_with_reason():
-    """FIFO replacement has neither a bulk nor a flat model; the engine
-    must fall back to scalar and say why."""
+    """FIFO replacement has no flat model; the engine must run the
+    scalar reference and say why."""
     trace = get_trace("locality", BUDGET, SEED)
     config = fast_config(tlb_policy="fifo")
     machine = assert_equivalent(trace, config)
-    stats = machine.engine_stats
-    assert stats["engine"] == ENGINE_SCALAR
-    assert stats["fallback"]
-    assert stats["fallback_reasons"] == {"policy": 1}
+    assert machine.engine_stats == {
+        "engine": ENGINE_BATCHED,
+        "mode": "scalar",
+        "scalar_records": len(trace),
+        "flat_reason": "policy",
+    }
 
 
 def test_engine_totals_accumulate_fallback_reasons():
@@ -211,27 +210,23 @@ def test_engine_totals_accumulate_fallback_reasons():
     )
     Machine(fast_config(), seed=SEED).run(trace, engine=ENGINE_BATCHED)
     totals = engine_mod.engine_totals()
-    assert totals["runs"] == 2
-    assert totals["batched"] == 1
-    assert totals["fallbacks"] == 1
-    assert totals["fallback_reasons"] == {"policy": 1}
-    assert totals["bulk_records"] + totals["flat_records"] + totals[
-        "scalar_records"
-    ] == len(trace)
+    assert totals == {
+        "runs": 2,
+        "flat_records": len(trace),
+        "scalar_records": len(trace),
+        "flat_declines": {"policy": 1},
+    }
     engine_mod.reset_engine_totals()
 
 
 # --------------------------------------------------------------------- #
-# Multi-tenant / huge-page dispatch: batched hybrid, never scalar fallback
+# Multi-tenant / huge-page dispatch: scalar reference, counted reason
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("mix,profile", [("mix2", "mix2"), ("mix4", "mix4")])
 def test_mix_configs_run_batched_and_bit_identical(mix, profile):
-    """ASID-carrying traces run the bulk + scalar hybrid — the bulk tier
-    probes combined (asid, vpn) keys and the prefix truncates at context
-    switches — byte-identical to the scalar tenant loop, decision-event
-    rings included. The flat decline (reason "tenant") is counted, and
-    there is *no* scalar fallback."""
-    from repro.sim.config import mix2_config, mix4_config
+    """ASID-carrying traces run the scalar tenant loop under the batched
+    engine, byte-identical to the scalar engine, decision-event rings
+    included. The flat decline (reason "tenant") is counted."""
     from repro.workloads.tenants import build_mix_trace
 
     factory = {"mix2": mix2_config, "mix4": mix4_config}[profile]
@@ -248,40 +243,28 @@ def test_mix_configs_run_batched_and_bit_identical(mix, profile):
     assert counts.get("shootdown", 0) > 0
     stats = m_b.engine_stats
     assert stats["engine"] == ENGINE_BATCHED
-    assert "fallback" not in stats
+    assert stats["mode"] == "scalar"
     assert stats["flat_reason"] == "tenant"
-    assert stats["bulk_records"] > 0
-    assert (
-        stats["bulk_records"] + stats["flat_records"]
-        + stats["scalar_records"] == len(trace)
-    )
+    assert stats["scalar_records"] == len(trace)
 
 
 def test_hugepage_config_runs_batched_and_bit_identical():
-    """Huge-mapped tables keep the bulk tier sound (only the LLT holds
-    2 MB entries; the L1 TLBs get splintered 4 KB granules), so hugepage
-    configs run the hybrid with a counted flat decline, byte-identical
-    to scalar."""
-    from repro.sim.config import hugepage_config
-
+    """Huge-mapped tables run the scalar reference under the batched
+    engine with a counted flat decline, byte-identical to scalar."""
     config = hugepage_config(tlb_predictor="dppred")
     for workload in ("mcf", "locality"):
         trace = get_trace(workload, BUDGET, SEED)
         machine = assert_equivalent(trace, config, telemetry=True)
         stats = machine.engine_stats
         assert stats["engine"] == ENGINE_BATCHED
-        assert "fallback" not in stats
+        assert stats["mode"] == "scalar"
         assert stats["flat_reason"] == "hugepage"
-    # locality has real reuse, so the bulk tier must actually engage on
-    # the huge-mapped machine — otherwise the hybrid claim is vacuous.
-    assert stats["bulk_records"] > 0
 
 
 def test_tenant_and_hugepage_declines_counted_in_engine_totals():
     """Regression: tenant/hugepage runs must be *visible* in the process-
-    wide dispatch accounting as flat declines — and contribute zero
-    scalar fallbacks."""
-    from repro.sim.config import hugepage_config, mix2_config
+    wide dispatch accounting as flat declines, with their records counted
+    as scalar."""
     from repro.workloads.tenants import build_mix_trace
 
     engine_mod.reset_engine_totals()
@@ -290,26 +273,74 @@ def test_tenant_and_hugepage_declines_counted_in_engine_totals():
     flat = get_trace("locality", 500, SEED)
     Machine(hugepage_config(), seed=SEED).run(flat, engine=ENGINE_BATCHED)
     totals = engine_mod.engine_totals()
-    assert totals["runs"] == 2
-    assert totals["batched"] == 2
-    assert totals["fallbacks"] == 0
-    assert totals["fallback_reasons"] == {}
-    assert totals["flat_declines"] == {"tenant": 1, "hugepage": 1}
+    assert totals == {
+        "runs": 2,
+        "flat_records": 0,
+        "scalar_records": len(trace) + len(flat),
+        "flat_declines": {"tenant": 1, "hugepage": 1},
+    }
     engine_mod.reset_engine_totals()
 
 
 def test_num_tenants_config_runs_batched_without_asids():
     """A multi-tenant *config* on a plain (asid-free) trace is ordinary
-    single-tenant execution — the hybrid (including the flat tier) runs
-    it with no decline and no fallback."""
+    single-tenant execution — the flat tier runs it with no decline."""
     trace = get_trace("locality", 500, SEED)
-    from repro.sim.config import mix2_config
-
     machine = assert_equivalent(trace, mix2_config(), telemetry=True)
     stats = machine.engine_stats
     assert stats["engine"] == ENGINE_BATCHED
-    assert "fallback" not in stats
+    assert stats["mode"] == "flat"
     assert "flat_reason" not in stats
+
+
+# The README "Engines" coverage table, row by row: (profile, config,
+# workload, batched-engine mode, counted flat_reason).
+COVERAGE = [
+    ("baseline", fast_config(), "sssp", "flat", None),
+    ("dppred+cbpred",
+     fast_config(tlb_predictor="dppred", llc_predictor="cbpred"),
+     "sssp", "flat", None),
+    ("residency", fast_config(track_residency=True), "sssp", "flat", None),
+    ("srrip", fast_config(tlb_policy="srrip", cache_policy="srrip"),
+     "sssp", "flat", None),
+    ("mix2", mix2_config(tlb_predictor="dppred", llc_predictor="cbpred"),
+     "mix2", "scalar", "tenant"),
+    ("mix4", mix4_config(), "mix4", "scalar", "tenant"),
+    ("hugepage", hugepage_config(tlb_predictor="dppred"), "sssp",
+     "scalar", "hugepage"),
+    ("leeway", leeway_config(), "sssp", "scalar", "predictor"),
+    ("perceptron", perceptron_config(), "sssp", "scalar", "predictor"),
+    ("ship", fast_config(tlb_predictor="ship", llc_predictor="ship"),
+     "sssp", "scalar", "predictor"),
+    ("fifo", fast_config(tlb_policy="fifo"), "sssp", "scalar", "policy"),
+    ("random", fast_config(cache_policy="random"), "sssp",
+     "scalar", "policy"),
+    ("reference", fast_config(track_reference=True), "sssp",
+     "scalar", "reference"),
+]
+
+
+@pytest.mark.parametrize(
+    "config,workload,mode,reason",
+    [row[1:] for row in COVERAGE],
+    ids=[row[0] for row in COVERAGE],
+)
+def test_shipped_profile_coverage(config, workload, mode, reason):
+    """Every shipped profile runs the mode and counted reason the docs'
+    coverage table states, accounts for every record, and matches the
+    scalar engine's wire bytes."""
+    trace = get_trace(workload, 2000, SEED)
+    machine = Machine(config, seed=SEED)
+    result = machine.run(trace, engine=ENGINE_BATCHED)
+    stats = machine.engine_stats
+    assert stats["mode"] == mode
+    assert stats.get("flat_reason") == reason
+    assert (
+        stats.get("flat_records", 0) + stats.get("scalar_records", 0)
+        == len(trace)
+    )
+    reference = Machine(config, seed=SEED).run(trace, engine=ENGINE_SCALAR)
+    assert result.to_wire() == reference.to_wire()
 
 
 def test_mix_trace_roundtrips_through_npz(tmp_path):
@@ -366,7 +397,8 @@ def test_unexpected_trace_dtype_falls_back():
     )
     machine = Machine(fast_config(), seed=SEED)
     result = machine.run(odd, engine=ENGINE_BATCHED)
-    assert machine.engine_stats["fallback"]
+    assert machine.engine_stats["mode"] == "scalar"
+    assert machine.engine_stats["flat_reason"] == "dtype"
     reference = Machine(fast_config(), seed=SEED).run_scalar(trace)
     assert fingerprint(result) == fingerprint(reference)
 
@@ -404,11 +436,3 @@ def test_run_honours_env_engine(monkeypatch):
     machine.run(trace)
     assert machine.engine_stats == {"engine": ENGINE_SCALAR}
 
-
-def test_batchable_rejects_listeners_and_residency():
-    machine = Machine(fast_config(), seed=SEED)
-    assert engine_mod.batchable(machine)
-    from repro.mem.cache import CacheListener
-
-    machine.l1d.listener = CacheListener()
-    assert not engine_mod.batchable(machine)

@@ -207,8 +207,8 @@ class TestMachineIntegration:
 
     @pytest.mark.parametrize("factory", [leeway_config, perceptron_config])
     def test_flat_decline_is_counted_not_silent(self, factory):
-        """New families must keep the bulk+scalar hybrid with a counted
-        ``predictor`` decline — the no-silent-fallback acceptance bar."""
+        """New families run on the scalar reference with a counted
+        ``predictor`` decline — the no-silent-decline acceptance bar."""
         config = factory()
         machine = Machine(config, seed=SEED)
         assert flat_reason(machine) == "predictor"
@@ -219,11 +219,13 @@ class TestMachineIntegration:
         machine.run(trace, engine=ENGINE_BATCHED)
         stats = machine.engine_stats
         assert stats["engine"] == ENGINE_BATCHED
-        assert stats["mode"] == "hybrid"
+        assert stats["mode"] == "scalar"
         assert stats["flat_reason"] == "predictor"
+        assert stats["scalar_records"] == len(trace)
         totals = engine_mod.engine_totals()
         assert totals["flat_declines"] == {"predictor": 1}
-        assert totals["fallbacks"] == 0
+        assert totals["scalar_records"] == len(trace)
+        assert totals["flat_records"] == 0
         engine_mod.reset_engine_totals()
 
     def test_dppred_still_runs_flat(self):

@@ -11,9 +11,9 @@ walk_cycles), PWC hit/miss splits, page-table allocation counters, and
 the decision-event rings all travel through ``SimResult.to_dict()`` and
 the telemetry payloads compared here.
 
-``tlb_policy="srrip"`` disables the bulk pre-pass (no fused-LRU mirrors)
-while the flat interpreter still qualifies, so those runs execute the
-inlined walk on *every* record — nothing hides behind the numpy tier.
+The flat interpreter runs single-tenant 4 KB traces whole, so under both
+LRU and SRRIP it executes the inlined walk on *every* record. ASID and
+huge-page traces run the scalar reference, compared here too.
 """
 
 import numpy as np
@@ -64,15 +64,16 @@ def build_walk_trace(records, asids=None) -> Trace:
     return Trace("hypo-walk", pcs, vaddrs, writes, gaps, asids)
 
 
+@pytest.mark.parametrize("policy", ["lru", "srrip"])
 @settings(max_examples=25, deadline=None)
 @given(records=WALK_RECORDS)
-def test_inlined_walk_pwc_matches_walker_reference(records):
-    """Pure-flat (SRRIP) runs execute the inlined walk/PWC on every
-    record; the fingerprint + telemetry comparison covers walker, PWC,
-    and page-table stats plus the decision-event rings."""
+def test_inlined_walk_pwc_matches_walker_reference(policy, records):
+    """Flat runs execute the inlined walk/PWC on every record; the
+    fingerprint + telemetry comparison covers walker, PWC, and
+    page-table stats plus the decision-event rings."""
     trace = build_walk_trace(records)
     config = fast_config(
-        tlb_policy="srrip",
+        tlb_policy=policy,
         tlb_predictor="dppred",
         llc_predictor="cbpred",
     )
@@ -91,18 +92,6 @@ def test_inlined_walk_pwc_matches_walker_reference(records):
     ) == walks
 
 
-@settings(max_examples=25, deadline=None)
-@given(records=WALK_RECORDS)
-def test_hybrid_walk_pwc_matches_walker_reference(records):
-    """Default LRU config: hybrid bulk+flat, same byte-identity contract
-    (residual spans run the inlined walk; bulk prefixes never walk)."""
-    trace = build_walk_trace(records)
-    config = fast_config(tlb_predictor="dppred", llc_predictor="cbpred")
-    machine = assert_equivalent(trace, config, telemetry=True)
-    assert machine.engine_stats["engine"] == ENGINE_BATCHED
-    assert machine.engine_stats["mode"] == "hybrid"
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     records=WALK_RECORDS,
@@ -113,10 +102,10 @@ def test_hybrid_walk_pwc_matches_walker_reference(records):
     ),
 )
 def test_asid_mix_matches_scalar_tenant_loop(records, asid_runs):
-    """Random ASID run-lengths over random VPN mixes: the bulk tier's
-    combined (asid, vpn) keys and the scalar tenant bookkeeping must
-    reproduce ``_run_scalar_tenants`` byte-for-byte, including context
-    switches and shootdown effects."""
+    """Random ASID run-lengths over random VPN mixes: the batched engine
+    sends ASID-carrying traces to the scalar tenant loop with a counted
+    ``tenant`` reason, byte-for-byte, including context switches and
+    shootdown effects."""
     n = len(records)
     asids = np.empty(n, np.int64)
     pos = 0
@@ -130,23 +119,25 @@ def test_asid_mix_matches_scalar_tenant_loop(records, asid_runs):
     machine = assert_equivalent(trace, config, telemetry=True)
     stats = machine.engine_stats
     assert stats["engine"] == ENGINE_BATCHED
-    assert stats.get("flat_reason") == "tenant"
-    assert "fallback" not in stats
+    assert stats["mode"] == "scalar"
+    assert stats["flat_reason"] == "tenant"
+    assert stats["scalar_records"] == len(trace)
 
 
 @settings(max_examples=20, deadline=None)
 @given(records=WALK_RECORDS)
 def test_hugepage_mix_matches_scalar_reference(records):
-    """Huge-mapped tables: bulk prefixes see only splintered 4KB L1
-    entries; residual records run the real walker (the flat tier
-    declines). Byte-identity includes the LLT's huge-entry namespace."""
+    """Huge-mapped tables run the real walker on the scalar reference
+    (the flat tier declines). Byte-identity includes the LLT's
+    huge-entry namespace."""
     trace = build_walk_trace(records)
     config = hugepage_config(tlb_predictor="dppred")
     machine = assert_equivalent(trace, config, telemetry=True)
     stats = machine.engine_stats
     assert stats["engine"] == ENGINE_BATCHED
-    assert stats.get("flat_reason") == "hugepage"
-    assert "fallback" not in stats
+    assert stats["mode"] == "scalar"
+    assert stats["flat_reason"] == "hugepage"
+    assert stats["scalar_records"] == len(trace)
 
 
 def test_walker_pwc_stat_keys_compared():
