@@ -1,20 +1,17 @@
-"""Runner-throughput benchmark: hot-path, engine, fan-out, disk-cache wins.
+"""Runner-throughput benchmark: engine, fan-out and disk-cache wins.
 
 Four measurements, each with a built-in correctness cross-check (the
 script exits non-zero on any simulator-output divergence, which is what
 CI's smoke invocation relies on):
 
-1. **Single-run fast path** — one baseline run executed twice: once on
-   the optimised path (no listeners attached, chunked ``iter_records``)
-   and once emulating the pre-optimisation dispatch behaviour (no-op
-   listeners attached to every cache and TLB, fully materialised record
-   lists). The no-op listeners cannot change simulation outcomes, so the
-   two runs must produce byte-identical metrics — and the time ratio is
-   the fast-path speedup.
-2. **Engine** — scalar vs batched engine, the CI gate's number:
+1. **Engine** — scalar vs batched engine, the CI gate's number:
    median-of-9 aggregate speedup with bit-identity over the six-workload
    suite prefix with dpPred+cbPred enabled — every record on the flat
    interpreter, no run sent to the scalar reference.
+2. **Scenario** — the same comparison on the multi-tenant ``mix2`` mix
+   and on ``mcf`` over huge-mapped tables (``hugepage_config``), both
+   with dpPred+cbPred: ASID segments with context switches and 2 MB leaf
+   walks, also wholly flat.
 3. **Matrix fan-out** — a (workloads x {baseline, dpPred}) matrix run
    serially and with ``--jobs`` worker processes; results must match
    bit-for-bit.
@@ -43,16 +40,13 @@ import time
 
 import repro.sim.diskcache as diskcache
 from repro.experiments.report import render_table
-from repro.mem.cache import CacheListener
-from repro.sim.config import fast_config
+from repro.sim.config import fast_config, hugepage_config, mix2_config
 from repro.sim.machine import Machine
 from repro.sim.parallel import RunRequest, run_matrix
-from repro.sim.runner import clear_run_cache, machine_seed_for, run_trace
-from repro.vm.tlb import TlbListener
+from repro.sim.runner import clear_run_cache, machine_seed_for
 from repro.workloads.suite import clear_trace_cache, get_trace, workload_names
 
-#: Speedup targets enforced under --strict (see ISSUE/EXPERIMENTS.md).
-SINGLE_RUN_TARGET = 1.5
+#: Parallel fan-out target enforced under --strict (see EXPERIMENTS.md).
 PARALLEL_TARGET = 2.5
 #: Batched-engine suite-speedup floor: median-of-9 aggregate over the
 #: six-workload suite prefix with dpPred+cbPred enabled — the config the
@@ -64,7 +58,15 @@ ENGINE_TARGET = 2.0
 #: independent of --workloads (which sizes the matrix phases): the CI
 #: gate is defined over the six-workload suite prefix.
 ENGINE_SUITE_WORKLOADS = 6
-#: Repetitions for the engine phase (median + min reported). Nine reps
+#: Batched-engine scenario-speedup floor (mix2 and huge-page mcf with
+#: dpPred+cbPred), judged like the suite floor against the bootstrap CI.
+SCENARIO_TARGET = 1.8
+#: The scenario phase's (label, workload, config factory) cells.
+SCENARIO_CELLS = (
+    ("mix2", "mix2", mix2_config),
+    ("mcf/hugepage", "mcf", hugepage_config),
+)
+#: Repetitions for the engine phases (median + min reported). Nine reps
 #: per (workload, engine) cell keep the bootstrap 95% CI on the suite
 #: speedup tight enough for the strict gate to judge its lower bound
 #: against the target rather than the noisier point estimate.
@@ -126,143 +128,53 @@ def _fingerprint(result) -> bytes:
     return json.dumps(result.to_dict(), sort_keys=True).encode()
 
 
-class _MethodCallDict(dict):
-    """Counter dict that pays a Python method call per update, emulating
-    the per-event ``Stats.add`` dispatch the fast path eliminated."""
-
-    def __setitem__(self, key, value):
-        dict.__setitem__(self, key, value)
-
-
-def _slow_counters(structure):
-    """Route a structure's counter bumps through :class:`_MethodCallDict`."""
-    proxy = _MethodCallDict(structure.stats.counters)
-    structure.stats.counters = proxy
-    structure._stat = proxy
-
-
-def _legacy_run(trace, config, seed):
-    """Emulate the pre-fast-path runner: no-op listener dispatch on every
-    structure, generic replacement-policy dispatch instead of the fused
-    LRU path, no same-page TLB filter, per-event counter method calls,
-    and fully materialised record lists. None of these can change
-    simulation outcomes — which the divergence check below exploits."""
-    machine = Machine(config, seed=seed)
-    machine._page_filter = False
-    for cache in (machine.l1d, machine.l2, machine.llc):
-        if cache.listener is None:
-            cache.listener = CacheListener()
-        cache._lru = None
-        _slow_counters(cache)
-    for tlb in (machine.l1_itlb, machine.l1_dtlb, machine.l2_tlb):
-        if tlb.listener is None:
-            tlb.listener = TlbListener()
-        tlb._lru = None
-        _slow_counters(tlb)
-    for structure in (
-        machine.hierarchy,
-        machine.hierarchy.memory,
-        machine.walker,
-        machine.walker.pwc,
-    ):
-        _slow_counters(structure)
-    records = list(
-        zip(
-            trace.pcs.tolist(),
-            trace.vaddrs.tolist(),
-            trace.writes.tolist(),
-            trace.gaps.tolist(),
-        )
-    )
-    access = machine.access
-    for pc, vaddr, is_write, gap in records:
-        access(pc, vaddr, is_write, gap)
-    return machine.finalize(trace.name)
-
-
-def bench_single_run(budget: int, repeats: int = 3):
-    """Fast path vs emulated legacy dispatch on one baseline run."""
-    config = fast_config()
-    trace = get_trace("mcf", budget)
-    seed = machine_seed_for(42)
-
-    def best(fn):
-        times, result = [], None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = fn()
-            times.append(time.perf_counter() - start)
-        return min(times), result
-
-    t_fast, r_fast = best(lambda: run_trace(trace, config, seed=seed))
-    t_legacy, r_legacy = best(lambda: _legacy_run(trace, config, seed))
-
-    diverged = _fingerprint(r_fast) != _fingerprint(r_legacy)
+def _measure(trace, config, engine, repeats, seed):
+    times, result, stats = [], None, None
+    for _ in range(repeats):
+        machine = Machine(config, seed=seed)
+        start = time.perf_counter()
+        result = machine.run(trace, engine=engine)
+        times.append(time.perf_counter() - start)
+        stats = machine.engine_stats
     return {
-        "t_fast": t_fast,
-        "t_legacy": t_legacy,
-        "speedup": t_legacy / t_fast if t_fast else 0.0,
-        "accesses_per_sec": budget / t_fast if t_fast else 0.0,
-        "diverged": diverged,
+        "median": _median(times),
+        "min": min(times),
+        "times": times,
+        "result": result,
+        "stats": stats,
     }
 
 
-def bench_engine(budget: int, num_workloads: int, repeats: int = ENGINE_REPEATS):
-    """Batched vs scalar engine, bit-identity-checked, on the
-    six-workload suite prefix with dpPred+cbPred enabled (the paper's
-    configuration): ``repeats`` reps per (workload, engine), aggregate
-    speedup reported as the ratio of per-workload *median* times (plus a
-    min-based figure). This is the number the CI gate enforces.
-    """
+def _compare_engines(cells, repeats):
+    """Scalar vs batched on ``(name, trace, config)`` cells: summed
+    per-cell median times, their ratio with a bootstrap CI, a min-based
+    ratio, per-cell detail, how many batched runs were not wholly flat,
+    and whether any cell's outputs diverged."""
     seed = machine_seed_for(42)
-
-    def measure(trace, config, engine):
-        times, result, stats = [], None, None
-        for _ in range(repeats):
-            machine = Machine(config, seed=seed)
-            start = time.perf_counter()
-            result = machine.run(trace, engine=engine)
-            times.append(time.perf_counter() - start)
-            stats = machine.engine_stats
-        return {
-            "median": _median(times),
-            "min": min(times),
-            "times": times,
-            "result": result,
-            "stats": stats,
-        }
-
-    # The suite phase runs the configuration the paper studies — both
-    # predictors on — so a batched-engine regression on any predictor
-    # decision path shows up here as divergence or a run that is not
-    # wholly flat.
-    suite_cfg = fast_config(tlb_predictor="dppred", llc_predictor="cbpred")
-    suite_names = workload_names()[:ENGINE_SUITE_WORKLOADS]
-    t_suite = {"scalar": 0.0, "batched": 0.0}
-    t_suite_min = {"scalar": 0.0, "batched": 0.0}
-    per_workload = {}
+    t_total = {"scalar": 0.0, "batched": 0.0}
+    t_total_min = {"scalar": 0.0, "batched": 0.0}
+    per_cell = {}
     rep_times = []
     diverged = False
     not_flat = 0
-    for name in suite_names:
-        trace = get_trace(name, budget)
-        fps = {}
+    for name, trace, config in cells:
         meas = {}
         for engine in ("scalar", "batched"):
-            m = measure(trace, suite_cfg, engine)
-            meas[engine] = m
-            t_suite[engine] += m["median"]
-            t_suite_min[engine] += m["min"]
-            fps[engine] = _fingerprint(m["result"])
+            meas[engine] = m = _measure(trace, config, engine, repeats, seed)
+            t_total[engine] += m["median"]
+            t_total_min[engine] += m["min"]
         stats = meas["batched"]["stats"]
         if (
             stats.get("mode") != "flat"
             or stats.get("flat_records") != len(trace)
         ):
             not_flat += 1
-        diverged = diverged or fps["scalar"] != fps["batched"]
+        diverged = diverged or (
+            _fingerprint(meas["scalar"]["result"])
+            != _fingerprint(meas["batched"]["result"])
+        )
         rep_times.append((meas["scalar"]["times"], meas["batched"]["times"]))
-        per_workload[name] = {
+        per_cell[name] = {
             "speedup": (
                 meas["scalar"]["median"] / meas["batched"]["median"]
                 if meas["batched"]["median"] else 0.0
@@ -273,35 +185,76 @@ def bench_engine(budget: int, num_workloads: int, repeats: int = ENGINE_REPEATS)
             "t_batched_reps": meas["batched"]["times"],
         }
     ci_low, ci_high = _bootstrap_speedup_ci(rep_times)
-
     return {
-        "suite_workloads": suite_names,
-        "suite_config": "dppred+cbpred",
-        "suite_repeats": repeats,
-        "suite_t_scalar": t_suite["scalar"],
-        "suite_t_batched": t_suite["batched"],
-        "suite_speedup": (
-            t_suite["scalar"] / t_suite["batched"]
-            if t_suite["batched"]
-            else 0.0
+        "t_scalar": t_total["scalar"],
+        "t_batched": t_total["batched"],
+        "speedup": (
+            t_total["scalar"] / t_total["batched"]
+            if t_total["batched"] else 0.0
         ),
-        "suite_speedup_min": (
-            t_suite_min["scalar"] / t_suite_min["batched"]
-            if t_suite_min["batched"]
-            else 0.0
+        "speedup_min": (
+            t_total_min["scalar"] / t_total_min["batched"]
+            if t_total_min["batched"] else 0.0
         ),
-        "suite_speedup_ci_low": ci_low,
-        "suite_speedup_ci_high": ci_high,
-        "suite_bootstrap": {
+        "speedup_ci_low": ci_low,
+        "speedup_ci_high": ci_high,
+        "bootstrap": {
             "resamples": BOOTSTRAP_RESAMPLES,
             "alpha": BOOTSTRAP_ALPHA,
             "seed": BOOTSTRAP_SEED,
         },
-        "suite_per_workload": per_workload,
-        "suite_not_flat": not_flat,
-        "bit_identical": not diverged,
+        "per_workload": per_cell,
+        "not_flat": not_flat,
         "diverged": diverged,
     }
+
+
+def bench_engine(budget: int, repeats: int = ENGINE_REPEATS):
+    """Batched vs scalar engine, bit-identity-checked, on the
+    six-workload suite prefix with dpPred+cbPred enabled (the paper's
+    configuration): ``repeats`` reps per (workload, engine), aggregate
+    speedup reported as the ratio of per-workload *median* times (plus a
+    min-based figure). This is the number the CI gate enforces.
+    """
+    # The suite phase runs the configuration the paper studies — both
+    # predictors on — so a batched-engine regression on any predictor
+    # decision path shows up here as divergence or a run that is not
+    # wholly flat.
+    config = fast_config(tlb_predictor="dppred", llc_predictor="cbpred")
+    names = workload_names()[:ENGINE_SUITE_WORKLOADS]
+    cmp = _compare_engines(
+        [(name, get_trace(name, budget), config) for name in names], repeats
+    )
+    out = {"suite_workloads": names, "suite_config": "dppred+cbpred",
+           "suite_repeats": repeats}
+    out.update(
+        (f"suite_{key}", cmp[key])
+        for key in ("t_scalar", "t_batched", "speedup", "speedup_min",
+                    "speedup_ci_low", "speedup_ci_high", "bootstrap",
+                    "per_workload", "not_flat")
+    )
+    out["bit_identical"] = not cmp["diverged"]
+    out["diverged"] = cmp["diverged"]
+    return out
+
+
+def bench_scenario(budget: int, repeats: int = ENGINE_REPEATS):
+    """Batched vs scalar engine on the tenant and huge-page scenarios
+    (``mix2`` under ``mix2_config``, ``mcf`` under ``hugepage_config``,
+    both with dpPred+cbPred), aggregated and gated like the suite
+    phase."""
+    cells = [
+        (
+            label,
+            get_trace(workload, budget),
+            factory(tlb_predictor="dppred", llc_predictor="cbpred"),
+        )
+        for label, workload, factory in SCENARIO_CELLS
+    ]
+    out = _compare_engines(cells, repeats)
+    out["config"] = "dppred+cbpred"
+    out["repeats"] = repeats
+    return out
 
 
 def _matrix(budget: int, num_workloads: int):
@@ -383,26 +336,27 @@ def main(argv=None) -> int:
                              f"--strict/--strict-engine (default "
                              f"{ENGINE_TARGET})")
     parser.add_argument("--strict-engine", action="store_true",
-                        help="enforce only the batched-engine suite gate "
-                             "(CI perf-smoke: the single-run and parallel "
-                             "targets are too noisy for shared runners)")
+                        help="enforce only the batched-engine suite and "
+                             "scenario gates (CI perf-smoke: the parallel "
+                             "target is too noisy for shared runners)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the measurements as a structured "
                              "benchmark report (repro.obs manifest envelope)")
     args = parser.parse_args(argv)
 
-    single = bench_single_run(args.budget)
-    engine = bench_engine(args.budget, args.workloads)
+    engine = bench_engine(args.budget)
+    scenario = bench_scenario(args.budget)
     matrix = bench_matrix(args.budget, args.workloads, args.jobs)
     cache = bench_diskcache(
         args.budget, args.workloads, matrix["serial_results"]
     )
 
+    def outputs(bench, not_flat):
+        if bench["diverged"]:
+            return "DIVERGED"
+        return f"{not_flat} not flat" if not_flat else "identical"
+
     rows = [
-        ("single run (fast vs legacy dispatch)",
-         f"{single['t_legacy']:.2f}s", f"{single['t_fast']:.2f}s",
-         f"{single['speedup']:.2f}x",
-         "DIVERGED" if single["diverged"] else "identical"),
         (f"engine on suite x{len(engine['suite_workloads'])} "
          f"({engine['suite_config']}, median of {engine['suite_repeats']})",
          f"{engine['suite_t_scalar']:.2f}s",
@@ -410,9 +364,15 @@ def main(argv=None) -> int:
          f"{engine['suite_speedup']:.2f}x "
          f"[{engine['suite_speedup_ci_low']:.2f}, "
          f"{engine['suite_speedup_ci_high']:.2f}]",
-         "DIVERGED" if engine["diverged"] else (
-             f"{engine['suite_not_flat']} not flat"
-             if engine["suite_not_flat"] else "identical")),
+         outputs(engine, engine["suite_not_flat"])),
+        (f"engine on scenarios {'+'.join(scenario['per_workload'])} "
+         f"({scenario['config']}, median of {scenario['repeats']})",
+         f"{scenario['t_scalar']:.2f}s",
+         f"{scenario['t_batched']:.2f}s",
+         f"{scenario['speedup']:.2f}x "
+         f"[{scenario['speedup_ci_low']:.2f}, "
+         f"{scenario['speedup_ci_high']:.2f}]",
+         outputs(scenario, scenario["not_flat"])),
         (f"matrix {matrix['runs']} runs (serial vs --jobs={args.jobs})",
          f"{matrix['t_serial']:.2f}s", f"{matrix['t_parallel']:.2f}s",
          f"{matrix['speedup']:.2f}x",
@@ -425,8 +385,7 @@ def main(argv=None) -> int:
     print(render_table(
         ["phase", "before", "after", "speedup", "outputs"],
         rows,
-        title=f"runner throughput (budget={args.budget}, "
-              f"{single['accesses_per_sec']:,.0f} accesses/s single-run)",
+        title=f"runner throughput (budget={args.budget})",
     ))
 
     if args.json:
@@ -441,8 +400,8 @@ def main(argv=None) -> int:
                 "workloads": args.workloads,
             },
             measurements={
-                "single": single,
                 "engine": engine,
+                "scenario": scenario,
                 "matrix": {
                     k: v for k, v in matrix.items()
                     if k != "serial_results"
@@ -453,35 +412,37 @@ def main(argv=None) -> int:
         print(f"benchmark report written to {args.json}")
 
     failures = []
-    for name, bench in (("single", single), ("engine", engine),
+    for name, bench in (("engine", engine), ("scenario", scenario),
                         ("matrix", matrix), ("diskcache", cache)):
         if bench["diverged"]:
             failures.append(f"{name}: simulator outputs diverged")
     if args.strict or args.strict_engine:
-        # The floor is judged against the bootstrap interval, not the
+        # Floors are judged against the bootstrap interval, not the
         # point estimate: fail only when even the interval's upper bound
         # sits below target — a real regression, not one noisy rep.
-        if engine["suite_speedup_ci_high"] < args.engine_target:
-            failures.append(
-                f"batched-engine suite speedup "
-                f"{engine['suite_speedup']:.2f}x (95% CI "
-                f"[{engine['suite_speedup_ci_low']:.2f}, "
-                f"{engine['suite_speedup_ci_high']:.2f}]) "
-                f"< {args.engine_target}x target "
-                f"({engine['suite_config']}, median of "
-                f"{engine['suite_repeats']}, whole interval below target)"
-            )
-        if engine["suite_not_flat"]:
-            failures.append(
-                f"batched engine ran {engine['suite_not_flat']} suite "
-                f"workload(s) with predictors enabled not wholly flat"
-            )
+        for label, speedup, low, high, target, detail in (
+            ("suite", engine["suite_speedup"],
+             engine["suite_speedup_ci_low"], engine["suite_speedup_ci_high"],
+             args.engine_target,
+             f"{engine['suite_config']}, median of {engine['suite_repeats']}"),
+            ("scenario", scenario["speedup"], scenario["speedup_ci_low"],
+             scenario["speedup_ci_high"], SCENARIO_TARGET,
+             f"{scenario['config']}, median of {scenario['repeats']}"),
+        ):
+            if high < target:
+                failures.append(
+                    f"batched-engine {label} speedup {speedup:.2f}x "
+                    f"(95% CI [{low:.2f}, {high:.2f}]) < {target}x target "
+                    f"({detail}, whole interval below target)"
+                )
+        for label, not_flat in (("suite", engine["suite_not_flat"]),
+                                ("scenario", scenario["not_flat"])):
+            if not_flat:
+                failures.append(
+                    f"batched engine ran {not_flat} {label} workload(s) "
+                    f"with predictors enabled not wholly flat"
+                )
     if args.strict:
-        if single["speedup"] < SINGLE_RUN_TARGET:
-            failures.append(
-                f"single-run speedup {single['speedup']:.2f}x "
-                f"< {SINGLE_RUN_TARGET}x target"
-            )
         if matrix["speedup"] < PARALLEL_TARGET:
             failures.append(
                 f"parallel speedup {matrix['speedup']:.2f}x "

@@ -5,20 +5,24 @@ to the scalar reference loop (:meth:`Machine.run_scalar`):
 
 * **flat** — :class:`_FlatStepper` runs the whole trace through one
   inlined per-record interpreter over the canonical structures: the L1
-  TLBs with the same-page filter, the L2 TLB (LLT), the radix walker and
-  its PWCs, L1D/L2/LLC with writeback and inclusion cascades, LRU and
+  TLBs with the same-page filter, the L2 TLB (LLT) with its 2 MB
+  huge-entry namespace, the radix walker (4 KB and huge leaves) and its
+  PWCs, L1D/L2/LLC with writeback and inclusion cascades, LRU and
   SRRIP, residency tracking, and the paper's predictors. dpPred's
   fill-time decision (pHIST probe, shadow-FIFO promote/evict, PFQ push,
   bypass, eviction-time training) and cbPred's fill decision (PFQ match,
   bHIST probe, LLC bypass, DP-marking) are inlined with their stats and
   decision events byte-for-byte; rare paths (shadow hits, the demote
-  ablation) delegate to the real predictor methods.
+  ablation) delegate to the real predictor methods. ASID-carrying
+  traces run as segments of constant ASID: every key is the combined
+  ``(asid, vpn)`` key, and the context switch between segments is the
+  real :meth:`Machine._context_switch`.
 * **scalar** — a machine or trace the flat interpreter does not model
   runs :meth:`Machine.run_scalar` instead, with exactly one counted
   reason (:func:`flat_reason`, ``engine_stats["flat_reason"]``,
   :func:`engine_totals`): FIFO/random policies, listeners other than
-  dpPred/cbPred, reference structures, ASID-carrying traces, huge-page
-  mappings, unexpected trace dtypes, or an empty trace.
+  dpPred/cbPred, reference structures, TLB entries no trace can create
+  (global mappings), unexpected trace dtypes, or an empty trace.
 
 Bit-identity with the scalar engine is a hard guarantee, not a goal
 (``tests/test_engine_equivalence.py`` enforces it property-wise).
@@ -52,9 +56,16 @@ from repro.obs.events import (
     EV_SHADOW_PROMOTE,
     EV_WALK,
 )
-from repro.vm.pagetable import LEVEL_BITS, NUM_LEVELS, VPN_BITS, _Node
+from repro.vm.pagetable import (
+    ENTRIES_PER_NODE,
+    LEVEL_BITS,
+    NUM_LEVELS,
+    VPN_BITS,
+    _HugeLeaf,
+    _Node,
+)
 from repro.vm.physmem import PAGE_SHIFT
-from repro.vm.tlb import _ENTRY_POOL, TlbEntry
+from repro.vm.tlb import _ENTRY_POOL, HUGE_KEY_BASE, TlbEntry
 from repro.vm.walker import BLOCK_SHIFT
 
 ENGINE_BATCHED = "batched"
@@ -106,10 +117,9 @@ REASON_PREDICTOR = "predictor"  # non-dpPred/cbPred listener, or L1 wiring
 REASON_REFERENCE = "reference"  # ground-truth reference structures attached
 REASON_DTYPE = "dtype"          # unexpected trace array dtypes
 REASON_EMPTY = "empty"          # zero-record trace
-REASON_TENANT = "tenant"        # ASID-carrying trace: the inlined walk
-#                                 models no per-ASID tables
-REASON_HUGEPAGE = "hugepage"    # huge-page mappings: the inlined walk
-#                                 is 4 KB-only
+REASON_GLOBAL = "global"        # global TLB entries (or huge L1 entries)
+#                                 resident at run start: no trace creates
+#                                 them, so the flat lookups never probe them
 
 
 def flat_reason(machine) -> Optional[str]:
@@ -134,10 +144,20 @@ def flat_reason(machine) -> Optional[str]:
       (``engine_stats["flat_reason"]``, ``engine_totals()``'s
       ``flat_declines``) — never silent;
     * ground-truth reference structures hook the scalar access path
-      only, so they decline too.
+      only, so they decline too;
+    * no TLB may hold a global entry, and no L1 TLB a huge one: only an
+      explicit ``Tlb.fill`` creates those, and the flat lookups probe the
+      4 KB namespace (plus the LLT's huge namespace) only.
+
+    Multi-tenant (ASID-carrying) traces and huge-page tables run flat.
     """
     if machine.ref_llt is not None or machine.ref_llc is not None:
         return REASON_REFERENCE
+    tlbs = (machine.l1_itlb, machine.l1_dtlb, machine.l2_tlb)
+    if any(tlb._global_count for tlb in tlbs) or any(
+        tlb._huge_count for tlb in tlbs[:2]
+    ):
+        return REASON_GLOBAL
     for struct in (
         machine.l1_itlb, machine.l1_dtlb, machine.l1d, machine.l2
     ):
@@ -173,12 +193,7 @@ def _decline_reason(machine, trace) -> Optional[str]:
         and (asids is None or asids.dtype.kind in "iu")
     ):
         return REASON_DTYPE
-    why = flat_reason(machine)
-    if why is None and asids is not None:
-        why = REASON_TENANT
-    if why is None and machine.config.huge_fraction > 0:
-        why = REASON_HUGEPAGE
-    return why
+    return flat_reason(machine)
 
 
 # --------------------------------------------------------------------- #
@@ -297,9 +312,47 @@ class _FlatStepper:
 
     def run(self, trace) -> None:
         """Execute every record of ``trace``. Machine state is read at
-        entry and written back at exit; counter deltas are flushed before
-        each timeline sample so samples observe exactly the scalar loop's
-        counter values. The caller finalizes the machine."""
+        entry and written back at exit (and around each context switch
+        of an ASID-carrying trace); counter deltas are flushed at every
+        chunk end and before each timeline sample, so samples and
+        switches observe exactly the scalar loop's counter values. The
+        caller finalizes the machine."""
+        # CPython numbers a function's locals in order of first
+        # appearance, and an access to a local numbered above 255 needs
+        # an EXTENDED_ARG prefix. This interpreter has ~400 locals, so
+        # the 200 its loop touches most (by access counts measured over
+        # suite, tenant-mix and huge-page runs) are bound here first.
+        # Without this block the suite runs 7% slower (ten alternating
+        # benchmark pairs on a 2-core x86-64 host, CPython 3.11). A
+        # renamed or new hot local belongs in this list.
+        sx_ = vx_ = ln = block = row = ex = rw_ = vb_ = rs_ = dvpn = None
+        wtag = w1f = set_d = dkey = wd_ = dent = set_1 = wl = w2f = wi2 = None
+        pfn = node = widx = victim1 = penalty = victim2 = set_l = pool_ = None
+        set_2b = tags_d = ch = w3f = t1 = l2_lru = le = ps = l1_lru = pc = None
+        dt_lru = victim_d = instructions = vaddr = gap = lines2 = epool_ = None
+        pf = abase = set_3 = t3 = pw1_clk = is_write = w1 = lines1 = None
+        entries_d = lkey = l3_lru = t2b = lines3 = wlat = blk = wd = None
+        set_c = victim_l = last_dent = lt_lru = ivpn = h_acc = now = None
+        cycles = it_hits = l2_mask = l2_tags = last_ient = last_dvpn = None
+        widx_mask = pw1 = wc = l1_stamps = l2_stamps = l2_misses = None
+        l2_fills = mark_dp = l3_misses = l3_fills = m_acc = bypass3 = None
+        victim3 = boff = tags_l = entries_l = dt_mask = dt_tags = bs = None
+        dt_stamps = m_reads = pw2_clk = sh3 = pw3_clk = hbase = set_2 = None
+        w2_ = l1_misses = l1_fills = t2 = w3_ = h_demand = l2_lines = tc = None
+        lhuge = l1_evicts = l1_vw = dt_misses = dt_fills = dt_evicts = None
+        dt_vw = line_cls = lt_mask = lt_pch = w2 = pc_h = lt_tags = lpfn = None
+        l2_assoc = bmask = asid = last_ivpn = next_at = base_cpi = None
+        l1_mask = l1_tags = l1_lines = vh = l1_assoc = dentry = huge_on = None
+        sh_entries = cb_pfq = lt_install = h_walkacc = pte_paddr = pw2 = None
+        l2_evicts = l2_vw = sh2 = dt_assoc = pw3 = lt_misses = w_walks = None
+        w_memacc = w_cycles = sh1 = pt_root = path_rem = l3_mask = None
+        l3_tags = l3_lines = pw1_mte = lt_stamps = lt_res = pw_l1h = None
+        dt_entries = lt_fills = l3_stamps = l3_res = cb = vt = l3_assoc = None
+        dp = dt_hits = l2_hits = mem_penalty = l1_hits = w3 = lt_evicts = None
+        lt_vw = l1_vs = fx_vpn = dp_vbits = doa = dt_vs = lt_entries = None
+        lt_assoc = set_c3 = ph_vals = d_sh_miss = s2 = wv2 = tc3 = p2 = None
+        pw2_mte = l2_vs = vh2 = pt_huge = vpn_limit = p0 = p1 = None
+        l2_tlb_latency = walk_exposure = pfn_to_vpn = None
         m = self.m
         pcs, vaddrs = trace.pcs, trace.vaddrs
         writes, gaps = trace.writes, trace.gaps
@@ -519,15 +572,23 @@ class _FlatStepper:
         walker = m.walker
         w_stat = walker._stat
         w_walks = w_memacc = w_cycles = 0
-        # Radix walk inlined (4 KB mappings only: the flat path declines
-        # huge-page configs, so no PD entry is ever a huge leaf): local
-        # bindings of the root node, the frame allocator, and the
-        # telemetry-unregistered page-table stats (bumped live).
+        # Radix walk inlined: local bindings of the current address
+        # space's root node and huge-region policy, the shared frame
+        # allocator, and the telemetry-unregistered page-table stats
+        # (bumped live). A PD entry is either a PT node or a 2 MB
+        # ``_HugeLeaf``; the latter ends the walk after three loads.
+        # ``huge_on`` gates the LLT's huge-namespace probe and huge-entry
+        # bookkeeping: it turns on once the LLT holds a huge entry or a
+        # table that can map one is bound, so 4 KB-only machines never
+        # pay for them.
         page_table = walker.page_table
-        pt_root = page_table._root
         pt_alloc = page_table.allocator.allocate
-        pt_stats_add = page_table.stats.add
+        pt_alloc_huge = page_table.allocator.allocate_huge
+        huge_on = lt._huge_count > 0
+        huge_key_base = HUGE_KEY_BASE
+        hleaf_cls = _HugeLeaf
         vpn_limit = 1 << VPN_BITS
+        vpn_mask = vpn_limit - 1
         sh1 = LEVEL_BITS * (NUM_LEVELS - 1)
         sh2 = LEVEL_BITS * (NUM_LEVELS - 2)
         sh3 = LEVEL_BITS
@@ -558,22 +619,105 @@ class _FlatStepper:
         pw_lat1 = pwcs._latencies[0]
         pw_lat2 = pw_lat1 + pwcs._latencies[1]
         pw_lat3 = pw_lat2 + pwcs._latencies[2]
+        # Huge walks skip the L1 PWC (neither probed nor charged).
+        pw_hlat2 = pwcs._latencies[1]
+        pw_hlat3 = pw_hlat2 + pwcs._latencies[2]
         pw_l1h = pw_l2h = pw_l3h = pw_miss = 0
         # --- same-page filter state ------------------------------------- #
-        last_ivpn = m._last_ivpn
+        # The machine keeps combined (asid, vpn) keys; inside a segment
+        # the filter holds raw VPNs of the segment's ASID (a key of any
+        # other ASID could never match, so it reads back as None).
         last_ient = m._last_ientry
-        last_dvpn = m._last_dvpn
         last_dent = m._last_dentry
-
+        # --- ASID segments ---------------------------------------------- #
+        # Runs of constant ASID. A plain trace is one segment at ASID 0,
+        # where every combined key is the raw VPN (``abase == 0``).
+        # Between segments the local state is handed back to the machine
+        # and the real ``_context_switch`` runs (tenancy counters,
+        # EV_CTX_SWITCH, the shootdown with its dpPred training and PWC
+        # flush), exactly where the scalar tenant loop calls it.
+        asids = trace.asids
+        if asids is None:
+            starts = [0]
+            seg_asids = [0]
+        else:
+            starts = [0] + (
+                np.flatnonzero(asids[1:] != asids[:-1]) + 1
+            ).tolist()
+            seg_asids = asids[starts].tolist()
+        starts.append(n)
+        tenancy = m.tenancy
+        seen = set()
+        current = -1
+        table_for = walker.table_for
+        si = 0
         pos = 0
-        while pos < n:
-            seg = min(pos + 65536, n)
-            for pc, vaddr, is_write, gap in zip(
-                pcs[pos:seg].tolist(),
-                vaddrs[pos:seg].tolist(),
-                writes[pos:seg].tolist(),
-                gaps[pos:seg].tolist(),
-            ):
+        recs = None
+        while True:
+            if recs is None:
+                if pos >= n:
+                    break
+                if pos == starts[si]:
+                    asid = seg_asids[si]
+                    si += 1
+                    if pos:
+                        m.now = now
+                        pwc1._clock = pw1_clk
+                        pwc2._clock = pw2_clk
+                        pwc3._clock = pw3_clk
+                        m._last_ivpn = (
+                            None if last_ivpn is None else last_ivpn | abase
+                        )
+                        m._last_ientry = last_ient
+                        m._last_dvpn = (
+                            None if last_dvpn is None else last_dvpn | abase
+                        )
+                        m._last_dentry = last_dent
+                    if asids is not None and asid != current:
+                        if current >= 0:
+                            m._context_switch(current, asid)
+                            last_ient = m._last_ientry
+                            last_dent = m._last_dentry
+                        if asid not in seen:
+                            seen.add(asid)
+                            tenancy.add("tenants_seen")
+                        current = asid
+                    abase = asid << VPN_BITS
+                    key = m._last_ivpn
+                    last_ivpn = (
+                        key & vpn_mask
+                        if key is not None and key >> VPN_BITS == asid
+                        else None
+                    )
+                    key = m._last_dvpn
+                    last_dvpn = (
+                        key & vpn_mask
+                        if key is not None and key >> VPN_BITS == asid
+                        else None
+                    )
+                    # The tenant's table is created by its first walk,
+                    # as in the scalar walker (root frames come from the
+                    # shared allocator, so creation order matters).
+                    table = (
+                        page_table if asid == 0
+                        else walker._tables.get(asid)
+                    )
+                    if table is None:
+                        pt_root = None
+                    else:
+                        pt_root = table._root
+                        pt_stats_add = table.stats.add
+                        pt_huge = table._huge_policy
+                        huge_on = huge_on or pt_huge is not None
+                seg = min(pos + 65536, starts[si])
+                recs = zip(
+                    pcs[pos:seg].tolist(),
+                    vaddrs[pos:seg].tolist(),
+                    writes[pos:seg].tolist(),
+                    gaps[pos:seg].tolist(),
+                )
+                pos = seg
+            for pc, vaddr, is_write, gap in recs:
                 now += 1
                 instructions += gap + 1
 
@@ -584,9 +728,10 @@ class _FlatStepper:
                     last_ient.accessed = True
                     penalty = 0.0
                 else:
-                    set_i = ivpn & it_mask
+                    ikey = ivpn | abase
+                    set_i = ikey & it_mask
                     tags_i = it_tags[set_i]
-                    way = tags_i.get(ivpn)
+                    way = tags_i.get(ikey)
                     if way is not None:
                         it_hits += 1
                         entry = it_entries[set_i][way]
@@ -603,9 +748,14 @@ class _FlatStepper:
                     else:
                         it_misses += 1
                         pfn_i = None
-                        set_l = ivpn & lt_mask
-                        tags_l = lt_tags[set_l]
-                        wl = tags_l.get(ivpn)
+                        set_l = ikey & lt_mask
+                        wl = lt_tags[set_l].get(ikey)
+                        if wl is None and huge_on and lt._huge_count:
+                            # covering 2 MB entry (huge-key namespace)
+                            hkey = huge_key_base | abase | (ivpn >> sh3)
+                            wl = lt_tags[hkey & lt_mask].get(hkey)
+                            if wl is not None:
+                                set_l = hkey & lt_mask
                         if wl is not None:
                             lt_hits += 1
                             le = lt_entries[set_l][wl]
@@ -618,6 +768,8 @@ class _FlatStepper:
                             if lt_res is not None:
                                 lt_res.hit((set_l, wl), now)
                             pfn_i = le.pfn
+                            if huge_on and le.huge:
+                                pfn_i += ivpn & widx_mask
                             penalty = l2_tlb_hit_penalty
                         else:
                             lt_misses += 1
@@ -625,8 +777,8 @@ class _FlatStepper:
                                 # shadow-miss fast path; hits (rare
                                 # misprediction refills) take the real
                                 # on_miss slow path
-                                if ivpn in sh_entries:
-                                    buffered = lt_on_miss(lt, ivpn, now)
+                                if ikey in sh_entries:
+                                    buffered = lt_on_miss(lt, ikey, now)
                                     if buffered is not None:
                                         lt_vbh += 1
                                         pfn_i = buffered
@@ -637,6 +789,12 @@ class _FlatStepper:
                                 # ---- page walk (walker.walk, the radix
                                 # descent and the PWC probe all inlined) - #
                                 w_walks += 1
+                                if pt_root is None:
+                                    table = table_for(asid)
+                                    pt_root = table._root
+                                    pt_stats_add = table.stats.add
+                                    pt_huge = table._huge_policy
+                                    huge_on = huge_on or pt_huge is not None
                                 if ivpn < 0 or ivpn >= vpn_limit:
                                     raise ValueError(
                                         f"vpn {ivpn:#x} outside "
@@ -663,51 +821,70 @@ class _FlatStepper:
                                 p2 = (node.frame << ps) | (widx << 3)
                                 ch = node.children.get(widx)
                                 if ch is None:
-                                    ch = _Node(pt_alloc())
+                                    if pt_huge is not None and pt_huge(
+                                        ivpn >> sh3
+                                    ):
+                                        ch = hleaf_cls(
+                                            pt_alloc_huge(ENTRIES_PER_NODE)
+                                        )
+                                        pt_stats_add("huge_pages_mapped")
+                                    else:
+                                        ch = _Node(pt_alloc())
+                                        pt_stats_add("nodes_allocated")
                                     node.children[widx] = ch
-                                    pt_stats_add("nodes_allocated")
-                                node = ch
-                                widx = ivpn & widx_mask
-                                p3 = (node.frame << ps) | (widx << 3)
-                                pfn_i = node.children.get(widx)
-                                if pfn_i is None:
-                                    pfn_i = pt_alloc()
-                                    node.children[widx] = pfn_i
-                                    pt_stats_add("pages_mapped")
-                                wtag = ivpn >> sh3
-                                if wtag in pw1:
+                                if (
+                                    pt_huge is not None
+                                    and type(ch) is hleaf_cls
+                                ):
+                                    # 2 MB leaf: three loads, and the PWC
+                                    # plan skips the L1 PWC (max_resolved=2)
+                                    hbase = ch.base
+                                    pfn_i = hbase + (ivpn & widx_mask)
+                                    path = (p0, p1, p2)
+                                    wlat2 = pw_hlat2
+                                    wlat3 = pw_hlat3
+                                else:
+                                    hbase = None
+                                    node = ch
+                                    widx = ivpn & widx_mask
+                                    pfn_i = node.children.get(widx)
+                                    if pfn_i is None:
+                                        pfn_i = pt_alloc()
+                                        node.children[widx] = pfn_i
+                                        pt_stats_add("pages_mapped")
+                                    path = (p0, p1, p2, (node.frame << ps) | (widx << 3))
+                                    wlat2 = pw_lat2
+                                    wlat3 = pw_lat3
+                                    wtag = abase | (ivpn >> sh3)
+                                if hbase is None and wtag in pw1:
                                     pw1_clk += 1
                                     pw1[wtag] = pw1_clk
                                     pw1_mte(wtag)
                                     pw_l1h += 1
                                     wlat = pw_lat1
-                                    w_memacc += 1
-                                    path_rem = (p3,)
+                                    path_rem = path[3:]
                                 else:
-                                    wtag = ivpn >> sh2
+                                    wtag = abase | (ivpn >> sh2)
                                     if wtag in pw2:
                                         pw2_clk += 1
                                         pw2[wtag] = pw2_clk
                                         pw2_mte(wtag)
                                         pw_l2h += 1
-                                        wlat = pw_lat2
-                                        w_memacc += 2
-                                        path_rem = (p2, p3)
+                                        wlat = wlat2
+                                        path_rem = path[2:]
                                     else:
-                                        wtag = ivpn >> sh1
+                                        wtag = abase | (ivpn >> sh1)
+                                        wlat = wlat3
                                         if wtag in pw3:
                                             pw3_clk += 1
                                             pw3[wtag] = pw3_clk
                                             pw3_mte(wtag)
                                             pw_l3h += 1
-                                            wlat = pw_lat3
-                                            w_memacc += 3
-                                            path_rem = (p1, p2, p3)
+                                            path_rem = path[1:]
                                         else:
                                             pw_miss += 1
-                                            wlat = pw_lat3
-                                            w_memacc += 4
-                                            path_rem = (p0, p1, p2, p3)
+                                            path_rem = path
+                                w_memacc += len(path_rem)
                                 for pte_paddr in path_rem:
                                     blk = pte_paddr >> bs
                                     h_walkacc += 1
@@ -1040,37 +1217,53 @@ class _FlatStepper:
                                             pool_.append(victim2)
                                 # pwc.fill inlined: install the walk at
                                 # every level (L1 first, as the plan does)
-                                wtag = ivpn >> sh3
-                                pw1_clk += 1
-                                if wtag not in pw1 and len(pw1) >= pw1_cap:
-                                    pw1_pop(last=False)
-                                pw1[wtag] = pw1_clk
-                                pw1_mte(wtag)
-                                wtag = ivpn >> sh2
+                                if hbase is None:
+                                    wtag = abase | (ivpn >> sh3)
+                                    pw1_clk += 1
+                                    if wtag not in pw1 and len(pw1) >= pw1_cap:
+                                        pw1_pop(last=False)
+                                    pw1[wtag] = pw1_clk
+                                    pw1_mte(wtag)
+                                wtag = abase | (ivpn >> sh2)
                                 pw2_clk += 1
                                 if wtag not in pw2 and len(pw2) >= pw2_cap:
                                     pw2_pop(last=False)
                                 pw2[wtag] = pw2_clk
                                 pw2_mte(wtag)
-                                wtag = ivpn >> sh1
+                                wtag = abase | (ivpn >> sh1)
                                 pw3_clk += 1
                                 if wtag not in pw3 and len(pw3) >= pw3_cap:
                                     pw3_pop(last=False)
                                 pw3[wtag] = pw3_clk
                                 pw3_mte(wtag)
                                 w_cycles += wlat
-                                pfn_to_vpn[pfn_i] = ivpn
+                                pfn_to_vpn[pfn_i] = ikey
                                 if probe is not None:
                                     probe.emit(now, EV_WALK, ivpn, wlat)
                                 penalty = (
                                     l2_tlb_latency + wlat * walk_exposure
                                 )
-                                # LLT fill (dpPred decision inlined)
+                                # LLT fill (dpPred decision inlined); a
+                                # huge walk installs one entry covering
+                                # the 2 MB region under its base frame
+                                if hbase is None:
+                                    lkey = ikey
+                                    lpfn = pfn_i
+                                    lhuge = False
+                                else:
+                                    lkey = (
+                                        huge_key_base | abase | (ivpn >> sh3)
+                                    )
+                                    lpfn = hbase
+                                    lhuge = True
                                 lt_install = True
                                 lt_pch = pc
                                 if dp is not None:
                                     if dp_demote:
-                                        lt_fill(ivpn, pfn_i, pc, now)
+                                        lt_fill(
+                                            ivpn, lpfn, pc, now, asid,
+                                            False, lhuge,
+                                        )
                                         lt_install = False
                                     else:
                                         pc_h = fx_pc.get(pc)
@@ -1080,11 +1273,11 @@ class _FlatStepper:
                                             )
                                         lt_pch = pc_h
                                         if dp_vbits:
-                                            vh = fx_vpn.get(ivpn)
+                                            vh = fx_vpn.get(lkey)
                                             if vh is None:
-                                                vh = fx_vpn[ivpn] = (
+                                                vh = fx_vpn[lkey] = (
                                                     fold_xor(
-                                                        ivpn, dp_vbits
+                                                        lkey, dp_vbits
                                                     )
                                                 )
                                         else:
@@ -1094,33 +1287,33 @@ class _FlatStepper:
                                             > dp_thresh
                                         )
                                         if dp_obs is not None:
-                                            dp_obs(ivpn, doa)
+                                            dp_obs(lkey, doa)
                                         if doa:
                                             lt_install = False
                                             d_dp_doap += 1
                                             if dp_sink is not None:
                                                 # notify_doa_page + PFQ insert inlined
                                                 if pfq_q is None:
-                                                    dp_sink(pfn_i)
+                                                    dp_sink(lpfn)
                                                 else:
-                                                    if pfn_i not in pfq_members:
+                                                    if lpfn not in pfq_members:
                                                         if len(pfq_q) >= pfq_cap:
                                                             pfq_members.discard(
                                                                 pfq_q.popleft()
                                                             )
                                                             d_pfq_ev += 1
-                                                        pfq_q.append(pfn_i)
-                                                        pfq_members.add(pfn_i)
+                                                        pfq_q.append(lpfn)
+                                                        pfq_members.add(lpfn)
                                                         d_pfq_ins += 1
                                                     d_cb_note += 1
                                                 if dp_probe is not None:
                                                     dp_probe.emit(
                                                         now, EV_PFQ_PUSH,
-                                                        pfn_i,
+                                                        lpfn,
                                                     )
                                             if sh_entries is not None:
-                                                if ivpn in sh_entries:
-                                                    del sh_entries[ivpn]
+                                                if lkey in sh_entries:
+                                                    del sh_entries[lkey]
                                                 elif (
                                                     len(sh_entries)
                                                     >= sh_cap
@@ -1137,24 +1330,24 @@ class _FlatStepper:
                                                             EV_SHADOW_EVICT,
                                                             ev_vpn,
                                                         )
-                                                sh_entries[ivpn] = (
-                                                    pfn_i, pc_h
+                                                sh_entries[lkey] = (
+                                                    lpfn, pc_h
                                                 )
                                                 d_sh_ins += 1
                                                 if dp_probe is not None:
                                                     dp_probe.emit(
                                                         now,
                                                         EV_SHADOW_PROMOTE,
-                                                        ivpn, pfn_i,
+                                                        lkey, lpfn,
                                                     )
                                             if dp_probe is not None:
                                                 dp_probe.emit(
                                                     now, EV_LLT_BYPASS,
-                                                    ivpn, pfn_i,
+                                                    lkey, lpfn,
                                                 )
                                             lt_byp += 1
                                 if lt_install:
-                                    set_l = ivpn & lt_mask
+                                    set_l = lkey & lt_mask
                                     tags_l = lt_tags[set_l]
                                     entries_l = lt_entries[set_l]
                                     wl = None
@@ -1196,6 +1389,8 @@ class _FlatStepper:
                                         del tags_l[victim_l.vpn]
                                         entries_l[wl] = None
                                         lt_evicts += 1
+                                        if huge_on and victim_l.huge:
+                                            lt._huge_count -= 1
                                         # pooled early: only read (never reissued) until the fill below
                                         if (
                                             victim_l is not last_ient
@@ -1238,18 +1433,23 @@ class _FlatStepper:
                                                 )
                                     if epool_:
                                         le = epool_.pop()
-                                        le.vpn = ivpn
-                                        le.pfn = pfn_i
+                                        le.vpn = lkey
+                                        le.pfn = lpfn
                                         le.pc_hash = lt_pch
                                         le.accessed = False
                                         le.aux = None
-                                        le.asid = 0
+                                        le.asid = asid
                                         le.global_page = False
-                                        le.huge = False
+                                        le.huge = lhuge
                                     else:
-                                        le = entry_cls(ivpn, pfn_i, lt_pch)
+                                        le = entry_cls(
+                                            lkey, lpfn, lt_pch, asid,
+                                            False, lhuge,
+                                        )
                                     entries_l[wl] = le
-                                    tags_l[ivpn] = wl
+                                    tags_l[lkey] = wl
+                                    if lhuge:
+                                        lt._huge_count += 1
                                     if lt_lru is not None:
                                         lt_lru._clock += 1
                                         lt_stamps[set_l][wl] = lt_lru._clock
@@ -1259,7 +1459,7 @@ class _FlatStepper:
                                     if lt_res is not None:
                                         lt_res.fill((set_l, wl), now)
                         # L1 I-TLB fill
-                        set_i = ivpn & it_mask
+                        set_i = ikey & it_mask
                         tags_i = it_tags[set_i]
                         entries_i = it_entries[set_i]
                         wi_ = None
@@ -1308,18 +1508,18 @@ class _FlatStepper:
                                 epool_.append(victim_i)
                         if epool_:
                             ent = epool_.pop()
-                            ent.vpn = ivpn
+                            ent.vpn = ikey
                             ent.pfn = pfn_i
                             ent.pc_hash = pc
                             ent.accessed = False
                             ent.aux = None
-                            ent.asid = 0
+                            ent.asid = asid
                             ent.global_page = False
                             ent.huge = False
                         else:
-                            ent = entry_cls(ivpn, pfn_i, pc)
+                            ent = entry_cls(ikey, pfn_i, pc, asid)
                         entries_i[wi_] = ent
-                        tags_i[ivpn] = wi_
+                        tags_i[ikey] = wi_
                         if it_lru is not None:
                             it_lru._clock += 1
                             it_stamps[set_i][wi_] = it_lru._clock
@@ -1337,9 +1537,10 @@ class _FlatStepper:
                     last_dent.accessed = True
                     pfn = last_dent.pfn
                 else:
-                    set_d = dvpn & dt_mask
+                    dkey = dvpn | abase
+                    set_d = dkey & dt_mask
                     tags_d = dt_tags[set_d]
-                    wd = tags_d.get(dvpn)
+                    wd = tags_d.get(dkey)
                     if wd is not None:
                         dt_hits += 1
                         dentry = dt_entries[set_d][wd]
@@ -1356,9 +1557,14 @@ class _FlatStepper:
                     else:
                         dt_misses += 1
                         pfn = None
-                        set_l = dvpn & lt_mask
-                        tags_l = lt_tags[set_l]
-                        wl = tags_l.get(dvpn)
+                        set_l = dkey & lt_mask
+                        wl = lt_tags[set_l].get(dkey)
+                        if wl is None and huge_on and lt._huge_count:
+                            # covering 2 MB entry (huge-key namespace)
+                            hkey = huge_key_base | abase | (dvpn >> sh3)
+                            wl = lt_tags[hkey & lt_mask].get(hkey)
+                            if wl is not None:
+                                set_l = hkey & lt_mask
                         if wl is not None:
                             lt_hits += 1
                             le = lt_entries[set_l][wl]
@@ -1371,6 +1577,8 @@ class _FlatStepper:
                             if lt_res is not None:
                                 lt_res.hit((set_l, wl), now)
                             pfn = le.pfn
+                            if huge_on and le.huge:
+                                pfn += dvpn & widx_mask
                             penalty += l2_tlb_hit_penalty
                         else:
                             lt_misses += 1
@@ -1378,8 +1586,8 @@ class _FlatStepper:
                                 # shadow-miss fast path; hits (rare
                                 # misprediction refills) take the real
                                 # on_miss slow path
-                                if dvpn in sh_entries:
-                                    buffered = lt_on_miss(lt, dvpn, now)
+                                if dkey in sh_entries:
+                                    buffered = lt_on_miss(lt, dkey, now)
                                     if buffered is not None:
                                         lt_vbh += 1
                                         pfn = buffered
@@ -1390,6 +1598,12 @@ class _FlatStepper:
                                 # ---- page walk (walker.walk, the radix
                                 # descent and the PWC probe all inlined) - #
                                 w_walks += 1
+                                if pt_root is None:
+                                    table = table_for(asid)
+                                    pt_root = table._root
+                                    pt_stats_add = table.stats.add
+                                    pt_huge = table._huge_policy
+                                    huge_on = huge_on or pt_huge is not None
                                 if dvpn < 0 or dvpn >= vpn_limit:
                                     raise ValueError(
                                         f"vpn {dvpn:#x} outside "
@@ -1416,51 +1630,70 @@ class _FlatStepper:
                                 p2 = (node.frame << ps) | (widx << 3)
                                 ch = node.children.get(widx)
                                 if ch is None:
-                                    ch = _Node(pt_alloc())
+                                    if pt_huge is not None and pt_huge(
+                                        dvpn >> sh3
+                                    ):
+                                        ch = hleaf_cls(
+                                            pt_alloc_huge(ENTRIES_PER_NODE)
+                                        )
+                                        pt_stats_add("huge_pages_mapped")
+                                    else:
+                                        ch = _Node(pt_alloc())
+                                        pt_stats_add("nodes_allocated")
                                     node.children[widx] = ch
-                                    pt_stats_add("nodes_allocated")
-                                node = ch
-                                widx = dvpn & widx_mask
-                                p3 = (node.frame << ps) | (widx << 3)
-                                pfn = node.children.get(widx)
-                                if pfn is None:
-                                    pfn = pt_alloc()
-                                    node.children[widx] = pfn
-                                    pt_stats_add("pages_mapped")
-                                wtag = dvpn >> sh3
-                                if wtag in pw1:
+                                if (
+                                    pt_huge is not None
+                                    and type(ch) is hleaf_cls
+                                ):
+                                    # 2 MB leaf: three loads, and the PWC
+                                    # plan skips the L1 PWC (max_resolved=2)
+                                    hbase = ch.base
+                                    pfn = hbase + (dvpn & widx_mask)
+                                    path = (p0, p1, p2)
+                                    wlat2 = pw_hlat2
+                                    wlat3 = pw_hlat3
+                                else:
+                                    hbase = None
+                                    node = ch
+                                    widx = dvpn & widx_mask
+                                    pfn = node.children.get(widx)
+                                    if pfn is None:
+                                        pfn = pt_alloc()
+                                        node.children[widx] = pfn
+                                        pt_stats_add("pages_mapped")
+                                    path = (p0, p1, p2, (node.frame << ps) | (widx << 3))
+                                    wlat2 = pw_lat2
+                                    wlat3 = pw_lat3
+                                    wtag = abase | (dvpn >> sh3)
+                                if hbase is None and wtag in pw1:
                                     pw1_clk += 1
                                     pw1[wtag] = pw1_clk
                                     pw1_mte(wtag)
                                     pw_l1h += 1
                                     wlat = pw_lat1
-                                    w_memacc += 1
-                                    path_rem = (p3,)
+                                    path_rem = path[3:]
                                 else:
-                                    wtag = dvpn >> sh2
+                                    wtag = abase | (dvpn >> sh2)
                                     if wtag in pw2:
                                         pw2_clk += 1
                                         pw2[wtag] = pw2_clk
                                         pw2_mte(wtag)
                                         pw_l2h += 1
-                                        wlat = pw_lat2
-                                        w_memacc += 2
-                                        path_rem = (p2, p3)
+                                        wlat = wlat2
+                                        path_rem = path[2:]
                                     else:
-                                        wtag = dvpn >> sh1
+                                        wtag = abase | (dvpn >> sh1)
+                                        wlat = wlat3
                                         if wtag in pw3:
                                             pw3_clk += 1
                                             pw3[wtag] = pw3_clk
                                             pw3_mte(wtag)
                                             pw_l3h += 1
-                                            wlat = pw_lat3
-                                            w_memacc += 3
-                                            path_rem = (p1, p2, p3)
+                                            path_rem = path[1:]
                                         else:
                                             pw_miss += 1
-                                            wlat = pw_lat3
-                                            w_memacc += 4
-                                            path_rem = (p0, p1, p2, p3)
+                                            path_rem = path
+                                w_memacc += len(path_rem)
                                 for pte_paddr in path_rem:
                                     blk = pte_paddr >> bs
                                     h_walkacc += 1
@@ -1793,37 +2026,53 @@ class _FlatStepper:
                                             pool_.append(victim2)
                                 # pwc.fill inlined: install the walk at
                                 # every level (L1 first, as the plan does)
-                                wtag = dvpn >> sh3
-                                pw1_clk += 1
-                                if wtag not in pw1 and len(pw1) >= pw1_cap:
-                                    pw1_pop(last=False)
-                                pw1[wtag] = pw1_clk
-                                pw1_mte(wtag)
-                                wtag = dvpn >> sh2
+                                if hbase is None:
+                                    wtag = abase | (dvpn >> sh3)
+                                    pw1_clk += 1
+                                    if wtag not in pw1 and len(pw1) >= pw1_cap:
+                                        pw1_pop(last=False)
+                                    pw1[wtag] = pw1_clk
+                                    pw1_mte(wtag)
+                                wtag = abase | (dvpn >> sh2)
                                 pw2_clk += 1
                                 if wtag not in pw2 and len(pw2) >= pw2_cap:
                                     pw2_pop(last=False)
                                 pw2[wtag] = pw2_clk
                                 pw2_mte(wtag)
-                                wtag = dvpn >> sh1
+                                wtag = abase | (dvpn >> sh1)
                                 pw3_clk += 1
                                 if wtag not in pw3 and len(pw3) >= pw3_cap:
                                     pw3_pop(last=False)
                                 pw3[wtag] = pw3_clk
                                 pw3_mte(wtag)
                                 w_cycles += wlat
-                                pfn_to_vpn[pfn] = dvpn
+                                pfn_to_vpn[pfn] = dkey
                                 if probe is not None:
                                     probe.emit(now, EV_WALK, dvpn, wlat)
                                 penalty += (
                                     l2_tlb_latency + wlat * walk_exposure
                                 )
-                                # LLT fill (dpPred decision inlined)
+                                # LLT fill (dpPred decision inlined); a
+                                # huge walk installs one entry covering
+                                # the 2 MB region under its base frame
+                                if hbase is None:
+                                    lkey = dkey
+                                    lpfn = pfn
+                                    lhuge = False
+                                else:
+                                    lkey = (
+                                        huge_key_base | abase | (dvpn >> sh3)
+                                    )
+                                    lpfn = hbase
+                                    lhuge = True
                                 lt_install = True
                                 lt_pch = pc
                                 if dp is not None:
                                     if dp_demote:
-                                        lt_fill(dvpn, pfn, pc, now)
+                                        lt_fill(
+                                            dvpn, lpfn, pc, now, asid,
+                                            False, lhuge,
+                                        )
                                         lt_install = False
                                     else:
                                         pc_h = fx_pc.get(pc)
@@ -1833,11 +2082,11 @@ class _FlatStepper:
                                             )
                                         lt_pch = pc_h
                                         if dp_vbits:
-                                            vh = fx_vpn.get(dvpn)
+                                            vh = fx_vpn.get(lkey)
                                             if vh is None:
-                                                vh = fx_vpn[dvpn] = (
+                                                vh = fx_vpn[lkey] = (
                                                     fold_xor(
-                                                        dvpn, dp_vbits
+                                                        lkey, dp_vbits
                                                     )
                                                 )
                                         else:
@@ -1847,33 +2096,33 @@ class _FlatStepper:
                                             > dp_thresh
                                         )
                                         if dp_obs is not None:
-                                            dp_obs(dvpn, doa)
+                                            dp_obs(lkey, doa)
                                         if doa:
                                             lt_install = False
                                             d_dp_doap += 1
                                             if dp_sink is not None:
                                                 # notify_doa_page + PFQ insert inlined
                                                 if pfq_q is None:
-                                                    dp_sink(pfn)
+                                                    dp_sink(lpfn)
                                                 else:
-                                                    if pfn not in pfq_members:
+                                                    if lpfn not in pfq_members:
                                                         if len(pfq_q) >= pfq_cap:
                                                             pfq_members.discard(
                                                                 pfq_q.popleft()
                                                             )
                                                             d_pfq_ev += 1
-                                                        pfq_q.append(pfn)
-                                                        pfq_members.add(pfn)
+                                                        pfq_q.append(lpfn)
+                                                        pfq_members.add(lpfn)
                                                         d_pfq_ins += 1
                                                     d_cb_note += 1
                                                 if dp_probe is not None:
                                                     dp_probe.emit(
                                                         now, EV_PFQ_PUSH,
-                                                        pfn,
+                                                        lpfn,
                                                     )
                                             if sh_entries is not None:
-                                                if dvpn in sh_entries:
-                                                    del sh_entries[dvpn]
+                                                if lkey in sh_entries:
+                                                    del sh_entries[lkey]
                                                 elif (
                                                     len(sh_entries)
                                                     >= sh_cap
@@ -1890,24 +2139,24 @@ class _FlatStepper:
                                                             EV_SHADOW_EVICT,
                                                             ev_vpn,
                                                         )
-                                                sh_entries[dvpn] = (
-                                                    pfn, pc_h
+                                                sh_entries[lkey] = (
+                                                    lpfn, pc_h
                                                 )
                                                 d_sh_ins += 1
                                                 if dp_probe is not None:
                                                     dp_probe.emit(
                                                         now,
                                                         EV_SHADOW_PROMOTE,
-                                                        dvpn, pfn,
+                                                        lkey, lpfn,
                                                     )
                                             if dp_probe is not None:
                                                 dp_probe.emit(
                                                     now, EV_LLT_BYPASS,
-                                                    dvpn, pfn,
+                                                    lkey, lpfn,
                                                 )
                                             lt_byp += 1
                                 if lt_install:
-                                    set_l = dvpn & lt_mask
+                                    set_l = lkey & lt_mask
                                     tags_l = lt_tags[set_l]
                                     entries_l = lt_entries[set_l]
                                     wl = None
@@ -1949,6 +2198,8 @@ class _FlatStepper:
                                         del tags_l[victim_l.vpn]
                                         entries_l[wl] = None
                                         lt_evicts += 1
+                                        if huge_on and victim_l.huge:
+                                            lt._huge_count -= 1
                                         # pooled early: only read (never reissued) until the fill below
                                         if (
                                             victim_l is not last_ient
@@ -1991,18 +2242,23 @@ class _FlatStepper:
                                                 )
                                     if epool_:
                                         le = epool_.pop()
-                                        le.vpn = dvpn
-                                        le.pfn = pfn
+                                        le.vpn = lkey
+                                        le.pfn = lpfn
                                         le.pc_hash = lt_pch
                                         le.accessed = False
                                         le.aux = None
-                                        le.asid = 0
+                                        le.asid = asid
                                         le.global_page = False
-                                        le.huge = False
+                                        le.huge = lhuge
                                     else:
-                                        le = entry_cls(dvpn, pfn, lt_pch)
+                                        le = entry_cls(
+                                            lkey, lpfn, lt_pch, asid,
+                                            False, lhuge,
+                                        )
                                     entries_l[wl] = le
-                                    tags_l[dvpn] = wl
+                                    tags_l[lkey] = wl
+                                    if lhuge:
+                                        lt._huge_count += 1
                                     if lt_lru is not None:
                                         lt_lru._clock += 1
                                         lt_stamps[set_l][wl] = lt_lru._clock
@@ -2012,7 +2268,7 @@ class _FlatStepper:
                                     if lt_res is not None:
                                         lt_res.fill((set_l, wl), now)
                         # L1 D-TLB fill
-                        set_d = dvpn & dt_mask
+                        set_d = dkey & dt_mask
                         tags_d = dt_tags[set_d]
                         entries_d = dt_entries[set_d]
                         wd_ = None
@@ -2061,18 +2317,18 @@ class _FlatStepper:
                                 epool_.append(victim_d)
                         if epool_:
                             dent = epool_.pop()
-                            dent.vpn = dvpn
+                            dent.vpn = dkey
                             dent.pfn = pfn
                             dent.pc_hash = pc
                             dent.accessed = False
                             dent.aux = None
-                            dent.asid = 0
+                            dent.asid = asid
                             dent.global_page = False
                             dent.huge = False
                         else:
-                            dent = entry_cls(dvpn, pfn, pc)
+                            dent = entry_cls(dkey, pfn, pc, asid)
                         entries_d[wd_] = dent
-                        tags_d[dvpn] = wd_
+                        tags_d[dkey] = wd_
                         if dt_lru is not None:
                             dt_lru._clock += 1
                             dt_stamps[set_d][wd_] = dt_lru._clock
@@ -2495,263 +2751,160 @@ class _FlatStepper:
 
                 # ---- telemetry boundary -------------------------------- #
                 if instructions >= next_at:
-                    it_stat["hits"] += it_hits
-                    it_stat["misses"] += it_misses
-                    it_stat["fills"] += it_fills
-                    it_stat["evictions"] += it_evicts
-                    it_hits = it_misses = it_fills = it_evicts = 0
-                    dt_stat["hits"] += dt_hits
-                    dt_stat["misses"] += dt_misses
-                    dt_stat["fills"] += dt_fills
-                    dt_stat["evictions"] += dt_evicts
-                    dt_hits = dt_misses = dt_fills = dt_evicts = 0
-                    lt_stat["hits"] += lt_hits
-                    lt_stat["misses"] += lt_misses
-                    lt_stat["victim_buffer_hits"] += lt_vbh
-                    lt_stat["fills"] += lt_fills
-                    lt_stat["evictions"] += lt_evicts
-                    lt_stat["bypasses"] += lt_byp
-                    lt_hits = lt_misses = lt_vbh = lt_fills = 0
-                    lt_evicts = lt_byp = 0
-                    l1_stat["hits"] += l1_hits
-                    l1_stat["misses"] += l1_misses
-                    l1_stat["fills"] += l1_fills
-                    l1_stat["evictions"] += l1_evicts
-                    l1_stat["writebacks"] += l1_wb
-                    l1_stat["invalidations"] += l1_inv
-                    l1_hits = l1_misses = l1_fills = 0
-                    l1_evicts = l1_wb = l1_inv = 0
-                    l2_stat["hits"] += l2_hits
-                    l2_stat["misses"] += l2_misses
-                    l2_stat["fills"] += l2_fills
-                    l2_stat["evictions"] += l2_evicts
-                    l2_stat["writebacks"] += l2_wb
-                    l2_stat["invalidations"] += l2_inv
-                    l2_hits = l2_misses = l2_fills = 0
-                    l2_evicts = l2_wb = l2_inv = 0
-                    l3_stat["hits"] += l3_hits
-                    l3_stat["misses"] += l3_misses
-                    l3_stat["fills"] += l3_fills
-                    l3_stat["evictions"] += l3_evicts
-                    l3_stat["writebacks"] += l3_wb
-                    l3_stat["bypasses"] += l3_byp
-                    l3_hits = l3_misses = l3_fills = 0
-                    l3_evicts = l3_wb = l3_byp = 0
-                    h_stat["accesses"] += h_acc
-                    h_stat["llc_demand_misses"] += h_demand
-                    h_stat["walk_accesses"] += h_walkacc
-                    h_stat["inclusion_victims"] += h_incl
-                    h_stat["orphan_writebacks"] += h_orphan
-                    h_acc = h_demand = h_walkacc = h_incl = h_orphan = 0
-                    mem_stat["accesses"] += m_acc
-                    mem_stat["reads"] += m_reads
-                    mem_stat["writes"] += m_writes
-                    m_acc = m_reads = m_writes = 0
-                    w_stat["walks"] += w_walks
-                    w_stat["walk_memory_accesses"] += w_memacc
-                    w_stat["walk_cycles"] += w_cycles
-                    w_walks = w_memacc = w_cycles = 0
-                    pwc_stat["pwc_l1_hits"] += pw_l1h
-                    pwc_stat["pwc_l2_hits"] += pw_l2h
-                    pwc_stat["pwc_l3_hits"] += pw_l3h
-                    pwc_stat["pwc_misses"] += pw_miss
-                    pw_l1h = pw_l2h = pw_l3h = pw_miss = 0
-                    if d_bh_doa:
-                        bh_stat["doa_trainings"] = (
-                            bh_stat.get("doa_trainings", 0) + d_bh_doa
-                        )
-                        d_bh_doa = 0
-                    if d_bh_ndoa:
-                        bh_stat["not_doa_trainings"] = (
-                            bh_stat.get("not_doa_trainings", 0) + d_bh_ndoa
-                        )
-                        d_bh_ndoa = 0
-                    if d_cb_evobs:
-                        cb_stat["doa_evictions_observed"] = (
-                            cb_stat.get("doa_evictions_observed", 0) + d_cb_evobs
-                        )
-                        d_cb_evobs = 0
-                    if d_cb_doap:
-                        cb_stat["doa_predictions"] = (
-                            cb_stat.get("doa_predictions", 0) + d_cb_doap
-                        )
-                        d_cb_doap = 0
-                    if d_cb_note:
-                        cb_stat["pfn_notifications"] = (
-                            cb_stat.get("pfn_notifications", 0) + d_cb_note
-                        )
-                        d_cb_note = 0
-                    if d_cb_pfqm:
-                        cb_stat["pfq_matches"] = (
-                            cb_stat.get("pfq_matches", 0) + d_cb_pfqm
-                        )
-                        d_cb_pfqm = 0
-                    if d_dp_evobs:
-                        dp_stat["doa_evictions_observed"] = (
-                            dp_stat.get("doa_evictions_observed", 0) + d_dp_evobs
-                        )
-                        d_dp_evobs = 0
-                    if d_dp_doap:
-                        dp_stat["doa_predictions"] = (
-                            dp_stat.get("doa_predictions", 0) + d_dp_doap
-                        )
-                        d_dp_doap = 0
-                    if d_pfq_ev:
-                        pfq_stat["evictions"] = (
-                            pfq_stat.get("evictions", 0) + d_pfq_ev
-                        )
-                        d_pfq_ev = 0
-                    if d_pfq_ins:
-                        pfq_stat["inserts"] = (
-                            pfq_stat.get("inserts", 0) + d_pfq_ins
-                        )
-                        d_pfq_ins = 0
-                    if d_ph_doa:
-                        ph_stat["doa_trainings"] = (
-                            ph_stat.get("doa_trainings", 0) + d_ph_doa
-                        )
-                        d_ph_doa = 0
-                    if d_ph_ndoa:
-                        ph_stat["not_doa_trainings"] = (
-                            ph_stat.get("not_doa_trainings", 0) + d_ph_ndoa
-                        )
-                        d_ph_ndoa = 0
-                    if d_sh_ev:
-                        sh_stat["evictions"] = (
-                            sh_stat.get("evictions", 0) + d_sh_ev
-                        )
-                        d_sh_ev = 0
-                    if d_sh_ins:
-                        sh_stat["inserts"] = (
-                            sh_stat.get("inserts", 0) + d_sh_ins
-                        )
-                        d_sh_ins = 0
-                    if d_sh_miss:
-                        sh_stat["misses"] = (
-                            sh_stat.get("misses", 0) + d_sh_miss
-                        )
-                        d_sh_miss = 0
-                    sample(instructions, cycles)
-                    next_at = instructions + interval
-            pos = seg
+                    break
+            else:
+                recs = None
+            # ---- flush counter deltas (chunk end or telemetry boundary) #
+            it_stat["hits"] += it_hits
+            it_stat["misses"] += it_misses
+            it_stat["fills"] += it_fills
+            it_stat["evictions"] += it_evicts
+            it_hits = it_misses = it_fills = it_evicts = 0
+            dt_stat["hits"] += dt_hits
+            dt_stat["misses"] += dt_misses
+            dt_stat["fills"] += dt_fills
+            dt_stat["evictions"] += dt_evicts
+            dt_hits = dt_misses = dt_fills = dt_evicts = 0
+            lt_stat["hits"] += lt_hits
+            lt_stat["misses"] += lt_misses
+            lt_stat["victim_buffer_hits"] += lt_vbh
+            lt_stat["fills"] += lt_fills
+            lt_stat["evictions"] += lt_evicts
+            lt_stat["bypasses"] += lt_byp
+            lt_hits = lt_misses = lt_vbh = lt_fills = 0
+            lt_evicts = lt_byp = 0
+            l1_stat["hits"] += l1_hits
+            l1_stat["misses"] += l1_misses
+            l1_stat["fills"] += l1_fills
+            l1_stat["evictions"] += l1_evicts
+            l1_stat["writebacks"] += l1_wb
+            l1_stat["invalidations"] += l1_inv
+            l1_hits = l1_misses = l1_fills = 0
+            l1_evicts = l1_wb = l1_inv = 0
+            l2_stat["hits"] += l2_hits
+            l2_stat["misses"] += l2_misses
+            l2_stat["fills"] += l2_fills
+            l2_stat["evictions"] += l2_evicts
+            l2_stat["writebacks"] += l2_wb
+            l2_stat["invalidations"] += l2_inv
+            l2_hits = l2_misses = l2_fills = 0
+            l2_evicts = l2_wb = l2_inv = 0
+            l3_stat["hits"] += l3_hits
+            l3_stat["misses"] += l3_misses
+            l3_stat["fills"] += l3_fills
+            l3_stat["evictions"] += l3_evicts
+            l3_stat["writebacks"] += l3_wb
+            l3_stat["bypasses"] += l3_byp
+            l3_hits = l3_misses = l3_fills = 0
+            l3_evicts = l3_wb = l3_byp = 0
+            h_stat["accesses"] += h_acc
+            h_stat["llc_demand_misses"] += h_demand
+            h_stat["walk_accesses"] += h_walkacc
+            h_stat["inclusion_victims"] += h_incl
+            h_stat["orphan_writebacks"] += h_orphan
+            h_acc = h_demand = h_walkacc = h_incl = h_orphan = 0
+            mem_stat["accesses"] += m_acc
+            mem_stat["reads"] += m_reads
+            mem_stat["writes"] += m_writes
+            m_acc = m_reads = m_writes = 0
+            w_stat["walks"] += w_walks
+            w_stat["walk_memory_accesses"] += w_memacc
+            w_stat["walk_cycles"] += w_cycles
+            w_walks = w_memacc = w_cycles = 0
+            pwc_stat["pwc_l1_hits"] += pw_l1h
+            pwc_stat["pwc_l2_hits"] += pw_l2h
+            pwc_stat["pwc_l3_hits"] += pw_l3h
+            pwc_stat["pwc_misses"] += pw_miss
+            pw_l1h = pw_l2h = pw_l3h = pw_miss = 0
+            if d_bh_doa:
+                bh_stat["doa_trainings"] = (
+                    bh_stat.get("doa_trainings", 0) + d_bh_doa
+                )
+                d_bh_doa = 0
+            if d_bh_ndoa:
+                bh_stat["not_doa_trainings"] = (
+                    bh_stat.get("not_doa_trainings", 0) + d_bh_ndoa
+                )
+                d_bh_ndoa = 0
+            if d_cb_evobs:
+                cb_stat["doa_evictions_observed"] = (
+                    cb_stat.get("doa_evictions_observed", 0) + d_cb_evobs
+                )
+                d_cb_evobs = 0
+            if d_cb_doap:
+                cb_stat["doa_predictions"] = (
+                    cb_stat.get("doa_predictions", 0) + d_cb_doap
+                )
+                d_cb_doap = 0
+            if d_cb_note:
+                cb_stat["pfn_notifications"] = (
+                    cb_stat.get("pfn_notifications", 0) + d_cb_note
+                )
+                d_cb_note = 0
+            if d_cb_pfqm:
+                cb_stat["pfq_matches"] = (
+                    cb_stat.get("pfq_matches", 0) + d_cb_pfqm
+                )
+                d_cb_pfqm = 0
+            if d_dp_evobs:
+                dp_stat["doa_evictions_observed"] = (
+                    dp_stat.get("doa_evictions_observed", 0) + d_dp_evobs
+                )
+                d_dp_evobs = 0
+            if d_dp_doap:
+                dp_stat["doa_predictions"] = (
+                    dp_stat.get("doa_predictions", 0) + d_dp_doap
+                )
+                d_dp_doap = 0
+            if d_pfq_ev:
+                pfq_stat["evictions"] = (
+                    pfq_stat.get("evictions", 0) + d_pfq_ev
+                )
+                d_pfq_ev = 0
+            if d_pfq_ins:
+                pfq_stat["inserts"] = (
+                    pfq_stat.get("inserts", 0) + d_pfq_ins
+                )
+                d_pfq_ins = 0
+            if d_ph_doa:
+                ph_stat["doa_trainings"] = (
+                    ph_stat.get("doa_trainings", 0) + d_ph_doa
+                )
+                d_ph_doa = 0
+            if d_ph_ndoa:
+                ph_stat["not_doa_trainings"] = (
+                    ph_stat.get("not_doa_trainings", 0) + d_ph_ndoa
+                )
+                d_ph_ndoa = 0
+            if d_sh_ev:
+                sh_stat["evictions"] = (
+                    sh_stat.get("evictions", 0) + d_sh_ev
+                )
+                d_sh_ev = 0
+            if d_sh_ins:
+                sh_stat["inserts"] = (
+                    sh_stat.get("inserts", 0) + d_sh_ins
+                )
+                d_sh_ins = 0
+            if d_sh_miss:
+                sh_stat["misses"] = (
+                    sh_stat.get("misses", 0) + d_sh_miss
+                )
+                d_sh_miss = 0
+            if instructions >= next_at:
+                sample(instructions, cycles)
+                next_at = instructions + interval
 
-        # --- run-end flush and state write-back ------------------------- #
-        it_stat["hits"] += it_hits
-        it_stat["misses"] += it_misses
-        it_stat["fills"] += it_fills
-        it_stat["evictions"] += it_evicts
-        dt_stat["hits"] += dt_hits
-        dt_stat["misses"] += dt_misses
-        dt_stat["fills"] += dt_fills
-        dt_stat["evictions"] += dt_evicts
-        lt_stat["hits"] += lt_hits
-        lt_stat["misses"] += lt_misses
-        lt_stat["victim_buffer_hits"] += lt_vbh
-        lt_stat["fills"] += lt_fills
-        lt_stat["evictions"] += lt_evicts
-        lt_stat["bypasses"] += lt_byp
-        l1_stat["hits"] += l1_hits
-        l1_stat["misses"] += l1_misses
-        l1_stat["fills"] += l1_fills
-        l1_stat["evictions"] += l1_evicts
-        l1_stat["writebacks"] += l1_wb
-        l1_stat["invalidations"] += l1_inv
-        l2_stat["hits"] += l2_hits
-        l2_stat["misses"] += l2_misses
-        l2_stat["fills"] += l2_fills
-        l2_stat["evictions"] += l2_evicts
-        l2_stat["writebacks"] += l2_wb
-        l2_stat["invalidations"] += l2_inv
-        l3_stat["hits"] += l3_hits
-        l3_stat["misses"] += l3_misses
-        l3_stat["fills"] += l3_fills
-        l3_stat["evictions"] += l3_evicts
-        l3_stat["writebacks"] += l3_wb
-        l3_stat["bypasses"] += l3_byp
-        h_stat["accesses"] += h_acc
-        h_stat["llc_demand_misses"] += h_demand
-        h_stat["walk_accesses"] += h_walkacc
-        h_stat["inclusion_victims"] += h_incl
-        h_stat["orphan_writebacks"] += h_orphan
-        mem_stat["accesses"] += m_acc
-        mem_stat["reads"] += m_reads
-        mem_stat["writes"] += m_writes
-        w_stat["walks"] += w_walks
-        w_stat["walk_memory_accesses"] += w_memacc
-        w_stat["walk_cycles"] += w_cycles
-        pwc_stat["pwc_l1_hits"] += pw_l1h
-        pwc_stat["pwc_l2_hits"] += pw_l2h
-        pwc_stat["pwc_l3_hits"] += pw_l3h
-        pwc_stat["pwc_misses"] += pw_miss
-        if d_bh_doa:
-            bh_stat["doa_trainings"] = (
-                bh_stat.get("doa_trainings", 0) + d_bh_doa
-            )
-        if d_bh_ndoa:
-            bh_stat["not_doa_trainings"] = (
-                bh_stat.get("not_doa_trainings", 0) + d_bh_ndoa
-            )
-        if d_cb_evobs:
-            cb_stat["doa_evictions_observed"] = (
-                cb_stat.get("doa_evictions_observed", 0) + d_cb_evobs
-            )
-        if d_cb_doap:
-            cb_stat["doa_predictions"] = (
-                cb_stat.get("doa_predictions", 0) + d_cb_doap
-            )
-        if d_cb_note:
-            cb_stat["pfn_notifications"] = (
-                cb_stat.get("pfn_notifications", 0) + d_cb_note
-            )
-        if d_cb_pfqm:
-            cb_stat["pfq_matches"] = (
-                cb_stat.get("pfq_matches", 0) + d_cb_pfqm
-            )
-        if d_dp_evobs:
-            dp_stat["doa_evictions_observed"] = (
-                dp_stat.get("doa_evictions_observed", 0) + d_dp_evobs
-            )
-        if d_dp_doap:
-            dp_stat["doa_predictions"] = (
-                dp_stat.get("doa_predictions", 0) + d_dp_doap
-            )
-        if d_pfq_ev:
-            pfq_stat["evictions"] = (
-                pfq_stat.get("evictions", 0) + d_pfq_ev
-            )
-        if d_pfq_ins:
-            pfq_stat["inserts"] = (
-                pfq_stat.get("inserts", 0) + d_pfq_ins
-            )
-        if d_ph_doa:
-            ph_stat["doa_trainings"] = (
-                ph_stat.get("doa_trainings", 0) + d_ph_doa
-            )
-        if d_ph_ndoa:
-            ph_stat["not_doa_trainings"] = (
-                ph_stat.get("not_doa_trainings", 0) + d_ph_ndoa
-            )
-        if d_sh_ev:
-            sh_stat["evictions"] = (
-                sh_stat.get("evictions", 0) + d_sh_ev
-            )
-        if d_sh_ins:
-            sh_stat["inserts"] = (
-                sh_stat.get("inserts", 0) + d_sh_ins
-            )
-        if d_sh_miss:
-            sh_stat["misses"] = (
-                sh_stat.get("misses", 0) + d_sh_miss
-            )
+        # --- state write-back ------------------------------------------- #
         pwc1._clock = pw1_clk
         pwc2._clock = pw2_clk
         pwc3._clock = pw3_clk
         m.now = now
         m.instructions = instructions
         m.cycles = cycles
-        m._last_ivpn = last_ivpn
+        m._last_ivpn = None if last_ivpn is None else last_ivpn | abase
         m._last_ientry = last_ient
-        m._last_dvpn = last_dvpn
+        m._last_dvpn = None if last_dvpn is None else last_dvpn | abase
         m._last_dentry = last_dent
         if sampler is not None and (
             not sampler.marks or sampler.marks[-1] != instructions

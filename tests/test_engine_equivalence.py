@@ -33,6 +33,7 @@ from repro.sim.engine import (
     set_default_engine,
 )
 from repro.sim.machine import Machine
+from repro.vm.tlb import ASID_SHIFT
 from repro.workloads.suite import (
     EXTRA_WORKLOAD_CLASSES,
     get_trace,
@@ -220,13 +221,22 @@ def test_engine_totals_accumulate_fallback_reasons():
 
 
 # --------------------------------------------------------------------- #
-# Multi-tenant / huge-page dispatch: scalar reference, counted reason
+# Multi-tenant / huge-page traces: flat, with no decline
 # --------------------------------------------------------------------- #
+def assert_wholly_flat(machine, trace):
+    assert machine.engine_stats == {
+        "engine": ENGINE_BATCHED,
+        "mode": "flat",
+        "flat_records": len(trace),
+    }
+
+
 @pytest.mark.parametrize("mix,profile", [("mix2", "mix2"), ("mix4", "mix4")])
 def test_mix_configs_run_batched_and_bit_identical(mix, profile):
-    """ASID-carrying traces run the scalar tenant loop under the batched
-    engine, byte-identical to the scalar engine, decision-event rings
-    included. The flat decline (reason "tenant") is counted."""
+    """ASID-carrying traces run wholly on the flat interpreter (one
+    segment per ASID run, the real context switch between segments),
+    byte-identical to the scalar tenant loop, decision-event rings
+    included."""
     from repro.workloads.tenants import build_mix_trace
 
     factory = {"mix2": mix2_config, "mix4": mix4_config}[profile]
@@ -241,30 +251,26 @@ def test_mix_configs_run_batched_and_bit_identical(mix, profile):
     counts = m_b.telemetry.probe.counts()
     assert counts.get("ctx_switch", 0) > 0
     assert counts.get("shootdown", 0) > 0
-    stats = m_b.engine_stats
-    assert stats["engine"] == ENGINE_BATCHED
-    assert stats["mode"] == "scalar"
-    assert stats["flat_reason"] == "tenant"
-    assert stats["scalar_records"] == len(trace)
+    assert_wholly_flat(m_b, trace)
 
 
 def test_hugepage_config_runs_batched_and_bit_identical():
-    """Huge-mapped tables run the scalar reference under the batched
-    engine with a counted flat decline, byte-identical to scalar."""
+    """Huge-mapped tables run wholly on the flat interpreter (2 MB leaf
+    walks, the LLT's huge-key namespace), byte-identical to scalar."""
     config = hugepage_config(tlb_predictor="dppred")
     for workload in ("mcf", "locality"):
         trace = get_trace(workload, BUDGET, SEED)
         machine = assert_equivalent(trace, config, telemetry=True)
-        stats = machine.engine_stats
-        assert stats["engine"] == ENGINE_BATCHED
-        assert stats["mode"] == "scalar"
-        assert stats["flat_reason"] == "hugepage"
+        assert_wholly_flat(machine, trace)
+        if workload == "mcf":
+            # Not vacuous: huge leaves were mapped, huge LLT entries live.
+            assert machine.walker.page_table.huge_pages_mapped > 0
+            assert machine.l2_tlb._huge_count > 0
 
 
-def test_tenant_and_hugepage_declines_counted_in_engine_totals():
-    """Regression: tenant/hugepage runs must be *visible* in the process-
-    wide dispatch accounting as flat declines, with their records counted
-    as scalar."""
+def test_tenant_and_hugepage_runs_counted_flat_in_engine_totals():
+    """Tenant and huge-page runs count as flat records in the process-
+    wide dispatch accounting, with no decline."""
     from repro.workloads.tenants import build_mix_trace
 
     engine_mod.reset_engine_totals()
@@ -275,11 +281,76 @@ def test_tenant_and_hugepage_declines_counted_in_engine_totals():
     totals = engine_mod.engine_totals()
     assert totals == {
         "runs": 2,
-        "flat_records": 0,
-        "scalar_records": len(trace) + len(flat),
-        "flat_declines": {"tenant": 1, "hugepage": 1},
+        "flat_records": len(trace) + len(flat),
+        "scalar_records": 0,
+        "flat_declines": {},
     }
     engine_mod.reset_engine_totals()
+
+
+def test_global_tlb_entries_decline_with_reason():
+    """Global mappings are unreachable from any trace, so the flat
+    lookups never probe them: a machine whose TLBs hold one at run start
+    runs the scalar reference with a counted ``global`` reason."""
+    trace = get_trace("locality", 500, SEED)
+    machines = []
+    for _ in range(2):
+        machine = Machine(fast_config(), seed=SEED)
+        vpn = int(trace.vaddrs[0]) >> 12
+        machine.l2_tlb.fill(vpn, 12345, 0, 0, global_page=True)
+        machines.append(machine)
+    engine_mod.reset_engine_totals()
+    result = machines[0].run(trace, engine=ENGINE_BATCHED)
+    assert machines[0].engine_stats == {
+        "engine": ENGINE_BATCHED,
+        "mode": "scalar",
+        "scalar_records": len(trace),
+        "flat_reason": "global",
+    }
+    assert engine_mod.engine_totals()["flat_declines"] == {"global": 1}
+    engine_mod.reset_engine_totals()
+    reference = machines[1].run(trace, engine=ENGINE_SCALAR)
+    assert fingerprint(result) == fingerprint(reference)
+
+
+def test_same_vpn_different_tenants_never_share_a_filter_hit():
+    """Two tenants touch the same VPN, mapped to different frames. The
+    same-page filter caches raw VPNs inside a segment, so a switch
+    without a shootdown must not serve tenant 2 from tenant 1's entry:
+    each tenant's accesses land on its own frame, as in scalar."""
+    n = 12
+    vaddr = 0x10000000
+    asids = np.array([1, 1, 1, 2, 2, 2] * 2, np.int64)
+    trace = Trace(
+        "shared-vpn",
+        np.full(n, 0x400000, np.uint64),
+        np.full(n, vaddr, np.uint64),
+        np.zeros(n, bool),
+        np.zeros(n, np.uint16),
+        asids,
+    )
+    config = mix2_config(shootdown_on_switch=False)
+    (r_s, m_s), (r_b, m_b) = run_both(trace, config, telemetry=True)
+    assert fingerprint(r_s) == fingerprint(r_b)
+    assert m_s.telemetry.to_payload() == m_b.telemetry.to_payload()
+    assert_wholly_flat(m_b, trace)
+    vpn = vaddr >> 12
+    frames = {
+        asid: m_b.walker.table_for(asid).lookup(vpn) for asid in (1, 2)
+    }
+    assert frames[1] != frames[2]
+    # Both tenants' translations are live, each tagged with its ASID;
+    # the filter's key is tenant 2's (it ran last).
+    for asid in (1, 2):
+        entry = m_b.l1_dtlb.probe(vpn, asid)
+        assert entry is not None and entry.asid == asid
+        assert entry.pfn == frames[asid]
+    assert m_b._last_dvpn == (2 << ASID_SHIFT) | vpn
+    # Each tenant walks its own table: 2 code + 2 data walks, as scalar.
+    assert m_b.walker.stats.get("walks") == m_s.walker.stats.get("walks")
+    assert m_b.walker.stats.get("walks") == 4
+    assert r_b.raw["tenants"] == r_s.raw["tenants"]
+    assert r_b.raw["tenants"]["context_switches"] == 3
 
 
 def test_num_tenants_config_runs_batched_without_asids():
@@ -304,10 +375,10 @@ COVERAGE = [
     ("srrip", fast_config(tlb_policy="srrip", cache_policy="srrip"),
      "sssp", "flat", None),
     ("mix2", mix2_config(tlb_predictor="dppred", llc_predictor="cbpred"),
-     "mix2", "scalar", "tenant"),
-    ("mix4", mix4_config(), "mix4", "scalar", "tenant"),
+     "mix2", "flat", None),
+    ("mix4", mix4_config(), "mix4", "flat", None),
     ("hugepage", hugepage_config(tlb_predictor="dppred"), "sssp",
-     "scalar", "hugepage"),
+     "flat", None),
     ("leeway", leeway_config(), "sssp", "scalar", "predictor"),
     ("perceptron", perceptron_config(), "sssp", "scalar", "predictor"),
     ("ship", fast_config(tlb_predictor="ship", llc_predictor="ship"),

@@ -52,9 +52,9 @@ def _requests():
         for w in ("mcf", "cg.B")
         for c in (fast, pred)
     ]
-    # A multi-tenant cell rides along: ASID-tagged traces and the scalar
-    # tenant loop must survive kills, hangs, corruption, and --resume
-    # byte-identically, like every single-tenant cell.
+    # A multi-tenant cell rides along: ASID-tagged traces and their
+    # context switches must survive kills, hangs, corruption, and
+    # --resume byte-identically, like every single-tenant cell.
     cells.append(RunRequest("mix2", mix2_config(), BUDGET, 42))
     return cells
 
