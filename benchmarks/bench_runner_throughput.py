@@ -1,6 +1,6 @@
 """Runner-throughput benchmark: engine, fan-out and disk-cache wins.
 
-Four measurements, each with a built-in correctness cross-check (the
+Five measurements, each with a built-in correctness cross-check (the
 script exits non-zero on any simulator-output divergence, which is what
 CI's smoke invocation relies on):
 
@@ -12,10 +12,14 @@ CI's smoke invocation relies on):
    and on ``mcf`` over huge-mapped tables (``hugepage_config``), both
    with dpPred+cbPred: ASID segments with context switches and 2 MB leaf
    walks, also wholly flat.
-3. **Matrix fan-out** — a (workloads x {baseline, dpPred}) matrix run
+3. **Registry** — the same comparison on ``mcf`` under the Leeway and
+   hashed-perceptron baselines (``leeway_config``, ``perceptron_config``),
+   which run flat through the interpreter's generic listener path. Its
+   speedup is reported with a CI but has no floor.
+4. **Matrix fan-out** — a (workloads x {baseline, dpPred}) matrix run
    serially and with ``--jobs`` worker processes; results must match
    bit-for-bit.
-4. **Disk-cache replay** — the same matrix replayed from a freshly
+5. **Disk-cache replay** — the same matrix replayed from a freshly
    populated on-disk cache; results must match bit-for-bit.
 
 Usage::
@@ -40,7 +44,13 @@ import time
 
 import repro.sim.diskcache as diskcache
 from repro.experiments.report import render_table
-from repro.sim.config import fast_config, hugepage_config, mix2_config
+from repro.sim.config import (
+    fast_config,
+    hugepage_config,
+    leeway_config,
+    mix2_config,
+    perceptron_config,
+)
 from repro.sim.machine import Machine
 from repro.sim.parallel import RunRequest, run_matrix
 from repro.sim.runner import clear_run_cache, machine_seed_for
@@ -65,6 +75,11 @@ SCENARIO_TARGET = 1.8
 SCENARIO_CELLS = (
     ("mix2", "mix2", mix2_config),
     ("mcf/hugepage", "mcf", hugepage_config),
+)
+#: The registry phase's (label, workload, config factory) cells.
+REGISTRY_CELLS = (
+    ("mcf/leeway", "mcf", leeway_config),
+    ("mcf/perceptron", "mcf", perceptron_config),
 )
 #: Repetitions for the engine phases (median + min reported). Nine reps
 #: per (workload, engine) cell keep the bootstrap 95% CI on the suite
@@ -257,6 +272,20 @@ def bench_scenario(budget: int, repeats: int = ENGINE_REPEATS):
     return out
 
 
+def bench_registry(budget: int, repeats: int = ENGINE_REPEATS):
+    """Batched vs scalar engine on registry predictors the flat tier
+    runs through its generic listener path (Leeway and perceptron on
+    ``mcf``), aggregated like the suite phase but not gated on speed."""
+    cells = [
+        (label, get_trace(workload, budget), factory())
+        for label, workload, factory in REGISTRY_CELLS
+    ]
+    out = _compare_engines(cells, repeats)
+    out["config"] = "leeway, perceptron"
+    out["repeats"] = repeats
+    return out
+
+
 def _matrix(budget: int, num_workloads: int):
     workloads = workload_names()[:num_workloads]
     configs = [fast_config(), fast_config(tlb_predictor="dppred")]
@@ -336,9 +365,11 @@ def main(argv=None) -> int:
                              f"--strict/--strict-engine (default "
                              f"{ENGINE_TARGET})")
     parser.add_argument("--strict-engine", action="store_true",
-                        help="enforce only the batched-engine suite and "
-                             "scenario gates (CI perf-smoke: the parallel "
-                             "target is too noisy for shared runners)")
+                        help="enforce only the batched-engine gates: the "
+                             "suite and scenario floors, and all three "
+                             "engine phases (registry included) wholly "
+                             "flat (CI perf-smoke: the parallel target is "
+                             "too noisy for shared runners)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the measurements as a structured "
                              "benchmark report (repro.obs manifest envelope)")
@@ -346,6 +377,7 @@ def main(argv=None) -> int:
 
     engine = bench_engine(args.budget)
     scenario = bench_scenario(args.budget)
+    registry = bench_registry(args.budget)
     matrix = bench_matrix(args.budget, args.workloads, args.jobs)
     cache = bench_diskcache(
         args.budget, args.workloads, matrix["serial_results"]
@@ -373,6 +405,14 @@ def main(argv=None) -> int:
          f"[{scenario['speedup_ci_low']:.2f}, "
          f"{scenario['speedup_ci_high']:.2f}]",
          outputs(scenario, scenario["not_flat"])),
+        (f"engine on registry {'+'.join(registry['per_workload'])} "
+         f"(median of {registry['repeats']})",
+         f"{registry['t_scalar']:.2f}s",
+         f"{registry['t_batched']:.2f}s",
+         f"{registry['speedup']:.2f}x "
+         f"[{registry['speedup_ci_low']:.2f}, "
+         f"{registry['speedup_ci_high']:.2f}]",
+         outputs(registry, registry["not_flat"])),
         (f"matrix {matrix['runs']} runs (serial vs --jobs={args.jobs})",
          f"{matrix['t_serial']:.2f}s", f"{matrix['t_parallel']:.2f}s",
          f"{matrix['speedup']:.2f}x",
@@ -402,6 +442,7 @@ def main(argv=None) -> int:
             measurements={
                 "engine": engine,
                 "scenario": scenario,
+                "registry": registry,
                 "matrix": {
                     k: v for k, v in matrix.items()
                     if k != "serial_results"
@@ -413,7 +454,8 @@ def main(argv=None) -> int:
 
     failures = []
     for name, bench in (("engine", engine), ("scenario", scenario),
-                        ("matrix", matrix), ("diskcache", cache)):
+                        ("registry", registry), ("matrix", matrix),
+                        ("diskcache", cache)):
         if bench["diverged"]:
             failures.append(f"{name}: simulator outputs diverged")
     if args.strict or args.strict_engine:
@@ -436,7 +478,8 @@ def main(argv=None) -> int:
                     f"({detail}, whole interval below target)"
                 )
         for label, not_flat in (("suite", engine["suite_not_flat"]),
-                                ("scenario", scenario["not_flat"])):
+                                ("scenario", scenario["not_flat"]),
+                                ("registry", registry["not_flat"])):
             if not_flat:
                 failures.append(
                     f"batched engine ran {not_flat} {label} workload(s) "

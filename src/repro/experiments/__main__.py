@@ -227,7 +227,11 @@ def main(argv=None) -> int:
             import cProfile
 
             from repro.obs.export import profile_stats_top, write_profile_report
-            from repro.sim.engine import engine_totals, reset_engine_totals
+            from repro.sim.engine import (
+                describe_engine_totals,
+                engine_totals,
+                reset_engine_totals,
+            )
 
             reset_engine_totals()
             profiler = cProfile.Profile()
@@ -258,21 +262,7 @@ def main(argv=None) -> int:
                     f"{row['tottime_s']:9.3f}s tot  "
                     f"{row['ncalls']:>10} calls  {row['function']}"
                 )
-            declines = totals["flat_declines"]
-            print(
-                f"  engine: {totals['runs']} runs, "
-                f"{totals['flat_records']} flat / "
-                f"{totals['scalar_records']} scalar records"
-                + (
-                    "; flat declines ("
-                    + ", ".join(
-                        f"{why}: {n}" for why, n in sorted(declines.items())
-                    )
-                    + ")"
-                    if declines
-                    else ""
-                )
-            )
+            print(f"  engine: {describe_engine_totals(totals)}")
         else:
             report = run_experiment(exp_id, **kwargs)
             print(report.render())

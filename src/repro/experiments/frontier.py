@@ -15,7 +15,9 @@ each family cleaning *both* structures (LLT + LLC) per the paper's
   reference structures (the Tables VI/VII machinery);
 * the Table III DOA-correlation anchor next to each new family's
   realised bypass rates — how much of the page↔block correlation the
-  paper measures each predictor actually converts into cleaning.
+  paper measures each predictor actually converts into cleaning;
+* an engine note stating what ran in this process: the batched engine's
+  flat/scalar record split and decline reasons over the experiment.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from repro.experiments.common import (
     ship_both,
 )
 from repro.experiments.report import ExperimentReport
+from repro.sim.engine import (
+    describe_engine_totals,
+    engine_totals,
+    engine_totals_since,
+)
 from repro.workloads.suite import DEFAULT_BUDGET, workload_names
 
 #: The five families, each at both levels (dpPred couples cbPred).
@@ -58,6 +65,7 @@ def _frontier_configs() -> Dict[str, object]:
 def predictor_frontier(budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """dpPred+cbPred vs SHiP vs AIP vs Leeway vs perceptron, both levels."""
     workloads = workload_names()[:SUITE_WORKLOADS]
+    engine_before = engine_totals()
     suite = run_suite(_frontier_configs(), budget, workloads=workloads)
     report = ExperimentReport(
         "predictor_frontier",
@@ -156,9 +164,17 @@ def predictor_frontier(budget: int = DEFAULT_BUDGET) -> ExperimentReport:
         f"avg DOA-block-on-DOA-page correlation: "
         f"{arithmetic_mean(corr_vals):.1f}% (Table III anchor)"
     )
-    report.add_note(
-        "engine: Leeway/perceptron configs run on the scalar reference "
-        "(flat interpreter declines with the counted 'predictor' "
-        "reason); dpPred+cbPred runs wholly on the flat interpreter"
-    )
+    report.add_note(engine_note(engine_totals_since(engine_before)))
     return report
+
+
+def engine_note(totals: dict) -> str:
+    """The report's engine line for the batched-engine dispatch
+    ``totals`` counted over the experiment in this process."""
+    if not totals["runs"]:
+        return (
+            "engine: no batched-engine runs in this process (results "
+            "came from the run cache, worker processes or the scalar "
+            "engine)"
+        )
+    return f"engine (this process): {describe_engine_totals(totals)}"

@@ -55,20 +55,32 @@ class PredictorSpec(Protocol):
       (Section V-D).
 
     **Flat-interpreter contract.** The batched engine's flat interpreter
-    (:class:`repro.sim.engine._FlatStepper`) inlines only
+    (:class:`repro.sim.engine._FlatStepper`) inlines
     :class:`~repro.core.dppred.DeadPagePredictor` and
     :class:`~repro.core.cbpred.CorrelatingDeadBlockPredictor` — their
     fill/evict/shadow-miss hot paths are replicated instruction for
-    instruction (stat names, event order, table indexing). Any *other*
-    listener type makes :func:`repro.sim.engine.flat_reason` return
+    instruction (stat names, event order, table indexing). It runs the
+    listener classes in :data:`repro.sim.engine.GENERIC_TLB_LISTENERS`
+    and :data:`~repro.sim.engine.GENERIC_LLC_LISTENERS` through a generic
+    path: ``on_lookup``/``on_hit``/``on_miss`` are called where the
+    scalar lookup calls them (only if the class overrides the no-op), and
+    the structure's fills go through the real ``fill``. A listener may
+    join those sets only if its hooks are *pure* in this sense: they
+    touch only the listener's own state, the entry or line they are
+    handed, and a read of that set's slots; they read the in-flight PC
+    only through the :class:`AccessContext` (or the LLT fill's
+    ``pc_hash``); and they never read the structure's stats or re-enter
+    the structure (no ``fill``/``lookup``/``invalidate`` from a hook —
+    why the distance prefetcher stays out). Any listener type outside
+    those sets makes :func:`repro.sim.engine.flat_reason` return
     ``"predictor"`` (an exact ``type()`` check, so subclasses decline
-    too): the whole run goes to the scalar reference loop, and the decline
-    is counted in ``engine_stats["flat_reason"]`` and
+    too): the whole run goes to the scalar reference loop, and the
+    decline is counted in ``engine_stats["flat_reason"]`` and
     ``engine_totals()["flat_declines"]`` — never silent. A new predictor
-    therefore needs **no** engine changes to stay bit-exact; teaching the
-    flat interpreter its hot paths is a later, purely-performance step
-    that must reproduce this module's semantics exactly
-    (``tests/test_engine_equivalence.py`` enforces the bit-identity).
+    therefore needs **no** engine changes to stay bit-exact; adding its
+    class to a generic set is a later, purely-performance step
+    (``tests/test_engine_equivalence.py`` and
+    ``tests/test_walk_pwc_differential.py`` enforce the bit-identity).
     """
 
     probe: Optional[object]

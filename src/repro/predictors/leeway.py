@@ -12,7 +12,11 @@ to both structures the paper cleans together:
 
 * the **live distance** of a residency is the number of set accesses that
   had elapsed when the entry was last hit — 0 for a dead-on-arrival
-  residency (never hit);
+  residency (never hit). Each listener counts lookups per set and each
+  entry records its set's count at fill time, so a hit reads the
+  distance as a difference in O(1) instead of ageing every way of the
+  set on every lookup (identical to the eager saturating count, huge
+  entries included: they age with their own set);
 * per PC signature (fold-XOR hash), a fixed ring of the last
   ``ring_entries`` observed live distances is kept; each eviction shifts
   exactly one slot, so one outlier residency moves the decision boundary
@@ -29,13 +33,16 @@ predicted-DOA fill is therefore allocated anyway (a *reuse sample*,
 Leeway's dueling-sampler analogue made deterministic), re-observing the
 signature's behaviour.
 
-Per :class:`~repro.predictors.base.PredictorSpec`, the flat interpreter
-does not model this listener: Leeway configs run on the scalar reference
-with a counted ``predictor`` decline. Semantics live here only.
+Both listeners meet the flat-interpreter contract of
+:class:`~repro.predictors.base.PredictorSpec` (hooks touch only their own
+state and the entry or line they are handed), so Leeway configs run on the
+batched engine's flat interpreter through its generic listener path.
+Semantics live here only.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -91,12 +98,13 @@ class LeewayConfig:
 class _LeewayState:
     """Per-entry metadata: signature + live-distance bookkeeping."""
 
-    __slots__ = ("sig", "age", "live")
+    __slots__ = ("sig", "base", "live")
 
     def __init__(self, sig: int):
         self.sig = sig
-        self.age = 0      # set accesses since fill
-        self.live = 0     # age at the most recent hit (0 = DOA so far)
+        self.base = 0     # the set's lookup count when the entry was filled
+        self.live = 0     # set accesses since fill at the most recent hit
+        #                   (0 = DOA so far), saturating at max_distance
 
 
 class _LeewayCore:
@@ -120,12 +128,11 @@ class _LeewayCore:
     def signature(self, pc: int) -> int:
         return fold_xor(pc, self.config.signature_bits)
 
-    def on_set_access(self, state: _LeewayState) -> None:
-        if state.age < self.config.max_distance:
-            state.age += 1
-
-    def on_entry_hit(self, state: _LeewayState) -> None:
-        state.live = state.age
+    def on_entry_hit(self, state: _LeewayState, set_lookups: int) -> None:
+        """A hit: record the set accesses since the fill, saturating."""
+        distance = set_lookups - state.base
+        cap = self.config.max_distance
+        state.live = distance if distance < cap else cap
 
     def predicts_doa(self, sig: int) -> bool:
         ring = self._rings[sig]
@@ -174,16 +181,17 @@ class LeewayTlbPredictor(TlbListener):
         self.stats = Stats()
         self.probe = None
         self._pending: Optional[_LeewayState] = None
+        # Lookups per set (an entry's set is ``entry.vpn & _set_mask``).
+        self._set_lookups = defaultdict(int)
 
     def on_lookup(self, tlb: Tlb, set_idx: int, now: int) -> None:
-        core = self.core
-        for entry in tlb._entries[set_idx]:
-            if entry is not None and entry.aux is not None:
-                core.on_set_access(entry.aux)
+        self._set_lookups[set_idx] += 1
 
     def on_hit(self, tlb: Tlb, entry: TlbEntry, now: int) -> None:
         if entry.aux is not None:
-            self.core.on_entry_hit(entry.aux)
+            self.core.on_entry_hit(
+                entry.aux, self._set_lookups[entry.vpn & tlb._set_mask]
+            )
 
     def on_fill(self, tlb: Tlb, vpn: int, pfn: int, pc: int, now: int) -> str:
         core = self.core
@@ -204,7 +212,9 @@ class LeewayTlbPredictor(TlbListener):
         return FILL_ALLOCATE
 
     def filled(self, tlb: Tlb, entry: TlbEntry, now: int) -> None:
-        entry.aux = self._pending
+        state = self._pending
+        state.base = self._set_lookups[entry.vpn & tlb._set_mask]
+        entry.aux = state
         self._pending = None
 
     def on_evict(self, tlb: Tlb, entry: TlbEntry, now: int) -> None:
@@ -240,16 +250,17 @@ class LeewayCachePredictor(CacheListener):
         self.stats = Stats()
         self.probe = None
         self._pending: Optional[_LeewayState] = None
+        # Lookups per set (a line's set is ``line.tag & _set_mask``).
+        self._set_lookups = defaultdict(int)
 
     def on_lookup(self, cache: SetAssocCache, set_idx: int, now: int) -> None:
-        core = self.core
-        for line in cache._lines[set_idx]:
-            if line is not None and line.aux is not None:
-                core.on_set_access(line.aux)
+        self._set_lookups[set_idx] += 1
 
     def on_hit(self, cache: SetAssocCache, line: CacheLine, now: int) -> None:
         if line.aux is not None:
-            self.core.on_entry_hit(line.aux)
+            self.core.on_entry_hit(
+                line.aux, self._set_lookups[line.tag & cache._set_mask]
+            )
 
     def on_fill(self, cache: SetAssocCache, block: int, now: int) -> str:
         core = self.core
@@ -270,7 +281,9 @@ class LeewayCachePredictor(CacheListener):
         return CACHE_ALLOCATE
 
     def filled(self, cache: SetAssocCache, line: CacheLine, now: int) -> None:
-        line.aux = self._pending
+        state = self._pending
+        state.base = self._set_lookups[line.tag & cache._set_mask]
+        line.aux = state
         self._pending = None
 
     def on_evict(self, cache: SetAssocCache, line: CacheLine, now: int) -> None:

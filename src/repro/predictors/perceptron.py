@@ -23,9 +23,11 @@ Bypassed fills never evict and so never train; as in
 :mod:`repro.predictors.leeway`, every ``sample_period``-th predicted-DOA
 fill of a signature set is allocated anyway so the tables keep learning.
 
-Per :class:`~repro.predictors.base.PredictorSpec`, the flat interpreter
-does not model this listener: perceptron configs run on the scalar
-reference with a counted ``predictor`` decline.
+Both listeners meet the flat-interpreter contract of
+:class:`~repro.predictors.base.PredictorSpec` and override no lookup
+hook, so on the batched engine's flat interpreter (its generic listener
+path) they cost nothing on lookups and hits: only their fills and
+evictions call into this module.
 """
 
 from __future__ import annotations

@@ -8,21 +8,28 @@ to the scalar reference loop (:meth:`Machine.run_scalar`):
   TLBs with the same-page filter, the L2 TLB (LLT) with its 2 MB
   huge-entry namespace, the radix walker (4 KB and huge leaves) and its
   PWCs, L1D/L2/LLC with writeback and inclusion cascades, LRU and
-  SRRIP, residency tracking, and the paper's predictors. dpPred's
+  SRRIP, residency tracking, and the LLT/LLC predictors. dpPred's
   fill-time decision (pHIST probe, shadow-FIFO promote/evict, PFQ push,
   bypass, eviction-time training) and cbPred's fill decision (PFQ match,
   bHIST probe, LLC bypass, DP-marking) are inlined with their stats and
   decision events byte-for-byte; rare paths (shadow hits, the demote
-  ablation) delegate to the real predictor methods. ASID-carrying
-  traces run as segments of constant ASID: every key is the combined
+  ablation) delegate to the real predictor methods. The other registry
+  predictors (Leeway, perceptron, SHiP, AIP, the oracle passes) run
+  through one generic listener path: their lookup/hit/miss hooks are
+  called where :meth:`Tlb.lookup` / :meth:`SetAssocCache.lookup` call
+  them, and their structure's fills go through the real
+  :meth:`Tlb.fill` / :meth:`SetAssocCache.fill`. ASID-carrying traces
+  run as segments of constant ASID: every key is the combined
   ``(asid, vpn)`` key, and the context switch between segments is the
   real :meth:`Machine._context_switch`.
 * **scalar** — a machine or trace the flat interpreter does not model
   runs :meth:`Machine.run_scalar` instead, with exactly one counted
   reason (:func:`flat_reason`, ``engine_stats["flat_reason"]``,
-  :func:`engine_totals`): FIFO/random policies, listeners other than
-  dpPred/cbPred, reference structures, TLB entries no trace can create
-  (global mappings), unexpected trace dtypes, or an empty trace.
+  :func:`engine_totals`): FIFO/random policies, listeners outside the
+  flat-eligible set (the distance prefetcher, the correlation
+  listeners, unlisted plug-ins), reference structures, TLB entries no
+  trace can create (global mappings), unexpected trace dtypes, or an
+  empty trace.
 
 Bit-identity with the scalar engine is a hard guarantee, not a goal
 (``tests/test_engine_equivalence.py`` enforces it property-wise).
@@ -42,7 +49,7 @@ import numpy as np
 from repro.common.bitops import fold_xor
 from repro.core.cbpred import CorrelatingDeadBlockPredictor
 from repro.core.dppred import ACTION_BYPASS, DeadPagePredictor
-from repro.mem.cache import _LINE_POOL, CacheLine
+from repro.mem.cache import _LINE_POOL, CacheLine, CacheListener
 from repro.mem.replacement import LruPolicy, SrripPolicy
 from repro.obs.events import (
     EV_LLC_BYPASS,
@@ -56,6 +63,19 @@ from repro.obs.events import (
     EV_SHADOW_PROMOTE,
     EV_WALK,
 )
+from repro.predictors.aip import AipCachePredictor, AipTlbPredictor
+from repro.predictors.leeway import LeewayCachePredictor, LeewayTlbPredictor
+from repro.predictors.oracle import (
+    DoaRecordingCacheListener,
+    DoaRecordingListener,
+    OracleCacheListener,
+    OracleTlbListener,
+)
+from repro.predictors.perceptron import (
+    PerceptronCachePredictor,
+    PerceptronTlbPredictor,
+)
+from repro.predictors.ship import ShipCachePredictor, ShipTlbPredictor
 from repro.vm.pagetable import (
     ENTRIES_PER_NODE,
     LEVEL_BITS,
@@ -65,7 +85,7 @@ from repro.vm.pagetable import (
     _Node,
 )
 from repro.vm.physmem import PAGE_SHIFT
-from repro.vm.tlb import _ENTRY_POOL, HUGE_KEY_BASE, TlbEntry
+from repro.vm.tlb import _ENTRY_POOL, HUGE_KEY_BASE, TlbEntry, TlbListener
 from repro.vm.walker import BLOCK_SHIFT
 
 ENGINE_BATCHED = "batched"
@@ -113,13 +133,38 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 #: (``engine_stats["flat_reason"]`` and :func:`engine_totals`'s
 #: ``flat_declines``).
 REASON_POLICY = "policy"        # fifo/random replacement: no flat model
-REASON_PREDICTOR = "predictor"  # non-dpPred/cbPred listener, or L1 wiring
+REASON_PREDICTOR = "predictor"  # listener outside the flat-eligible sets
+#                                 (prefetcher, correlation, unlisted
+#                                 plug-ins), or any L1 listener/residency
 REASON_REFERENCE = "reference"  # ground-truth reference structures attached
 REASON_DTYPE = "dtype"          # unexpected trace array dtypes
 REASON_EMPTY = "empty"          # zero-record trace
 REASON_GLOBAL = "global"        # global TLB entries (or huge L1 entries)
 #                                 resident at run start: no trace creates
 #                                 them, so the flat lookups never probe them
+
+#: Listeners the flat tier runs through its generic path: hooks called
+#: where the scalar lookup calls them, fills delegated to the real
+#: ``Tlb.fill`` / ``SetAssocCache.fill``. Each touches only its own
+#: state, the entry or line it is handed, and a read of that set (see
+#: :class:`~repro.predictors.base.PredictorSpec`). dpPred and cbPred are
+#: inlined instead, so they are not listed.
+GENERIC_TLB_LISTENERS = frozenset({
+    LeewayTlbPredictor,
+    PerceptronTlbPredictor,
+    ShipTlbPredictor,
+    AipTlbPredictor,
+    DoaRecordingListener,
+    OracleTlbListener,
+})
+GENERIC_LLC_LISTENERS = frozenset({
+    LeewayCachePredictor,
+    PerceptronCachePredictor,
+    ShipCachePredictor,
+    AipCachePredictor,
+    DoaRecordingCacheListener,
+    OracleCacheListener,
+})
 
 
 def flat_reason(machine) -> Optional[str]:
@@ -133,14 +178,16 @@ def flat_reason(machine) -> Optional[str]:
       / RRPV aging are inlined; FIFO and random are not modelled);
     * the L1 TLBs, L1D and L2 must be bare (no listener, no residency) —
       true for every shipped configuration;
-    * the LLT may carry dpPred (its ``on_miss``/``fill`` slow paths are
-      invoked as real calls), the LLC may carry cbPred (PFQ-filtered
-      fills are inlined, PFQ matches call the real fill) — any other
-      listener (SHiP, AIP, Leeway, perceptron, oracle, prefetch,
-      correlation — including anything registered through
-      :mod:`repro.predictors.registry`) declines via the exact ``type()``
-      checks below, so a new predictor is bit-exact with zero engine
-      work: it runs on the scalar reference, and the decline is counted
+    * the LLT may carry dpPred (inlined; its ``on_miss``/``fill`` slow
+      paths are invoked as real calls) or a listener in
+      :data:`GENERIC_TLB_LISTENERS`; the LLC may carry cbPred (inlined)
+      or a listener in :data:`GENERIC_LLC_LISTENERS`. Both checks are
+      exact ``type()`` checks, so any other listener — the distance
+      prefetcher (it re-enters ``tlb.fill`` from its own hooks), the
+      machine's correlation listeners, a subclass, or anything newly
+      registered through :mod:`repro.predictors.registry` — declines
+      with ``predictor``: it runs bit-exact on the scalar reference with
+      zero engine work, and the decline is counted
       (``engine_stats["flat_reason"]``, ``engine_totals()``'s
       ``flat_declines``) — never silent;
     * ground-truth reference structures hook the scalar access path
@@ -170,14 +217,28 @@ def flat_reason(machine) -> Optional[str]:
         if type(struct.policy) not in (LruPolicy, SrripPolicy):
             return REASON_POLICY
     lt_listener = machine.l2_tlb.listener
-    if lt_listener is not None and type(lt_listener) is not DeadPagePredictor:
+    if lt_listener is not None and not (
+        type(lt_listener) is DeadPagePredictor
+        or type(lt_listener) in GENERIC_TLB_LISTENERS
+    ):
         return REASON_PREDICTOR
     llc_listener = machine.llc.listener
-    if llc_listener is not None and (
-        type(llc_listener) is not CorrelatingDeadBlockPredictor
+    if llc_listener is not None and not (
+        type(llc_listener) is CorrelatingDeadBlockPredictor
+        or type(llc_listener) in GENERIC_LLC_LISTENERS
     ):
         return REASON_PREDICTOR
     return None
+
+
+def _own_hook(listener, base, name):
+    """``listener``'s bound ``name`` hook, or None when its class keeps
+    ``base``'s no-op (the flat tier then skips the call entirely)."""
+    if listener is None or getattr(type(listener), name) is getattr(
+        base, name
+    ):
+        return None
+    return getattr(listener, name)
 
 
 def _decline_reason(machine, trace) -> Optional[str]:
@@ -210,12 +271,46 @@ _totals = {
 def engine_totals() -> dict:
     """Snapshot of batched-engine dispatch since the last reset: runs,
     the flat/scalar record split, and per-reason counts of runs sent to
-    the scalar reference (``flat_declines`` — e.g. every Leeway,
-    perceptron or SHiP run counts one ``predictor``). Diagnostics only —
-    never part of simulation results."""
+    the scalar reference (``flat_declines`` — e.g. every distance-
+    prefetcher or correlation-tracking run counts one ``predictor``,
+    every ground-truth-reference run one ``reference``). Diagnostics
+    only — never part of simulation results."""
     out = dict(_totals)
     out["flat_declines"] = dict(_totals["flat_declines"])
     return out
+
+
+def engine_totals_since(before: dict) -> dict:
+    """:func:`engine_totals` minus an earlier snapshot ``before`` (the
+    dispatch of everything run in between, in this process)."""
+    now = engine_totals()
+    out = {
+        key: now[key] - before[key]
+        for key in ("runs", "flat_records", "scalar_records")
+    }
+    out["flat_declines"] = {
+        why: n - before["flat_declines"].get(why, 0)
+        for why, n in now["flat_declines"].items()
+        if n != before["flat_declines"].get(why, 0)
+    }
+    return out
+
+
+def describe_engine_totals(totals: dict) -> str:
+    """One line for a totals dict: runs, the flat/scalar record split,
+    and the counted decline reasons (if any)."""
+    declines = totals["flat_declines"]
+    return (
+        f"{totals['runs']} runs, {totals['flat_records']} flat / "
+        f"{totals['scalar_records']} scalar records"
+        + (
+            "; flat declines ("
+            + ", ".join(f"{why}: {n}" for why, n in sorted(declines.items()))
+            + ")"
+            if declines
+            else ""
+        )
+    )
 
 
 def reset_engine_totals() -> None:
@@ -289,8 +384,14 @@ class _FlatStepper:
     cbPred's full fill decision (PFQ match, bHIST probe, bypass,
     DP-mark) are replicated inline with identical stat bumps and
     decision-event emissions; dp=False LLC victims make ``on_evict`` a
-    no-op and are skipped. ``fold_xor`` hashes are memoized per run
-    (pure function of its inputs).
+    no-op and are skipped. Any other flat-eligible LLT/LLC listener
+    (:data:`GENERIC_TLB_LISTENERS`, :data:`GENERIC_LLC_LISTENERS`) takes
+    the generic path: the hooks it overrides are called at the scalar
+    lookup's points, and its structure's fills are real ``fill`` calls
+    whose stats go straight to the live counters; the LLC inclusion
+    cascade then continues inline from the returned victim.
+    ``fold_xor`` hashes are memoized per run (pure function of its
+    inputs).
     """
 
     __slots__ = ("m", "_fx_pc", "_fx_vpn", "_fx_blk", "_fx_pgb")
@@ -455,7 +556,7 @@ class _FlatStepper:
         # shadow FIFO and eviction-time training are inlined; shadow
         # *hits* (misprediction refills) and the demote ablation call
         # the real methods.
-        dp = lt_listener
+        dp = lt_listener if type(lt_listener) is DeadPagePredictor else None
         if dp is not None:
             dp_stat = dp.stats.counters
             dp_probe = dp.probe
@@ -525,7 +626,12 @@ class _FlatStepper:
         # fast path resets nothing and allocates; PFQ matches (and the
         # no-PFQ ablation, which predicts on every fill) replicate
         # ``on_fill``'s bHIST probe, bypass, and DP-marking exactly.
-        cb = l3.listener
+        l3_listener = l3.listener
+        cb = (
+            l3_listener
+            if type(l3_listener) is CorrelatingDeadBlockPredictor
+            else None
+        )
         cb_pfq = (
             cb.pfq._members
             if cb is not None and cb.config.use_pfq
@@ -559,6 +665,26 @@ class _FlatStepper:
             pfq_stat = cb.pfq.stats.counters
         else:
             pfq_q = None
+        # --- generic listeners ------------------------------------------ #
+        # Any other flat-eligible LLT/LLC listener: each hook it
+        # overrides is called where the scalar lookup calls it (a no-op
+        # hook is bound as None and skipped), and its structure's fills
+        # go through the real ``fill`` — decision, victim choice,
+        # ``on_evict``, ``filled`` and their stats land on the live
+        # objects, so the local deltas below never count those fills.
+        # LLC hooks read the in-flight PC from the machine's
+        # AccessContext, which is set before every generic LLC call.
+        lt_gen = None if dp is not None else lt_listener
+        # LLT fills the real ``Tlb.fill`` makes: a generic listener's, and
+        # dpPred's under the demote ablation.
+        lt_delegate = dp_demote or lt_gen is not None
+        lt_g_lookup = _own_hook(lt_gen, TlbListener, "on_lookup")
+        lt_g_hit = _own_hook(lt_gen, TlbListener, "on_hit")
+        lt_g_miss = _own_hook(lt_gen, TlbListener, "on_miss")
+        l3_gen = None if cb is not None else l3_listener
+        l3_g_lookup = _own_hook(l3_gen, CacheListener, "on_lookup")
+        l3_g_hit = _own_hook(l3_gen, CacheListener, "on_hit")
+        actx = m.context
         # --- hierarchy / memory / walker -------------------------------- #
         hier = m.hierarchy
         h_stat = hier._stat
@@ -662,6 +788,7 @@ class _FlatStepper:
                     si += 1
                     if pos:
                         m.now = now
+                        actx.pc = pc
                         pwc1._clock = pw1_clk
                         pwc2._clock = pw2_clk
                         pwc3._clock = pw3_clk
@@ -749,6 +876,8 @@ class _FlatStepper:
                         it_misses += 1
                         pfn_i = None
                         set_l = ikey & lt_mask
+                        if lt_g_lookup is not None:
+                            lt_g_lookup(lt, set_l, now)
                         wl = lt_tags[set_l].get(ikey)
                         if wl is None and huge_on and lt._huge_count:
                             # covering 2 MB entry (huge-key namespace)
@@ -767,6 +896,8 @@ class _FlatStepper:
                                 lt_rrpv[set_l][wl] = 0
                             if lt_res is not None:
                                 lt_res.hit((set_l, wl), now)
+                            if lt_g_hit is not None:
+                                lt_g_hit(lt, le, now)
                             pfn_i = le.pfn
                             if huge_on and le.huge:
                                 pfn_i += ivpn & widx_mask
@@ -785,6 +916,12 @@ class _FlatStepper:
                                         penalty = l2_tlb_hit_penalty
                                 else:
                                     d_sh_miss += 1
+                            elif lt_g_miss is not None:
+                                buffered = lt_g_miss(lt, ikey, now)
+                                if buffered is not None:
+                                    lt_vbh += 1
+                                    pfn_i = buffered
+                                    penalty = l2_tlb_hit_penalty
                             if pfn_i is None:
                                 # ---- page walk (walker.walk, the radix
                                 # descent and the PWC probe all inlined) - #
@@ -907,6 +1044,10 @@ class _FlatStepper:
                                     l2_misses += 1
                                     set_c3 = blk & l3_mask
                                     tc3 = l3_tags[set_c3]
+                                    if l3_gen is not None:
+                                        actx.pc = pc
+                                        if l3_g_lookup is not None:
+                                            l3_g_lookup(l3, set_c3, now)
                                     wc3 = tc3.get(blk)
                                     if wc3 is not None:
                                         l3_hits += 1
@@ -921,6 +1062,8 @@ class _FlatStepper:
                                             l3_rrpv[set_c3][wc3] = 0
                                         if l3_res is not None:
                                             l3_res.hit((set_c3, wc3), now)
+                                        if l3_g_hit is not None:
+                                            l3_g_hit(l3, ln, now)
                                         wlat += hl3_lat
                                     else:
                                         l3_misses += 1
@@ -972,7 +1115,9 @@ class _FlatStepper:
                                                 )
                                             else:
                                                 mark_dp = True
-                                        if bypass3:
+                                        if l3_gen is not None:
+                                            victim3 = l3_fill(blk, now)
+                                        elif bypass3:
                                             l3_byp += 1
                                             victim3 = None
                                         else:
@@ -1258,94 +1403,93 @@ class _FlatStepper:
                                     lhuge = True
                                 lt_install = True
                                 lt_pch = pc
-                                if dp is not None:
-                                    if dp_demote:
-                                        lt_fill(
-                                            ivpn, lpfn, pc, now, asid,
-                                            False, lhuge,
+                                if lt_delegate:
+                                    lt_fill(
+                                        ivpn, lpfn, pc, now, asid,
+                                        False, lhuge,
+                                    )
+                                    lt_install = False
+                                elif dp is not None:
+                                    pc_h = fx_pc.get(pc)
+                                    if pc_h is None:
+                                        pc_h = fx_pc[pc] = fold_xor(
+                                            pc, dp_pcbits
                                         )
-                                        lt_install = False
-                                    else:
-                                        pc_h = fx_pc.get(pc)
-                                        if pc_h is None:
-                                            pc_h = fx_pc[pc] = fold_xor(
-                                                pc, dp_pcbits
+                                    lt_pch = pc_h
+                                    if dp_vbits:
+                                        vh = fx_vpn.get(lkey)
+                                        if vh is None:
+                                            vh = fx_vpn[lkey] = (
+                                                fold_xor(
+                                                    lkey, dp_vbits
+                                                )
                                             )
-                                        lt_pch = pc_h
-                                        if dp_vbits:
-                                            vh = fx_vpn.get(lkey)
-                                            if vh is None:
-                                                vh = fx_vpn[lkey] = (
-                                                    fold_xor(
-                                                        lkey, dp_vbits
-                                                    )
-                                                )
-                                        else:
-                                            vh = 0
-                                        doa = (
-                                            ph_vals[pc_h * ph_cols + vh]
-                                            > dp_thresh
-                                        )
-                                        if dp_obs is not None:
-                                            dp_obs(lkey, doa)
-                                        if doa:
-                                            lt_install = False
-                                            d_dp_doap += 1
-                                            if dp_sink is not None:
-                                                # notify_doa_page + PFQ insert inlined
-                                                if pfq_q is None:
-                                                    dp_sink(lpfn)
-                                                else:
-                                                    if lpfn not in pfq_members:
-                                                        if len(pfq_q) >= pfq_cap:
-                                                            pfq_members.discard(
-                                                                pfq_q.popleft()
-                                                            )
-                                                            d_pfq_ev += 1
-                                                        pfq_q.append(lpfn)
-                                                        pfq_members.add(lpfn)
-                                                        d_pfq_ins += 1
-                                                    d_cb_note += 1
-                                                if dp_probe is not None:
-                                                    dp_probe.emit(
-                                                        now, EV_PFQ_PUSH,
-                                                        lpfn,
-                                                    )
-                                            if sh_entries is not None:
-                                                if lkey in sh_entries:
-                                                    del sh_entries[lkey]
-                                                elif (
-                                                    len(sh_entries)
-                                                    >= sh_cap
-                                                ):
-                                                    ev_vpn, _ = (
-                                                        sh_entries.popitem(
-                                                            last=False
+                                    else:
+                                        vh = 0
+                                    doa = (
+                                        ph_vals[pc_h * ph_cols + vh]
+                                        > dp_thresh
+                                    )
+                                    if dp_obs is not None:
+                                        dp_obs(lkey, doa)
+                                    if doa:
+                                        lt_install = False
+                                        d_dp_doap += 1
+                                        if dp_sink is not None:
+                                            # notify_doa_page + PFQ insert inlined
+                                            if pfq_q is None:
+                                                dp_sink(lpfn)
+                                            else:
+                                                if lpfn not in pfq_members:
+                                                    if len(pfq_q) >= pfq_cap:
+                                                        pfq_members.discard(
+                                                            pfq_q.popleft()
                                                         )
-                                                    )
-                                                    d_sh_ev += 1
-                                                    if sh_probe is not None:
-                                                        sh_probe.emit(
-                                                            now,
-                                                            EV_SHADOW_EVICT,
-                                                            ev_vpn,
-                                                        )
-                                                sh_entries[lkey] = (
-                                                    lpfn, pc_h
-                                                )
-                                                d_sh_ins += 1
-                                                if dp_probe is not None:
-                                                    dp_probe.emit(
-                                                        now,
-                                                        EV_SHADOW_PROMOTE,
-                                                        lkey, lpfn,
-                                                    )
+                                                        d_pfq_ev += 1
+                                                    pfq_q.append(lpfn)
+                                                    pfq_members.add(lpfn)
+                                                    d_pfq_ins += 1
+                                                d_cb_note += 1
                                             if dp_probe is not None:
                                                 dp_probe.emit(
-                                                    now, EV_LLT_BYPASS,
+                                                    now, EV_PFQ_PUSH,
+                                                    lpfn,
+                                                )
+                                        if sh_entries is not None:
+                                            if lkey in sh_entries:
+                                                del sh_entries[lkey]
+                                            elif (
+                                                len(sh_entries)
+                                                >= sh_cap
+                                            ):
+                                                ev_vpn, _ = (
+                                                    sh_entries.popitem(
+                                                        last=False
+                                                    )
+                                                )
+                                                d_sh_ev += 1
+                                                if sh_probe is not None:
+                                                    sh_probe.emit(
+                                                        now,
+                                                        EV_SHADOW_EVICT,
+                                                        ev_vpn,
+                                                    )
+                                            sh_entries[lkey] = (
+                                                lpfn, pc_h
+                                            )
+                                            d_sh_ins += 1
+                                            if dp_probe is not None:
+                                                dp_probe.emit(
+                                                    now,
+                                                    EV_SHADOW_PROMOTE,
                                                     lkey, lpfn,
                                                 )
-                                            lt_byp += 1
+                                        if dp_probe is not None:
+                                            dp_probe.emit(
+                                                now, EV_LLT_BYPASS,
+                                                lkey, lpfn,
+                                            )
+                                        lt_byp += 1
                                 if lt_install:
                                     set_l = lkey & lt_mask
                                     tags_l = lt_tags[set_l]
@@ -1558,6 +1702,8 @@ class _FlatStepper:
                         dt_misses += 1
                         pfn = None
                         set_l = dkey & lt_mask
+                        if lt_g_lookup is not None:
+                            lt_g_lookup(lt, set_l, now)
                         wl = lt_tags[set_l].get(dkey)
                         if wl is None and huge_on and lt._huge_count:
                             # covering 2 MB entry (huge-key namespace)
@@ -1576,6 +1722,8 @@ class _FlatStepper:
                                 lt_rrpv[set_l][wl] = 0
                             if lt_res is not None:
                                 lt_res.hit((set_l, wl), now)
+                            if lt_g_hit is not None:
+                                lt_g_hit(lt, le, now)
                             pfn = le.pfn
                             if huge_on and le.huge:
                                 pfn += dvpn & widx_mask
@@ -1594,6 +1742,12 @@ class _FlatStepper:
                                         penalty += l2_tlb_hit_penalty
                                 else:
                                     d_sh_miss += 1
+                            elif lt_g_miss is not None:
+                                buffered = lt_g_miss(lt, dkey, now)
+                                if buffered is not None:
+                                    lt_vbh += 1
+                                    pfn = buffered
+                                    penalty += l2_tlb_hit_penalty
                             if pfn is None:
                                 # ---- page walk (walker.walk, the radix
                                 # descent and the PWC probe all inlined) - #
@@ -1716,6 +1870,10 @@ class _FlatStepper:
                                     l2_misses += 1
                                     set_c3 = blk & l3_mask
                                     tc3 = l3_tags[set_c3]
+                                    if l3_gen is not None:
+                                        actx.pc = pc
+                                        if l3_g_lookup is not None:
+                                            l3_g_lookup(l3, set_c3, now)
                                     wc3 = tc3.get(blk)
                                     if wc3 is not None:
                                         l3_hits += 1
@@ -1730,6 +1888,8 @@ class _FlatStepper:
                                             l3_rrpv[set_c3][wc3] = 0
                                         if l3_res is not None:
                                             l3_res.hit((set_c3, wc3), now)
+                                        if l3_g_hit is not None:
+                                            l3_g_hit(l3, ln, now)
                                         wlat += hl3_lat
                                     else:
                                         l3_misses += 1
@@ -1781,7 +1941,9 @@ class _FlatStepper:
                                                 )
                                             else:
                                                 mark_dp = True
-                                        if bypass3:
+                                        if l3_gen is not None:
+                                            victim3 = l3_fill(blk, now)
+                                        elif bypass3:
                                             l3_byp += 1
                                             victim3 = None
                                         else:
@@ -2067,94 +2229,93 @@ class _FlatStepper:
                                     lhuge = True
                                 lt_install = True
                                 lt_pch = pc
-                                if dp is not None:
-                                    if dp_demote:
-                                        lt_fill(
-                                            dvpn, lpfn, pc, now, asid,
-                                            False, lhuge,
+                                if lt_delegate:
+                                    lt_fill(
+                                        dvpn, lpfn, pc, now, asid,
+                                        False, lhuge,
+                                    )
+                                    lt_install = False
+                                elif dp is not None:
+                                    pc_h = fx_pc.get(pc)
+                                    if pc_h is None:
+                                        pc_h = fx_pc[pc] = fold_xor(
+                                            pc, dp_pcbits
                                         )
-                                        lt_install = False
-                                    else:
-                                        pc_h = fx_pc.get(pc)
-                                        if pc_h is None:
-                                            pc_h = fx_pc[pc] = fold_xor(
-                                                pc, dp_pcbits
+                                    lt_pch = pc_h
+                                    if dp_vbits:
+                                        vh = fx_vpn.get(lkey)
+                                        if vh is None:
+                                            vh = fx_vpn[lkey] = (
+                                                fold_xor(
+                                                    lkey, dp_vbits
+                                                )
                                             )
-                                        lt_pch = pc_h
-                                        if dp_vbits:
-                                            vh = fx_vpn.get(lkey)
-                                            if vh is None:
-                                                vh = fx_vpn[lkey] = (
-                                                    fold_xor(
-                                                        lkey, dp_vbits
-                                                    )
-                                                )
-                                        else:
-                                            vh = 0
-                                        doa = (
-                                            ph_vals[pc_h * ph_cols + vh]
-                                            > dp_thresh
-                                        )
-                                        if dp_obs is not None:
-                                            dp_obs(lkey, doa)
-                                        if doa:
-                                            lt_install = False
-                                            d_dp_doap += 1
-                                            if dp_sink is not None:
-                                                # notify_doa_page + PFQ insert inlined
-                                                if pfq_q is None:
-                                                    dp_sink(lpfn)
-                                                else:
-                                                    if lpfn not in pfq_members:
-                                                        if len(pfq_q) >= pfq_cap:
-                                                            pfq_members.discard(
-                                                                pfq_q.popleft()
-                                                            )
-                                                            d_pfq_ev += 1
-                                                        pfq_q.append(lpfn)
-                                                        pfq_members.add(lpfn)
-                                                        d_pfq_ins += 1
-                                                    d_cb_note += 1
-                                                if dp_probe is not None:
-                                                    dp_probe.emit(
-                                                        now, EV_PFQ_PUSH,
-                                                        lpfn,
-                                                    )
-                                            if sh_entries is not None:
-                                                if lkey in sh_entries:
-                                                    del sh_entries[lkey]
-                                                elif (
-                                                    len(sh_entries)
-                                                    >= sh_cap
-                                                ):
-                                                    ev_vpn, _ = (
-                                                        sh_entries.popitem(
-                                                            last=False
+                                    else:
+                                        vh = 0
+                                    doa = (
+                                        ph_vals[pc_h * ph_cols + vh]
+                                        > dp_thresh
+                                    )
+                                    if dp_obs is not None:
+                                        dp_obs(lkey, doa)
+                                    if doa:
+                                        lt_install = False
+                                        d_dp_doap += 1
+                                        if dp_sink is not None:
+                                            # notify_doa_page + PFQ insert inlined
+                                            if pfq_q is None:
+                                                dp_sink(lpfn)
+                                            else:
+                                                if lpfn not in pfq_members:
+                                                    if len(pfq_q) >= pfq_cap:
+                                                        pfq_members.discard(
+                                                            pfq_q.popleft()
                                                         )
-                                                    )
-                                                    d_sh_ev += 1
-                                                    if sh_probe is not None:
-                                                        sh_probe.emit(
-                                                            now,
-                                                            EV_SHADOW_EVICT,
-                                                            ev_vpn,
-                                                        )
-                                                sh_entries[lkey] = (
-                                                    lpfn, pc_h
-                                                )
-                                                d_sh_ins += 1
-                                                if dp_probe is not None:
-                                                    dp_probe.emit(
-                                                        now,
-                                                        EV_SHADOW_PROMOTE,
-                                                        lkey, lpfn,
-                                                    )
+                                                        d_pfq_ev += 1
+                                                    pfq_q.append(lpfn)
+                                                    pfq_members.add(lpfn)
+                                                    d_pfq_ins += 1
+                                                d_cb_note += 1
                                             if dp_probe is not None:
                                                 dp_probe.emit(
-                                                    now, EV_LLT_BYPASS,
+                                                    now, EV_PFQ_PUSH,
+                                                    lpfn,
+                                                )
+                                        if sh_entries is not None:
+                                            if lkey in sh_entries:
+                                                del sh_entries[lkey]
+                                            elif (
+                                                len(sh_entries)
+                                                >= sh_cap
+                                            ):
+                                                ev_vpn, _ = (
+                                                    sh_entries.popitem(
+                                                        last=False
+                                                    )
+                                                )
+                                                d_sh_ev += 1
+                                                if sh_probe is not None:
+                                                    sh_probe.emit(
+                                                        now,
+                                                        EV_SHADOW_EVICT,
+                                                        ev_vpn,
+                                                    )
+                                            sh_entries[lkey] = (
+                                                lpfn, pc_h
+                                            )
+                                            d_sh_ins += 1
+                                            if dp_probe is not None:
+                                                dp_probe.emit(
+                                                    now,
+                                                    EV_SHADOW_PROMOTE,
                                                     lkey, lpfn,
                                                 )
-                                            lt_byp += 1
+                                        if dp_probe is not None:
+                                            dp_probe.emit(
+                                                now, EV_LLT_BYPASS,
+                                                lkey, lpfn,
+                                            )
+                                        lt_byp += 1
                                 if lt_install:
                                     set_l = lkey & lt_mask
                                     tags_l = lt_tags[set_l]
@@ -2377,6 +2538,10 @@ class _FlatStepper:
                         l2_misses += 1
                         set_3 = block & l3_mask
                         t3 = l3_tags[set_3]
+                        if l3_gen is not None:
+                            actx.pc = pc
+                            if l3_g_lookup is not None:
+                                l3_g_lookup(l3, set_3, now)
                         w3_ = t3.get(block)
                         if w3_ is not None:
                             l3_hits += 1
@@ -2391,6 +2556,8 @@ class _FlatStepper:
                                 l3_rrpv[set_3][w3_] = 0
                             if l3_res is not None:
                                 l3_res.hit((set_3, w3_), now)
+                            if l3_g_hit is not None:
+                                l3_g_hit(l3, ln, now)
                             penalty += llc_hit_penalty
                         else:
                             l3_misses += 1
@@ -2444,7 +2611,9 @@ class _FlatStepper:
                                     )
                                 else:
                                     mark_dp = True
-                            if bypass3:
+                            if l3_gen is not None:
+                                victim3 = l3_fill(block, now)
+                            elif bypass3:
                                 l3_byp += 1
                                 victim3 = None
                             else:
@@ -2900,6 +3069,7 @@ class _FlatStepper:
         pwc2._clock = pw2_clk
         pwc3._clock = pw3_clk
         m.now = now
+        actx.pc = pc
         m.instructions = instructions
         m.cycles = cycles
         m._last_ivpn = None if last_ivpn is None else last_ivpn | abase

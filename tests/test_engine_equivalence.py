@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import repro.sim.engine as engine_mod
 from repro.obs.telemetry import TelemetrySpec
+from repro.predictors import registry
 from repro.sim.config import (
     fast_config,
     hugepage_config,
@@ -379,9 +380,15 @@ COVERAGE = [
     ("mix4", mix4_config(), "mix4", "flat", None),
     ("hugepage", hugepage_config(tlb_predictor="dppred"), "sssp",
      "flat", None),
-    ("leeway", leeway_config(), "sssp", "scalar", "predictor"),
-    ("perceptron", perceptron_config(), "sssp", "scalar", "predictor"),
+    ("leeway", leeway_config(), "sssp", "flat", None),
+    ("perceptron", perceptron_config(), "sssp", "flat", None),
     ("ship", fast_config(tlb_predictor="ship", llc_predictor="ship"),
+     "sssp", "flat", None),
+    ("aip", fast_config(tlb_predictor="aip", llc_predictor="aip"),
+     "sssp", "flat", None),
+    ("oracle", fast_config(tlb_predictor="oracle", llc_predictor="oracle"),
+     "sssp", "flat", None),
+    ("distance_prefetch", fast_config(tlb_predictor="distance_prefetch"),
      "sssp", "scalar", "predictor"),
     ("fifo", fast_config(tlb_policy="fifo"), "sssp", "scalar", "policy"),
     ("random", fast_config(cache_policy="random"), "sssp",
@@ -412,6 +419,41 @@ def test_shipped_profile_coverage(config, workload, mode, reason):
     )
     reference = Machine(config, seed=SEED).run(trace, engine=ENGINE_SCALAR)
     assert result.to_wire() == reference.to_wire()
+
+
+#: Registered predictors the flat interpreter still declines, with the
+#: counted reason. Every other registered name must run flat, so a newly
+#: registered predictor fails here until it is classified.
+EXPECTED_DECLINES = {
+    (registry.KIND_TLB, "distance_prefetch"): "predictor",
+}
+
+
+def _registry_config(kind, name):
+    if kind == registry.KIND_TLB:
+        return fast_config(tlb_predictor=name)
+    # cbPred only runs coupled with dpPred.
+    partner = "dppred" if name.startswith("cbpred") else "none"
+    return fast_config(tlb_predictor=partner, llc_predictor=name)
+
+
+@pytest.mark.parametrize("kind", [registry.KIND_TLB, registry.KIND_LLC])
+def test_every_registered_predictor_is_flat_or_an_expected_decline(kind):
+    trace = get_trace("sssp", 1000, SEED)
+    names = registry.registered_names(kind)
+    assert names
+    for name in names:
+        config = _registry_config(kind, name)
+        machine = Machine(config, seed=SEED)
+        result = machine.run(trace, engine=ENGINE_BATCHED)
+        expected = EXPECTED_DECLINES.get((kind, name))
+        stats = machine.engine_stats
+        assert stats.get("flat_reason") == expected, (kind, name, stats)
+        assert stats["mode"] == ("flat" if expected is None else "scalar")
+        reference = Machine(config, seed=SEED).run(
+            trace, engine=ENGINE_SCALAR
+        )
+        assert result.to_wire() == reference.to_wire(), (kind, name)
 
 
 def test_mix_trace_roundtrips_through_npz(tmp_path):

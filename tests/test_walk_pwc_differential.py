@@ -14,7 +14,10 @@ the telemetry payloads compared here.
 The flat interpreter runs every trace here whole — single-tenant 4 KB,
 ASID-carrying, and huge-mapped — so under both LRU and SRRIP it executes
 the inlined walk (4 KB and 2 MB leaves), the per-ASID keys and the
-context switches between ASID segments on *every* record.
+context switches between ASID segments on *every* record. The last
+differential drives every flat-eligible registry predictor pair through
+the same traces, pinning the flat tier's generic listener path (hooks at
+the lookup sites, fills delegated to the real ``fill``).
 """
 
 import json
@@ -24,8 +27,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.config import fast_config, hugepage_config, mix2_config
-from repro.sim.engine import ENGINE_BATCHED
+from repro.obs.telemetry import TelemetrySpec
+from repro.predictors import registry
+from repro.sim.config import (
+    CacheGeometry,
+    TlbGeometry,
+    fast_config,
+    hugepage_config,
+    mix2_config,
+)
+from repro.sim.engine import (
+    ENGINE_BATCHED,
+    ENGINE_SCALAR,
+    GENERIC_LLC_LISTENERS,
+    GENERIC_TLB_LISTENERS,
+    flat_reason,
+)
+from repro.sim.machine import Machine
 from repro.workloads.trace import Trace
 
 from tests.test_engine_equivalence import (
@@ -215,3 +233,186 @@ def test_walker_pwc_stat_keys_compared():
             m_s.walker.pwc.stats.get(key)
             == m_b.walker.pwc.stats.get(key)
         ), key
+
+
+# --------------------------------------------------------------------- #
+# Registry predictors on the generic listener path
+# --------------------------------------------------------------------- #
+def _generic_pairs():
+    """Every valid (TLB, LLC) registry pair the flat tier runs with at
+    least one listener on its generic path (dpPred/cbPred are inlined
+    and pinned by the differentials above)."""
+    inlined = {"none", "dppred", "dppred_sh", "dppred_demote",
+               "cbpred", "cbpred_nopfq"}
+    pairs = []
+    for tlb in ("none",) + registry.registered_names(registry.KIND_TLB):
+        for llc in ("none",) + registry.registered_names(registry.KIND_LLC):
+            if tlb in inlined and llc in inlined:
+                continue
+            try:
+                config = fast_config(tlb_predictor=tlb, llc_predictor=llc)
+                config.validate()
+            except ValueError:
+                continue
+            if flat_reason(Machine(config, seed=SEED)) is None:
+                pairs.append((tlb, llc))
+    return pairs
+
+
+GENERIC_PAIRS = _generic_pairs()
+
+
+def _observed_run(trace, config, engine, oracle):
+    """One telemetry-on run with every predictor's prediction observer
+    recorded; returns the result, the machine and the observations."""
+    machine = Machine(
+        config,
+        seed=SEED,
+        telemetry=TelemetrySpec(interval=97).build(),
+        oracle_outcomes=oracle[0],
+        llc_oracle_outcomes=oracle[1],
+    )
+    seen = []
+    for side, pred in (
+        ("tlb", machine.tlb_predictor), ("llc", machine.llc_predictor)
+    ):
+        if pred is not None and hasattr(pred, "prediction_observer"):
+            pred.prediction_observer = (
+                lambda key, doa, side=side: seen.append((side, key, doa))
+            )
+    return machine.run(trace, engine=engine), machine, seen
+
+
+#: Structures small enough that a few hundred records evict from every
+#: level, so predictors train, predict and pick victims.
+TINY = dict(
+    l1_itlb=TlbGeometry(4, 2, 1),
+    l1_dtlb=TlbGeometry(4, 2, 1),
+    l2_tlb=TlbGeometry(16, 4, 8),
+    l1d=CacheGeometry(2, 2, 5),
+    l2=CacheGeometry(4, 4, 11),
+    llc=CacheGeometry(8, 4, 40),
+)
+
+
+def _plain(value):
+    """Comparable form of predictor state: per-entry ``aux`` objects by
+    their slots, counter arrays by their values, stats by snapshot."""
+    if hasattr(value, "__slots__") and not isinstance(value, tuple):
+        return tuple(_plain(getattr(value, s)) for s in value.__slots__)
+    if hasattr(value, "_values"):
+        return list(value._values)
+    if hasattr(value, "counters"):
+        return value.snapshot()
+    return value
+
+
+def _predictor_state(machine):
+    """Each generic-path predictor's own tables and stats, its core's,
+    and the ``aux`` metadata of every resident LLT entry and LLC line.
+    Inlined dpPred/cbPred contribute their stats only: the inline keeps
+    their tables exact, not their between-hook scratch fields."""
+    state = {}
+    for side, pred in (
+        ("tlb", machine.tlb_predictor), ("llc", machine.llc_predictor)
+    ):
+        if pred is None:
+            continue
+        if type(pred) not in GENERIC_TLB_LISTENERS | GENERIC_LLC_LISTENERS:
+            state[side] = pred.stats.snapshot()
+            continue
+        for owner, obj in ((side, pred), (side + "_core",
+                                          getattr(pred, "core", None))):
+            if obj is None:
+                continue
+            state[owner] = {
+                name: _plain(value)
+                for name, value in vars(obj).items()
+                if isinstance(value, (bool, int, list, dict))
+                or hasattr(value, "_values")
+                or hasattr(value, "counters")
+            }
+    state["llt_aux"] = [
+        (entry.vpn, _plain(entry.aux))
+        for ways in machine.l2_tlb._entries
+        for entry in ways
+        if entry is not None
+    ]
+    state["llc_aux"] = [
+        (line.tag, _plain(line.aux))
+        for ways in machine.llc._lines
+        for line in ways
+        if line is not None
+    ]
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=SCHEDULED_RECORDS,
+    pair=st.sampled_from(GENERIC_PAIRS),
+    policy=st.sampled_from(["lru", "srrip"]),
+    scenario=st.sampled_from(["plain", "mix2", "huge"]),
+    oracle_replay=st.booleans(),
+    slices=st.lists(st.integers(1, 50), min_size=1, max_size=8),
+)
+def test_registry_pairs_match_scalar(
+    records, pair, policy, scenario, oracle_replay, slices
+):
+    """Every flat-eligible registry pair x LRU/SRRIP x {plain, mix2 ASID
+    schedule, huge_fraction 0.5} on tiny structures, telemetry on: wire
+    bytes, timeline samples, decision-event rings, each predictor's
+    tables, stats and prediction-observer sequence, and the per-entry
+    predictor metadata match the scalar engine, and the run is wholly
+    flat. Oracle pairs also replay pass 1's outcomes (pass 2)."""
+    tlb, llc = pair
+    kwargs = dict(
+        tlb_predictor=tlb,
+        llc_predictor=llc,
+        tlb_policy=policy,
+        cache_policy=policy,
+        **TINY,
+    )
+    asids = None
+    if scenario == "mix2":
+        config = mix2_config(**kwargs)
+        asids = schedule_asids(
+            len(records),
+            [(1 + i % 2, slices[i % len(slices)]) for i in range(len(records))],
+        )
+    elif scenario == "huge":
+        config = fast_config(huge_fraction=0.5, **kwargs)
+    else:
+        config = fast_config(**kwargs)
+    trace = build_walk_trace(records, asids=asids)
+    oracle = (None, None)
+    if oracle_replay and "oracle" in pair:
+        _, recorder, _ = _observed_run(trace, config, ENGINE_SCALAR, oracle)
+        oracle = (
+            getattr(recorder.oracle_recorder, "outcomes", None),
+            getattr(recorder.llc_oracle_recorder, "outcomes", None),
+        )
+    r_s, m_s, seen_s = _observed_run(trace, config, ENGINE_SCALAR, oracle)
+    r_b, m_b, seen_b = _observed_run(trace, config, ENGINE_BATCHED, oracle)
+    assert r_s.to_wire() == r_b.to_wire()
+    tel_s, tel_b = m_s.telemetry, m_b.telemetry
+    assert tel_s.timeline.to_payload() == tel_b.timeline.to_payload()
+    assert (
+        json.dumps(tel_s.probe.events()).encode()
+        == json.dumps(tel_b.probe.events()).encode()
+    )
+    assert tel_s.probe.emitted == tel_b.probe.emitted
+    assert seen_s == seen_b
+    assert _predictor_state(m_s) == _predictor_state(m_b)
+    assert m_s.context.pc == m_b.context.pc
+    assert_wholly_flat(m_b, trace)
+
+
+def test_generic_pairs_cover_every_flat_family():
+    """Guard the guard: the sampled pairs include each generic family on
+    both structures."""
+    tlbs = {tlb for tlb, _ in GENERIC_PAIRS}
+    llcs = {llc for _, llc in GENERIC_PAIRS}
+    for name in ("leeway", "perceptron", "ship", "aip", "oracle"):
+        assert name in tlbs and name in llcs, name
+    assert "distance_prefetch" not in tlbs
