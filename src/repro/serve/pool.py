@@ -73,7 +73,7 @@ class ServePool:
             return _execute_cell(
                 request, 1, None, telemetry_spec, in_pool=False
             )
-        task = (request, 1, None, telemetry_spec, ())
+        task = (request, 1, None, telemetry_spec, None)
         try:
             return self._warm.executor().submit(_worker_cell, task).result()
         except BrokenProcessPool:

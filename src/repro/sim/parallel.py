@@ -32,6 +32,14 @@ like the parent would; determinism is inherited from the simulator
 (results are bit-identical across ``jobs=1`` and ``jobs=N``, and across
 clean, retried, and resumed executions).
 
+Traces reach pooled workers through shared memory
+(:mod:`repro.workloads.shm`), and publishing is pipelined with dispatch:
+the pending cells are grouped by trace, the parent publishes the first
+group's trace and submits its cells, then generates and publishes the
+next group's while the workers simulate (see
+:meth:`_Supervisor.run_pool`). Each task carries only its own trace's
+descriptor.
+
 Deterministic fault injection for tests goes through ``faults=`` — a
 :class:`repro.sim.faults.FaultPlan` killing, hanging, or corrupting
 chosen cells; see ``tests/test_sim_faults.py``.
@@ -207,44 +215,38 @@ def resolve_retry(retry: Optional[RetryPolicy] = None) -> RetryPolicy:
 # ---------------------------------------------------------------------- #
 # Worker side
 # ---------------------------------------------------------------------- #
-#: Worker-side memo of shared-trace keys already attached, so tasks that
-#: ship descriptors (reused warm pools see traces published *after* pool
-#: start) attach each segment at most once per worker process.
+#: Worker-side memo of shared-trace keys already attached, so the tasks
+#: that carry a trace's descriptor attach its segment at most once per
+#: worker process.
 _attached_trace_keys: set = set()
 
 
-def _attach_shared_traces(shm_descriptors: Sequence[dict]) -> None:
-    """Attach published shared-memory traces this worker has not seen yet
-    and register them with the suite's shared-trace registry."""
-    if not shm_descriptors:
+def _attach_shared_trace(descriptor: Optional[dict]) -> None:
+    """Attach a published shared-memory trace this worker has not seen
+    yet and register it with the suite's shared-trace registry."""
+    if descriptor is None:
+        return
+    key = tuple(descriptor["key"])
+    if key in _attached_trace_keys:
         return
     from repro.workloads import shm, suite
 
-    for descriptor in shm_descriptors:
-        key = tuple(descriptor["key"])
-        if key in _attached_trace_keys:
-            continue
-        trace = shm.attach_trace(descriptor)
-        if trace is None:
-            # Segment gone (parent closed its arena): fall back to the
-            # ordinary generate/disk-load path, and retry next time in
-            # case the same key is re-published.
-            continue
-        _attached_trace_keys.add(key)
-        name, budget, seed = descriptor["key"]
-        suite.register_shared_trace(name, int(budget), int(seed), trace)
+    trace = shm.attach_trace(descriptor)
+    if trace is None:
+        # Segment gone (parent closed its arena): fall back to the
+        # ordinary generate/disk-load path, and retry next time in case
+        # the same key is re-published.
+        return
+    _attached_trace_keys.add(key)
+    name, budget, seed = key
+    suite.register_shared_trace(name, int(budget), int(seed), trace)
 
 
-def _worker_init(
-    cache_directory: Optional[str],
-    obs_state=None,
-    shm_descriptors: Sequence[dict] = (),
-) -> None:
+def _worker_init(cache_directory: Optional[str], obs_state=None) -> None:
     """Propagate the parent's disk-cache and auto-telemetry settings into
     pool workers (the fork start method would inherit them, but spawn
     would not), pre-import the simulator's lazily-loaded hot modules,
-    attach any shared-memory traces the parent published, and mark the
-    process as a supervised worker."""
+    and mark the process as a supervised worker."""
     global _in_pool_worker
     _in_pool_worker = True
     # Front-load the imports every cell would otherwise pay inside its
@@ -261,7 +263,6 @@ def _worker_init(
     else:
         diskcache.disable()
     obs_telemetry.set_auto_state(obs_state)
-    _attach_shared_traces(shm_descriptors)
 
 
 def _execute_cell(request, attempt, faults, telemetry_spec, in_pool):
@@ -296,8 +297,10 @@ def _execute_cell(request, attempt, faults, telemetry_spec, in_pool):
 
 
 def _worker_cell(args) -> tuple:
-    request, attempt, faults, telemetry_spec, shm_descriptors = args
-    _attach_shared_traces(shm_descriptors)
+    """Pool task: attach the cell's own published trace (``None`` when it
+    travels no shared-memory descriptor), then run the cell."""
+    request, attempt, faults, telemetry_spec, shm_descriptor = args
+    _attach_shared_trace(shm_descriptor)
     return _execute_cell(
         request, attempt, faults, telemetry_spec, _in_pool_worker
     )
@@ -338,21 +341,16 @@ class WarmPool:
     Disk-cache and telemetry settings are captured at each executor
     (re)creation, so a pool built before ``diskcache.enable()`` picks the
     setting up on its next rebuild; :func:`shared_warm_pool` goes further
-    and rebuilds automatically when the settings change. Traces published
-    to shared memory after pool start are shipped per-task (see
-    :func:`_worker_cell`), so a reused pool still gets zero-copy traces.
+    and rebuilds automatically when the settings change. Each task carries
+    its own trace's shared-memory descriptor (see :func:`_worker_cell`),
+    so fresh, rebuilt and reused workers all get zero-copy traces.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        shm_descriptors: Sequence[dict] = (),
-    ):
+    def __init__(self, max_workers: Optional[int] = None):
         cores = os.cpu_count() or 1
         if max_workers is None:
             max_workers = cores
         self.max_workers = max(1, min(max_workers, cores))
-        self._descriptors = tuple(shm_descriptors)
         self._lock = threading.RLock()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._settings: Optional[tuple] = None
@@ -376,7 +374,7 @@ class WarmPool:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     initializer=_worker_init,
-                    initargs=self._settings + (self._descriptors,),
+                    initargs=self._settings,
                 )
             return self._executor
 
@@ -554,31 +552,50 @@ class _Supervisor:
         self,
         pending: Sequence[RunRequest],
         jobs: int,
-        shm_descriptors: Sequence[dict] = (),
+        arena=None,
         pool: Optional[WarmPool] = None,
     ) -> None:
+        """Drive ``pending`` over a worker pool (transient, or a borrowed
+        :class:`WarmPool`).
+
+        With a shared-memory ``arena``, trace publishing is pipelined
+        with dispatch. The cells are grouped by trace key in declared
+        order, and :func:`_publish_traces` makes a group's trace in this
+        process and returns the descriptor its tasks carry (``None``:
+        workers make the trace themselves). The first group is published
+        before any cell is submitted; each later one as soon as every
+        published cell has been submitted, so the parent generates the
+        next trace while the workers simulate and never runs more than
+        one group ahead. Without an arena every cell is dispatchable at
+        once.
+
+        Publishing runs on the supervising thread, so completions and
+        the per-run deadline sweep wait for it. Deadlines are absolute,
+        so a hung cell is still caught, but up to one trace generation
+        late.
+        """
         # Never oversubscribe the machine: workers beyond the real core
         # count only add scheduling and startup overhead (the requested
         # job count is an upper bound, not a demand).
         max_workers = min(jobs, len(pending), os.cpu_count() or 1)
         own_pool = pool is None
         if own_pool:
-            # Transient pool: bakes this matrix's shm descriptors into
-            # the initargs so rebuilt workers re-attach the segments.
-            pool = WarmPool(max_workers, shm_descriptors)
+            pool = WarmPool(max_workers)
         else:
             pool.acquire()
             max_workers = min(max_workers, pool.max_workers)
-        # Borrowed (warm) pools may predate this matrix's published
-        # traces, so descriptors also ride along with every task and
-        # workers attach unseen segments on demand.
-        task_descriptors = tuple(shm_descriptors)
 
-        queue = deque(pending)
+        descriptors: Dict[RunRequest, dict] = {}
+        if arena is None:
+            groups: deque = deque()
+            queue = deque(pending)
+        else:
+            groups = deque(_group_by_trace(pending))
+            queue = deque()
         inflight: Dict = {}  # future -> (request, deadline or None)
         executor = pool.executor()
         try:
-            while queue or inflight:
+            while queue or inflight or groups:
                 # Sliding window: at most max_workers outstanding, so a
                 # submitted cell starts (nearly) immediately and its
                 # deadline measures run time, not queueing time.
@@ -595,7 +612,7 @@ class _Supervisor:
                         future = executor.submit(
                             _worker_cell,
                             (request, attempt, self.faults,
-                             self.telemetry_spec, task_descriptors),
+                             self.telemetry_spec, descriptors.get(request)),
                         )
                     except BrokenProcessPool:
                         # A worker died between the completion sweep and
@@ -611,6 +628,16 @@ class _Supervisor:
                     executor = self._rebuild_broken_pool(
                         pool, inflight, queue
                     )
+                    continue
+
+                if groups and not queue:
+                    # Every published cell is submitted: make the next
+                    # trace while the workers simulate, then dispatch it.
+                    group = groups.popleft()
+                    descriptor = _publish_traces(group, arena)
+                    if descriptor is not None:
+                        descriptors.update(dict.fromkeys(group, descriptor))
+                    queue.extend(group)
                     continue
 
                 wait_for = None
@@ -897,11 +924,11 @@ def run_matrix(
         if jobs <= 1 or len(pending) <= 1:
             supervisor.run_serial(pending)
         else:
-            descriptors: Sequence[dict] = ()
-            arena = _publish_traces(pending)
-            if arena is not None:
-                descriptors = arena.descriptors
-            supervisor.run_pool(pending, jobs, descriptors, pool=pool)
+            from repro.workloads import shm
+
+            if shm.shm_enabled():
+                arena = shm.SharedTraceArena()
+            supervisor.run_pool(pending, jobs, arena, pool=pool)
         # Own leaders are done (and resolved); now collect cells other
         # threads were computing. Safe to block: every leader eventually
         # resolves or abandons its key in a ``finally`` like this one.
@@ -934,33 +961,38 @@ def run_matrix(
     return {req: results[req] for req in unique}
 
 
-def _publish_traces(pending: Sequence[RunRequest]):
-    """Publish each distinct pending trace to shared memory (best effort).
+def _trace_key(request: RunRequest) -> tuple:
+    """The suite memo key ``(name, budget, seed)`` a cell's trace has."""
+    return (request.workload, request.budget, request.seed)
 
-    Returns the owning arena, or None when the transport is disabled or
-    unavailable (workers then regenerate traces as before). Generating in
-    the parent is not wasted work: traces are deterministic and memoised,
-    so the parent pays each one once and every worker maps it for free.
+
+def _group_by_trace(pending: Sequence[RunRequest]) -> List[List[RunRequest]]:
+    """``pending`` split into one group per distinct trace, groups in
+    order of first appearance and cells in declared order within each."""
+    groups: Dict[tuple, List[RunRequest]] = {}
+    for req in pending:
+        groups.setdefault(_trace_key(req), []).append(req)
+    return list(groups.values())
+
+
+def _publish_traces(group: Sequence[RunRequest], arena) -> Optional[dict]:
+    """Publish one trace group's trace to shared memory (best effort).
+
+    Returns the trace's descriptor, or None when it cannot be published
+    (the group's workers then make the trace themselves, as with
+    ``REPRO_SHM=0``). Generating in the parent is not wasted work: traces
+    are deterministic and memoised, so the parent pays each one once and
+    every worker maps it for free.
     """
-    from repro.workloads import shm, suite
+    from repro.workloads import suite
 
-    if not shm.shm_enabled():
-        return None
-    arena = shm.SharedTraceArena()
+    key = _trace_key(group[0])
     try:
-        seen = set()
-        for req in pending:
-            key = (req.workload, req.budget, req.seed)
-            if key in seen:
-                continue
-            seen.add(key)
-            arena.publish(key, suite.get_trace(*key))
+        return arena.publish(key, suite.get_trace(*key))
     except Exception:
         # /dev/shm full or read-only, exotic platform, trace error — the
         # pool path works without the transport, so degrade silently.
-        arena.close()
         return None
-    return arena
 
 
 def _label(request: RunRequest) -> str:

@@ -55,22 +55,64 @@ class CsrGraph:
         skew: float = 0.0,
     ) -> "CsrGraph":
         """Random directed graph; ``skew`` > 0 biases targets towards hub
-        vertices with a Pareto-shaped in-degree (graph500-style)."""
+        vertices with a Pareto-shaped in-degree (graph500-style).
+
+        Edges are grouped by source with :func:`radix_argsort`, a two-pass
+        LSD radix sort over the 24-bit vertex ids. A stable sort's
+        permutation is unique, so the graph is identical to the one an
+        int64 stable argsort would give, at about a third of the cost.
+        """
         rng = np.random.RandomState(seed)
         m = num_vertices * avg_degree
         sources = rng.randint(0, num_vertices, size=m)
+        # Sort before drawing targets (the sort consumes no randomness),
+        # so the sources and the targets are never both alive at peak.
+        counts = np.bincount(sources, minlength=num_vertices)
+        order = radix_argsort(sources)
+        del sources
         if skew > 0:
+            # In place, in the order ``(raw * n * 0.05) % n`` evaluates.
             raw = rng.pareto(skew, size=m)
-            targets = (raw * num_vertices * 0.05).astype(np.int64) % num_vertices
+            raw *= num_vertices
+            raw *= 0.05
+            targets = raw.astype(np.int64)
+            del raw
+            targets %= num_vertices
         else:
             targets = rng.randint(0, num_vertices, size=m)
-        order = np.argsort(sources, kind="stable")
-        sources = sources[order]
-        targets = targets[order].astype(np.int64)
-        counts = np.bincount(sources, minlength=num_vertices)
+        targets = targets[order].astype(np.int64, copy=False)
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return cls(offsets, targets)
+
+
+#: Keys below this bound take the two-digit radix path.
+RADIX_KEY_BOUND = 1 << 24
+
+
+def radix_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys, via LSD radix.
+
+    Keys in ``[0, 2**24)`` sort as a stable argsort of the low 16 bits
+    (``uint16``, which numpy radix-sorts) followed by a stable argsort of
+    the ``uint8`` high digit taken in that order. Each digit is narrowed
+    straight into its small dtype, so no full-width temporary is made.
+    Any other keys fall back to numpy's stable argsort.
+    """
+    n = len(keys)
+    if n == 0 or keys.min() < 0 or keys.max() >= RADIX_KEY_BOUND:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    high = np.right_shift(
+        keys, 16, out=np.empty(n, dtype=np.uint8), casting="unsafe"
+    )
+    result = np.argsort(high[order], kind="stable")
+    del high
+    # Compose the passes into ``result`` itself: element i reads
+    # result[i] before overwriting it, and "clip" mode (every index is in
+    # range) skips the buffered copy that "raise" would make.
+    np.take(order, result, out=result, mode="clip")
+    return result
 
 
 class GraphWorkload(Workload):

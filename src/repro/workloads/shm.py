@@ -2,12 +2,18 @@
 
 The matrix executor used to rely on each worker regenerating (or disk-
 loading) its traces, and any pickled fallback shipped megabytes of numpy
-per cell. Instead, the parent publishes each distinct trace's four arrays
-once into one ``multiprocessing.shared_memory`` segment and hands workers
-a small descriptor (segment name + per-field dtype/count/offset). Workers
-attach read-only numpy views — no copy, no pickling — and register the
-reconstructed :class:`~repro.workloads.trace.Trace` with the suite's
-shared-trace registry so the ordinary ``get_trace`` path finds it.
+per cell. Instead, the parent publishes each distinct trace's arrays
+once into one ``multiprocessing.shared_memory`` segment, and every task
+carries its trace's small descriptor (segment name + per-field
+dtype/count/offset). Workers attach read-only numpy views — no copy, no
+pickling — and register the reconstructed
+:class:`~repro.workloads.trace.Trace` with the suite's shared-trace
+registry so the ordinary ``get_trace`` path finds it.
+
+Publishing is pipelined with dispatch rather than done up front: the
+executor publishes one trace, submits its cells, and publishes the next
+while workers simulate (:meth:`repro.sim.parallel._Supervisor.run_pool`),
+so one arena grows a segment at a time over the matrix.
 
 Lifecycle: the parent owns every segment and unlinks on ``close()`` (the
 matrix executor's ``finally``). Workers only ever attach; attached
@@ -105,9 +111,9 @@ class SharedTraceArena:
         self.descriptors.clear()
 
 
-#: Worker-side: attached segments, keyed by name so repeated initializer
-#: runs (pool rebuild after a crash) don't re-attach, and referenced for
-#: the process lifetime so the numpy views stay backed.
+#: Worker-side: attached segments, keyed by name so repeated attaches of
+#: one segment map it once, and referenced for the process lifetime so
+#: the numpy views stay backed.
 _attached: Dict[str, object] = {}
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -179,8 +179,18 @@ class Trace:
             )
 
 
+#: dtypes of the ``pcs``, ``writes`` and ``gaps`` arrays a builder makes.
+_RUN_DTYPES = (np.uint64, np.bool_, np.uint16)
+
+
 class TraceBuilder:
-    """Accumulates accesses (scalars or vectorised chunks) into a Trace."""
+    """Accumulates accesses (scalars or vectorised chunks) into a Trace.
+
+    A uniform chunk (one PC / write flag / gap) is recorded as a
+    ``(pc, write, gap, n)`` run rather than three filled arrays; ``build``
+    expands each stretch of consecutive runs with one ``np.repeat`` per
+    field. Interleaved chunks are kept as the arrays they arrive as.
+    """
 
     def __init__(self, name: str, budget: int):
         if budget <= 0:
@@ -188,10 +198,10 @@ class TraceBuilder:
         self.name = name
         self.budget = budget
         self._count = 0
-        self._pcs: List[np.ndarray] = []
         self._vaddrs: List[np.ndarray] = []
-        self._writes: List[np.ndarray] = []
-        self._gaps: List[np.ndarray] = []
+        #: In emission order: a list of uniform runs, or one interleaved
+        #: chunk's ``(pcs, writes, gaps)`` arrays.
+        self._segments: List[Union[list, tuple]] = []
 
     @property
     def remaining(self) -> int:
@@ -225,10 +235,11 @@ class TraceBuilder:
         n = len(vaddrs)
         if n == 0:
             return
-        self._pcs.append(np.full(n, pc, dtype=np.uint64))
+        segments = self._segments
+        if not segments or not isinstance(segments[-1], list):
+            segments.append([])
+        segments[-1].append((pc, write, gap, n))
         self._vaddrs.append(np.asarray(vaddrs, dtype=np.uint64))
-        self._writes.append(np.full(n, write, dtype=bool))
-        self._gaps.append(np.full(n, gap, dtype=np.uint16))
         self._count += n
 
     def emit_interleaved(
@@ -243,19 +254,28 @@ class TraceBuilder:
         if room <= 0:
             return
         n = min(room, len(vaddrs))
-        self._pcs.append(np.asarray(pcs[:n], dtype=np.uint64))
+        self._segments.append((
+            np.asarray(pcs[:n], dtype=np.uint64),
+            np.asarray(writes[:n], dtype=bool),
+            np.asarray(gaps[:n], dtype=np.uint16),
+        ))
         self._vaddrs.append(np.asarray(vaddrs[:n], dtype=np.uint64))
-        self._writes.append(np.asarray(writes[:n], dtype=bool))
-        self._gaps.append(np.asarray(gaps[:n], dtype=np.uint16))
         self._count += n
 
     def build(self) -> Trace:
         if self._count == 0:
             raise ValueError(f"trace {self.name!r} is empty")
+        fields: Tuple[List[np.ndarray], ...] = ([], [], [])
+        for segment in self._segments:
+            if isinstance(segment, list):
+                *values, counts = zip(*segment)
+                segment = tuple(
+                    np.repeat(np.array(column, dtype=dtype), counts)
+                    for column, dtype in zip(values, _RUN_DTYPES)
+                )
+            for field, arr in zip(fields, segment):
+                field.append(arr)
+        pcs, writes, gaps = (np.concatenate(field) for field in fields)
         return Trace(
-            self.name,
-            np.concatenate(self._pcs),
-            np.concatenate(self._vaddrs),
-            np.concatenate(self._writes),
-            np.concatenate(self._gaps),
+            self.name, pcs, np.concatenate(self._vaddrs), writes, gaps
         )

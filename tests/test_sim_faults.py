@@ -220,6 +220,28 @@ class TestPoolFaults:
         assert EV_POOL_REBUILD in kinds
         assert EV_RUN_RETRY in kinds
 
+    def test_hard_kill_on_trace_published_after_pool_start(
+        self, clean_fingerprints, monkeypatch
+    ):
+        """cg.B's trace is published while the pool already runs mcf: the
+        workers that replace the killed one attach it from the task's own
+        descriptor."""
+        from tests.test_sim_parallel import record_dispatch
+
+        events = record_dispatch(monkeypatch)
+        requests = _requests()
+        results = run_matrix(
+            requests, jobs=2, retry=NO_BACKOFF,
+            faults=FaultPlan.kill("cg.B", seed=42),  # hard: os._exit(87)
+        )
+        assert _fingerprints(requests, results) == clean_fingerprints
+        assert events.index(("submit", "mcf")) < events.index(
+            ("publish", "cg.B")
+        )
+        kinds = _event_kinds()
+        assert EV_POOL_REBUILD in kinds
+        assert EV_RUN_RETRY in kinds
+
     def test_hang_times_out_and_recovers(self, clean_fingerprints):
         requests = _requests()
         results = run_matrix(

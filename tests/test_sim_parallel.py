@@ -14,6 +14,7 @@ from repro.sim.parallel import (
     set_default_jobs,
 )
 from repro.sim.runner import cached_result, clear_run_cache
+from repro.workloads import suite
 from repro.workloads.suite import clear_trace_cache
 
 BUDGET = 2000
@@ -112,6 +113,89 @@ class TestRunMatrix:
         results = run_matrix([req], jobs=1)
         hit = cached_result(req.workload, req.config, req.budget, req.seed)
         assert hit is results[req]
+
+
+def record_dispatch(monkeypatch) -> list:
+    """Log the parent's ``("publish", workload)`` and ``("submit",
+    workload)`` steps, in order, while keeping their behaviour."""
+    events = []
+    real_publish = parallel._publish_traces
+    real_next_attempt = parallel._Supervisor._next_attempt
+
+    def publish(group, arena):
+        events.append(("publish", group[0].workload))
+        return real_publish(group, arena)
+
+    def next_attempt(self, request):
+        events.append(("submit", request.workload))
+        return real_next_attempt(self, request)
+
+    monkeypatch.setattr(parallel, "_publish_traces", publish)
+    monkeypatch.setattr(parallel._Supervisor, "_next_attempt", next_attempt)
+    return events
+
+
+class TestPipelinedDispatch:
+    """Traces are published one group at a time, overlapped with the
+    simulation of the cells already submitted."""
+
+    WORKLOADS = ("mcf", "cg.B", "lbm")
+
+    def _requests(self):
+        return [
+            RunRequest(wl, cfg, BUDGET)
+            for wl in self.WORKLOADS
+            for cfg in (fast_config(), fast_config(tlb_predictor="dppred"))
+        ]
+
+    def _cold(self, requests, jobs):
+        clear_run_cache()
+        clear_trace_cache()
+        return _fingerprints(run_matrix(requests, jobs=jobs))
+
+    @pytest.mark.parametrize("shm", ["1", "0"])
+    def test_bit_identical_across_jobs(self, monkeypatch, shm):
+        monkeypatch.setenv("REPRO_SHM", shm)
+        requests = self._requests()
+        assert self._cold(requests, 1) == self._cold(requests, 2)
+
+    def test_first_cell_submitted_before_last_trace_generated(
+        self, monkeypatch
+    ):
+        events = record_dispatch(monkeypatch)
+        self._cold(self._requests(), 2)
+        publishes = [e for e in events if e[0] == "publish"]
+        assert publishes == [("publish", wl) for wl in self.WORKLOADS]
+        assert events[0] == ("publish", "mcf")
+        assert events.index(("submit", "mcf")) < events.index(publishes[-1])
+
+    def test_each_trace_generated_once_in_parent(self, monkeypatch):
+        generated = []
+        real_make = suite.make_workload
+
+        def counting_make(name, seed=42):
+            generated.append(name)
+            return real_make(name, seed)
+
+        monkeypatch.setattr(suite, "make_workload", counting_make)
+        self._cold(self._requests(), 2)
+        assert sorted(generated) == sorted(self.WORKLOADS)
+
+    def test_no_publishing_without_shm(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM", "0")
+        events = record_dispatch(monkeypatch)
+        self._cold(self._requests(), 2)
+        assert [e for e in events if e[0] == "publish"] == []
+
+    def test_group_by_trace_keeps_declared_order(self):
+        a, b = fast_config(), fast_config(tlb_predictor="dppred")
+        requests = [
+            RunRequest("mcf", a, BUDGET), RunRequest("lbm", a, BUDGET),
+            RunRequest("mcf", b, BUDGET), RunRequest("mcf", a, BUDGET, 7),
+        ]
+        assert parallel._group_by_trace(requests) == [
+            [requests[0], requests[2]], [requests[1]], [requests[3]],
+        ]
 
 
 class TestMatrixPlan:

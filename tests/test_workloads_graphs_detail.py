@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads.graphs import (
     EDGE_SIZE,
     OFFSET_SIZE,
+    RADIX_KEY_BOUND,
     VALUE_SIZE,
     Bfs,
+    CsrGraph,
     GraphWorkload,
     PageRank,
     TriangleCounting,
+    radix_argsort,
 )
 
 BUDGET = 6000
@@ -118,3 +123,58 @@ class TestLayout:
         wl = SmallPr(seed=1)
         wl.generate(1000)
         assert wl.space.base("rank_new") > wl.space.base("rank")
+
+
+class TestRadixArgsort:
+    """``radix_argsort`` is ``np.argsort(kind="stable")``, element for
+    element: a stable sort's permutation is unique, so any difference is
+    a bug, not a tie broken another way."""
+
+    @staticmethod
+    def check(keys):
+        got = radix_argsort(keys)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.argsort(keys, kind="stable"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        # One-digit keys, keys past 2**16 (both digits), the last radix
+        # bound, and bounds that put keys at or above the fallback.
+        bound=st.sampled_from([
+            1, 3, 1 << 8, 1 << 16, (1 << 16) + 7, 1 << 20,
+            RADIX_KEY_BOUND, RADIX_KEY_BOUND + 1, 1 << 40,
+        ]),
+        dtype=st.sampled_from([np.int64, np.uint64, np.int32]),
+    )
+    def test_matches_stable_argsort(self, data, bound, dtype):
+        bound = min(bound, np.iinfo(dtype).max)
+        low = data.draw(st.sampled_from([0, max(0, bound - 300)]))
+        keys = data.draw(st.lists(st.integers(low, bound - 1), max_size=300))
+        self.check(np.asarray(keys, dtype=dtype))
+
+    def test_empty(self):
+        self.check(np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("key", [0, 5, (1 << 16) + 3, RADIX_KEY_BOUND - 1,
+                                     RADIX_KEY_BOUND, 1 << 33])
+    def test_all_equal_keys_keep_input_order(self, key):
+        self.check(np.full(1000, key, dtype=np.int64))
+
+    def test_negative_keys_fall_back(self):
+        self.check(np.asarray([3, -1, 2, -1, 0], dtype=np.int64))
+
+    def test_graph_sized_input_with_heavy_ties(self):
+        rng = np.random.RandomState(3)
+        self.check(rng.randint(0, 150_000, size=200_000))
+
+    def test_random_graph_grouped_by_source(self):
+        rng = np.random.RandomState(9)
+        sources = rng.randint(0, 300, size=300 * 5)
+        targets = rng.randint(0, 300, size=300 * 5)
+        order = np.argsort(sources, kind="stable")
+        g = CsrGraph.random(300, 5, seed=9)
+        np.testing.assert_array_equal(g.targets, targets[order])
+        np.testing.assert_array_equal(
+            np.diff(g.offsets), np.bincount(sources, minlength=300)
+        )

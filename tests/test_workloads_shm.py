@@ -86,19 +86,26 @@ def test_descriptor_is_json_safe():
         arena.close()
 
 
-def test_worker_init_attaches_descriptors():
-    """_worker_init with descriptors registers attached traces, exactly as
-    a pool worker would experience it."""
-    from repro.sim.parallel import _worker_init
+def test_worker_cell_attaches_descriptor(monkeypatch):
+    """A pool task attaches its own trace's descriptor before the cell
+    runs, so the cell's get_trace maps the segment instead of generating."""
+    import repro.sim.parallel as parallel
+    from repro.sim.config import fast_config
 
+    def run_cell(request, attempt, faults, telemetry_spec, in_pool):
+        return suite.get_trace(request.workload, request.budget, request.seed)
+
+    monkeypatch.setattr(parallel, "_execute_cell", run_cell)
+    monkeypatch.setattr(parallel, "_attached_trace_keys", set())
     trace = make_trace(name="locality")
     arena = shm.SharedTraceArena()
     try:
         descriptor = arena.publish(("locality", 77, 5), trace)
-        _worker_init(None, None, (descriptor,))
         suite.clear_trace_cache()
-        got = suite.get_trace("locality", 77, 5)
+        request = parallel.RunRequest("locality", fast_config(), 77, 5)
+        got = parallel._worker_cell((request, 1, None, None, descriptor))
         np.testing.assert_array_equal(got.vaddrs, trace.vaddrs)
+        assert not got.vaddrs.flags.writeable
     finally:
         arena.close()
 

@@ -191,3 +191,128 @@ def test_builder_never_exceeds_budget(chunks, budget):
     trace = b.build() if b.remaining < budget else None
     if trace is not None:
         assert len(trace) <= budget
+
+
+class ReferenceTraceBuilder:
+    """The array-per-chunk builder ``TraceBuilder`` replaced, kept as the
+    oracle for its run-length rewrite: every chunk is stored as four
+    filled arrays and ``build`` concatenates them."""
+
+    def __init__(self, name, budget):
+        self.name, self.budget, self.count = name, budget, 0
+        self.fields = ([], [], [], [])
+
+    @property
+    def remaining(self):
+        return self.budget - self.count
+
+    @property
+    def full(self):
+        return self.count >= self.budget
+
+    def _append(self, pcs, vaddrs, writes, gaps):
+        for field, arr in zip(self.fields, (pcs, vaddrs, writes, gaps)):
+            field.append(arr)
+        self.count += len(vaddrs)
+
+    def emit(self, pc, vaddr, write=False, gap=2):
+        self.emit_chunk(pc, np.asarray([vaddr], dtype=np.uint64), write, gap)
+
+    def emit_chunk(self, pc, vaddrs, write=False, gap=2):
+        room = self.budget - self.count
+        if room <= 0:
+            return
+        vaddrs = vaddrs[:room]
+        n = len(vaddrs)
+        if n == 0:
+            return
+        self._append(
+            np.full(n, pc, dtype=np.uint64),
+            np.asarray(vaddrs, dtype=np.uint64),
+            np.full(n, write, dtype=bool),
+            np.full(n, gap, dtype=np.uint16),
+        )
+
+    def emit_interleaved(self, pcs, vaddrs, writes, gaps):
+        room = self.budget - self.count
+        if room <= 0:
+            return
+        n = min(room, len(vaddrs))
+        self._append(
+            np.asarray(pcs[:n], dtype=np.uint64),
+            np.asarray(vaddrs[:n], dtype=np.uint64),
+            np.asarray(writes[:n], dtype=bool),
+            np.asarray(gaps[:n], dtype=np.uint16),
+        )
+
+    def build(self):
+        if self.count == 0:
+            raise ValueError(f"trace {self.name!r} is empty")
+        return Trace(self.name, *(np.concatenate(f) for f in self.fields))
+
+
+_pc = st.integers(0, 2**64 - 1)
+_addr = st.integers(0, 2**48)
+_gap = st.integers(0, 2**16 - 1)
+_emission = st.one_of(
+    st.tuples(st.just("emit"), _pc, _addr, st.booleans(), _gap),
+    st.tuples(
+        st.just("emit_chunk"), _pc, st.lists(_addr, max_size=12),
+        st.booleans(), _gap,
+    ),
+    st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.just("emit_interleaved"),
+        st.lists(_pc, min_size=n, max_size=n),
+        st.lists(_addr, min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(_gap, min_size=n, max_size=n),
+    )),
+)
+
+
+def _replay(builder, emissions):
+    """Drive ``builder``; returns its ``remaining``/``full`` after each
+    emission."""
+    seen = []
+    for kind, *args in emissions:
+        if kind == "emit":
+            builder.emit(*args)
+        elif kind == "emit_chunk":
+            pc, vaddrs, write, gap = args
+            builder.emit_chunk(pc, np.asarray(vaddrs, dtype=np.uint64),
+                               write, gap)
+        else:
+            pcs, vaddrs, writes, gaps = args
+            builder.emit_interleaved(
+                np.asarray(pcs, dtype=np.uint64),
+                np.asarray(vaddrs, dtype=np.uint64),
+                np.asarray(writes, dtype=bool),
+                np.asarray(gaps, dtype=np.uint16),
+            )
+        seen.append((builder.remaining, builder.full))
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    emissions=st.lists(_emission, max_size=25),
+    budget=st.integers(1, 80),
+)
+def test_run_length_builder_matches_reference(emissions, budget):
+    """Any mix of scalar, uniform-chunk and interleaved emissions, with
+    the budget truncating wherever it falls, builds the same arrays with
+    the same dtypes as the array-per-chunk builder."""
+    reference = ReferenceTraceBuilder("prop", budget)
+    builder = TraceBuilder("prop", budget)
+    assert _replay(builder, emissions) == _replay(reference, emissions)
+    if reference.count == 0:
+        with pytest.raises(ValueError):
+            builder.build()
+        return
+    want, got = reference.build(), builder.build()
+    assert got.name == want.name
+    for field in ("pcs", "vaddrs", "writes", "gaps"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+    assert got.asids is None
