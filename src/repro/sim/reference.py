@@ -20,17 +20,21 @@ from repro.common.stats import Stats
 
 
 class _RefEntry:
-    __slots__ = ("key", "accessed", "pending_doa_predictions", "stamp")
+    __slots__ = ("key", "accessed", "pending_doa_predictions")
 
-    def __init__(self, key: int, stamp: int):
+    def __init__(self, key: int):
         self.key = key
         self.accessed = False
         self.pending_doa_predictions = 0
-        self.stamp = stamp
 
 
 class ReferenceStructure:
-    """Tag-only LRU set-associative structure scoring DOA predictions."""
+    """Tag-only LRU set-associative structure scoring DOA predictions.
+
+    Each set is a dict kept in recency order, least recent first: a hit
+    moves its key to the end, a fill appends, and the victim is the first
+    key (the same rule as the real TLBs and caches).
+    """
 
     def __init__(self, name: str, num_entries: int, assoc: int):
         if num_entries % assoc != 0:
@@ -43,7 +47,6 @@ class ReferenceStructure:
         self.assoc = assoc
         self._set_mask = num_sets - 1
         self._sets: List[Dict[int, _RefEntry]] = [dict() for _ in range(num_sets)]
-        self._clock = 0
         self._pending: Dict[int, int] = {}
         self.stats = Stats()
 
@@ -59,20 +62,20 @@ class ReferenceStructure:
         the real never-bypassing structures (``tests/
         test_diff_reference.py``).
         """
-        self._clock += 1
         entries = self._sets[key & self._set_mask]
         entry = entries.get(key)
         if entry is not None:
             entry.accessed = True
-            entry.stamp = self._clock
+            del entries[key]
+            entries[key] = entry
             self.stats.add("hits")
             return True
         self.stats.add("misses")
         if len(entries) >= self.assoc:
-            victim = min(entries.values(), key=lambda e: e.stamp)
-            del entries[victim.key]
-            self._settle(victim)
-        entry = _RefEntry(key, self._clock)
+            for victim_key in entries:  # least recently used
+                break
+            self._settle(entries.pop(victim_key))
+        entry = _RefEntry(key)
         entries[key] = entry
         # Drain predictions recorded before this access arrived (a real
         # structure's fill hooks can fire inside the hierarchy, slightly
@@ -97,7 +100,11 @@ class ReferenceStructure:
         entry.pending_doa_predictions += 1
 
     def finalize(self) -> None:
-        """Settle all still-resident residencies at end of simulation."""
+        """Settle all still-resident residencies at end of simulation.
+
+        Sets settle in recency order; the settle counters are additive,
+        so the order does not show in the results.
+        """
         for entries in self._sets:
             for entry in entries.values():
                 self._settle(entry)

@@ -30,7 +30,12 @@ from typing import Dict, List, Optional
 from repro.common.bitops import is_power_of_two
 from repro.common.residency import ResidencyTracker
 from repro.common.stats import Stats
-from repro.mem.replacement import LruPolicy, ReplacementPolicy, make_policy
+from repro.mem.replacement import (
+    LruPolicy,
+    ReplacementPolicy,
+    insert_lru,
+    make_policy,
+)
 from repro.vm.pagetable import LEVEL_BITS, VPN_BITS
 
 FILL_ALLOCATE = "allocate"
@@ -211,20 +216,10 @@ class Tlb:
         self._policy_on_hit = self.policy.on_hit
         self._policy_on_fill = self.policy.on_fill
         self._policy_victim = self.policy.victim
-        # LRU (the default) gets its stamp updates fused into the access
-        # path — same state transitions, no method dispatch.
-        self._lru = (
-            self.policy if type(self.policy) is LruPolicy else None
-        )
-        self._lru_stamps = (
-            self._lru._stamp if self._lru is not None else None
-        )
-        # Incremental min-stamp victim tracking (LRU only) — see
-        # SetAssocCache: a cached (way, stamp) candidate per set, valid
-        # while the stamp is unchanged (stamps only grow), re-pointed
-        # explicitly on distant insertions (which write below the min).
-        self._vic_way: List[int] = [-1] * num_sets
-        self._vic_stamp: List[int] = [0] * num_sets
+        # LRU (the default) never calls the policy: each set's tag dict
+        # is kept in recency order, least recent first (see
+        # SetAssocCache). Every key namespace shares that order.
+        self._lru = type(self.policy) is LruPolicy
         self.residency: Optional[ResidencyTracker] = (
             ResidencyTracker() if track_residency else None
         )
@@ -276,10 +271,10 @@ class Tlb:
         """Bookkeeping shared by every hit namespace (4 KB/huge/global)."""
         self._stat["hits"] += 1
         entry.accessed = True
-        lru = self._lru
-        if lru is not None:
-            lru._clock += 1
-            self._lru_stamps[set_idx][way] = lru._clock
+        if self._lru:
+            tags = self._tags[set_idx]
+            del tags[entry.vpn]
+            tags[entry.vpn] = way
         else:
             self._policy_on_hit(set_idx, way)
         if self.residency is not None:
@@ -297,15 +292,15 @@ class Tlb:
         if listener is not None:
             listener.on_lookup(self, set_idx, now)
         stat = self._stat
-        way = self._tags[set_idx].get(key)
+        tags = self._tags[set_idx]
+        way = tags.get(key)
         if way is not None:
             entry = self._entries[set_idx][way]
             stat["hits"] += 1
             entry.accessed = True
-            lru = self._lru
-            if lru is not None:
-                lru._clock += 1
-                self._lru_stamps[set_idx][way] = lru._clock
+            if self._lru:
+                del tags[key]
+                tags[key] = way
             else:
                 self._policy_on_hit(set_idx, way)
             if self.residency is not None:
@@ -376,57 +371,36 @@ class Tlb:
 
         entries = self._entries[set_idx]
         victim: Optional[TlbEntry] = None
-        way = None
-        # len(tags) counts valid entries; a full set skips the scan.
+        # len(tags) counts valid entries. TlbEntry defines no __eq__, so
+        # index() finds the first free way by identity.
         if len(tags) < self.assoc:
-            for w, existing in enumerate(entries):
-                if existing is None:
-                    way = w
-                    break
-        lru = self._lru
-        if way is None:
+            way = entries.index(None)
+        else:
+            way = None
             if listener is not None:
                 way = listener.choose_victim(self, set_idx, entries, now)
             if way is None:
-                if lru is not None:
-                    row = self._lru_stamps[set_idx]
-                    way = self._vic_way[set_idx]
-                    if way >= 0 and row[way] == self._vic_stamp[set_idx]:
-                        self._vic_way[set_idx] = -1
-                    else:
-                        way = 0
-                        best = row[0]
-                        run_way = -1
-                        run_stamp = 0
-                        for w in range(1, self.assoc):
-                            s = row[w]
-                            if s < best:
-                                run_way, run_stamp = way, best
-                                way, best = w, s
-                            elif run_way < 0 or s < run_stamp:
-                                run_way, run_stamp = w, s
-                        self._vic_way[set_idx] = run_way
-                        self._vic_stamp[set_idx] = run_stamp
+                if self._lru:
+                    for lru_key in tags:  # least recently used
+                        break
+                    way = tags[lru_key]
                 else:
                     way = self._policy_victim(set_idx)
             victim = self._evict_way(set_idx, way, now)
 
         entry = TlbEntry(key, pfn, pc_hash, asid, global_page, huge)
         entries[way] = entry
-        tags[key] = way
         if huge:
             self._huge_count += 1
         elif global_page:
             self._global_count += 1
-        if lru is not None and not distant:
-            lru._clock += 1
-            self._lru_stamps[set_idx][way] = lru._clock
-        else:
+        if not self._lru:
+            tags[key] = way
             self._policy_on_fill(set_idx, way, distant=distant)
-            if lru is not None:
-                # Distant insertion wrote a below-min stamp at ``way``.
-                self._vic_way[set_idx] = way
-                self._vic_stamp[set_idx] = self._lru_stamps[set_idx][way]
+        elif distant:
+            insert_lru(tags, key, way)
+        else:
+            tags[key] = way
         self._stat["fills"] += 1
         if self.residency is not None:
             self.residency.fill((set_idx, way), now)

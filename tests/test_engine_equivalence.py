@@ -20,6 +20,7 @@ import repro.sim.engine as engine_mod
 from repro.obs.telemetry import TelemetrySpec
 from repro.predictors import registry
 from repro.sim.config import (
+    TlbGeometry,
     fast_config,
     hugepage_config,
     leeway_config,
@@ -65,9 +66,22 @@ def run_both(trace, config, telemetry=False, seed=SEED):
     return out
 
 
+def tag_orders(machine):
+    """Every set's tag dict in order: the LRU state (recency order, least
+    recent first) of the six set-associative structures."""
+    return [
+        [list(tags.items()) for tags in struct._tags]
+        for struct in (
+            machine.l1_itlb, machine.l1_dtlb, machine.l2_tlb,
+            machine.l1d, machine.l2, machine.llc,
+        )
+    ]
+
+
 def assert_equivalent(trace, config, telemetry=False, seed=SEED):
     (r_s, m_s), (r_b, m_b) = run_both(trace, config, telemetry, seed)
     assert fingerprint(r_s) == fingerprint(r_b)
+    assert tag_orders(m_s) == tag_orders(m_b)
     if telemetry:
         assert m_s.telemetry.to_payload() == m_b.telemetry.to_payload()
     return m_b
@@ -155,6 +169,31 @@ def test_repeated_traces_bit_identical(records, run_length):
 def test_random_traces_with_predictors(records):
     config = fast_config(tlb_predictor="dppred", llc_predictor="cbpred")
     assert_equivalent(build_trace(records), config, telemetry=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), predictors=st.booleans())
+def test_random_code_pages_bit_identical(seed, predictors):
+    """PCs spread over 24 code pages thrash the 16-entry I-TLB against a
+    32-entry LLT that thrashes less, so the instruction side's LLT hits,
+    walks and LLT/I-TLB victims all run (the other random traces keep
+    their code on one page)."""
+    rng = np.random.default_rng(seed)
+    n = 600
+    pcs = 0x400000 + rng.integers(0, 24, n) * 4096 + rng.integers(0, 8, n) * 4
+    vaddrs = (
+        0x10000000 + rng.integers(0, 41, n) * 4096 + rng.integers(0, 71, n) * 64
+    )
+    trace = Trace(
+        "hypothesis-code", pcs.astype(np.uint64), vaddrs.astype(np.uint64),
+        rng.random(n) < 0.5, rng.integers(0, 6, n).astype(np.uint16),
+    )
+    extra = (
+        {"tlb_predictor": "dppred", "llc_predictor": "cbpred"}
+        if predictors else {}
+    )
+    config = fast_config(l2_tlb=TlbGeometry(32, 4, 8), **extra)
+    assert_equivalent(trace, config, telemetry=True)
 
 
 # --------------------------------------------------------------------- #

@@ -1,19 +1,21 @@
-"""Regression tests pinning incremental victim tracking to the old scans.
+"""Regression tests pinning O(1) LRU bookkeeping to the old min() scans.
 
-PR 10 replaced two O(n) ``min()``-based victim scans with incremental
-structures:
+Two structures replaced O(n) ``min()``-based victim scans with recency
+order:
 
 * :class:`repro.vm.pwc._FullyAssocLru` keeps its stamp dict in recency
   order so eviction is ``popitem(last=False)``;
-* :class:`repro.mem.cache.SetAssocCache` caches a per-set ``(way, stamp)``
-  min candidate so full-set LRU fills skip the stamp scan when the
-  candidate is still valid.
+* :class:`repro.mem.cache.SetAssocCache` and :class:`repro.vm.tlb.Tlb`
+  keep each set's tag dict (key -> way) in recency order, least recent
+  first, instead of per-way LRU stamps: a hit moves the key to the end,
+  a fill appends, a distant fill goes to the front, and the victim is
+  the first key.
 
 Both must select the *identical* victim the old scan would have picked —
 simulation output is bit-compared across engines, so a different victim
 is a correctness bug, not a heuristic change. Each test drives the live
-structure through randomized operation sequences while an oracle recomputes
-the old ``min()`` scan from the same state at every eviction.
+structure through randomized operation sequences next to an oracle that
+runs the old stamp rule on the same inputs.
 """
 
 from __future__ import annotations
@@ -25,11 +27,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.cache import (
+    FILL_ALLOCATE,
+    FILL_BYPASS,
     FILL_DISTANT,
     CacheListener,
     SetAssocCache,
 )
 from repro.vm.pwc import PageWalkCaches, _FullyAssocLru
+from repro.vm.tlb import (
+    GLOBAL_KEY_BASE,
+    HUGE_KEY_BASE,
+    HUGE_SPAN_BITS,
+    Tlb,
+    TlbListener,
+    tlb_key,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -130,23 +142,240 @@ def test_pwc_stack_victims_match_min_scan_oracle():
 
 
 # --------------------------------------------------------------------- #
-# SetAssocCache incremental min-stamp candidate vs. a fresh stamp scan
+# SetAssocCache / Tlb recency-ordered tag dicts vs. the old stamp LRU
 # --------------------------------------------------------------------- #
-def _scan_victim(cache: SetAssocCache, set_idx: int) -> int:
-    """The old implementation: full O(assoc) min-stamp scan, first
-    minimal way wins (ties broken by lowest way index)."""
-    row = cache._lru_stamps[set_idx]
-    way, best = 0, row[0]
-    for w in range(1, cache.assoc):
-        if row[w] < best:
-            way, best = w, row[w]
-    return way
+class _StampLruOracle:
+    """The pre-recency-order rule: per-way stamps from one clock.
+
+    A hit or ordinary fill stamps ``clock + 1``; a distant fill stamps
+    ``min(row) - 1`` over the whole row (stale stamps of empty ways
+    included); the victim of a full set is the first way holding the
+    minimum stamp, unless a listener chose one; a fill takes the lowest
+    free way. Invalidation empties the way and leaves its stamp.
+    """
+
+    def __init__(self, num_sets: int, assoc: int):
+        self.mask = num_sets - 1
+        self.assoc = assoc
+        self.keys = [[None] * assoc for _ in range(num_sets)]
+        self.stamps = [[0] * assoc for _ in range(num_sets)]
+        self.clock = 0
+
+    def _way(self, key):
+        row = self.keys[key & self.mask]
+        return row.index(key) if key in row else None
+
+    def __contains__(self, key) -> bool:
+        return self._way(key) is not None
+
+    def touch(self, key) -> None:
+        self.clock += 1
+        self.stamps[key & self.mask][self._way(key)] = self.clock
+
+    def remove(self, key) -> None:
+        self.keys[key & self.mask][self._way(key)] = None
+
+    def fill(self, key, decision, choice):
+        """Returns the evicted key (None if none)."""
+        set_idx = key & self.mask
+        keys, row = self.keys[set_idx], self.stamps[set_idx]
+        if key in keys or decision == FILL_BYPASS:
+            return None
+        victim = None
+        if None in keys:
+            way = keys.index(None)
+        else:
+            way = choice if choice is not None else row.index(min(row))
+            victim = keys[way]
+        keys[way] = key
+        if decision == FILL_DISTANT:
+            row[way] = min(row) - 1
+        else:
+            self.clock += 1
+            row[way] = self.clock
+        return victim
+
+    def order(self, set_idx):
+        """Valid keys least recent first, and their ways."""
+        keys, row = self.keys[set_idx], self.stamps[set_idx]
+        valid = [w for w in range(self.assoc) if keys[w] is not None]
+        stamps = [row[w] for w in valid]
+        assert len(set(stamps)) == len(stamps), "stamps must be unique"
+        valid.sort(key=row.__getitem__)
+        return [keys[w] for w in valid], {keys[w]: w for w in valid}
+
+
+def _assert_same_order(live_tags, oracle):
+    for set_idx, tags in enumerate(live_tags):
+        keys, ways = oracle.order(set_idx)
+        assert list(tags) == keys
+        assert dict(tags) == ways
+
+
+class _ScriptedListener:
+    """Fill decision and victim choice are set by the test per fill."""
+
+    decision = FILL_ALLOCATE
+    choice = None
+
+    def on_fill(self, *args):
+        return self.decision
+
+    def choose_victim(self, owner, set_idx, ways, now):
+        return self.choice
+
+
+class _ScriptedCacheListener(_ScriptedListener, CacheListener):
+    pass
+
+
+class _ScriptedTlbListener(_ScriptedListener, TlbListener):
+    pass
+
+
+_DECISIONS = st.sampled_from(
+    (FILL_ALLOCATE, FILL_ALLOCATE, FILL_DISTANT, FILL_BYPASS)
+)
+_CHOICES = st.one_of(st.none(), st.integers(min_value=0, max_value=7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_sets=st.sampled_from((1, 2, 4)),
+    assoc=st.integers(min_value=1, max_value=5),
+    with_listener=st.booleans(),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(("lookup", "fill", "fill", "invalidate")),
+            st.integers(min_value=0, max_value=23),
+            _DECISIONS,
+            _CHOICES,
+        ),
+        min_size=1,
+        max_size=150,
+    ),
+)
+def test_setassoc_matches_stamp_lru_oracle(num_sets, assoc, with_listener, ops):
+    """Lookups, allocating/distant/bypassed fills, listener-chosen
+    victims and invalidations: identical victims, and every set's tag
+    dict order equals the oracle's stamp order."""
+    listener = _ScriptedCacheListener() if with_listener else None
+    cache = SetAssocCache("diff", num_sets, assoc, listener=listener)
+    oracle = _StampLruOracle(num_sets, assoc)
+    for now, (op, block, decision, choice) in enumerate(ops, 1):
+        if op == "lookup":
+            hit = cache.lookup(block, now)
+            assert hit == (block in oracle)
+            if hit:
+                oracle.touch(block)
+        elif op == "invalidate":
+            line = cache.invalidate(block, now)
+            assert (line is not None) == (block in oracle)
+            if line is not None:
+                oracle.remove(block)
+        else:
+            if listener is None:
+                decision, choice = FILL_ALLOCATE, None
+            else:
+                listener.decision = decision
+                listener.choice = None if choice is None else choice % assoc
+            victim = cache.fill(block, now)
+            expected = oracle.fill(
+                block, decision, None if listener is None else listener.choice
+            )
+            assert (None if victim is None else victim.tag) == expected
+        _assert_same_order(cache._tags, oracle)
+
+
+def _tlb_keys(vpn: int, asid: int):
+    """(4 KB, huge, global) keys a lookup of ``vpn`` probes, in order."""
+    return (
+        tlb_key(vpn, asid),
+        HUGE_KEY_BASE | tlb_key(vpn >> HUGE_SPAN_BITS, asid),
+        GLOBAL_KEY_BASE | vpn,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_sets=st.sampled_from((1, 2, 4)),
+    assoc=st.integers(min_value=1, max_value=5),
+    with_listener=st.booleans(),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ("lookup", "fill", "fill", "invalidate", "invalidate_asid")
+            ),
+            st.integers(min_value=0, max_value=3 << HUGE_SPAN_BITS),
+            st.sampled_from((0, 0, 1, 2)),
+            st.sampled_from(("4k", "4k", "4k", "huge", "global")),
+            _DECISIONS,
+            _CHOICES,
+        ),
+        min_size=1,
+        max_size=150,
+    ),
+)
+def test_tlb_matches_stamp_lru_oracle(num_sets, assoc, with_listener, ops):
+    """4 KB, huge and global keys under several ASIDs through lookups,
+    fills (allocate/distant/bypass, listener-chosen victims),
+    shootdowns and ASID flushes: identical victims, and every set's tag
+    dict order equals the oracle's stamp order."""
+    listener = _ScriptedTlbListener() if with_listener else None
+    tlb = Tlb("diff", num_sets * assoc, assoc, listener=listener)
+    oracle = _StampLruOracle(num_sets, assoc)
+    asid_of = {}
+    for now, (op, vpn, asid, kind, decision, choice) in enumerate(ops, 1):
+        # Few distinct VPNs, so fills, lookups and shootdowns collide.
+        vpn = (vpn * 37) & ((4 << HUGE_SPAN_BITS) - 1)
+        keys = _tlb_keys(vpn, asid)
+        if op == "lookup":
+            pfn = tlb.lookup(vpn, now, asid)
+            present = [k for k in keys if k in oracle]
+            assert (pfn is not None) == bool(present)
+            if present:
+                oracle.touch(present[0])
+        elif op == "invalidate":
+            tlb.invalidate(vpn, now, asid)
+            for key in keys:
+                if key in oracle:
+                    oracle.remove(key)
+        elif op == "invalidate_asid":
+            dropped = tlb.invalidate_asid(asid, now)
+            # Global entries survive an ASID flush.
+            doomed = [
+                k for k, a in asid_of.items()
+                if a == asid and k in oracle
+                and not GLOBAL_KEY_BASE <= k < HUGE_KEY_BASE
+            ]
+            assert dropped == len(doomed)
+            for key in doomed:
+                oracle.remove(key)
+        else:
+            huge, global_page = kind == "huge", kind == "global"
+            key = keys[1] if huge else keys[2] if global_page else keys[0]
+            if listener is None:
+                decision, choice = FILL_ALLOCATE, None
+            else:
+                listener.decision = decision
+                listener.choice = None if choice is None else choice % assoc
+            pfn = (vpn >> HUGE_SPAN_BITS) << HUGE_SPAN_BITS if huge else vpn
+            installs = key not in oracle
+            victim = tlb.fill(
+                vpn, pfn, 0, now, asid, global_page=global_page, huge=huge
+            )
+            expected = oracle.fill(
+                key, decision, None if listener is None else listener.choice
+            )
+            assert (None if victim is None else victim.vpn) == expected
+            if installs and key in oracle:
+                asid_of[key] = asid
+        _assert_same_order(tlb._tags, oracle)
 
 
 class _EveryThirdDistant(CacheListener):
     """Deterministically demotes every third fill to distant insertion —
-    distant stamps are *below* the set minimum, the one case where the
-    cached candidate must be explicitly re-pointed."""
+    the one case that moves a key to the least-recent end."""
 
     def __init__(self):
         self.count = 0
@@ -160,53 +389,40 @@ class _EveryThirdDistant(CacheListener):
 
 @pytest.mark.parametrize("with_listener", [False, True])
 def test_setassoc_lru_victim_matches_fresh_scan(with_listener):
-    """Randomized fill/lookup/invalidate traffic: whenever a full set
-    evicts, the incremental candidate must name the way a fresh min()
-    scan of the live stamps would pick."""
+    """Randomized fill/lookup/invalidate traffic (every third fill
+    distant with the listener): whenever a full set evicts, the victim
+    is the way a fresh min() scan of the old stamps would pick."""
     rng = random.Random(0xDEAD)
     listener = _EveryThirdDistant() if with_listener else None
     cache = SetAssocCache("pin", num_sets=4, assoc=4, listener=listener)
-    now = 0
-    for _ in range(2000):
-        now += 1
+    oracle = _StampLruOracle(4, 4)
+    evictions = 0
+    for now in range(1, 2001):
         block = rng.randrange(64)
         roll = rng.random()
         if roll < 0.25:
-            cache.lookup(block, now)
+            if cache.lookup(block, now):
+                oracle.touch(block)
         elif roll < 0.30:
-            victim = cache.invalidate(block, now)
-            if victim is not None:
-                from repro.mem.cache import release_line
-
-                release_line(victim)
+            if cache.invalidate(block, now) is not None:
+                oracle.remove(block)
         else:
-            set_idx = block & cache._set_mask
-            expected_tag = None
-            if (
-                block not in cache._tags[set_idx]
-                and len(cache._tags[set_idx]) == cache.assoc
-            ):
-                will_bypass = (
-                    listener is not None
-                    and (listener.count + 1) % 3 == 0
-                    and False  # distant still allocates; never bypasses
-                )
-                if not will_bypass:
-                    way = _scan_victim(cache, set_idx)
-                    expected_tag = cache._lines[set_idx][way].tag
+            decision = FILL_ALLOCATE
+            if listener is not None and block not in oracle:
+                # on_fill runs only for absent blocks; mirror its count.
+                if (listener.count + 1) % 3 == 0:
+                    decision = FILL_DISTANT
             victim = cache.fill(block, now)
-            if expected_tag is not None:
-                assert victim is not None
-                assert victim.tag == expected_tag
-            if victim is not None:
-                from repro.mem.cache import release_line
-
-                release_line(victim)
+            expected = oracle.fill(block, decision, None)
+            assert (None if victim is None else victim.tag) == expected
+            evictions += victim is not None
+    assert evictions > 100
+    _assert_same_order(cache._tags, oracle)
 
 
 def test_setassoc_distant_insertion_is_next_victim():
     """A distant insertion into a full set must be the next eviction's
-    victim (its stamp sits below the previous set minimum)."""
+    victim (it sits at the least-recent end of the set's tag dict)."""
     listener = _EveryThirdDistant()
     cache = SetAssocCache("distant", num_sets=1, assoc=4, listener=listener)
     now = 0
@@ -214,6 +430,7 @@ def test_setassoc_distant_insertion_is_next_victim():
     for block in (0, 4, 8, 12):
         now += 1
         cache.fill(block, now)
+    assert list(cache._tags[0]) == [8, 0, 4, 12]
     # Set is full; block 8 was the distant (3rd) fill → next victim.
     now += 1
     victim = cache.fill(16, now)
