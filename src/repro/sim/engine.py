@@ -12,8 +12,12 @@ to the scalar reference loop (:meth:`Machine.run_scalar`):
   fill-time decision (pHIST probe, shadow-FIFO promote/evict, PFQ push,
   bypass, eviction-time training) and cbPred's fill decision (PFQ match,
   bHIST probe, LLC bypass, DP-marking) are inlined with their stats and
-  decision events byte-for-byte; rare paths (shadow hits, the demote
-  ablation) delegate to the real predictor methods. The other registry
+  decision events byte-for-byte; rare paths delegate to the real
+  methods: shadow hits and the demote ablation to the predictor's, and
+  L1 I-TLB misses to :meth:`Machine._translate` (14 misses in 280,000
+  records on the 14-workload suite under dpPred+cbPred, 88 in 320,000
+  on the benchmark's scenario cells, against a 52% L1 D-TLB miss rate
+  on the suite). The other registry
   predictors (Leeway, perceptron, SHiP, AIP, the oracle passes) run
   through one generic listener path: their lookup/hit/miss hooks are
   called where :meth:`Tlb.lookup` / :meth:`SetAssocCache.lookup` call
@@ -377,13 +381,15 @@ class _FlatStepper:
     lives on the real objects; the only locally buffered state is
     additive Stats counter deltas, flushed into the live dicts before
     every telemetry sample and at run end. Rare or complex events call
-    the real methods — dpPred's shadow *hits* (misprediction refills),
-    LLT fills under the demote ablation, DP-marked LLC evictions —
-    while the hot paths stay inline: dpPred's fill-time prediction
-    (pHIST probe, bypass bookkeeping, shadow-FIFO insert/evict, PFQ
-    push) and eviction-time training, the shadow-miss probe, and
-    cbPred's full fill decision (PFQ match, bHIST probe, bypass,
-    DP-mark) are replicated inline with identical stat bumps and
+    the real methods — L1 I-TLB misses (the whole instruction-side
+    chain after the filter and the I-TLB hit probe: 0.005% of suite
+    records, 0.03% of scenario records), dpPred's shadow *hits*
+    (misprediction refills), LLT fills under the demote ablation,
+    DP-marked LLC evictions — while the hot paths stay inline: dpPred's
+    fill-time prediction (pHIST probe, bypass bookkeeping, shadow-FIFO
+    insert/evict, PFQ push) and eviction-time training, the shadow-miss
+    probe, and cbPred's full fill decision (PFQ match, bHIST probe,
+    bypass, DP-mark) are replicated inline with identical stat bumps and
     decision-event emissions; dp=False LLC victims make ``on_evict`` a
     no-op and are skipped. Any other flat-eligible LLT/LLC listener
     (:data:`GENERIC_TLB_LISTENERS`, :data:`GENERIC_LLC_LISTENERS`) takes
@@ -430,9 +436,11 @@ class _FlatStepper:
         caller finalizes the machine."""
         # CPython numbers a function's locals in order of first
         # appearance, and an access to a local numbered above 255 needs
-        # an EXTENDED_ARG prefix. This interpreter has ~380 locals, so
-        # the 200 its loop touches most (by access counts measured over
-        # suite, tenant-mix and huge-page runs) are bound here first.
+        # an EXTENDED_ARG prefix. This interpreter has 368 locals, so
+        # the 200 its loop touches most are bound here first (by
+        # opcode-level access counts over the benchmark's suite and
+        # scenario cells: LRU and dpPred+cbPred suite runs, tenant mixes,
+        # huge pages, Leeway and perceptron).
         # Without this block the suite runs 7% slower (ten alternating
         # benchmark pairs on a 2-core x86-64 host, CPython 3.11). A
         # renamed or new hot local belongs in this list;
@@ -443,15 +451,15 @@ class _FlatStepper:
         t2b = wl = ps = ch = tags_l = w1f = pc = w2f = instructions = None
         set_1 = vaddr = gap = lines2 = pf = t3 = w1 = wd_ = victim_d = None
         is_write = blk = lines1 = epool_ = abase = lkey = wd = set_l = None
-        pw1_clk = entries_d = lines3 = wlat = ivpn = h_acc = now = None
+        entries_d = lines3 = wlat = ivpn = h_acc = now = None
         cycles = it_hits = w3f = last_dent = tc = l2_tags = l2_mask = None
         victim_l = set_2b = set_3 = last_dvpn = victim3 = last_ient = None
         l2_rrpv = l1_rrpv = widx_mask = pw1 = hbase = wc = l2_misses = None
         l2_fills = boff = bs = l3_gen = mark_dp = dt_mask = dt_tags = None
         dt_rrpv = m_acc = l3_misses = l3_fills = bypass3 = w3_ = w2_ = None
         t2 = set_2 = l1_misses = l1_fills = entries_l = l2_evicts = None
-        set_c = pw2_clk = l1_evicts = h_demand = dentry = l2_lines = None
-        m_reads = sh3 = pw3_clk = path_rem = vt = dt_misses = dt_fills = None
+        set_c = l1_evicts = h_demand = dentry = l2_lines = None
+        m_reads = sh3 = path_rem = vt = dt_misses = dt_fills = None
         bmask = dt_evicts = l1_mask = l1_tags = lhuge = last_ivpn = None
         next_at = base_cpi = l1_lines = lpfn = lt_pch = dt_hits = pc_h = None
         lt_mask = lt_tags = sh_entries = asid = l3_mask = l3_tags = None
@@ -466,7 +474,8 @@ class _FlatStepper:
         vpn_limit = l2_tlb_latency = walk_exposure = pfn_to_vpn = None
         pw_lat2 = wlat3 = probe = lt_delegate = pw3_mte = pw_lat3 = s3 = None
         wv3 = pidx = pw_lat1 = ph_cols = wc3 = lt_assoc = hl2_lat = None
-        set_c3 = dp_probe = lt_hits = bhh = pv = None
+        set_c3 = dp_probe = lt_hits = bhh = pv = fx_pc = dp_obs = None
+        dp_thresh = None
         m = self.m
         pcs, vaddrs = trace.pcs, trace.vaddrs
         writes, gaps = trace.writes, trace.gaps
@@ -522,13 +531,12 @@ class _FlatStepper:
         # --- L1 I-TLB --------------------------------------------------- #
         it = m.l1_itlb
         it_mask = it._set_mask
-        it_assoc = it.assoc
         it_tags = it._tags
         it_entries = it._entries
         it_rrpv = None if it._lru else it.policy._rrpv
-        it_rmax = 0 if it._lru else it.policy.rrpv_max
         it_stat = it._stat
-        it_hits = it_misses = it_fills = it_evicts = 0
+        it_hits = 0
+        translate = m._translate
         # --- L1 D-TLB --------------------------------------------------- #
         dt = m.l1_dtlb
         dt_mask = dt._set_mask
@@ -693,13 +701,15 @@ class _FlatStepper:
         # (bumped live). A PD entry is either a PT node or a 2 MB
         # ``_HugeLeaf``; the latter ends the walk after three loads.
         # ``huge_on`` gates the LLT's huge-namespace probe and huge-entry
-        # bookkeeping: it turns on once the LLT holds a huge entry or a
-        # table that can map one is bound, so 4 KB-only machines never
-        # pay for them.
+        # bookkeeping. It is fixed for the run: on if the machine maps
+        # huge regions (every table shares its policy) or the LLT already
+        # holds a huge entry, so 4 KB-only machines never pay for them,
+        # and a 2 MB entry installed by a delegated I-TLB miss needs no
+        # hand-back.
         page_table = walker.page_table
         pt_alloc = page_table.allocator.allocate
         pt_alloc_huge = page_table.allocator.allocate_huge
-        huge_on = lt._huge_count > 0
+        huge_on = lt._huge_count > 0 or m._huge_policy is not None
         huge_key_base = HUGE_KEY_BASE
         hleaf_cls = _HugeLeaf
         vpn_limit = 1 << VPN_BITS
@@ -709,22 +719,18 @@ class _FlatStepper:
         sh3 = LEVEL_BITS
         widx_mask = (1 << LEVEL_BITS) - 1
         # PWC probe/fill inlined: the three fully-associative LRU levels
-        # as bare OrderedDicts with local clocks (written back at run
-        # end; no other code reads them mid-run), cumulative probe
-        # latencies, and the telemetry-registered pwc stats as delta
+        # as their live tag OrderedDicts (least recent first), cumulative
+        # probe latencies, and the telemetry-registered pwc stats as delta
         # counters flushed with the rest.
         pwcs = walker.pwc
         pwc_stat = pwcs._stat
         pwc1, pwc2, pwc3 = pwcs._levels
-        pw1 = pwc1._stamps
-        pw2 = pwc2._stamps
-        pw3 = pwc3._stamps
+        pw1 = pwc1._tags
+        pw2 = pwc2._tags
+        pw3 = pwc3._tags
         pw1_cap = pwc1.capacity
         pw2_cap = pwc2.capacity
         pw3_cap = pwc3.capacity
-        pw1_clk = pwc1._clock
-        pw2_clk = pwc2._clock
-        pw3_clk = pwc3._clock
         pw1_mte = pw1.move_to_end
         pw2_mte = pw2.move_to_end
         pw3_mte = pw3.move_to_end
@@ -778,9 +784,6 @@ class _FlatStepper:
                     if pos:
                         m.now = now
                         actx.pc = pc
-                        pwc1._clock = pw1_clk
-                        pwc2._clock = pw2_clk
-                        pwc3._clock = pw3_clk
                         m._last_ivpn = (
                             None if last_ivpn is None else last_ivpn | abase
                         )
@@ -824,7 +827,6 @@ class _FlatStepper:
                         pt_root = table._root
                         pt_stats_add = table.stats.add
                         pt_huge = table._huge_policy
-                        huge_on = huge_on or pt_huge is not None
                 seg = min(pos + 65536, starts[si])
                 recs = zip(
                     pcs[pos:seg].tolist(),
@@ -862,699 +864,19 @@ class _FlatStepper:
                             last_ivpn = ivpn
                             last_ient = entry
                     else:
-                        it_misses += 1
-                        pfn_i = None
-                        set_l = ikey & lt_mask
-                        if lt_g_lookup is not None:
-                            lt_g_lookup(lt, set_l, now)
-                        tags_l = lt_tags[set_l]
-                        wl = tags_l.get(ikey)
-                        if wl is None and huge_on and lt._huge_count:
-                            # covering 2 MB entry (huge-key namespace)
-                            hkey = huge_key_base | abase | (ivpn >> sh3)
-                            wl = lt_tags[hkey & lt_mask].get(hkey)
-                            if wl is not None:
-                                set_l = hkey & lt_mask
-                                tags_l = lt_tags[set_l]
-                        if wl is not None:
-                            lt_hits += 1
-                            le = lt_entries[set_l][wl]
-                            le.accessed = True
-                            if lt_rrpv is None:
-                                lkey = le.vpn
-                                del tags_l[lkey]
-                                tags_l[lkey] = wl
-                            else:
-                                lt_rrpv[set_l][wl] = 0
-                            if lt_res is not None:
-                                lt_res.hit((set_l, wl), now)
-                            if lt_g_hit is not None:
-                                lt_g_hit(lt, le, now)
-                            pfn_i = le.pfn
-                            if huge_on and le.huge:
-                                pfn_i += ivpn & widx_mask
-                            penalty = l2_tlb_hit_penalty
-                        else:
-                            lt_misses += 1
-                            if sh_entries is not None:
-                                # shadow-miss fast path; hits (rare
-                                # misprediction refills) take the real
-                                # on_miss slow path
-                                if ikey in sh_entries:
-                                    buffered = lt_on_miss(lt, ikey, now)
-                                    if buffered is not None:
-                                        lt_vbh += 1
-                                        pfn_i = buffered
-                                        penalty = l2_tlb_hit_penalty
-                                else:
-                                    d_sh_miss += 1
-                            elif lt_g_miss is not None:
-                                buffered = lt_g_miss(lt, ikey, now)
-                                if buffered is not None:
-                                    lt_vbh += 1
-                                    pfn_i = buffered
-                                    penalty = l2_tlb_hit_penalty
-                            if pfn_i is None:
-                                # ---- page walk (walker.walk, the radix
-                                # descent and the PWC probe all inlined) - #
-                                w_walks += 1
-                                if pt_root is None:
-                                    table = table_for(asid)
-                                    pt_root = table._root
-                                    pt_stats_add = table.stats.add
-                                    pt_huge = table._huge_policy
-                                    huge_on = huge_on or pt_huge is not None
-                                if ivpn < 0 or ivpn >= vpn_limit:
-                                    raise ValueError(
-                                        f"vpn {ivpn:#x} outside "
-                                        f"{VPN_BITS}-bit space"
-                                    )
-                                node = pt_root
-                                widx = (ivpn >> sh1) & widx_mask
-                                p0 = (node.frame << ps) | (widx << 3)
-                                ch = node.children.get(widx)
-                                if ch is None:
-                                    ch = _Node(pt_alloc())
-                                    node.children[widx] = ch
-                                    pt_stats_add("nodes_allocated")
-                                node = ch
-                                widx = (ivpn >> sh2) & widx_mask
-                                p1 = (node.frame << ps) | (widx << 3)
-                                ch = node.children.get(widx)
-                                if ch is None:
-                                    ch = _Node(pt_alloc())
-                                    node.children[widx] = ch
-                                    pt_stats_add("nodes_allocated")
-                                node = ch
-                                widx = (ivpn >> sh3) & widx_mask
-                                p2 = (node.frame << ps) | (widx << 3)
-                                ch = node.children.get(widx)
-                                if ch is None:
-                                    if pt_huge is not None and pt_huge(
-                                        ivpn >> sh3
-                                    ):
-                                        ch = hleaf_cls(
-                                            pt_alloc_huge(ENTRIES_PER_NODE)
-                                        )
-                                        pt_stats_add("huge_pages_mapped")
-                                    else:
-                                        ch = _Node(pt_alloc())
-                                        pt_stats_add("nodes_allocated")
-                                    node.children[widx] = ch
-                                if (
-                                    pt_huge is not None
-                                    and type(ch) is hleaf_cls
-                                ):
-                                    # 2 MB leaf: three loads, and the PWC
-                                    # plan skips the L1 PWC (max_resolved=2)
-                                    hbase = ch.base
-                                    pfn_i = hbase + (ivpn & widx_mask)
-                                    path = (p0, p1, p2)
-                                    wlat2 = pw_hlat2
-                                    wlat3 = pw_hlat3
-                                else:
-                                    hbase = None
-                                    node = ch
-                                    widx = ivpn & widx_mask
-                                    pfn_i = node.children.get(widx)
-                                    if pfn_i is None:
-                                        pfn_i = pt_alloc()
-                                        node.children[widx] = pfn_i
-                                        pt_stats_add("pages_mapped")
-                                    path = (p0, p1, p2, (node.frame << ps) | (widx << 3))
-                                    wlat2 = pw_lat2
-                                    wlat3 = pw_lat3
-                                    wtag = abase | (ivpn >> sh3)
-                                if hbase is None and wtag in pw1:
-                                    pw1_clk += 1
-                                    pw1[wtag] = pw1_clk
-                                    pw1_mte(wtag)
-                                    pw_l1h += 1
-                                    wlat = pw_lat1
-                                    path_rem = path[3:]
-                                else:
-                                    wtag = abase | (ivpn >> sh2)
-                                    if wtag in pw2:
-                                        pw2_clk += 1
-                                        pw2[wtag] = pw2_clk
-                                        pw2_mte(wtag)
-                                        pw_l2h += 1
-                                        wlat = wlat2
-                                        path_rem = path[2:]
-                                    else:
-                                        wtag = abase | (ivpn >> sh1)
-                                        wlat = wlat3
-                                        if wtag in pw3:
-                                            pw3_clk += 1
-                                            pw3[wtag] = pw3_clk
-                                            pw3_mte(wtag)
-                                            pw_l3h += 1
-                                            path_rem = path[1:]
-                                        else:
-                                            pw_miss += 1
-                                            path_rem = path
-                                w_memacc += len(path_rem)
-                                for pte_paddr in path_rem:
-                                    blk = pte_paddr >> bs
-                                    h_walkacc += 1
-                                    set_c = blk & l2_mask
-                                    tc = l2_tags[set_c]
-                                    wc = tc.get(blk)
-                                    if wc is not None:
-                                        l2_hits += 1
-                                        ln = l2_lines[set_c][wc]
-                                        ln.accessed = True
-                                        if l2_rrpv is None:
-                                            del tc[blk]
-                                            tc[blk] = wc
-                                        else:
-                                            l2_rrpv[set_c][wc] = 0
-                                        wlat += hl2_lat
-                                        continue
-                                    l2_misses += 1
-                                    set_c3 = blk & l3_mask
-                                    tc3 = l3_tags[set_c3]
-                                    if l3_gen is not None:
-                                        actx.pc = pc
-                                        if l3_g_lookup is not None:
-                                            l3_g_lookup(l3, set_c3, now)
-                                    wc3 = tc3.get(blk)
-                                    if wc3 is not None:
-                                        l3_hits += 1
-                                        ln = l3_lines[set_c3][wc3]
-                                        ln.accessed = True
-                                        if l3_rrpv is None:
-                                            del tc3[blk]
-                                            tc3[blk] = wc3
-                                        else:
-                                            l3_rrpv[set_c3][wc3] = 0
-                                        if l3_res is not None:
-                                            l3_res.hit((set_c3, wc3), now)
-                                        if l3_g_hit is not None:
-                                            l3_g_hit(l3, ln, now)
-                                        wlat += hl3_lat
-                                    else:
-                                        l3_misses += 1
-                                        m_acc += 1
-                                        m_reads += 1
-                                        wlat += hl3_lat + mem_lat
-                                        # fill LLC (cbPred inlined)
-                                        bypass3 = mark_dp = False
-                                        if cb is not None and (
-                                            cb_pfq is None
-                                            or (blk >> boff) in cb_pfq
-                                        ):
-                                            if cb_pfq is not None:
-                                                d_cb_pfqm += 1
-                                                if cb_probe is not None:
-                                                    cb_probe.emit(
-                                                        now, EV_PFQ_HIT, blk
-                                                    )
-                                            bhh = fx_blk.get(blk)
-                                            if bhh is None:
-                                                if bh_pg:
-                                                    pg_ = blk >> boff
-                                                    sb_ = fx_pgb.get(pg_)
-                                                    if sb_ is None:
-                                                        sb_ = fx_pgb[pg_] = fold_xor(
-                                                            pg_ << boff, bh_bits
-                                                        )
-                                                    bhh = fx_blk[blk] = sb_ ^ (blk & bmask)
-                                                else:
-                                                    bhh = fx_blk[blk] = fold_xor(
-                                                        blk, bh_bits
-                                                    )
-                                            doa = bh_vals[bhh] > bh_thresh
-                                            if cb_obs is not None:
-                                                cb_obs(blk, doa)
-                                            if doa:
-                                                d_cb_doap += 1
-                                                if cb_probe is not None:
-                                                    cb_probe.emit(
-                                                        now,
-                                                        EV_LLC_BYPASS,
-                                                        blk,
-                                                    )
-                                                bypass3 = True
-                                            elif cb_probe is not None:
-                                                mark_dp = True
-                                                cb_probe.emit(
-                                                    now, EV_LLC_MARK_DP, blk
-                                                )
-                                            else:
-                                                mark_dp = True
-                                        if l3_gen is not None:
-                                            victim3 = l3_fill(blk, now)
-                                        elif bypass3:
-                                            l3_byp += 1
-                                            victim3 = None
-                                        else:
-                                            lines3 = l3_lines[set_c3]
-                                            victim3 = None
-                                            if len(tc3) < l3_assoc:
-                                                w3 = lines3.index(None)
-                                            else:
-                                                if l3_rrpv is None:
-                                                    for vk_ in tc3:
-                                                        break
-                                                    w3 = tc3[vk_]
-                                                else:
-                                                    row = l3_rrpv[set_c3]
-                                                    while l3_rmax not in row:
-                                                        for wi2 in range(
-                                                            l3_assoc
-                                                        ):
-                                                            row[wi2] += 1
-                                                    w3 = row.index(l3_rmax)
-                                                victim3 = lines3[w3]
-                                                del tc3[victim3.tag]
-                                                lines3[w3] = None
-                                                l3_evicts += 1
-                                                if victim3.dirty:
-                                                    l3_wb += 1
-                                                if l3_res is not None:
-                                                    l3_res.evict(
-                                                        (set_c3, w3), now
-                                                    )
-                                                if (
-                                                    cb is not None
-                                                    and victim3.dp
-                                                ):
-                                                    # cb.on_evict inlined: bHIST training + verdict event
-                                                    tv_ = victim3.tag
-                                                    bhh2 = fx_blk.get(tv_)
-                                                    if bhh2 is None:
-                                                        if bh_pg:
-                                                            pg_ = tv_ >> boff
-                                                            sb_ = fx_pgb.get(pg_)
-                                                            if sb_ is None:
-                                                                sb_ = fx_pgb[pg_] = fold_xor(
-                                                                    pg_ << boff, bh_bits
-                                                                )
-                                                            bhh2 = fx_blk[tv_] = sb_ ^ (tv_ & bmask)
-                                                        else:
-                                                            bhh2 = fx_blk[tv_] = fold_xor(
-                                                                tv_, bh_bits
-                                                            )
-                                                    if victim3.accessed:
-                                                        bh_vals[bhh2] = 0
-                                                        d_bh_ndoa += 1
-                                                    else:
-                                                        cv_ = bh_vals[bhh2]
-                                                        if cv_ < bh_cmax:
-                                                            bh_vals[bhh2] = cv_ + 1
-                                                        d_bh_doa += 1
-                                                        d_cb_evobs += 1
-                                                    if cb_probe is not None:
-                                                        cb_probe.emit(
-                                                            now,
-                                                            EV_LLC_VERDICT,
-                                                            tv_,
-                                                            False,
-                                                            not victim3.accessed,
-                                                        )
-                                            if pool_:
-                                                ln = pool_.pop()
-                                                ln.tag = blk
-                                                ln.dirty = False
-                                                ln.accessed = False
-                                                ln.dp = False
-                                                ln.aux = None
-                                            else:
-                                                ln = line_cls(blk, False)
-                                            if mark_dp:
-                                                ln.dp = True
-                                            lines3[w3] = ln
-                                            tc3[blk] = w3
-                                            if l3_rrpv is not None:
-                                                l3_rrpv[set_c3][w3] = l3_rmax - 1
-                                            l3_fills += 1
-                                            if l3_res is not None:
-                                                l3_res.fill(
-                                                    (set_c3, w3), now
-                                                )
-                                        if victim3 is not None:
-                                            vt = victim3.tag
-                                            s1 = vt & l1_mask
-                                            wv = l1_tags[s1].get(vt)
-                                            in1 = None
-                                            if wv is not None:
-                                                l1_inv += 1
-                                                in1 = l1_lines[s1][wv]
-                                                del l1_tags[s1][vt]
-                                                l1_lines[s1][wv] = None
-                                                l1_evicts += 1
-                                                if in1.dirty:
-                                                    l1_wb += 1
-                                                if l1_rrpv is not None:
-                                                    l1_rrpv[s1][wv] = l1_rmax
-                                            s2 = vt & l2_mask
-                                            wv2 = l2_tags[s2].get(vt)
-                                            in2 = None
-                                            if wv2 is not None:
-                                                l2_inv += 1
-                                                in2 = l2_lines[s2][wv2]
-                                                del l2_tags[s2][vt]
-                                                l2_lines[s2][wv2] = None
-                                                l2_evicts += 1
-                                                if in2.dirty:
-                                                    l2_wb += 1
-                                                if l2_rrpv is not None:
-                                                    l2_rrpv[s2][wv2] = (
-                                                        l2_rmax
-                                                    )
-                                            if (
-                                                in1 is not None
-                                                or in2 is not None
-                                            ):
-                                                h_incl += 1
-                                            if (
-                                                victim3.dirty
-                                                or (in1 and in1.dirty)
-                                                or (in2 and in2.dirty)
-                                            ):
-                                                m_acc += 1
-                                                m_writes += 1
-                                            if victim3 is not None:
-                                                pool_.append(victim3)
-                                            if in1 is not None:
-                                                pool_.append(in1)
-                                            if in2 is not None:
-                                                pool_.append(in2)
-                                    # fill L2 (walk loads land in L2)
-                                    lines2 = l2_lines[set_c]
-                                    victim2 = None
-                                    if len(tc) < l2_assoc:
-                                        w2 = lines2.index(None)
-                                    else:
-                                        if l2_rrpv is None:
-                                            for vk_ in tc:
-                                                break
-                                            w2 = tc[vk_]
-                                        else:
-                                            row = l2_rrpv[set_c]
-                                            while l2_rmax not in row:
-                                                for wi2 in range(l2_assoc):
-                                                    row[wi2] += 1
-                                            w2 = row.index(l2_rmax)
-                                        victim2 = lines2[w2]
-                                        del tc[victim2.tag]
-                                        lines2[w2] = None
-                                        l2_evicts += 1
-                                        if victim2.dirty:
-                                            l2_wb += 1
-                                    if pool_:
-                                        ln = pool_.pop()
-                                        ln.tag = blk
-                                        ln.dirty = False
-                                        ln.accessed = False
-                                        ln.dp = False
-                                        ln.aux = None
-                                    else:
-                                        ln = line_cls(blk, False)
-                                    lines2[w2] = ln
-                                    tc[blk] = w2
-                                    if l2_rrpv is not None:
-                                        l2_rrpv[set_c][w2] = l2_rmax - 1
-                                    l2_fills += 1
-                                    if victim2 is not None:
-                                        if victim2.dirty:
-                                            vt = victim2.tag
-                                            s3 = vt & l3_mask
-                                            wv3 = l3_tags[s3].get(vt)
-                                            if wv3 is not None:
-                                                l3_lines[s3][wv3].dirty = (
-                                                    True
-                                                )
-                                            else:
-                                                m_acc += 1
-                                                m_writes += 1
-                                                h_orphan += 1
-                                        if victim2 is not None:
-                                            pool_.append(victim2)
-                                # pwc.fill inlined: install the walk at
-                                # every level (L1 first, as the plan does)
-                                if hbase is None:
-                                    wtag = abase | (ivpn >> sh3)
-                                    pw1_clk += 1
-                                    if wtag not in pw1 and len(pw1) >= pw1_cap:
-                                        pw1_pop(last=False)
-                                    pw1[wtag] = pw1_clk
-                                    pw1_mte(wtag)
-                                wtag = abase | (ivpn >> sh2)
-                                pw2_clk += 1
-                                if wtag not in pw2 and len(pw2) >= pw2_cap:
-                                    pw2_pop(last=False)
-                                pw2[wtag] = pw2_clk
-                                pw2_mte(wtag)
-                                wtag = abase | (ivpn >> sh1)
-                                pw3_clk += 1
-                                if wtag not in pw3 and len(pw3) >= pw3_cap:
-                                    pw3_pop(last=False)
-                                pw3[wtag] = pw3_clk
-                                pw3_mte(wtag)
-                                w_cycles += wlat
-                                pfn_to_vpn[pfn_i] = ikey
-                                if probe is not None:
-                                    probe.emit(now, EV_WALK, ivpn, wlat)
-                                penalty = (
-                                    l2_tlb_latency + wlat * walk_exposure
-                                )
-                                # LLT fill (dpPred decision inlined); a
-                                # huge walk installs one entry covering
-                                # the 2 MB region under its base frame
-                                if hbase is None:
-                                    lkey = ikey
-                                    lpfn = pfn_i
-                                    lhuge = False
-                                else:
-                                    lkey = (
-                                        huge_key_base | abase | (ivpn >> sh3)
-                                    )
-                                    lpfn = hbase
-                                    lhuge = True
-                                lt_install = True
-                                lt_pch = pc
-                                if lt_delegate:
-                                    lt_fill(
-                                        ivpn, lpfn, pc, now, asid,
-                                        False, lhuge,
-                                    )
-                                    lt_install = False
-                                elif dp is not None:
-                                    pc_h = fx_pc.get(pc)
-                                    if pc_h is None:
-                                        pc_h = fx_pc[pc] = fold_xor(
-                                            pc, dp_pcbits
-                                        )
-                                    lt_pch = pc_h
-                                    if dp_vbits:
-                                        vh = fx_vpn.get(lkey)
-                                        if vh is None:
-                                            vh = fx_vpn[lkey] = (
-                                                fold_xor(
-                                                    lkey, dp_vbits
-                                                )
-                                            )
-                                    else:
-                                        vh = 0
-                                    doa = (
-                                        ph_vals[pc_h * ph_cols + vh]
-                                        > dp_thresh
-                                    )
-                                    if dp_obs is not None:
-                                        dp_obs(lkey, doa)
-                                    if doa:
-                                        lt_install = False
-                                        d_dp_doap += 1
-                                        if dp_sink is not None:
-                                            # notify_doa_page + PFQ insert inlined
-                                            if pfq_q is None:
-                                                dp_sink(lpfn)
-                                            else:
-                                                if lpfn not in pfq_members:
-                                                    if len(pfq_q) >= pfq_cap:
-                                                        pfq_members.discard(
-                                                            pfq_q.popleft()
-                                                        )
-                                                        d_pfq_ev += 1
-                                                    pfq_q.append(lpfn)
-                                                    pfq_members.add(lpfn)
-                                                    d_pfq_ins += 1
-                                                d_cb_note += 1
-                                            if dp_probe is not None:
-                                                dp_probe.emit(
-                                                    now, EV_PFQ_PUSH,
-                                                    lpfn,
-                                                )
-                                        if sh_entries is not None:
-                                            if lkey in sh_entries:
-                                                del sh_entries[lkey]
-                                            elif (
-                                                len(sh_entries)
-                                                >= sh_cap
-                                            ):
-                                                ev_vpn, _ = (
-                                                    sh_entries.popitem(
-                                                        last=False
-                                                    )
-                                                )
-                                                d_sh_ev += 1
-                                                if sh_probe is not None:
-                                                    sh_probe.emit(
-                                                        now,
-                                                        EV_SHADOW_EVICT,
-                                                        ev_vpn,
-                                                    )
-                                            sh_entries[lkey] = (
-                                                lpfn, pc_h
-                                            )
-                                            d_sh_ins += 1
-                                            if dp_probe is not None:
-                                                dp_probe.emit(
-                                                    now,
-                                                    EV_SHADOW_PROMOTE,
-                                                    lkey, lpfn,
-                                                )
-                                        if dp_probe is not None:
-                                            dp_probe.emit(
-                                                now, EV_LLT_BYPASS,
-                                                lkey, lpfn,
-                                            )
-                                        lt_byp += 1
-                                if lt_install:
-                                    set_l = lkey & lt_mask
-                                    tags_l = lt_tags[set_l]
-                                    entries_l = lt_entries[set_l]
-                                    if len(tags_l) < lt_assoc:
-                                        wl = entries_l.index(None)
-                                    else:
-                                        if lt_rrpv is None:
-                                            for vk_ in tags_l:
-                                                break
-                                            wl = tags_l[vk_]
-                                        else:
-                                            row = lt_rrpv[set_l]
-                                            while lt_rmax not in row:
-                                                for wi2 in range(lt_assoc):
-                                                    row[wi2] += 1
-                                            wl = row.index(lt_rmax)
-                                        victim_l = entries_l[wl]
-                                        del tags_l[victim_l.vpn]
-                                        entries_l[wl] = None
-                                        lt_evicts += 1
-                                        if huge_on and victim_l.huge:
-                                            lt._huge_count -= 1
-                                        # pooled early: only read (never reissued) until the fill below
-                                        if (
-                                            victim_l is not last_ient
-                                            and victim_l is not last_dent
-                                        ):
-                                            epool_.append(victim_l)
-                                        if lt_res is not None:
-                                            lt_res.evict((set_l, wl), now)
-                                        if dp is not None:
-                                            # on_evict training inlined
-                                            vv = victim_l.vpn
-                                            if dp_vbits:
-                                                vh2 = fx_vpn.get(vv)
-                                                if vh2 is None:
-                                                    vh2 = fx_vpn[vv] = (
-                                                        fold_xor(
-                                                            vv, dp_vbits
-                                                        )
-                                                    )
-                                            else:
-                                                vh2 = 0
-                                            pidx = (
-                                                (victim_l.pc_hash % ph_rows)
-                                                * ph_cols + vh2
-                                            )
-                                            if victim_l.accessed:
-                                                ph_vals[pidx] = 0
-                                                d_ph_ndoa += 1
-                                            else:
-                                                pv = ph_vals[pidx]
-                                                if pv < ph_max:
-                                                    ph_vals[pidx] = pv + 1
-                                                d_ph_doa += 1
-                                                d_dp_evobs += 1
-                                            if dp_probe is not None:
-                                                dp_probe.emit(
-                                                    now, EV_LLT_VERDICT,
-                                                    victim_l.vpn, False,
-                                                    not victim_l.accessed,
-                                                )
-                                    if epool_:
-                                        le = epool_.pop()
-                                        le.vpn = lkey
-                                        le.pfn = lpfn
-                                        le.pc_hash = lt_pch
-                                        le.accessed = False
-                                        le.aux = None
-                                        le.asid = asid
-                                        le.global_page = False
-                                        le.huge = lhuge
-                                    else:
-                                        le = entry_cls(
-                                            lkey, lpfn, lt_pch, asid,
-                                            False, lhuge,
-                                        )
-                                    entries_l[wl] = le
-                                    tags_l[lkey] = wl
-                                    if lhuge:
-                                        lt._huge_count += 1
-                                    if lt_rrpv is not None:
-                                        lt_rrpv[set_l][wl] = lt_rmax - 1
-                                    lt_fills += 1
-                                    if lt_res is not None:
-                                        lt_res.fill((set_l, wl), now)
-                        # L1 I-TLB fill
-                        set_i = ikey & it_mask
-                        tags_i = it_tags[set_i]
-                        entries_i = it_entries[set_i]
-                        if len(tags_i) < it_assoc:
-                            wi_ = entries_i.index(None)
-                        else:
-                            if it_rrpv is None:
-                                for vk_ in tags_i:
-                                    break
-                                wi_ = tags_i[vk_]
-                            else:
-                                row = it_rrpv[set_i]
-                                while it_rmax not in row:
-                                    for wi2 in range(it_assoc):
-                                        row[wi2] += 1
-                                wi_ = row.index(it_rmax)
-                            victim_i = entries_i[wi_]
-                            del tags_i[victim_i.vpn]
-                            entries_i[wi_] = None
-                            it_evicts += 1
-                            if (
-                                victim_i is not last_ient
-                                and victim_i is not last_dent
-                            ):
-                                epool_.append(victim_i)
-                        if epool_:
-                            ent = epool_.pop()
-                            ent.vpn = ikey
-                            ent.pfn = pfn_i
-                            ent.pc_hash = pc
-                            ent.accessed = False
-                            ent.aux = None
-                            ent.asid = asid
-                            ent.global_page = False
-                            ent.huge = False
-                        else:
-                            ent = entry_cls(ikey, pfn_i, pc, asid)
-                        entries_i[wi_] = ent
-                        tags_i[ikey] = wi_
-                        if it_rrpv is not None:
-                            it_rrpv[set_i][wi_] = it_rmax - 1
-                        it_fills += 1
+                        # I-TLB miss: the real translate chain counts the
+                        # miss, runs the LLT, the walk and both fills on
+                        # the live structures, and hands back the penalty.
+                        # Generic LLC hooks on its walk loads read the PC.
+                        # No other local needs a hand-back: ``huge_on`` is
+                        # fixed for the run, a tenant table the walk
+                        # creates is bound by the next D-side walk, and
+                        # nothing on the path reads ``m.now``.
+                        actx.pc = pc
+                        penalty = translate(it, ivpn, pc, now, asid)[1]
                         if pf:
                             last_ivpn = ivpn
-                            last_ient = ent
+                            last_ient = it.probe(ivpn, asid)
 
                 # ---- data-side translation ----------------------------- #
                 dvpn = vaddr >> ps
@@ -1642,7 +964,6 @@ class _FlatStepper:
                                     pt_root = table._root
                                     pt_stats_add = table.stats.add
                                     pt_huge = table._huge_policy
-                                    huge_on = huge_on or pt_huge is not None
                                 if dvpn < 0 or dvpn >= vpn_limit:
                                     raise ValueError(
                                         f"vpn {dvpn:#x} outside "
@@ -1705,8 +1026,6 @@ class _FlatStepper:
                                     wlat3 = pw_lat3
                                     wtag = abase | (dvpn >> sh3)
                                 if hbase is None and wtag in pw1:
-                                    pw1_clk += 1
-                                    pw1[wtag] = pw1_clk
                                     pw1_mte(wtag)
                                     pw_l1h += 1
                                     wlat = pw_lat1
@@ -1714,8 +1033,6 @@ class _FlatStepper:
                                 else:
                                     wtag = abase | (dvpn >> sh2)
                                     if wtag in pw2:
-                                        pw2_clk += 1
-                                        pw2[wtag] = pw2_clk
                                         pw2_mte(wtag)
                                         pw_l2h += 1
                                         wlat = wlat2
@@ -1724,8 +1041,6 @@ class _FlatStepper:
                                         wtag = abase | (dvpn >> sh1)
                                         wlat = wlat3
                                         if wtag in pw3:
-                                            pw3_clk += 1
-                                            pw3[wtag] = pw3_clk
                                             pw3_mte(wtag)
                                             pw_l3h += 1
                                             path_rem = path[1:]
@@ -2015,22 +1330,19 @@ class _FlatStepper:
                                 # every level (L1 first, as the plan does)
                                 if hbase is None:
                                     wtag = abase | (dvpn >> sh3)
-                                    pw1_clk += 1
                                     if wtag not in pw1 and len(pw1) >= pw1_cap:
                                         pw1_pop(last=False)
-                                    pw1[wtag] = pw1_clk
+                                    pw1[wtag] = None
                                     pw1_mte(wtag)
                                 wtag = abase | (dvpn >> sh2)
-                                pw2_clk += 1
                                 if wtag not in pw2 and len(pw2) >= pw2_cap:
                                     pw2_pop(last=False)
-                                pw2[wtag] = pw2_clk
+                                pw2[wtag] = None
                                 pw2_mte(wtag)
                                 wtag = abase | (dvpn >> sh1)
-                                pw3_clk += 1
                                 if wtag not in pw3 and len(pw3) >= pw3_cap:
                                     pw3_pop(last=False)
-                                pw3[wtag] = pw3_clk
+                                pw3[wtag] = None
                                 pw3_mte(wtag)
                                 w_cycles += wlat
                                 pfn_to_vpn[pfn] = dkey
@@ -2625,10 +1937,7 @@ class _FlatStepper:
                 recs = None
             # ---- flush counter deltas (chunk end or telemetry boundary) #
             it_stat["hits"] += it_hits
-            it_stat["misses"] += it_misses
-            it_stat["fills"] += it_fills
-            it_stat["evictions"] += it_evicts
-            it_hits = it_misses = it_fills = it_evicts = 0
+            it_hits = 0
             dt_stat["hits"] += dt_hits
             dt_stat["misses"] += dt_misses
             dt_stat["fills"] += dt_fills
@@ -2765,9 +2074,6 @@ class _FlatStepper:
                 next_at = instructions + interval
 
         # --- state write-back ------------------------------------------- #
-        pwc1._clock = pw1_clk
-        pwc2._clock = pw2_clk
-        pwc3._clock = pw3_clk
         m.now = now
         actx.pc = pc
         m.instructions = instructions

@@ -28,40 +28,35 @@ _ASID_SHIFT = VPN_BITS
 class _FullyAssocLru:
     """A tiny fully-associative LRU cache of tags (no payload needed).
 
-    ``_stamps`` is kept in recency order (least-recent first): stamps only
-    ever increase, so the entry holding the minimum stamp is always the
-    first key. Eviction is therefore O(1) ``popitem(last=False)`` instead
-    of the old O(n) ``min()`` scan, and picks the identical victim.
+    ``_tags`` holds the resident tags in recency order, least recent
+    first: a hit or refill moves its tag to the end, so the victim is
+    always the first key and eviction is ``popitem(last=False)``.
     """
 
-    __slots__ = ("capacity", "_stamps", "_clock")
+    __slots__ = ("capacity", "_tags")
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._stamps: "OrderedDict[int, int]" = OrderedDict()
-        self._clock = 0
+        self._tags: "OrderedDict[int, None]" = OrderedDict()
 
     def lookup(self, tag: int) -> bool:
-        stamps = self._stamps
-        if tag in stamps:
-            self._clock += 1
-            stamps[tag] = self._clock
-            stamps.move_to_end(tag)
+        tags = self._tags
+        if tag in tags:
+            tags.move_to_end(tag)
             return True
         return False
 
     def fill(self, tag: int) -> None:
-        stamps = self._stamps
-        self._clock += 1
-        if tag not in stamps and len(stamps) >= self.capacity:
-            stamps.popitem(last=False)
-        stamps[tag] = self._clock
-        stamps.move_to_end(tag)
+        tags = self._tags
+        if tag not in tags and len(tags) >= self.capacity:
+            tags.popitem(last=False)
+        tags[tag] = None
+        tags.move_to_end(tag)
 
     def __len__(self) -> int:
-        return len(self._stamps)
+        return len(self._tags)
 
 
 class PageWalkCaches:
@@ -169,7 +164,9 @@ class PageWalkCaches:
         base = 0 if asid == 0 else asid << _ASID_SHIFT
         dropped = 0
         for level, _resolved, shift, _latency, _key in self._probe_plan:
-            if level._stamps.pop(base | (vpn >> shift), None) is not None:
+            tag = base | (vpn >> shift)
+            if tag in level._tags:
+                del level._tags[tag]
                 dropped += 1
         if dropped:
             self.stats.add("pwc_invalidations", dropped)
@@ -181,10 +178,10 @@ class PageWalkCaches:
         dropped = 0
         for level in self._levels:
             stale = [
-                tag for tag in level._stamps if tag >> _ASID_SHIFT == asid
+                tag for tag in level._tags if tag >> _ASID_SHIFT == asid
             ]
             for tag in stale:
-                del level._stamps[tag]
+                del level._tags[tag]
             dropped += len(stale)
         if dropped:
             self.stats.add("pwc_invalidations", dropped)
@@ -194,8 +191,8 @@ class PageWalkCaches:
         """Drop everything (broadcast shootdown). Returns entries dropped."""
         dropped = 0
         for level in self._levels:
-            dropped += len(level._stamps)
-            level._stamps.clear()
+            dropped += len(level._tags)
+            level._tags.clear()
         if dropped:
             self.stats.add("pwc_invalidations", dropped)
         return dropped

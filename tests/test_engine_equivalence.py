@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import repro.sim.engine as engine_mod
@@ -171,29 +171,75 @@ def test_random_traces_with_predictors(records):
     assert_equivalent(build_trace(records), config, telemetry=True)
 
 
+LLT_32 = TlbGeometry(32, 4, 8)
+
+#: name -> (config, code-page stride in pages, data base, ASID segments).
+#: Every case misses the I-TLB many times, so each runs the flat
+#: interpreter's delegated instruction-side translate under a different
+#: LLT/walk state: predictors, huge leaves, tenants and SRRIP (which turns
+#: the same-page filter off).
+CODE_PAGE_CASES = {
+    "baseline": (fast_config(l2_tlb=LLT_32), 1, 0x10000000, False),
+    "dppred+cbpred": (
+        fast_config(
+            l2_tlb=LLT_32, tlb_predictor="dppred", llc_predictor="cbpred"
+        ),
+        1, 0x10000000, False,
+    ),
+    # 24 code pages over three 2 MB regions, all huge.
+    "hugepage": (
+        hugepage_config(huge_fraction=1.0, l2_tlb=LLT_32),
+        64, 0x10000000, False,
+    ),
+    # Each tenant's first touch of memory is an I-fetch, so the delegated
+    # walk creates its page table.
+    "asid": (mix2_config(l2_tlb=LLT_32), 1, 0x10000000, True),
+    # Data shares the code's huge region: a tenant's first data access
+    # hits the 2 MB LLT entry its first I-fetch just installed.
+    "asid+hugepage": (
+        mix2_config(huge_fraction=1.0, l2_tlb=LLT_32), 1, 0x500000, True,
+    ),
+    "ship": (
+        fast_config(l2_tlb=LLT_32, tlb_predictor="ship", llc_predictor="ship"),
+        1, 0x10000000, False,
+    ),
+    "leeway": (leeway_config(l2_tlb=LLT_32), 1, 0x10000000, False),
+    "srrip": (
+        fast_config(l2_tlb=LLT_32, tlb_policy="srrip"), 1, 0x10000000, False,
+    ),
+}
+
+
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), predictors=st.booleans())
-def test_random_code_pages_bit_identical(seed, predictors):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_code_pages_bit_identical(seed):
     """PCs spread over 24 code pages thrash the 16-entry I-TLB against a
     32-entry LLT that thrashes less, so the instruction side's LLT hits,
     walks and LLT/I-TLB victims all run (the other random traces keep
-    their code on one page)."""
-    rng = np.random.default_rng(seed)
+    their code on one page), under every :data:`CODE_PAGE_CASES` case."""
     n = 600
-    pcs = 0x400000 + rng.integers(0, 24, n) * 4096 + rng.integers(0, 8, n) * 4
-    vaddrs = (
-        0x10000000 + rng.integers(0, 41, n) * 4096 + rng.integers(0, 71, n) * 64
-    )
-    trace = Trace(
-        "hypothesis-code", pcs.astype(np.uint64), vaddrs.astype(np.uint64),
-        rng.random(n) < 0.5, rng.integers(0, 6, n).astype(np.uint16),
-    )
-    extra = (
-        {"tlb_predictor": "dppred", "llc_predictor": "cbpred"}
-        if predictors else {}
-    )
-    config = fast_config(l2_tlb=TlbGeometry(32, 4, 8), **extra)
-    assert_equivalent(trace, config, telemetry=True)
+    for name, (config, stride, data_base, tenants) in CODE_PAGE_CASES.items():
+        note(f"case: {name}")
+        rng = np.random.default_rng(seed)
+        pcs = (
+            0x400000 + rng.integers(0, 24, n) * stride * 4096
+            + rng.integers(0, 8, n) * 4
+        )
+        vaddrs = (
+            data_base + rng.integers(0, 41, n) * 4096
+            + rng.integers(0, 71, n) * 64
+        )
+        asids = (
+            np.repeat(rng.integers(1, 3, n // 20), 20) if tenants else None
+        )
+        trace = Trace(
+            "hypothesis-code", pcs.astype(np.uint64),
+            vaddrs.astype(np.uint64), rng.random(n) < 0.5,
+            rng.integers(0, 6, n).astype(np.uint16), asids,
+        )
+        machine = assert_equivalent(trace, config, telemetry=True)
+        assert_wholly_flat(machine, trace)
+        assert machine.l1_itlb.stats.get("misses") > 24
 
 
 # --------------------------------------------------------------------- #

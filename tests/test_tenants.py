@@ -178,6 +178,8 @@ class TestPwcShootdownConsistency:
         resolved, _ = pwc.consult(vpn)
         assert resolved == 3
         tlb.invalidate(vpn, now=1)
+        assert pwc.stats.get("pwc_invalidations") == 3
+        assert pwc.invalidate(vpn) == 0
         resolved, _ = pwc.consult(vpn)
         assert resolved == 0
 

@@ -3,7 +3,7 @@
 Two structures replaced O(n) ``min()``-based victim scans with recency
 order:
 
-* :class:`repro.vm.pwc._FullyAssocLru` keeps its stamp dict in recency
+* :class:`repro.vm.pwc._FullyAssocLru` keeps its tag dict in recency
   order so eviction is ``popitem(last=False)``;
 * :class:`repro.mem.cache.SetAssocCache` and :class:`repro.vm.tlb.Tlb`
   keep each set's tag dict (key -> way) in recency order, least recent
@@ -72,6 +72,10 @@ class _MinScanLru:
         self.stamps[tag] = self.clock
         return victim
 
+    def order(self) -> list:
+        """Resident tags, least recently stamped first."""
+        return sorted(self.stamps, key=self.stamps.get)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -84,37 +88,38 @@ class _MinScanLru:
 )
 def test_fully_assoc_lru_matches_min_scan(capacity, ops):
     """Every eviction picks the tag the old min() scan would evict, and
-    the surviving (tag, stamp) state stays identical throughout."""
+    the resident tags stay in the oracle's stamp order throughout."""
     live = _FullyAssocLru(capacity)
     oracle = _MinScanLru(capacity)
     for is_lookup, tag in ops:
         if is_lookup:
             assert live.lookup(tag) == oracle.lookup(tag)
         else:
-            before = set(live._stamps)
+            before = set(live._tags)
             oracle_victim = oracle.fill(tag)
             live.fill(tag)
-            evicted = before - set(live._stamps)
+            evicted = before - set(live._tags)
             live_victim = evicted.pop() if evicted else None
             assert live_victim == oracle_victim
-        assert dict(live._stamps) == oracle.stamps
-        assert live._clock == oracle.clock
+        assert list(live._tags) == oracle.order()
 
 
 def test_fully_assoc_lru_recency_order_invariant():
-    """_stamps stays sorted by stamp (least-recent first) — the property
+    """_tags stays in stamp order (least recent first) — the property
     that makes popitem(last=False) equivalent to the min() scan."""
     rng = random.Random(0xC0FFEE)
     lru = _FullyAssocLru(6)
+    oracle = _MinScanLru(6)
     for _ in range(500):
         tag = rng.randrange(20)
         if rng.random() < 0.5:
             lru.lookup(tag)
+            oracle.lookup(tag)
         else:
             lru.fill(tag)
-        stamps = list(lru._stamps.values())
-        assert stamps == sorted(stamps)
-        assert len(lru._stamps) <= 6
+            oracle.fill(tag)
+        assert list(lru._tags) == oracle.order()
+        assert len(lru._tags) <= 6
 
 
 def test_pwc_stack_victims_match_min_scan_oracle():
@@ -138,7 +143,7 @@ def test_pwc_stack_victims_match_min_scan_oracle():
             for oracle, shift in zip(oracles, shifts):
                 oracle.fill(base | (vpn >> shift))
         for level, oracle in zip(pwc._levels, oracles):
-            assert dict(level._stamps) == oracle.stamps
+            assert list(level._tags) == oracle.order()
 
 
 # --------------------------------------------------------------------- #
