@@ -2,13 +2,14 @@
 
 ``perfbench/reference_digests.json`` pins the baseline and dpPred+cbPred
 suite plus a few scenario cells, but it is not tied to the cache schema
-version. This file pins one cell each of the baseline, dpPred+cbPred,
-Leeway and perceptron, and the rest of the replacement surface: SHiP at
-both levels (distant insertion), dpPred's demote variant, AIP
-(``choose_victim``), SRRIP and FIFO replacement, ``track_reference=True``
-ground-truth references, both tenant mixes and huge pages. Each cell is
-the SHA-256 of ``wire_bytes`` of one run (budget 4,000, trace and machine
-seed 42) on both engines.
+version. This file pins one cell each of the baseline, Leeway and
+perceptron, dpPred+cbPred on every Table II workload (a bug in code both
+engines share moves both together, so only a golden value can see it),
+and the rest of the replacement surface: SHiP at both levels (distant
+insertion), dpPred's demote variant, AIP (``choose_victim``), SRRIP and
+FIFO replacement, ``track_reference=True`` ground-truth references, both
+tenant mixes and huge pages. Each cell is the SHA-256 of ``wire_bytes``
+of one run (budget 4,000, trace and machine seed 42) on both engines.
 
 A result change is a simulator-semantics change, so it must come with a
 :data:`~repro.sim.diskcache.CACHE_SCHEMA_VERSION` bump (stale disk-cache
@@ -40,7 +41,7 @@ from repro.sim.config import (
 from repro.sim.diskcache import CACHE_SCHEMA_VERSION
 from repro.sim.machine import Machine
 from repro.sim.results import wire_bytes
-from repro.workloads.suite import get_trace
+from repro.workloads.suite import get_trace, workload_names
 
 GOLDEN = Path(__file__).parent / "data" / "result_fingerprints.json"
 BUDGET = 4_000
@@ -78,6 +79,12 @@ CELLS = {
     "mix4": ("mix4", mix4_config(**_DP_CB)),
     "hugepage": ("mcf", hugepage_config(**_DP_CB)),
 }
+# The paper's headline config on the rest of the Table II suite.
+CELLS.update(
+    (f"dppred_cbpred_{workload}", (workload, fast_config(**_DP_CB)))
+    for workload in workload_names()
+    if workload != "mcf"
+)
 
 
 def fingerprint(label: str, engine: str) -> str:
