@@ -119,6 +119,11 @@ class CacheHierarchy:
             release_line(victim)
 
     def _fill_llc(self, block: int, now: int) -> None:
+        """Fill the LLC and keep the hierarchy inclusive: the victim is
+        invalidated from L1 and L2, and written back if any copy was
+        dirty. Besides this class's own miss paths, the batched engine's
+        flat interpreter calls it for every page-walk load that misses
+        the LLC (its data path inlines the same chain)."""
         victim = self.llc.fill(block, now)
         if victim is not None:
             # Inclusive LLC: the victim must disappear from upper levels.
