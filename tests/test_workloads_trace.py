@@ -48,6 +48,28 @@ class TestTraceBuilder:
         assert trace.pcs.tolist() == [1, 2]
         assert trace.writes.tolist() == [False, True]
 
+    @pytest.mark.parametrize("field", ["pcs", "writes", "gaps"])
+    def test_emit_interleaved_rejects_short_field(self, field):
+        b = TraceBuilder("t", budget=10)
+        fields = {
+            "pcs": np.asarray([1, 2, 3], dtype=np.uint64),
+            "vaddrs": np.asarray([10, 20, 30], dtype=np.uint64),
+            "writes": [False, True, False],
+            "gaps": [2, 3, 4],
+        }
+        fields[field] = fields[field][:2]
+        with pytest.raises(ValueError, match=field):
+            b.emit_interleaved(**fields)
+        assert b.remaining == 10
+
+    def test_emit_interleaved_needs_only_the_records_it_takes(self):
+        b = TraceBuilder("t", budget=2)
+        b.emit_interleaved([1, 2], [10, 20, 30], [False, True], [2, 3])
+        assert b.full
+        # A full builder takes nothing, so short fields are not an error.
+        b.emit_interleaved([], [40], [], [])
+        assert b.build().vaddrs.tolist() == [10, 20]
+
     def test_empty_build_rejected(self):
         with pytest.raises(ValueError):
             TraceBuilder("t", budget=5).build()
@@ -194,8 +216,8 @@ def test_builder_never_exceeds_budget(chunks, budget):
 
 
 class ReferenceTraceBuilder:
-    """The array-per-chunk builder ``TraceBuilder`` replaced, kept as the
-    oracle for its run-length rewrite: every chunk is stored as four
+    """The array-per-chunk builder, kept as the oracle for
+    ``TraceBuilder``'s list-backed rewrite: every chunk is stored as four
     filled arrays and ``build`` concatenates them."""
 
     def __init__(self, name, budget):
@@ -253,20 +275,38 @@ class ReferenceTraceBuilder:
 
 _pc = st.integers(0, 2**64 - 1)
 _addr = st.integers(0, 2**48)
-_gap = st.integers(0, 2**16 - 1)
-_emission = st.one_of(
-    st.tuples(st.just("emit"), _pc, _addr, st.booleans(), _gap),
-    st.tuples(
-        st.just("emit_chunk"), _pc, st.lists(_addr, max_size=12),
-        st.booleans(), _gap,
-    ),
-    st.integers(0, 12).flatmap(lambda n: st.tuples(
-        st.just("emit_interleaved"),
+_gap = st.one_of(st.sampled_from([0, 2**16 - 1]), st.integers(0, 2**16 - 1))
+#: How a vaddr reaches the builder: a Python int or a numpy scalar.
+_scalar = st.sampled_from([int, np.uint64, np.int64])
+#: dtype of a vaddr array (``addresses`` makes uint64; int64 arithmetic
+#: on offsets makes int64).
+_addr_dtype = st.sampled_from([np.uint64, np.int64])
+
+
+def _records(kind):
+    """Parallel fields of ``n`` records, 0 <= n <= 12 (0: an empty chunk)."""
+    return st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.just(kind),
         st.lists(_pc, min_size=n, max_size=n),
         st.lists(_addr, min_size=n, max_size=n),
         st.lists(st.booleans(), min_size=n, max_size=n),
         st.lists(_gap, min_size=n, max_size=n),
-    )),
+        _addr_dtype,
+    ))
+
+
+_emission = st.one_of(
+    st.tuples(st.just("emit"), _pc, _addr, st.booleans(), _gap, _scalar),
+    st.tuples(
+        st.just("emit_chunk"), _pc, st.lists(_addr, max_size=12),
+        st.booleans(), _gap, _addr_dtype,
+    ),
+    st.tuples(
+        st.just("emit_chunk_list"), _pc, st.lists(_addr, max_size=12),
+        st.booleans(), _gap,
+    ),
+    _records("emit_interleaved"),
+    _records("emit_interleaved_lists"),
 )
 
 
@@ -276,19 +316,25 @@ def _replay(builder, emissions):
     seen = []
     for kind, *args in emissions:
         if kind == "emit":
-            builder.emit(*args)
+            pc, vaddr, write, gap, scalar = args
+            builder.emit(pc, scalar(vaddr), write, gap)
         elif kind == "emit_chunk":
-            pc, vaddrs, write, gap = args
-            builder.emit_chunk(pc, np.asarray(vaddrs, dtype=np.uint64),
+            pc, vaddrs, write, gap, dtype = args
+            builder.emit_chunk(pc, np.asarray(vaddrs, dtype=dtype),
                                write, gap)
-        else:
-            pcs, vaddrs, writes, gaps = args
+        elif kind == "emit_chunk_list":
+            builder.emit_chunk(*args)
+        elif kind == "emit_interleaved":
+            pcs, vaddrs, writes, gaps, dtype = args
             builder.emit_interleaved(
                 np.asarray(pcs, dtype=np.uint64),
-                np.asarray(vaddrs, dtype=np.uint64),
+                np.asarray(vaddrs, dtype=dtype),
                 np.asarray(writes, dtype=bool),
                 np.asarray(gaps, dtype=np.uint16),
             )
+        else:
+            # Python lists, as the list-emitting kernels pass them.
+            builder.emit_interleaved(*args[:4])
         seen.append((builder.remaining, builder.full))
     return seen
 
@@ -299,9 +345,10 @@ def _replay(builder, emissions):
     budget=st.integers(1, 80),
 )
 def test_run_length_builder_matches_reference(emissions, budget):
-    """Any mix of scalar, uniform-chunk and interleaved emissions, with
-    the budget truncating wherever it falls, builds the same arrays with
-    the same dtypes as the array-per-chunk builder."""
+    """Any mix of scalar, uniform-chunk and interleaved emissions — numpy
+    scalars, uint64 and int64 arrays, or Python lists — with the budget
+    truncating wherever it falls, builds the same arrays with the same
+    dtypes as the array-per-chunk builder."""
     reference = ReferenceTraceBuilder("prop", budget)
     builder = TraceBuilder("prop", budget)
     assert _replay(builder, emissions) == _replay(reference, emissions)
