@@ -57,62 +57,54 @@ class CsrGraph:
         """Random directed graph; ``skew`` > 0 biases targets towards hub
         vertices with a Pareto-shaped in-degree (graph500-style).
 
-        Edges are grouped by source with :func:`radix_argsort`, a two-pass
-        LSD radix sort over the 24-bit vertex ids. A stable sort's
-        permutation is unique, so the graph is identical to the one an
-        int64 stable argsort would give, at about a third of the cost.
+        Edges are grouped by source, in draw order within a source, with
+        one in-place sort of the int64 keys ``(source << jbits | j) <<
+        vbits | target``, ``j`` being the edge's draw index. The keys are
+        distinct, so any sort puts them in the order of the stable argsort
+        of ``sources``, and each target rides along in its key's low bits.
+        Graphs too large to pack (``2 * vbits + jbits > 63``) fall back to
+        ``np.argsort(kind="stable")``.
         """
         rng = np.random.RandomState(seed)
         m = num_vertices * avg_degree
         sources = rng.randint(0, num_vertices, size=m)
-        # Sort before drawing targets (the sort consumes no randomness),
-        # so the sources and the targets are never both alive at peak.
         counts = np.bincount(sources, minlength=num_vertices)
-        order = radix_argsort(sources)
-        del sources
+        vbits = (num_vertices - 1).bit_length()
+        jbits = (m - 1).bit_length()
+        packed = 2 * vbits + jbits <= 63
+        if packed:
+            # Build the keys in the sources' own buffer; the targets are
+            # OR-ed in once drawn.
+            sources <<= jbits
+            sources |= np.arange(m)
+            sources <<= vbits
+        else:
+            order = np.argsort(sources, kind="stable")
+            del sources
         if skew > 0:
             # In place, in the order ``(raw * n * 0.05) % n`` evaluates.
             raw = rng.pareto(skew, size=m)
             raw *= num_vertices
             raw *= 0.05
-            targets = raw.astype(np.int64)
-            del raw
+            # ``raw.astype(np.int64)`` into raw's own buffer, a block at
+            # a time (numpy copies each overlapping block first), so the
+            # peak holds two edge-sized arrays, not three.
+            targets = raw.view(np.int64)
+            for i in range(0, m, 1 << 16):
+                targets[i:i + (1 << 16)] = raw[i:i + (1 << 16)]
             targets %= num_vertices
         else:
             targets = rng.randint(0, num_vertices, size=m)
-        targets = targets[order].astype(np.int64, copy=False)
+        if packed:
+            sources |= targets
+            del targets
+            sources.sort()
+            targets = np.bitwise_and(sources, (1 << vbits) - 1, out=sources)
+        else:
+            targets = targets[order]
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return cls(offsets, targets)
-
-
-#: Keys below this bound take the two-digit radix path.
-RADIX_KEY_BOUND = 1 << 24
-
-
-def radix_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for integer keys, via LSD radix.
-
-    Keys in ``[0, 2**24)`` sort as a stable argsort of the low 16 bits
-    (``uint16``, which numpy radix-sorts) followed by a stable argsort of
-    the ``uint8`` high digit taken in that order. Each digit is narrowed
-    straight into its small dtype, so no full-width temporary is made.
-    Any other keys fall back to numpy's stable argsort.
-    """
-    n = len(keys)
-    if n == 0 or keys.min() < 0 or keys.max() >= RADIX_KEY_BOUND:
-        return np.argsort(keys, kind="stable")
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    high = np.right_shift(
-        keys, 16, out=np.empty(n, dtype=np.uint8), casting="unsafe"
-    )
-    result = np.argsort(high[order], kind="stable")
-    del high
-    # Compose the passes into ``result`` itself: element i reads
-    # result[i] before overwriting it, and "clip" mode (every index is in
-    # range) skips the buffered copy that "raise" would make.
-    np.take(order, result, out=result, mode="clip")
-    return result
+        return cls(offsets, targets.astype(np.int64, copy=False))
 
 
 class GraphWorkload(Workload):
@@ -152,6 +144,8 @@ class GraphWorkload(Workload):
 
     def generate(self, budget: int) -> Trace:
         self._graph = self._build_graph()
+        #: The offsets as Python ints, read once per scanned vertex.
+        self._offsets = self._graph.offsets.tolist()
         self.space = self._layout()
         builder = TraceBuilder(self.name, budget)
         self._emit(builder)
@@ -173,35 +167,31 @@ class GraphWorkload(Workload):
         """Emit the canonical per-vertex loop: read offsets[u], then for
         each edge j alternately read targets[j] and gather value[t_j].
         Returns the neighbour ids so the kernel can do its real work."""
-        g = self._graph
-        s, e = int(g.offsets[u]), int(g.offsets[u + 1])
+        s, e = self._offsets[u], self._offsets[u + 1]
+        space = self.space
         builder.emit(
             self.PC_OFFSETS,
-            self.space.base("offsets") + u * OFFSET_SIZE,
+            space.base("offsets") + u * OFFSET_SIZE,
             gap=self.gap,
         )
-        if e > s:
-            nbrs = g.targets[s:e]
-            eaddr = addresses(
-                self.space.base("targets"),
-                np.arange(s, e, dtype=np.uint64),
-                EDGE_SIZE,
+        nbrs = self._graph.targets[s:e]
+        n = e - s
+        if n:
+            edges = space.base("targets")
+            vaddrs = [0] * (2 * n)
+            vaddrs[0::2] = range(
+                edges + s * EDGE_SIZE, edges + e * EDGE_SIZE, EDGE_SIZE
             )
-            gaddr = addresses(gather_base, nbrs, VALUE_SIZE)
-            n = len(nbrs)
-            inter = np.empty(2 * n, dtype=np.uint64)
-            inter[0::2] = eaddr
-            inter[1::2] = gaddr
-            pcs = np.empty(2 * n, dtype=np.uint64)
-            pcs[0::2] = self.PC_EDGES
-            pcs[1::2] = self.PC_GATHER
-            writes = np.zeros(2 * n, dtype=bool)
-            if write_back:
-                writes[1::2] = True
-            gaps = np.full(2 * n, self.gap, dtype=np.uint16)
-            builder.emit_interleaved(pcs, inter, writes, gaps)
-            return nbrs
-        return g.targets[0:0]
+            vaddrs[1::2] = [
+                gather_base + t * VALUE_SIZE for t in nbrs.tolist()
+            ]
+            builder.emit_interleaved(
+                [self.PC_EDGES, self.PC_GATHER] * n,
+                vaddrs,
+                [False, write_back] * n,
+                [self.gap] * (2 * n),
+            )
+        return nbrs
 
     def _value_addr(self, array: str, u) -> int:
         return self.space.base(array) + int(u) * VALUE_SIZE
@@ -247,7 +237,7 @@ class Bfs(GraphWorkload):
         rng = self._rng()
         parent_base = self.space.base("parent")
         while not builder.full:
-            parent = np.full(g.num_vertices, -1, dtype=np.int64)
+            parent = [-1] * g.num_vertices
             source = int(rng.randint(0, g.num_vertices))
             parent[source] = source
             frontier = [source]
@@ -317,7 +307,7 @@ class Sssp(GraphWorkload):
         rng = self._rng()
         dist_base = self.space.base("dist")
         while not builder.full:
-            dist = np.full(g.num_vertices, 2**31, dtype=np.int64)
+            dist = [2**31] * g.num_vertices
             source = int(rng.randint(0, g.num_vertices))
             dist[source] = 0
             for _ in range(8):  # relaxation rounds
@@ -357,7 +347,7 @@ class BetweennessCentrality(GraphWorkload):
         delta_base = self.space.base("delta")
         while not builder.full:
             source = int(rng.randint(0, g.num_vertices))
-            depth = np.full(g.num_vertices, -1, dtype=np.int64)
+            depth = [-1] * g.num_vertices
             depth[source] = 0
             order = [source]
             frontier = [source]
@@ -440,6 +430,7 @@ class TriangleCounting(GraphWorkload):
 
     def _emit(self, builder: TraceBuilder) -> None:
         g = self._graph
+        offsets = self._offsets
         tg_base = self.space.base("targets")
         while not builder.full:
             for u in range(g.num_vertices):
@@ -453,25 +444,18 @@ class TriangleCounting(GraphWorkload):
                 for v in nbrs.tolist():
                     if builder.full:
                         return
-                    s, e = int(g.offsets[v]), int(g.offsets[v + 1])
+                    s, e = offsets[v], offsets[v + 1]
                     if e <= s:
                         continue
                     probes = []
                     lo, hi = s, e - 1
                     while lo <= hi:
                         mid = (lo + hi) // 2
-                        probes.append(mid)
+                        probes.append(tg_base + mid * EDGE_SIZE)
                         lo = mid + 1  # walk right; emulates merge probing
                         if len(probes) >= 4:
                             break
-                    builder.emit_chunk(
-                        self.PC_AUX,
-                        addresses(
-                            tg_base, np.asarray(probes, dtype=np.uint64),
-                            EDGE_SIZE,
-                        ),
-                        gap=self.gap,
-                    )
+                    builder.emit_chunk(self.PC_AUX, probes, gap=self.gap)
 
 
 class KCore(GraphWorkload):
@@ -545,7 +529,7 @@ class Graph500(GraphWorkload):
         rng = self._rng()
         visited_base = self.space.base("visited")
         while not builder.full:
-            parent = np.full(g.num_vertices, -1, dtype=np.int64)
+            parent = [-1] * g.num_vertices
             source = int(rng.randint(0, g.num_vertices))
             parent[source] = source
             frontier = [source]

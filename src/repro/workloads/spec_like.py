@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.synthetic import AddressSpace, Workload, addresses, mix_pcs
+from repro.workloads.synthetic import AddressSpace, Workload, mix_pcs
 from repro.workloads.trace import Trace, TraceBuilder, pc_for_site
 
 
@@ -64,17 +64,13 @@ class CactusAdm(Workload):
         pc_write = pc_for_site(40)
         pc_coeff = pc_for_site(41)
         pc_shared = pc_for_site(60)  # inlined helper shared by all sites
+        gap = self.gap
         page = 0
 
-        def emit_mixed(primary_pc, vaddrs):
-            pcs = mix_pcs(
-                rng, primary_pc, pc_shared, len(vaddrs),
-                self.shared_pc_fraction,
-            )
+        def emit_mixed(primary_pc, vaddrs, fraction):
+            pcs = mix_pcs(rng, primary_pc, pc_shared, len(vaddrs), fraction)
             builder.emit_interleaved(
-                pcs, vaddrs,
-                np.zeros(len(vaddrs), dtype=bool),
-                np.full(len(vaddrs), self.gap, dtype=np.uint16),
+                pcs, vaddrs, [False] * len(vaddrs), [gap] * len(vaddrs)
             )
 
         while not builder.full:
@@ -83,26 +79,22 @@ class CactusAdm(Workload):
             # and write the output page.
             for a in range(self.num_functions):
                 offs = rng.randint(0, 4096 // 8, size=self.touches_per_page)
+                row = bases[a] + (page << 12)
                 emit_mixed(
                     pc_for_site(a),
-                    (bases[a] + (page << 12) + offs * 8).astype(np.uint64),
+                    [row + o * 8 for o in offs.tolist()],
+                    self.shared_pc_fraction,
                 )
             gathers = rng.randint(0, coeff_elems, size=2 * self.num_functions)
-            gaddrs = addresses(coeff, gathers.astype(np.uint64), 8)
-            pcs = mix_pcs(
-                rng, pc_coeff, pc_shared, len(gaddrs),
+            emit_mixed(
+                pc_coeff,
+                [coeff + g * 8 for g in gathers.tolist()],
                 self.shared_gather_fraction,
             )
-            builder.emit_interleaved(
-                pcs, gaddrs,
-                np.zeros(len(gaddrs), dtype=bool),
-                np.full(len(gaddrs), self.gap, dtype=np.uint16),
-            )
+            row = out + (page << 12)
             builder.emit_chunk(
-                pc_write,
-                (out + (page << 12) + np.arange(4, dtype=np.uint64) * 8),
-                write=True,
-                gap=self.gap,
+                pc_write, [row, row + 8, row + 16, row + 24],
+                write=True, gap=gap,
             )
             page = (page + 1) % pages_per_fn
         return builder.build()
@@ -141,39 +133,30 @@ class Lbm(Workload):
         pc_dst = pc_for_site(1)
         pc_obst = pc_for_site(2)
         pc_shared = pc_for_site(60)
+        gap = self.gap
         page = 0
 
-        def emit_mixed(primary_pc, vaddrs, write=False):
-            pcs = mix_pcs(
-                rng, primary_pc, pc_shared, len(vaddrs),
-                self.shared_pc_fraction,
-            )
+        def emit_mixed(primary_pc, vaddrs, fraction, write=False):
+            pcs = mix_pcs(rng, primary_pc, pc_shared, len(vaddrs), fraction)
             builder.emit_interleaved(
-                pcs, vaddrs,
-                np.full(len(vaddrs), write, dtype=bool),
-                np.full(len(vaddrs), self.gap, dtype=np.uint16),
+                pcs, vaddrs, [write] * len(vaddrs), [gap] * len(vaddrs)
             )
 
         while not builder.full:
             offs = rng.randint(0, 4096 // 8, size=self.touches_per_page)
+            cells = [(page << 12) + o * 8 for o in offs.tolist()]
             emit_mixed(
-                pc_src, (src + (page << 12) + offs * 8).astype(np.uint64)
+                pc_src, [src + c for c in cells], self.shared_pc_fraction
             )
             emit_mixed(
-                pc_dst,
-                (dst + (page << 12) + offs * 8).astype(np.uint64),
+                pc_dst, [dst + c for c in cells], self.shared_pc_fraction,
                 write=True,
             )
             gathers = rng.randint(0, obst_elems, size=2)
-            gaddrs = addresses(obstacle, gathers.astype(np.uint64), 8)
-            pcs = mix_pcs(
-                rng, pc_obst, pc_shared, len(gaddrs),
+            emit_mixed(
+                pc_obst,
+                [obstacle + g * 8 for g in gathers.tolist()],
                 self.shared_gather_fraction,
-            )
-            builder.emit_interleaved(
-                pcs, gaddrs,
-                np.zeros(len(gaddrs), dtype=bool),
-                np.full(len(gaddrs), self.gap, dtype=np.uint16),
             )
             page = (page + 1) % pages
             if page == 0:
@@ -204,8 +187,9 @@ class Mcf(Workload):
         order = rng.permutation(self.num_arcs)
         chase = np.empty(self.num_arcs, dtype=np.int64)
         chase[order] = np.roll(order, -1)
-        heads = rng.randint(0, self.num_nodes, size=self.num_arcs)
-        tails = rng.randint(0, self.num_nodes, size=self.num_arcs)
+        chase = chase.tolist()
+        heads = rng.randint(0, self.num_nodes, size=self.num_arcs).tolist()
+        tails = rng.randint(0, self.num_nodes, size=self.num_arcs).tolist()
         pos = int(rng.randint(0, self.num_arcs))
         pc_arc = pc_for_site(0)
         pc_head = pc_for_site(1)
@@ -216,11 +200,11 @@ class Mcf(Workload):
                 pc_arc, arcs + pos * self.arc_size, gap=self.gap
             )
             builder.emit(
-                pc_head, nodes + int(heads[pos]) * self.node_size,
+                pc_head, nodes + heads[pos] * self.node_size,
                 gap=self.gap,
             )
             builder.emit(
-                pc_tail, nodes + int(tails[pos]) * self.node_size,
+                pc_tail, nodes + tails[pos] * self.node_size,
                 gap=self.gap,
             )
             # Occasional pivot updates write the arc back.
@@ -229,7 +213,7 @@ class Mcf(Workload):
                     pc_update, arcs + pos * self.arc_size,
                     write=True, gap=self.gap,
                 )
-            pos = int(chase[pos])
+            pos = chase[pos]
         return builder.build()
 
 
@@ -260,39 +244,29 @@ class ConjugateGradient(Workload):
         xvec = space.region("x", n * 8)
         yvec = space.region("y", n * 8)
         rng = self._rng()
-        cols = rng.randint(0, n, size=nnz).astype(np.uint64)
+        cols = rng.randint(0, n, size=nnz)
         pc_row = pc_for_site(0)
-        pc_col = pc_for_site(1)
-        pc_val = pc_for_site(2)
-        pc_x = pc_for_site(3)
         pc_y = pc_for_site(4)
+        k = self.nnz_per_row
+        # colidx and values stream; x is gathered via the columns.
+        pcs = [pc_for_site(1), pc_for_site(2), pc_for_site(3)] * k
+        writes = [False] * (3 * k)
+        gaps = [self.gap] * (3 * k)
+        vaddrs = [0] * (3 * k)
         while not builder.full:
             for row in range(n):
                 if builder.full:
                     return builder.build()
-                s = row * self.nnz_per_row
-                e = s + self.nnz_per_row
-                idx = np.arange(s, e, dtype=np.uint64)
+                s, e = row * k, row * k + k
                 builder.emit(pc_row, rowptr + row * 8, gap=self.gap)
-                # colidx and values stream; x is gathered via the columns.
-                ca = addresses(colidx, idx, 4)
-                va = addresses(values, idx, self.value_size)
-                xa = addresses(xvec, cols[s:e], 8)
-                k = len(idx)
-                inter = np.empty(3 * k, dtype=np.uint64)
-                inter[0::3] = ca
-                inter[1::3] = va
-                inter[2::3] = xa
-                pcs = np.empty(3 * k, dtype=np.uint64)
-                pcs[0::3] = pc_col
-                pcs[1::3] = pc_val
-                pcs[2::3] = pc_x
-                builder.emit_interleaved(
-                    pcs,
-                    inter,
-                    np.zeros(3 * k, dtype=bool),
-                    np.full(3 * k, self.gap, dtype=np.uint16),
+                vaddrs[0::3] = range(colidx + s * 4, colidx + e * 4, 4)
+                vaddrs[1::3] = range(
+                    values + s * self.value_size,
+                    values + e * self.value_size,
+                    self.value_size,
                 )
+                vaddrs[2::3] = [xvec + c * 8 for c in cols[s:e].tolist()]
+                builder.emit_interleaved(pcs, vaddrs, writes, gaps)
                 builder.emit(pc_y, yvec + row * 8, write=True, gap=self.gap)
         return builder.build()
 
@@ -327,26 +301,18 @@ class Canneal(Workload):
             builder.emit(pc_a, elements + a * self.element_size, gap=self.gap)
             builder.emit(pc_b, elements + b * self.element_size, gap=self.gap)
             for ele in (a, b):
+                net = netlist + ele * self.fanout * 4
                 builder.emit_chunk(
                     pc_net,
-                    addresses(
-                        netlist,
-                        np.arange(
-                            ele * self.fanout,
-                            (ele + 1) * self.fanout,
-                            dtype=np.uint64,
-                        ),
-                        4,
-                    ),
+                    list(range(net, net + self.fanout * 4, 4)),
                     gap=self.gap,
                 )
                 builder.emit_chunk(
                     pc_gather,
-                    addresses(
-                        elements,
-                        neigh[ele].astype(np.uint64),
-                        self.element_size,
-                    ),
+                    [
+                        elements + t * self.element_size
+                        for t in neigh[ele].tolist()
+                    ],
                     gap=self.gap,
                 )
             if rng.rand() < 0.4:  # accepted swap writes both elements

@@ -10,7 +10,7 @@ studies.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -64,8 +64,8 @@ def mix_pcs(
     shared_pc: int,
     count: int,
     shared_fraction: float,
-) -> np.ndarray:
-    """PC array where a fraction of accesses issue from a *shared* PC.
+) -> List[int]:
+    """PC list where a fraction of accesses issue from a *shared* PC.
 
     Real applications touch several data structures through common inlined
     helpers (iterators, memcpy, hash probes), so one PC's fills mix hot and
@@ -73,11 +73,12 @@ def mix_pcs(
     pHIST index is designed for — and where PC-only signatures (SHiP)
     mispredict (paper Table VI's low SHiP-TLB accuracies).
     """
-    pcs = np.full(count, primary_pc, dtype=np.uint64)
-    if shared_fraction > 0:
-        mask = rng.rand(count) < shared_fraction
-        pcs[mask] = shared_pc
-    return pcs
+    if shared_fraction <= 0:
+        return [primary_pc] * count
+    return [
+        shared_pc if r < shared_fraction else primary_pc
+        for r in rng.rand(count).tolist()
+    ]
 
 
 def strided_indices(count: int, stride: int, start: int = 0) -> np.ndarray:

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from repro.workloads.graphs import (
     EDGE_SIZE,
     OFFSET_SIZE,
-    RADIX_KEY_BOUND,
     VALUE_SIZE,
     Bfs,
     CsrGraph,
     GraphWorkload,
     PageRank,
     TriangleCounting,
-    radix_argsort,
 )
 
 BUDGET = 6000
@@ -125,56 +123,86 @@ class TestLayout:
         assert wl.space.base("rank_new") > wl.space.base("rank")
 
 
-class TestRadixArgsort:
-    """``radix_argsort`` is ``np.argsort(kind="stable")``, element for
-    element: a stable sort's permutation is unique, so any difference is
-    a bug, not a tie broken another way."""
+def stable_argsort_graph(num_vertices, avg_degree, seed, skew):
+    """``CsrGraph.random``'s ``(offsets, targets)`` built the plain way:
+    draw sources then targets, and gather the targets in the order of a
+    stable argsort of the sources."""
+    rng = np.random.RandomState(seed)
+    m = num_vertices * avg_degree
+    sources = rng.randint(0, num_vertices, size=m)
+    if skew > 0:
+        raw = rng.pareto(skew, size=m) * num_vertices * 0.05
+        targets = raw.astype(np.int64) % num_vertices
+    else:
+        targets = rng.randint(0, num_vertices, size=m)
+    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=num_vertices), out=offsets[1:])
+    order = np.argsort(sources, kind="stable")
+    return offsets, targets[order].astype(np.int64)
+
+
+class TestGraphGrouping:
+    """``CsrGraph.random`` groups edges by source, in draw order within a
+    source, exactly as a stable argsort of the sources would."""
 
     @staticmethod
-    def check(keys):
-        got = radix_argsort(keys)
-        assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, np.argsort(keys, kind="stable"))
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        data=st.data(),
-        # One-digit keys, keys past 2**16 (both digits), the last radix
-        # bound, and bounds that put keys at or above the fallback.
-        bound=st.sampled_from([
-            1, 3, 1 << 8, 1 << 16, (1 << 16) + 7, 1 << 20,
-            RADIX_KEY_BOUND, RADIX_KEY_BOUND + 1, 1 << 40,
-        ]),
-        dtype=st.sampled_from([np.int64, np.uint64, np.int32]),
-    )
-    def test_matches_stable_argsort(self, data, bound, dtype):
-        bound = min(bound, np.iinfo(dtype).max)
-        low = data.draw(st.sampled_from([0, max(0, bound - 300)]))
-        keys = data.draw(st.lists(st.integers(low, bound - 1), max_size=300))
-        self.check(np.asarray(keys, dtype=dtype))
-
-    def test_empty(self):
-        self.check(np.zeros(0, dtype=np.int64))
-
-    @pytest.mark.parametrize("key", [0, 5, (1 << 16) + 3, RADIX_KEY_BOUND - 1,
-                                     RADIX_KEY_BOUND, 1 << 33])
-    def test_all_equal_keys_keep_input_order(self, key):
-        self.check(np.full(1000, key, dtype=np.int64))
-
-    def test_negative_keys_fall_back(self):
-        self.check(np.asarray([3, -1, 2, -1, 0], dtype=np.int64))
-
-    def test_graph_sized_input_with_heavy_ties(self):
-        rng = np.random.RandomState(3)
-        self.check(rng.randint(0, 150_000, size=200_000))
-
-    def test_random_graph_grouped_by_source(self):
-        rng = np.random.RandomState(9)
-        sources = rng.randint(0, 300, size=300 * 5)
-        targets = rng.randint(0, 300, size=300 * 5)
-        order = np.argsort(sources, kind="stable")
-        g = CsrGraph.random(300, 5, seed=9)
-        np.testing.assert_array_equal(g.targets, targets[order])
-        np.testing.assert_array_equal(
-            np.diff(g.offsets), np.bincount(sources, minlength=300)
+    def check(num_vertices, avg_degree, seed, skew=0.0):
+        g = CsrGraph.random(num_vertices, avg_degree, seed, skew)
+        offsets, targets = stable_argsort_graph(
+            num_vertices, avg_degree, seed, skew
         )
+        for got, want in ((g.offsets, offsets), (g.targets, targets)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        return g
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # Tiny, power-of-two and non-power-of-two vertex counts.
+        num_vertices=st.one_of(
+            st.sampled_from([1, 2, 3, 4, 5, 7, 64, 257, 1000]),
+            st.integers(1, 600),
+        ),
+        # Degree 0 and 1 leave many (or all) vertices with no out-edges.
+        avg_degree=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        skew=st.sampled_from([0.0, 0.8, 1.6]),
+    )
+    def test_matches_stable_argsort_construction(
+        self, num_vertices, avg_degree, seed, skew
+    ):
+        self.check(num_vertices, avg_degree, seed, skew)
+
+    @pytest.mark.parametrize("skew", [0.0, 0.8, 1.6])
+    def test_zero_degree_vertices(self, skew):
+        g = self.check(1000, 1, seed=5, skew=skew)
+        assert (np.diff(g.offsets) == 0).any()
+
+    def test_suite_sized_graph(self):
+        self.check(150_000, 14, seed=42, skew=0.8)
+
+    @pytest.mark.parametrize("num_vertices,avg_degree,fallback", [
+        # 2 * 21 vertex bits + 21 edge bits: the widest packed key.
+        (1 << 21, 1, False),
+        # 2 * 21 + 22 > 63: the stable-argsort fallback.
+        ((1 << 20) + 1, 2, True),
+    ])
+    def test_key_width_boundary(
+        self, monkeypatch, num_vertices, avg_degree, fallback
+    ):
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        offsets, targets = stable_argsort_graph(
+            num_vertices, avg_degree, 11, 0.8
+        )
+        monkeypatch.setattr(np, "argsort", spy)
+        g = CsrGraph.random(num_vertices, avg_degree, 11, 0.8)
+        monkeypatch.undo()
+        assert calls == (["stable"] if fallback else [])
+        np.testing.assert_array_equal(g.offsets, offsets)
+        np.testing.assert_array_equal(g.targets, targets)

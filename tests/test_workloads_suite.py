@@ -156,10 +156,10 @@ class TestSyntheticHelpers:
 
     def test_mix_pcs_fraction(self):
         rng = np.random.RandomState(0)
-        pcs = mix_pcs(rng, 1, 2, 10_000, 0.3)
+        pcs = np.asarray(mix_pcs(rng, 1, 2, 10_000, 0.3))
         shared = (pcs == 2).mean()
         assert 0.25 < shared < 0.35
 
     def test_mix_pcs_zero_fraction(self):
         rng = np.random.RandomState(0)
-        assert (mix_pcs(rng, 1, 2, 100, 0.0) == 1).all()
+        assert mix_pcs(rng, 1, 2, 100, 0.0) == [1] * 100
