@@ -11,9 +11,7 @@ from repro.mem.cache import (
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.mainmem import MainMemory
 from repro.mem.replacement import (
-    FifoPolicy,
     LruPolicy,
-    RandomPolicy,
     ReplacementPolicy,
     SrripPolicy,
     make_policy,
@@ -28,9 +26,7 @@ __all__ = [
     "SetAssocCache",
     "CacheHierarchy",
     "MainMemory",
-    "FifoPolicy",
     "LruPolicy",
-    "RandomPolicy",
     "ReplacementPolicy",
     "SrripPolicy",
     "make_policy",

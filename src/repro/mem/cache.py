@@ -155,25 +155,27 @@ class SetAssocCache:
         ]
         self._tags: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
         self.stats = Stats()
-        # Hot-path aliases: the live counter dict (bumped inline — a Stats
-        # method call per event is measurable at millions of events) and
-        # bound policy hooks (the policy never changes after construction).
+        # Hot-path alias: the live counter dict (bumped inline — a Stats
+        # method call per event is measurable at millions of events).
         # Counters are pre-seeded so bumps are plain `+= 1`, no .get().
         self._stat = self.stats.counters
         self._stat.update(dict.fromkeys(
             ("hits", "misses", "fills", "evictions", "writebacks",
              "bypasses", "invalidations"), 0,
         ))
-        self._policy_on_hit = self.policy.on_hit
-        self._policy_on_fill = self.policy.on_fill
-        self._policy_victim = self.policy.victim
         # LRU (the default everywhere) never calls the policy: each set's
         # tag dict is kept in recency order, least recent first. A hit
         # moves its key to the end (del + re-insert), a fill appends, a
         # distant fill goes to the front, and the victim is the first
         # key. All are O(1) except the distant insertion, an O(assoc)
         # rebuild (see insert_lru) that SHiP requests on most fills.
+        # Other policies get their hooks bound once (the policy never
+        # changes after construction).
         self._lru = type(self.policy) is LruPolicy
+        if not self._lru:
+            self._policy_on_hit = self.policy.on_hit
+            self._policy_on_fill = self.policy.on_fill
+            self._policy_victim = self.policy.victim
         self.residency: Optional[ResidencyTracker] = (
             ResidencyTracker() if track_residency else None
         )

@@ -9,17 +9,20 @@ predicted to have distant re-reference as LRU".
 A policy instance is owned by exactly one cache/TLB and keeps its own
 per-(set, way) state; the cache calls the event hooks below. LRU is the
 exception: TLBs and caches keep each set's tag dict in recency order
-themselves (see :class:`LruPolicy`).
+themselves, so :class:`LruPolicy` is a stateless marker.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Dict, List
 
 
-class ReplacementPolicy(ABC):
-    """Event interface between a set-associative structure and its policy."""
+class ReplacementPolicy:
+    """Event interface between a set-associative structure and its policy.
+
+    Structures call :meth:`on_fill`, :meth:`on_hit` and :meth:`victim`
+    for every policy except :class:`LruPolicy`.
+    """
 
     def __init__(self, num_sets: int, assoc: int):
         if num_sets <= 0 or assoc <= 0:
@@ -29,21 +32,21 @@ class ReplacementPolicy(ABC):
         self.num_sets = num_sets
         self.assoc = assoc
 
-    @abstractmethod
     def on_fill(self, set_idx: int, way: int, distant: bool = False) -> None:
         """A new entry was installed in ``(set_idx, way)``.
 
         ``distant`` marks the entry as predicted distant-re-reference, making
         it the preferred next victim.
         """
+        raise NotImplementedError
 
-    @abstractmethod
     def on_hit(self, set_idx: int, way: int) -> None:
         """The entry in ``(set_idx, way)`` produced a hit (promotion)."""
+        raise NotImplementedError
 
-    @abstractmethod
     def victim(self, set_idx: int) -> int:
         """Choose the way to evict from a full set."""
+        raise NotImplementedError
 
     def on_invalidate(self, set_idx: int, way: int) -> None:
         """The entry was invalidated externally (e.g. inclusion victim)."""
@@ -71,101 +74,16 @@ def insert_lru(order: Dict, key, value) -> None:
 
 
 class LruPolicy(ReplacementPolicy):
-    """Least-recently-used via per-line monotone timestamps.
+    """Least-recently-used: a stateless marker.
 
     :class:`~repro.vm.tlb.Tlb` and :class:`~repro.mem.cache.SetAssocCache`
-    only use this class as their marker for LRU: they keep each set's tag
-    dict (key -> way) in recency order themselves and never call these
-    hooks, so the policy object of an LRU structure holds no state for
-    that structure.
+    keep each set's tag dict (key -> way) in recency order themselves,
+    least recent first, and never call a policy hook for LRU; so this
+    class holds no per-set state and implements none of the hooks.
     """
-
-    def __init__(self, num_sets: int, assoc: int):
-        super().__init__(num_sets, assoc)
-        self._stamp: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
-        self._clock = 0
-
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
-    def on_fill(self, set_idx: int, way: int, distant: bool = False) -> None:
-        # A distant insertion is placed at the LRU position: give it a stamp
-        # older than everything currently in the set.
-        if distant:
-            row = self._stamp[set_idx]
-            row[way] = min(row) - 1
-        else:
-            self._clock += 1
-            self._stamp[set_idx][way] = self._clock
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        self._clock += 1
-        self._stamp[set_idx][way] = self._clock
-
-    def victim(self, set_idx: int) -> int:
-        # First way holding the minimum stamp; min()/index() run at C speed.
-        row = self._stamp[set_idx]
-        return row.index(min(row))
 
     def name(self) -> str:
         return "LRU"
-
-
-class FifoPolicy(ReplacementPolicy):
-    """First-in-first-out: eviction order equals fill order."""
-
-    def __init__(self, num_sets: int, assoc: int):
-        super().__init__(num_sets, assoc)
-        self._stamp: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
-        self._clock = 0
-
-    def on_fill(self, set_idx: int, way: int, distant: bool = False) -> None:
-        self._clock += 1
-        row = self._stamp[set_idx]
-        row[way] = (min(row) - 1) if distant else self._clock
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        pass  # hits do not reorder a FIFO
-
-    def victim(self, set_idx: int) -> int:
-        row = self._stamp[set_idx]
-        return row.index(min(row))
-
-    def name(self) -> str:
-        return "FIFO"
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Deterministic pseudo-random victim selection (LCG, seedable)."""
-
-    def __init__(self, num_sets: int, assoc: int, seed: int = 0x5EED):
-        super().__init__(num_sets, assoc)
-        self._state = seed & 0xFFFFFFFF
-        self._distant: List[List[bool]] = [
-            [False] * assoc for _ in range(num_sets)
-        ]
-
-    def _next(self) -> int:
-        # Numerical Recipes LCG constants; adequate for victim selection.
-        self._state = (self._state * 1664525 + 1013904223) & 0xFFFFFFFF
-        return self._state
-
-    def on_fill(self, set_idx: int, way: int, distant: bool = False) -> None:
-        self._distant[set_idx][way] = distant
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        self._distant[set_idx][way] = False
-
-    def victim(self, set_idx: int) -> int:
-        row = self._distant[set_idx]
-        for way in range(self.assoc):
-            if row[way]:
-                return way
-        return self._next() % self.assoc
-
-    def name(self) -> str:
-        return "Random"
 
 
 class SrripPolicy(ReplacementPolicy):
@@ -209,18 +127,18 @@ class SrripPolicy(ReplacementPolicy):
 
 _POLICIES = {
     "lru": LruPolicy,
-    "fifo": FifoPolicy,
-    "random": RandomPolicy,
     "srrip": SrripPolicy,
 }
 
+#: The policy names :func:`make_policy` accepts (lower case only).
+POLICY_NAMES = tuple(sorted(_POLICIES))
+
 
 def make_policy(name: str, num_sets: int, assoc: int) -> ReplacementPolicy:
-    """Construct a policy by its lowercase name (``lru``/``fifo``/``random``/``srrip``)."""
-    try:
-        cls = _POLICIES[name.lower()]
-    except KeyError:
+    """Construct a policy by its name (``lru`` or ``srrip``)."""
+    cls = _POLICIES.get(name)
+    if cls is None:
         raise ValueError(
-            f"unknown replacement policy {name!r}; choose from {sorted(_POLICIES)}"
-        ) from None
+            f"unknown replacement policy {name!r}; choose from {POLICY_NAMES}"
+        )
     return cls(num_sets, assoc)

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+from repro.mem.replacement import POLICY_NAMES
+
 #: TLB-side predictor choices.
 TLB_PRED_NONE = "none"
 TLB_PRED_DPPRED = "dppred"
@@ -183,12 +185,22 @@ class SystemConfig:
     timing: TimingConfig = field(default_factory=TimingConfig)
 
     def __post_init__(self) -> None:
-        # Fail on unknown predictor names at *construction*, not deep in
-        # Machine.__init__: every config reaches the simulator through
-        # replace()/the constructor, so a typo surfaces at the call site
-        # (the serve layer maps the ValueError to HTTP 400). Validity is
-        # registry membership, so third-party ``register()``ed names pass.
+        # Fail on unknown predictor and policy names at *construction*,
+        # not deep in Machine.__init__: every config reaches the
+        # simulator through replace()/the constructor, so a typo
+        # surfaces at the call site (the serve layer maps the ValueError
+        # to HTTP 400). Predictor validity is registry membership, so
+        # third-party ``register()``ed names pass.
         self._check_predictor_names()
+        for name, value in (
+            ("tlb_policy", self.tlb_policy),
+            ("cache_policy", self.cache_policy),
+            ("llc_policy", self.effective_llc_policy),
+        ):
+            if value not in POLICY_NAMES:
+                raise ValueError(
+                    f"unknown {name} {value!r}; choose from {POLICY_NAMES}"
+                )
 
     def _check_predictor_names(self) -> None:
         if self.tlb_predictor != TLB_PRED_NONE:

@@ -32,11 +32,9 @@ to the scalar reference loop (:meth:`Machine.run_scalar`):
 * **scalar** — a machine or trace the flat interpreter does not model
   runs :meth:`Machine.run_scalar` instead, with exactly one counted
   reason (:func:`flat_reason`, ``engine_stats["flat_reason"]``,
-  :func:`engine_totals`): FIFO/random policies, listeners outside the
-  flat-eligible set (the distance prefetcher, the correlation
-  listeners, unlisted plug-ins), reference structures, TLB entries no
-  trace can create (global mappings), unexpected trace dtypes, or an
-  empty trace.
+  :func:`engine_totals`): listeners outside the flat-eligible set (the
+  distance prefetcher, the correlation listeners, unlisted plug-ins),
+  reference structures, unexpected trace dtypes, or an empty trace.
 
 Bit-identity with the scalar engine is a hard guarantee, not a goal
 (``tests/test_engine_equivalence.py`` enforces it property-wise).
@@ -57,7 +55,6 @@ from repro.common.bitops import fold_xor
 from repro.core.cbpred import CorrelatingDeadBlockPredictor
 from repro.core.dppred import ACTION_BYPASS, DeadPagePredictor
 from repro.mem.cache import _LINE_POOL, CacheLine, CacheListener
-from repro.mem.replacement import LruPolicy, SrripPolicy
 from repro.obs.events import (
     EV_LLC_BYPASS,
     EV_LLC_MARK_DP,
@@ -139,16 +136,12 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 #: Why a run went to the scalar reference instead of the flat tier
 #: (``engine_stats["flat_reason"]`` and :func:`engine_totals`'s
 #: ``flat_declines``).
-REASON_POLICY = "policy"        # fifo/random replacement: no flat model
 REASON_PREDICTOR = "predictor"  # listener outside the flat-eligible sets
 #                                 (prefetcher, correlation, unlisted
 #                                 plug-ins), or any L1 listener/residency
 REASON_REFERENCE = "reference"  # ground-truth reference structures attached
 REASON_DTYPE = "dtype"          # unexpected trace array dtypes
 REASON_EMPTY = "empty"          # zero-record trace
-REASON_GLOBAL = "global"        # global TLB entries (or huge L1 entries)
-#                                 resident at run start: no trace creates
-#                                 them, so the flat lookups never probe them
 
 #: Listeners the flat tier runs through its generic path: hooks called
 #: where the scalar lookup calls them, fills delegated to the real
@@ -181,9 +174,6 @@ def flat_reason(machine) -> Optional[str]:
     walker, L1D/L2/LLC, dpPred/cbPred — so it is restricted to the
     structures and hooks it models exactly:
 
-    * every replacement policy must be LRU or SRRIP (LRU's tag-dict
-      reordering and SRRIP's RRPV aging are inlined; FIFO and random are
-      not modelled);
     * the L1 TLBs, L1D and L2 must be bare (no listener, no residency) —
       true for every shipped configuration;
     * the LLT may carry dpPred (inlined; its ``on_miss``/``fill`` slow
@@ -199,31 +189,19 @@ def flat_reason(machine) -> Optional[str]:
       (``engine_stats["flat_reason"]``, ``engine_totals()``'s
       ``flat_declines``) — never silent;
     * ground-truth reference structures hook the scalar access path
-      only, so they decline too;
-    * no TLB may hold a global entry, and no L1 TLB a huge one: only an
-      explicit ``Tlb.fill`` creates those, and the flat lookups probe the
-      4 KB namespace (plus the LLT's huge namespace) only.
+      only, so they decline too.
 
-    Multi-tenant (ASID-carrying) traces and huge-page tables run flat.
+    Both replacement policies (LRU's tag-dict reordering, SRRIP's RRPV
+    aging), multi-tenant (ASID-carrying) traces and huge-page tables run
+    flat.
     """
     if machine.ref_llt is not None or machine.ref_llc is not None:
         return REASON_REFERENCE
-    tlbs = (machine.l1_itlb, machine.l1_dtlb, machine.l2_tlb)
-    if any(tlb._global_count for tlb in tlbs) or any(
-        tlb._huge_count for tlb in tlbs[:2]
-    ):
-        return REASON_GLOBAL
     for struct in (
         machine.l1_itlb, machine.l1_dtlb, machine.l1d, machine.l2
     ):
         if struct.listener is not None or struct.residency is not None:
             return REASON_PREDICTOR
-    for struct in (
-        machine.l1_itlb, machine.l1_dtlb, machine.l2_tlb,
-        machine.l1d, machine.l2, machine.llc,
-    ):
-        if type(struct.policy) not in (LruPolicy, SrripPolicy):
-            return REASON_POLICY
     lt_listener = machine.l2_tlb.listener
     if lt_listener is not None and not (
         type(lt_listener) is DeadPagePredictor
@@ -1196,8 +1174,7 @@ class _FlatStepper:
                                 lt_pch = pc
                                 if lt_delegate:
                                     lt_fill(
-                                        dvpn, lpfn, pc, now, asid,
-                                        False, lhuge,
+                                        dvpn, lpfn, pc, now, asid, lhuge,
                                     )
                                     lt_install = False
                                 elif dp is not None:
@@ -1352,12 +1329,10 @@ class _FlatStepper:
                                         le.accessed = False
                                         le.aux = None
                                         le.asid = asid
-                                        le.global_page = False
                                         le.huge = lhuge
                                     else:
                                         le = entry_cls(
-                                            lkey, lpfn, lt_pch, asid,
-                                            False, lhuge,
+                                            lkey, lpfn, lt_pch, asid, lhuge,
                                         )
                                     entries_l[wl] = le
                                     tags_l[lkey] = wl
@@ -1402,7 +1377,6 @@ class _FlatStepper:
                             dent.accessed = False
                             dent.aux = None
                             dent.asid = asid
-                            dent.global_page = False
                             dent.huge = False
                         else:
                             dent = entry_cls(dkey, pfn, pc, asid)

@@ -51,7 +51,6 @@ from repro.vm.physmem import PAGE_SHIFT, FrameAllocator
 from repro.vm.pwc import PageWalkCaches
 from repro.vm.tlb import (
     ASID_SHIFT,
-    GLOBAL_KEY_BASE,
     HUGE_KEY_BASE,
     HUGE_SPAN_BITS,
     Tlb,
@@ -70,10 +69,9 @@ class _CorrelationTlbListener(TlbListener):
     """Records each page's most recent LLT DOA outcome (Table III support).
 
     Keys are the LLT's namespaced tags (``entry.vpn`` stores the full
-    key), so per-ASID 4 KB entries, huge-region entries, and global
-    entries all record without colliding — and a shootdown, which ends
-    the residency through the same eviction path, records the verdict
-    too."""
+    key), so per-ASID 4 KB entries and huge-region entries record
+    without colliding — and a shootdown, which ends the residency
+    through the same eviction path, records the verdict too."""
 
     def __init__(self) -> None:
         self.last_doa_status: Dict[int, bool] = {}
@@ -83,17 +81,14 @@ class _CorrelationTlbListener(TlbListener):
 
     def lookup(self, vpn: int, asid: int) -> Optional[bool]:
         """Most recent DOA verdict for ``(asid, vpn)``, trying the same
-        namespaces a lookup would: 4 KB, covering huge region, global."""
+        namespaces a lookup would: 4 KB, then the covering huge region."""
         status = self.last_doa_status
         verdict = status.get(tlb_key(vpn, asid))
         if verdict is not None:
             return verdict
-        verdict = status.get(
+        return status.get(
             HUGE_KEY_BASE | tlb_key(vpn >> HUGE_SPAN_BITS, asid)
         )
-        if verdict is not None:
-            return verdict
-        return status.get(GLOBAL_KEY_BASE | vpn)
 
 
 class _CorrelationCacheListener(CacheListener):
@@ -223,24 +218,24 @@ class Machine:
         # Huge mappings are decided per 2 MB region by a seed-stable hash
         # (None at huge_fraction == 0: the table then behaves — and
         # performs — exactly as the pre-huge-page one).
-        self._huge_policy = (
+        self._huge_policy = huge_policy = (
             huge_region_policy(config.huge_fraction, seed)
             if config.huge_fraction > 0
             else None
         )
         allocator = FrameAllocator(num_frames=config.phys_frames, seed=seed)
-        self.page_table = RadixPageTable(
-            allocator, huge_policy=self._huge_policy
-        )
+        self.page_table = RadixPageTable(allocator, huge_policy=huge_policy)
         # Every tenant's table shares one allocator: PFNs stay globally
         # unique, so the physically-indexed caches model real
-        # inter-tenant interference.
+        # inter-tenant interference. The factory closes over locals, not
+        # ``self``, so a finished Machine is freed by reference counting
+        # instead of waiting for the cyclic garbage collector.
         self.walker = PageTableWalker(
             self.page_table,
             PageWalkCaches(config.pwc_entries, config.pwc_latencies),
             self.hierarchy,
             table_factory=lambda asid: RadixPageTable(
-                allocator, huge_policy=self._huge_policy
+                allocator, huge_policy=huge_policy
             ),
         )
         self._tlb_predictor = self._build_tlb_predictor(oracle_outcomes)
@@ -286,12 +281,12 @@ class Machine:
         # Same-page filter: consecutive accesses to one page skip the L1
         # TLB machinery. Correct because after any translate() the page is
         # resident in the L1 TLB (no listener there, so fills can't
-        # bypass), nothing else touches that TLB in between, and for
-        # order-based policies re-promoting the already-MRU entry is a
-        # no-op — so only redundant bookkeeping is elided. Hit counters
-        # and the Accessed bit are still maintained exactly. SRRIP hits
-        # reset RRPV (not idempotent), so the filter stays off there.
-        self._page_filter = config.tlb_policy in ("lru", "fifo", "random")
+        # bypass), nothing else touches that TLB in between, and under
+        # LRU re-promoting the already-MRU entry is a no-op — so only
+        # redundant bookkeeping is elided. Hit counters and the Accessed
+        # bit are still maintained exactly. SRRIP hits reset RRPV (not
+        # idempotent), so the filter is on for LRU only.
+        self._page_filter = self.l1_itlb._lru
         self._last_ivpn: Optional[int] = None
         self._last_ientry = None
         self._last_dvpn: Optional[int] = None
@@ -613,14 +608,14 @@ class Machine:
         self._reset_page_filter()
         return dropped
 
-    def shootdown_all(self, keep_global: bool = True) -> int:
+    def shootdown_all(self) -> int:
         """Broadcast shootdown: every TLB level and the whole PWC;
         returns the number of TLB entries dropped across all levels."""
         now = self.now
         self.tenancy.add("shootdowns")
         dropped = 0
         for tlb in (self.l1_itlb, self.l1_dtlb, self.l2_tlb):
-            dropped += tlb.invalidate_all(now, keep_global=keep_global)
+            dropped += tlb.invalidate_all(now)
         probe = self._probe
         if probe is not None:
             probe.emit(now, EV_SHOOTDOWN, -1, "all")

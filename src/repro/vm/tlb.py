@@ -14,13 +14,12 @@ brought the entry in (stored at fill time; Section V-A).
 Multi-tenant scenarios tag every entry with an ASID. Tags are stored as a
 single combined key ``(asid << VPN_BITS) | vpn`` so that ASID-0 (the only
 address space single-tenant runs ever use) keys are bit-identical to the
-raw VPNs the rest of the simulator already handles. Two further key
-namespaces share the same tag dicts: *global* pages (kernel-style
-mappings valid under every ASID) and 2 MB *huge* pages (one entry
+raw VPNs the rest of the simulator already handles. A second key
+namespace shares the same tag dicts: 2 MB *huge* pages (one entry
 covering 512 consecutive VPNs; only the LLT installs these — the L1 TLBs
 are filled with splintered 4 KB granules, as several real cores do).
-Both extra probes are gated on per-TLB entry counts, so single-tenant
-4 KB-only runs never pay for them.
+Its probe is gated on a per-TLB entry count, so 4 KB-only runs never
+pay for it.
 """
 
 from __future__ import annotations
@@ -49,9 +48,8 @@ ASID_SHIFT = VPN_BITS
 #: 2 MB huge pages span 2**LEVEL_BITS (512) base pages.
 HUGE_SPAN_BITS = LEVEL_BITS
 _HUGE_OFFSET_MASK = (1 << HUGE_SPAN_BITS) - 1
-#: Disjoint high-bit namespaces for global and huge keys. Both sit far
-#: above any combined (asid, vpn) key a real access can produce.
-GLOBAL_KEY_BASE = 1 << 61
+#: High-bit namespace for huge keys, far above any combined (asid, vpn)
+#: key a real access can produce.
 HUGE_KEY_BASE = 1 << 62
 
 
@@ -64,8 +62,7 @@ class TlbEntry:
     """One TLB entry: translation plus the paper's predictor metadata."""
 
     __slots__ = (
-        "vpn", "pfn", "pc_hash", "accessed", "aux",
-        "asid", "global_page", "huge",
+        "vpn", "pfn", "pc_hash", "accessed", "aux", "asid", "huge",
     )
 
     def __init__(
@@ -74,7 +71,6 @@ class TlbEntry:
         pfn: int,
         pc_hash: int,
         asid: int = 0,
-        global_page: bool = False,
         huge: bool = False,
     ):
         self.vpn = vpn
@@ -83,7 +79,6 @@ class TlbEntry:
         self.accessed = False
         self.aux = None
         self.asid = asid
-        self.global_page = global_page
         self.huge = huge
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -121,7 +116,6 @@ def acquire_entry(vpn: int, pfn: int, pc_hash: int) -> TlbEntry:
         entry.accessed = False
         entry.aux = None
         entry.asid = 0
-        entry.global_page = False
         entry.huge = False
         return entry
     return TlbEntry(vpn, pfn, pc_hash)
@@ -205,21 +199,22 @@ class Tlb:
         ]
         self._tags: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
         self.stats = Stats()
-        # Hot-path aliases (see SetAssocCache): inline counter bumps and
-        # bound policy hooks; the policy never changes after construction.
+        # Hot-path alias (see SetAssocCache): inline counter bumps.
         # Counters are pre-seeded so bumps are plain `+= 1`, no .get().
         self._stat = self.stats.counters
         self._stat.update(dict.fromkeys(
             ("hits", "misses", "victim_buffer_hits", "fills", "evictions",
              "bypasses", "invalidations"), 0,
         ))
-        self._policy_on_hit = self.policy.on_hit
-        self._policy_on_fill = self.policy.on_fill
-        self._policy_victim = self.policy.victim
         # LRU (the default) never calls the policy: each set's tag dict
         # is kept in recency order, least recent first (see
-        # SetAssocCache). Every key namespace shares that order.
+        # SetAssocCache). Both key namespaces share that order. Other
+        # policies get their hooks bound once.
         self._lru = type(self.policy) is LruPolicy
+        if not self._lru:
+            self._policy_on_hit = self.policy.on_hit
+            self._policy_on_fill = self.policy.on_fill
+            self._policy_victim = self.policy.victim
         self.residency: Optional[ResidencyTracker] = (
             ResidencyTracker() if track_residency else None
         )
@@ -230,10 +225,8 @@ class Tlb:
         # entries for the same region — otherwise a remap after the
         # shootdown can resolve through stale paging-structure entries.
         self.pwc = None
-        # Resident-entry counts for the extra key namespaces: the global
-        # and huge probes in :meth:`lookup` are skipped while these are
-        # zero, keeping the single-tenant 4 KB miss path unchanged.
-        self._global_count = 0
+        # Resident huge entries: the huge probe in :meth:`lookup` is
+        # skipped while this is zero, keeping the 4 KB miss path unchanged.
         self._huge_count = 0
 
     # ------------------------------------------------------------------ #
@@ -247,9 +240,9 @@ class Tlb:
         return None if way is None else self._entries[set_idx][way]
 
     def probe_translation(self, vpn: int, asid: int = 0) -> Optional[TlbEntry]:
-        """Side-effect-free probe across all three namespaces, in the
-        same precedence order as :meth:`lookup`: exact 4 KB entry, then a
-        covering huge entry, then a global mapping."""
+        """Side-effect-free probe across both namespaces, in the same
+        precedence order as :meth:`lookup`: exact 4 KB entry, then a
+        covering huge entry."""
         entry = self.probe(vpn, asid)
         if entry is not None:
             return entry
@@ -259,16 +252,10 @@ class Tlb:
             hway = self._tags[hset].get(hkey)
             if hway is not None:
                 return self._entries[hset][hway]
-        if self._global_count:
-            gkey = GLOBAL_KEY_BASE | vpn
-            gset = gkey & self._set_mask
-            gway = self._tags[gset].get(gkey)
-            if gway is not None:
-                return self._entries[gset][gway]
         return None
 
     def _record_hit(self, set_idx: int, way: int, entry: TlbEntry, now: int):
-        """Bookkeeping shared by every hit namespace (4 KB/huge/global)."""
+        """Bookkeeping for a hit on a huge entry."""
         self._stat["hits"] += 1
         entry.accessed = True
         if self._lru:
@@ -284,8 +271,8 @@ class Tlb:
 
     def lookup(self, vpn: int, now: int, asid: int = 0) -> Optional[int]:
         """Translate ``vpn`` under ``asid``. Returns the PFN on a hit
-        (including a hit in the listener's victim buffer, a covering huge
-        entry, or a global mapping) or None on a genuine miss."""
+        (including a hit in the listener's victim buffer or a covering
+        huge entry) or None on a genuine miss."""
         key = vpn if asid == 0 else (asid << ASID_SHIFT) | vpn
         set_idx = key & self._set_mask
         listener = self.listener
@@ -318,14 +305,6 @@ class Tlb:
                 entry = self._entries[hset][hway]
                 self._record_hit(hset, hway, entry, now)
                 return entry.pfn + (vpn & _HUGE_OFFSET_MASK)
-        if self._global_count:
-            gkey = GLOBAL_KEY_BASE | vpn
-            gset = gkey & self._set_mask
-            gway = self._tags[gset].get(gkey)
-            if gway is not None:
-                entry = self._entries[gset][gway]
-                self._record_hit(gset, gway, entry, now)
-                return entry.pfn
         stat["misses"] += 1
         if listener is None:
             return None
@@ -341,19 +320,15 @@ class Tlb:
         pc_hash: int,
         now: int,
         asid: int = 0,
-        global_page: bool = False,
         huge: bool = False,
     ) -> Optional[TlbEntry]:
         """Install a completed translation; returns the evicted entry.
 
         ``huge`` installs one entry covering ``vpn``'s whole 2 MB region;
         ``pfn`` must then be the region's 512-aligned base frame.
-        ``global_page`` installs into the ASID-blind global namespace.
         """
         if huge:
             key = HUGE_KEY_BASE | tlb_key(vpn >> HUGE_SPAN_BITS, asid)
-        elif global_page:
-            key = GLOBAL_KEY_BASE | vpn
         else:
             key = vpn if asid == 0 else (asid << ASID_SHIFT) | vpn
         set_idx = key & self._set_mask
@@ -388,12 +363,10 @@ class Tlb:
                     way = self._policy_victim(set_idx)
             victim = self._evict_way(set_idx, way, now)
 
-        entry = TlbEntry(key, pfn, pc_hash, asid, global_page, huge)
+        entry = TlbEntry(key, pfn, pc_hash, asid, huge)
         entries[way] = entry
         if huge:
             self._huge_count += 1
-        elif global_page:
-            self._global_count += 1
         if not self._lru:
             tags[key] = way
             self._policy_on_fill(set_idx, way, distant=distant)
@@ -413,9 +386,9 @@ class Tlb:
     ) -> Optional[TlbEntry]:
         """Shoot down ``vpn`` under ``asid`` (INVLPG semantics).
 
-        Drops the exact 4 KB entry, any covering huge entry, and any
-        global entry for ``vpn`` — and invalidates the page-walk caches'
-        partial translations for the region when a PWC is attached, so a
+        Drops the exact 4 KB entry and any covering huge entry for
+        ``vpn`` — and invalidates the page-walk caches' partial
+        translations for the region when a PWC is attached, so a
         post-shootdown remap cannot resolve through stale paging-structure
         entries. Returns the most specific entry evicted, or None.
         """
@@ -434,30 +407,18 @@ class Tlb:
                 self._stat["invalidations"] += 1
                 entry = self._evict_way(hset, hway, now, external=True)
                 evicted = evicted or entry
-        if self._global_count:
-            gkey = GLOBAL_KEY_BASE | vpn
-            gset = gkey & self._set_mask
-            gway = self._tags[gset].get(gkey)
-            if gway is not None:
-                self._stat["invalidations"] += 1
-                entry = self._evict_way(gset, gway, now, external=True)
-                evicted = evicted or entry
         if self.pwc is not None:
             self.pwc.invalidate(vpn, asid)
         return evicted
 
     def invalidate_asid(self, asid: int, now: int) -> int:
-        """Shoot down every non-global entry tagged ``asid``; returns the
-        number of entries dropped. Also clears the attached PWC's entries
-        for that address space (ASID-recycle semantics)."""
+        """Shoot down every entry tagged ``asid``; returns the number of
+        entries dropped. Also clears the attached PWC's entries for that
+        address space (ASID-recycle semantics)."""
         dropped = 0
         for set_idx, ways in enumerate(self._entries):
             for way, entry in enumerate(ways):
-                if (
-                    entry is not None
-                    and entry.asid == asid
-                    and not entry.global_page
-                ):
+                if entry is not None and entry.asid == asid:
                     self._stat["invalidations"] += 1
                     self._evict_way(set_idx, way, now, external=True)
                     dropped += 1
@@ -465,16 +426,13 @@ class Tlb:
             self.pwc.invalidate_asid(asid)
         return dropped
 
-    def invalidate_all(self, now: int, keep_global: bool = True) -> int:
-        """Broadcast shootdown: drop every entry (globals survive unless
-        ``keep_global=False``, mirroring CR3 reload vs full flush).
-        Flushes the attached PWC entirely. Returns entries dropped."""
+    def invalidate_all(self, now: int) -> int:
+        """Broadcast shootdown: drop every entry and flush the attached
+        PWC entirely. Returns entries dropped."""
         dropped = 0
         for set_idx, ways in enumerate(self._entries):
             for way, entry in enumerate(ways):
                 if entry is None:
-                    continue
-                if keep_global and entry.global_page:
                     continue
                 self._stat["invalidations"] += 1
                 self._evict_way(set_idx, way, now, external=True)
@@ -493,8 +451,6 @@ class Tlb:
         self._stat["evictions"] += 1
         if entry.huge:
             self._huge_count -= 1
-        elif entry.global_page:
-            self._global_count -= 1
         if self.residency is not None:
             self.residency.evict((set_idx, way), now)
         if external:

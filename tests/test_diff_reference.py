@@ -25,7 +25,6 @@ from repro.sim.config import fast_config
 from repro.sim.machine import Machine
 from repro.sim.reference import ReferenceStructure
 from repro.vm.tlb import (
-    GLOBAL_KEY_BASE,
     HUGE_KEY_BASE,
     HUGE_SPAN_BITS,
     Tlb,
@@ -172,8 +171,7 @@ class DictAsidTlb:
     """Independent reference for the multi-tenant TLB semantics.
 
     Implements the same architectural contract as :class:`Tlb` — combined
-    (asid, vpn) tags, ASID-blind global pages, 2 MB huge entries covering
-    512 VPNs, per-set LRU, INVLPG / per-ASID / broadcast shootdowns —
+    (asid, vpn) tags, 2 MB huge entries covering 512 VPNs, per-set LRU, INVLPG / per-ASID / broadcast shootdowns —
     with plain dicts and an explicit stamp-based LRU instead of the real
     structure's way arrays, count-gated probes, and fused policy updates.
     Any divergence is a bug in one of the two implementations.
@@ -183,7 +181,7 @@ class DictAsidTlb:
         self.num_sets = entries // assoc
         self.assoc = assoc
         self._mask = self.num_sets - 1
-        # set_idx -> {key: [stamp, pfn, asid, global, huge]}
+        # set_idx -> {key: [stamp, pfn, asid, huge]}
         self.sets = [dict() for _ in range(self.num_sets)]
         self.clock = 0
 
@@ -204,19 +202,11 @@ class DictAsidTlb:
         if row is not None:
             self._touch(hset, hkey)
             return row[1] + (vpn & ((1 << HUGE_SPAN_BITS) - 1))
-        gkey = GLOBAL_KEY_BASE | vpn
-        gset = gkey & self._mask
-        row = self.sets[gset].get(gkey)
-        if row is not None:
-            self._touch(gset, gkey)
-            return row[1]
         return None
 
-    def fill(self, vpn, pfn, asid, global_page=False, huge=False):
+    def fill(self, vpn, pfn, asid, huge=False):
         if huge:
             key = HUGE_KEY_BASE | tlb_key(vpn >> HUGE_SPAN_BITS, asid)
-        elif global_page:
-            key = GLOBAL_KEY_BASE | vpn
         else:
             key = tlb_key(vpn, asid)
         set_idx = key & self._mask
@@ -227,33 +217,24 @@ class DictAsidTlb:
             victim = min(entries, key=lambda k: entries[k][0])
             del entries[victim]
         self.clock += 1
-        entries[key] = [self.clock, pfn, asid, global_page, huge]
+        entries[key] = [self.clock, pfn, asid, huge]
 
     def invalidate(self, vpn, asid):
         for key in (
             tlb_key(vpn, asid),
             HUGE_KEY_BASE | tlb_key(vpn >> HUGE_SPAN_BITS, asid),
-            GLOBAL_KEY_BASE | vpn,
         ):
             self.sets[key & self._mask].pop(key, None)
 
     def invalidate_asid(self, asid):
         for entries in self.sets:
-            doomed = [
-                k for k, row in entries.items()
-                if row[2] == asid and not row[3]
-            ]
+            doomed = [k for k, row in entries.items() if row[2] == asid]
             for k in doomed:
                 del entries[k]
 
-    def invalidate_all(self, keep_global=True):
+    def invalidate_all(self):
         for entries in self.sets:
-            doomed = [
-                k for k, row in entries.items()
-                if not (keep_global and row[3])
-            ]
-            for k in doomed:
-                del entries[k]
+            entries.clear()
 
 
 def _pfn_for(vpn, asid, huge=False):
@@ -267,9 +248,9 @@ def _drive_asid_tlb(entries, assoc, ops):
     """Replay ``ops`` through a real Tlb and the dict reference.
 
     Ops are tuples: ``("access", asid, vpn, kind)`` with kind in
-    {"4k", "huge", "global"} (the kind used for the fill on a miss), or
-    ``("invlpg", asid, vpn)`` / ``("shoot_asid", asid)`` / ``("shoot_all",
-    keep_global)``. Returns the two per-access PFN streams.
+    {"4k", "huge"} (the kind used for the fill on a miss), or
+    ``("invlpg", asid, vpn)`` / ``("shoot_asid", asid)`` /
+    ``("shoot_all",)``. Returns the two per-access PFN streams.
     """
     tlb = Tlb("llt", entries, assoc)
     ref = DictAsidTlb(entries, assoc)
@@ -283,10 +264,9 @@ def _drive_asid_tlb(entries, assoc, ops):
             ref_stream.append(model)
             if real is None:
                 huge = kind == "huge"
-                glob = kind == "global"
                 pfn = _pfn_for(vpn, asid, huge)
-                tlb.fill(vpn, pfn, 0, now, asid, glob, huge)
-                ref.fill(vpn, pfn, asid, glob, huge)
+                tlb.fill(vpn, pfn, 0, now, asid, huge)
+                ref.fill(vpn, pfn, asid, huge)
         elif op[0] == "invlpg":
             _, asid, vpn = op
             tlb.invalidate(vpn, now, asid)
@@ -295,8 +275,8 @@ def _drive_asid_tlb(entries, assoc, ops):
             tlb.invalidate_asid(op[1], now)
             ref.invalidate_asid(op[1])
         else:
-            tlb.invalidate_all(now, keep_global=op[1])
-            ref.invalidate_all(keep_global=op[1])
+            tlb.invalidate_all(now)
+            ref.invalidate_all()
     return tlb, ref, real_stream, ref_stream
 
 
@@ -310,8 +290,8 @@ def _assert_pfn_streams_agree(ops, real_stream, ref_stream):
 
 
 def _op_stream(seed, length, asids=(0, 1, 2), vpn_universe=96):
-    """Skewed mixed-op stream: mostly accesses (reuse-heavy, all three
-    page kinds), with occasional shootdowns of each scope."""
+    """Skewed mixed-op stream: mostly accesses (reuse-heavy, both page
+    kinds), with occasional shootdowns of each scope."""
     rng = random.Random(seed)
     hot = [rng.randrange(vpn_universe) for _ in range(12)]
     ops = []
@@ -322,16 +302,14 @@ def _op_stream(seed, length, asids=(0, 1, 2), vpn_universe=96):
             vpn_universe
         )
         if roll < 0.88:
-            kind = rng.choices(
-                ("4k", "huge", "global"), weights=(8, 2, 1)
-            )[0]
+            kind = rng.choices(("4k", "huge"), weights=(8, 2))[0]
             ops.append(("access", asid, vpn, kind))
         elif roll < 0.94:
             ops.append(("invlpg", asid, vpn))
         elif roll < 0.98:
             ops.append(("shoot_asid", asid))
         else:
-            ops.append(("shoot_all", rng.random() < 0.5))
+            ops.append(("shoot_all",))
     return ops
 
 
@@ -343,7 +321,7 @@ def test_asid_tlb_matches_dict_reference(entries, assoc, seed):
         entries, assoc, ops
     )
     _assert_pfn_streams_agree(ops, real_stream, ref_stream)
-    # Occupancies agree too (no leaked huge/global count bookkeeping).
+    # Occupancies agree too (no leaked huge count bookkeeping).
     assert tlb.occupancy() == sum(len(s) for s in ref.sets)
 
 
@@ -355,13 +333,6 @@ def test_asid_zero_keys_are_raw_vpns():
     assert entry is not None and entry.vpn == 0x123
     assert tlb.lookup(0x123, 1) == 0x456
     assert tlb_key(0x123, 0) == 0x123
-
-
-def test_global_pages_hit_under_any_asid():
-    tlb = Tlb("llt", 16, 4)
-    tlb.fill(0x40, 0x900, 0, now=0, asid=1, global_page=True)
-    for asid in (0, 1, 2, 7):
-        assert tlb.lookup(0x40, 1, asid) == 0x900
 
 
 def test_huge_entry_covers_whole_region():
@@ -457,7 +428,7 @@ if HAVE_HYPOTHESIS:
                 st.just("access"),
                 st.integers(min_value=0, max_value=3),
                 st.integers(min_value=0, max_value=127),
-                st.sampled_from(("4k", "huge", "global")),
+                st.sampled_from(("4k", "huge")),
             ),
             st.tuples(
                 st.just("invlpg"),
@@ -468,7 +439,7 @@ if HAVE_HYPOTHESIS:
                 st.just("shoot_asid"),
                 st.integers(min_value=0, max_value=3),
             ),
-            st.tuples(st.just("shoot_all"), st.booleans()),
+            st.tuples(st.just("shoot_all")),
         ),
         min_size=1,
         max_size=300,

@@ -275,24 +275,10 @@ def test_predictor_configs_run_batched_without_fallback():
         }
 
 
-def test_fifo_policy_falls_back_with_reason():
-    """FIFO replacement has no flat model; the engine must run the
-    scalar reference and say why."""
-    trace = get_trace("locality", BUDGET, SEED)
-    config = fast_config(tlb_policy="fifo")
-    machine = assert_equivalent(trace, config)
-    assert machine.engine_stats == {
-        "engine": ENGINE_BATCHED,
-        "mode": "scalar",
-        "scalar_records": len(trace),
-        "flat_reason": "policy",
-    }
-
-
 def test_engine_totals_accumulate_fallback_reasons():
     engine_mod.reset_engine_totals()
     trace = get_trace("locality", 500, SEED)
-    Machine(fast_config(tlb_policy="fifo"), seed=SEED).run(
+    Machine(fast_config(track_reference=True), seed=SEED).run(
         trace, engine=ENGINE_BATCHED
     )
     Machine(fast_config(), seed=SEED).run(trace, engine=ENGINE_BATCHED)
@@ -301,9 +287,28 @@ def test_engine_totals_accumulate_fallback_reasons():
         "runs": 2,
         "flat_records": len(trace),
         "scalar_records": len(trace),
-        "flat_declines": {"policy": 1},
+        "flat_declines": {"reference": 1},
     }
     engine_mod.reset_engine_totals()
+
+
+def test_empty_trace_runs_scalar_with_reason():
+    """A zero-record trace declines as ``empty`` and matches the scalar
+    engine's wire bytes."""
+    trace = get_trace("locality", 500, SEED).truncated(0)
+    assert len(trace) == 0
+    machine = Machine(fast_config(), seed=SEED)
+    result = machine.run(trace, engine=ENGINE_BATCHED)
+    assert machine.engine_stats == {
+        "engine": ENGINE_BATCHED,
+        "mode": "scalar",
+        "scalar_records": 0,
+        "flat_reason": "empty",
+    }
+    reference = Machine(fast_config(), seed=SEED).run(
+        trace, engine=ENGINE_SCALAR
+    )
+    assert result.to_wire() == reference.to_wire()
 
 
 # --------------------------------------------------------------------- #
@@ -372,31 +377,6 @@ def test_tenant_and_hugepage_runs_counted_flat_in_engine_totals():
         "flat_declines": {},
     }
     engine_mod.reset_engine_totals()
-
-
-def test_global_tlb_entries_decline_with_reason():
-    """Global mappings are unreachable from any trace, so the flat
-    lookups never probe them: a machine whose TLBs hold one at run start
-    runs the scalar reference with a counted ``global`` reason."""
-    trace = get_trace("locality", 500, SEED)
-    machines = []
-    for _ in range(2):
-        machine = Machine(fast_config(), seed=SEED)
-        vpn = int(trace.vaddrs[0]) >> 12
-        machine.l2_tlb.fill(vpn, 12345, 0, 0, global_page=True)
-        machines.append(machine)
-    engine_mod.reset_engine_totals()
-    result = machines[0].run(trace, engine=ENGINE_BATCHED)
-    assert machines[0].engine_stats == {
-        "engine": ENGINE_BATCHED,
-        "mode": "scalar",
-        "scalar_records": len(trace),
-        "flat_reason": "global",
-    }
-    assert engine_mod.engine_totals()["flat_declines"] == {"global": 1}
-    engine_mod.reset_engine_totals()
-    reference = machines[1].run(trace, engine=ENGINE_SCALAR)
-    assert fingerprint(result) == fingerprint(reference)
 
 
 def test_same_vpn_different_tenants_never_share_a_filter_hit():
@@ -475,12 +455,21 @@ COVERAGE = [
      "sssp", "flat", None),
     ("distance_prefetch", fast_config(tlb_predictor="distance_prefetch"),
      "sssp", "scalar", "predictor"),
-    ("fifo", fast_config(tlb_policy="fifo"), "sssp", "scalar", "policy"),
-    ("random", fast_config(cache_policy="random"), "sssp",
-     "scalar", "policy"),
     ("reference", fast_config(track_reference=True), "sssp",
      "scalar", "reference"),
 ]
+
+
+def test_every_decline_reason_has_a_producer():
+    """Each ``REASON_*`` the engine defines is either a trace-side reason
+    (``dtype``, ``empty``) or shown by a row of the coverage table, so a
+    reason nothing produces any more fails here."""
+    reasons = {
+        value for name, value in vars(engine_mod).items()
+        if name.startswith("REASON_")
+    }
+    covered = {row[4] for row in COVERAGE if row[4] is not None}
+    assert reasons == covered | {"dtype", "empty"}
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ version. This file pins one cell each of the baseline, Leeway and
 perceptron, dpPred+cbPred on every Table II workload (a bug in code both
 engines share moves both together, so only a golden value can see it),
 and the rest of the replacement surface: SHiP at both levels (distant
-insertion), dpPred's demote variant, AIP (``choose_victim``), SRRIP and
-FIFO replacement, ``track_reference=True`` ground-truth references, both
+insertion), dpPred's demote variant, AIP (``choose_victim``), SRRIP
+replacement, ``track_reference=True`` ground-truth references, both
 tenant mixes and huge pages. Each cell is the SHA-256 of ``wire_bytes``
 of one run (budget 4,000, trace and machine seed 42) on both engines.
 
@@ -64,9 +64,6 @@ CELLS = {
     "aip": ("bfs", fast_config(tlb_predictor="aip", llc_predictor="aip")),
     "srrip": (
         "mcf", fast_config(tlb_policy="srrip", cache_policy="srrip", **_DP_CB),
-    ),
-    "fifo": (
-        "canneal", fast_config(tlb_policy="fifo", cache_policy="fifo"),
     ),
     "track_reference": (
         "pr", fast_config(track_reference=True, **_DP_CB),

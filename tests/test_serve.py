@@ -457,6 +457,14 @@ class TestServer:
         status, _ = client._request("GET", "/nowhere")
         assert status == 404
 
+    @pytest.mark.parametrize("policy", ["fifo", "bogus"])
+    def test_unknown_policy_gets_400(self, server, policy):
+        _, client = server
+        with pytest.raises(ServeError) as err:
+            client.run("mcf", {"tlb_policy": policy}, budget=BUDGET)
+        assert err.value.status == 400
+        assert b"unknown tlb_policy" in err.value.body
+
     def test_graceful_stop_drains_inflight_request(
         self, server, monkeypatch
     ):

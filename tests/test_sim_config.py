@@ -54,6 +54,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             fast_config(llc_predictor="belady").validate()
 
+    def test_unknown_policy_fails_at_construction(self):
+        """Only the lower-case names of the two shipped policies pass."""
+        for field in ("tlb_policy", "cache_policy", "llc_policy"):
+            for name in ("fifo", "random", "LRU"):
+                with pytest.raises(ValueError, match=field):
+                    fast_config(**{field: name})
+        assert fast_config(llc_policy=None).effective_llc_policy == "lru"
+
     def test_cbpred_requires_dppred(self):
         """Section VI-B: cbPred works only coupled with dpPred."""
         with pytest.raises(ValueError):

@@ -35,7 +35,6 @@ from repro.mem.cache import (
 )
 from repro.vm.pwc import PageWalkCaches, _FullyAssocLru
 from repro.vm.tlb import (
-    GLOBAL_KEY_BASE,
     HUGE_KEY_BASE,
     HUGE_SPAN_BITS,
     Tlb,
@@ -293,11 +292,10 @@ def test_setassoc_matches_stamp_lru_oracle(num_sets, assoc, with_listener, ops):
 
 
 def _tlb_keys(vpn: int, asid: int):
-    """(4 KB, huge, global) keys a lookup of ``vpn`` probes, in order."""
+    """(4 KB, huge) keys a lookup of ``vpn`` probes, in order."""
     return (
         tlb_key(vpn, asid),
         HUGE_KEY_BASE | tlb_key(vpn >> HUGE_SPAN_BITS, asid),
-        GLOBAL_KEY_BASE | vpn,
     )
 
 
@@ -313,7 +311,7 @@ def _tlb_keys(vpn: int, asid: int):
             ),
             st.integers(min_value=0, max_value=3 << HUGE_SPAN_BITS),
             st.sampled_from((0, 0, 1, 2)),
-            st.sampled_from(("4k", "4k", "4k", "huge", "global")),
+            st.sampled_from(("4k", "4k", "4k", "huge")),
             _DECISIONS,
             _CHOICES,
         ),
@@ -322,7 +320,7 @@ def _tlb_keys(vpn: int, asid: int):
     ),
 )
 def test_tlb_matches_stamp_lru_oracle(num_sets, assoc, with_listener, ops):
-    """4 KB, huge and global keys under several ASIDs through lookups,
+    """4 KB and huge keys under several ASIDs through lookups,
     fills (allocate/distant/bypass, listener-chosen victims),
     shootdowns and ASID flushes: identical victims, and every set's tag
     dict order equals the oracle's stamp order."""
@@ -347,18 +345,15 @@ def test_tlb_matches_stamp_lru_oracle(num_sets, assoc, with_listener, ops):
                     oracle.remove(key)
         elif op == "invalidate_asid":
             dropped = tlb.invalidate_asid(asid, now)
-            # Global entries survive an ASID flush.
             doomed = [
-                k for k, a in asid_of.items()
-                if a == asid and k in oracle
-                and not GLOBAL_KEY_BASE <= k < HUGE_KEY_BASE
+                k for k, a in asid_of.items() if a == asid and k in oracle
             ]
             assert dropped == len(doomed)
             for key in doomed:
                 oracle.remove(key)
         else:
-            huge, global_page = kind == "huge", kind == "global"
-            key = keys[1] if huge else keys[2] if global_page else keys[0]
+            huge = kind == "huge"
+            key = keys[1] if huge else keys[0]
             if listener is None:
                 decision, choice = FILL_ALLOCATE, None
             else:
@@ -366,9 +361,7 @@ def test_tlb_matches_stamp_lru_oracle(num_sets, assoc, with_listener, ops):
                 listener.choice = None if choice is None else choice % assoc
             pfn = (vpn >> HUGE_SPAN_BITS) << HUGE_SPAN_BITS if huge else vpn
             installs = key not in oracle
-            victim = tlb.fill(
-                vpn, pfn, 0, now, asid, global_page=global_page, huge=huge
-            )
+            victim = tlb.fill(vpn, pfn, 0, now, asid, huge=huge)
             expected = oracle.fill(
                 key, decision, None if listener is None else listener.choice
             )
