@@ -2,11 +2,14 @@
 
 ``perfbench/reference_digests.json`` pins the baseline and dpPred+cbPred
 suite plus a few scenario cells, but it is not tied to the cache schema
-version. This file pins one cell each of the baseline, Leeway and
-perceptron, dpPred+cbPred on every Table II workload (a bug in code both
-engines share moves both together, so only a golden value can see it),
-and the rest of the replacement surface: SHiP at both levels (distant
-insertion), dpPred's demote variant, AIP (``choose_victim``), SRRIP
+version. This file pins the baseline, Leeway and the perceptron (each
+at its default knobs and at others that take other branches of their
+hooks: narrow and wide perceptron tables, huge-page and tenant keys, a
+lower Leeway percentile), dpPred+cbPred on every Table II workload (a
+bug in code both engines share moves both together, so only a golden
+value can see it), and the rest of the replacement surface: SHiP at
+both levels (distant insertion), dpPred's demote variant, AIP
+(``choose_victim``, on two workloads), SRRIP
 replacement, ``track_reference=True`` ground-truth references, both
 tenant mixes and huge pages. Each cell is the SHA-256 of ``wire_bytes``
 of one run (budget 4,000, trace and machine seed 42) on both engines.
@@ -55,13 +58,33 @@ CELLS = {
     "baseline": ("lbm", fast_config()),
     "dppred_cbpred": ("mcf", fast_config(**_DP_CB)),
     "leeway": ("mcf", leeway_config()),
+    "leeway_percentile_50": (
+        "mcf", leeway_config(leeway_percentile=50, leeway_signature_bits=6),
+    ),
     "perceptron": ("bfs", perceptron_config()),
+    # Weight tables narrower than a page's block offset, and wider.
+    "perceptron_table_bits_4": (
+        "mcf", perceptron_config(perceptron_table_bits=4),
+    ),
+    "perceptron_table_bits_10": (
+        "mcf", perceptron_config(perceptron_table_bits=10),
+    ),
+    # Huge-page and ASID-tagged LLT keys reach the perceptron's features.
+    "perceptron_hugepage": (
+        "mcf", hugepage_config(tlb_predictor="perceptron",
+                               llc_predictor="perceptron"),
+    ),
+    "perceptron_mix2": (
+        "mix2", mix2_config(tlb_predictor="perceptron",
+                            llc_predictor="perceptron"),
+    ),
     "ship": ("sssp", fast_config(tlb_predictor="ship", llc_predictor="ship")),
     "dppred_demote": (
         "mcf", fast_config(tlb_predictor="dppred_demote",
                            llc_predictor="cbpred"),
     ),
     "aip": ("bfs", fast_config(tlb_predictor="aip", llc_predictor="aip")),
+    "aip_mcf": ("mcf", fast_config(tlb_predictor="aip", llc_predictor="aip")),
     "srrip": (
         "mcf", fast_config(tlb_policy="srrip", cache_policy="srrip", **_DP_CB),
     ),
