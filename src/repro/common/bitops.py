@@ -39,9 +39,11 @@ def fold_xor(value: int, width: int, input_bits: int = 64) -> int:
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    value &= mask(input_bits)
+    # The masks are inlined: the predictors fold on every fill, and two
+    # ``mask()`` calls cost more than the fold itself.
+    value &= (1 << input_bits) - 1
     result = 0
-    m = mask(width)
+    m = (1 << width) - 1
     while value:
         result ^= value & m
         value >>= width

@@ -25,7 +25,12 @@ to both structures the paper cleans together:
   entry is predicted dead-on-arrival iff at least ``percentile`` percent
   of the signature's recent residencies were DOA (live distance 0).
   Predicted-DOA fills bypass the structure (LLT shadow-less bypass /
-  LLC bypass, matching dpPred's ``dppred_sh`` action).
+  LLC bypass, matching dpPred's ``dppred_sh`` action). Live distances
+  are never negative, so that percentile is zero exactly when the ring
+  is full and holds more zeros than the percentile's rank: each
+  signature keeps its count of zero samples and a ring-full flag,
+  updated by the one slot each eviction shifts, and the fill-time
+  decision reads them in O(1) instead of sorting the ring.
 
 Bypassed fills produce no eviction and hence no training sample, so a
 signature could lock into "dead" forever. Every ``sample_period``-th
@@ -37,14 +42,16 @@ Both listeners meet the flat-interpreter contract of
 :class:`~repro.predictors.base.PredictorSpec` (hooks touch only their own
 state and the entry or line they are handed), so Leeway configs run on the
 batched engine's flat interpreter through its generic listener path.
-Semantics live here only.
+Semantics live here only. Signatures are memoised per PC (a pure
+function of the PC, so the memo is not predictor state and
+``storage_bits`` does not count it).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.bitops import fold_xor
 from repro.common.stats import Stats
@@ -118,15 +125,25 @@ class _LeewayCore:
         # ring value -1 = never trained; rings fill before predicting.
         self._rings: List[List[int]] = [[-1] * n for _ in range(rows)]
         self._cursor: List[int] = [0] * rows
+        # Per signature: DOA (zero) samples in the ring, and whether
+        # every slot has been trained (the cursor has wrapped once).
+        self._zeros: List[int] = [0] * rows
+        self._full: List[bool] = [False] * rows
         self._bypass_streak: List[int] = [0] * rows
         # Index of the smallest sample that must still be > 0 for the
         # signature to be predicted live: with n samples, at least
         # ceil(n * percentile / 100) of them must be DOA to predict DOA.
         self._rank = (n * config.percentile + 99) // 100 - 1
+        self._signatures: Dict[int, int] = {}  # pc -> signature memo
         self.stats = Stats()
 
     def signature(self, pc: int) -> int:
-        return fold_xor(pc, self.config.signature_bits)
+        sig = self._signatures.get(pc)
+        if sig is None:
+            sig = self._signatures[pc] = fold_xor(
+                pc, self.config.signature_bits
+            )
+        return sig
 
     def on_entry_hit(self, state: _LeewayState, set_lookups: int) -> None:
         """A hit: record the set accesses since the fill, saturating."""
@@ -135,10 +152,9 @@ class _LeewayCore:
         state.live = distance if distance < cap else cap
 
     def predicts_doa(self, sig: int) -> bool:
-        ring = self._rings[sig]
-        if -1 in ring:
-            return False  # ring not yet full: never predict cold
-        return sorted(ring)[self._rank] == 0
+        """The ring's ``percentile``-th smallest sample is 0. A ring not
+        yet full never predicts (cold signatures allocate)."""
+        return self._full[sig] and self._zeros[sig] > self._rank
 
     def should_sample(self, sig: int) -> bool:
         """Deterministic reuse sampling: allocate every N-th predicted-DOA
@@ -154,8 +170,15 @@ class _LeewayCore:
         sig = state.sig
         ring = self._rings[sig]
         cur = self._cursor[sig]
-        ring[cur] = state.live
-        self._cursor[sig] = (cur + 1) % len(ring)
+        live = state.live
+        zeros = self._zeros[sig] + (live == 0) - (ring[cur] == 0)
+        self._zeros[sig] = zeros
+        ring[cur] = live
+        cur += 1
+        if cur == len(ring):
+            cur = 0
+            self._full[sig] = True
+        self._cursor[sig] = cur
         self.stats.add("trainings")
 
     def storage_bits(self, num_entries: int) -> int:

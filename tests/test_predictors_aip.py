@@ -18,14 +18,15 @@ class TestAipCore:
         assert state.threshold == -1
         assert not state.confident
 
+    # The core reads an entry's interval from its set's lookup count:
+    # ``n`` below is that count, advanced by one per set access.
     def test_interval_learning(self):
         core = _AipCore()
         state = core.new_state(0x400000, 0x10)
-        for _ in range(5):
-            core.on_set_access(state)
-        core.on_entry_hit(state)
+        n = 5  # five set accesses since the fill
+        core.on_entry_hit(state, n)
         assert state.max_seen == 5
-        assert state.count == 0
+        assert core.interval(state, n) == 0
         core.train_eviction(state)
         fresh = core.new_state(0x400000, 0x10)
         assert fresh.threshold == 5
@@ -35,9 +36,7 @@ class TestAipCore:
         core = _AipCore()
         for _ in range(2):
             state = core.new_state(0x400000, 0x10)
-            for _ in range(5):
-                core.on_set_access(state)
-            core.on_entry_hit(state)
+            core.on_entry_hit(state, 5)
             core.train_eviction(state)
         state = core.new_state(0x400000, 0x10)
         assert state.confident
@@ -47,24 +46,27 @@ class TestAipCore:
         core = _AipCore(AipConfig(margin=1))
         for _ in range(2):
             state = core.new_state(0x400000, 0x10)
-            for _ in range(3):
-                core.on_set_access(state)
-            core.on_entry_hit(state)
+            core.on_entry_hit(state, 3)
             core.train_eviction(state)
-        state = core.new_state(0x400000, 0x10)
-        for _ in range(4):
-            core.on_set_access(state)
-        assert not core.is_dead(state)  # 4 <= 3 + margin
-        core.on_set_access(state)
-        assert core.is_dead(state)  # 5 > 4
+        state = core.new_state(0x400000, 0x10, set_lookups=100)
+        assert not core.is_dead(state, 104)  # 4 <= 3 + margin
+        assert core.is_dead(state, 105)  # 5 > 4
+
+    def test_hit_restarts_the_interval(self):
+        core = _AipCore(AipConfig(max_interval=10))
+        state = core.new_state(0, 0, set_lookups=7)
+        core.on_entry_hit(state, 9)
+        core.on_entry_hit(state, 12)
+        assert state.max_seen == 3
+        assert core.interval(state, 14) == 2
+        assert state.hits == 2
 
     def test_doa_generations_do_not_train(self):
         """The crux of Section IV-C: zero-hit entries give AIP nothing."""
         core = _AipCore()
         for _ in range(5):
             state = core.new_state(0x400000, 0x10)
-            for _ in range(9):
-                core.on_set_access(state)
+            assert core.interval(state, 9) == 9
             core.train_eviction(state)  # never hit
         fresh = core.new_state(0x400000, 0x10)
         assert fresh.threshold == -1
@@ -74,9 +76,7 @@ class TestAipCore:
     def test_interval_counter_saturates(self):
         core = _AipCore(AipConfig(max_interval=3))
         state = core.new_state(0, 0)
-        for _ in range(10):
-            core.on_set_access(state)
-        assert state.count == 3
+        assert core.interval(state, 10) == 3
 
 
 class TestAipTlb:
