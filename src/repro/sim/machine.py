@@ -92,10 +92,16 @@ class _CorrelationTlbListener(TlbListener):
 
 
 class _CorrelationCacheListener(CacheListener):
-    """Classifies evicted DOA LLC blocks by their page's DOA status."""
+    """Classifies evicted DOA LLC blocks by their page's DOA status.
 
-    def __init__(self, machine: "Machine", tlb_side: _CorrelationTlbListener):
-        self.machine = machine
+    It holds the machine's PFN-to-key map and (once built) its LLT, not
+    the machine itself, so the machine is freed by reference counting."""
+
+    def __init__(
+        self, pfn_to_vpn: Dict[int, int], tlb_side: _CorrelationTlbListener
+    ):
+        self.pfn_to_vpn = pfn_to_vpn
+        self.llt: Optional[Tlb] = None  # the machine wires its LLT
         self.tlb_side = tlb_side
         self.doa_blocks_total = 0
         self.doa_blocks_classified = 0
@@ -106,12 +112,12 @@ class _CorrelationCacheListener(CacheListener):
             return
         self.doa_blocks_total += 1
         pfn = line.tag >> _BLOCK_OFFSET_BITS
-        key = self.machine.pfn_to_vpn.get(pfn)
+        key = self.pfn_to_vpn.get(pfn)
         if key is None:
             return  # page-table block, not a demand page
         vpn = key & _VPN_KEY_MASK
         asid = key >> ASID_SHIFT
-        resident = self.machine.l2_tlb.probe_translation(vpn, asid)
+        resident = self.llt.probe_translation(vpn, asid)
         if resident is not None:
             page_doa = not resident.accessed
         else:
@@ -186,7 +192,7 @@ class Machine:
                 )
             self._correlation_tlb = _CorrelationTlbListener()
             self._correlation_cache = _CorrelationCacheListener(
-                self, self._correlation_tlb
+                self.pfn_to_vpn, self._correlation_tlb
             )
             llc_listener = self._correlation_cache
 
@@ -261,6 +267,8 @@ class Machine:
             listener=tlb_listener,
             track_residency=config.track_residency,
         )
+        if self._correlation_cache is not None:
+            self._correlation_cache.llt = self.l2_tlb
         # Shootdowns through the LLT must also drop the PWC's partial
         # walks for the region (the walker refills the LLT, so the LLT is
         # the TLB whose invalidations track walk state).

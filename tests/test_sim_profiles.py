@@ -1,11 +1,28 @@
 """Profile-level tests: the Table I (paper) machine and SRRIP machines run
-end to end, and the scaled profile preserves relative behaviour."""
+end to end, the scaled profile preserves relative behaviour, and a
+finished machine of every shipped profile is freed by reference
+counting alone."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.sim.config import fast_config, paper_config
+from repro.sim.config import (
+    TLB_PRED_NONE,
+    LLC_PRED_NONE,
+    fast_config,
+    hugepage_config,
+    leeway_config,
+    mix2_config,
+    mix4_config,
+    paper_config,
+    perceptron_config,
+)
+from repro.sim.machine import Machine
 from repro.sim.runner import run_trace
+from repro.workloads.suite import get_trace
 from repro.workloads.trace import Trace
 
 
@@ -80,3 +97,49 @@ class TestSrripMachines:
         lru = run_trace(trace, fast_config())
         srrip = run_trace(trace, fast_config(tlb_policy="srrip"))
         assert srrip.llt_misses <= lru.llt_misses * 1.2
+
+
+#: Every profile the library ships, with the workload each pairs with.
+SHIPPED_PROFILES = {
+    "fast": (fast_config, "mcf"),
+    "paper": (paper_config, "mcf"),
+    "mix2": (mix2_config, "mix2"),
+    "mix4": (mix4_config, "mix4"),
+    "hugepage": (hugepage_config, "mcf"),
+    "leeway": (leeway_config, "mcf"),
+    "perceptron": (perceptron_config, "mcf"),
+}
+
+
+def _profile_cells():
+    for name, (profile, workload) in SHIPPED_PROFILES.items():
+        config = profile()
+        yield pytest.param(config, workload, id=name)
+        # The Table III characterization runs measure the baseline
+        # machine with correlation listeners attached.
+        if (config.tlb_predictor, config.llc_predictor) == (
+            TLB_PRED_NONE, LLC_PRED_NONE,
+        ):
+            yield pytest.param(
+                profile(track_correlation=True), workload,
+                id=f"{name}-correlation",
+            )
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+@pytest.mark.parametrize("config,workload", list(_profile_cells()))
+def test_finished_machine_is_freed_without_cyclic_gc(config, workload, engine):
+    """No reference cycle keeps a finished Machine alive: a long-lived
+    worker must not hold dead machines until the cyclic collector runs."""
+    trace = get_trace(workload, 300, 7)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        machine = Machine(config, seed=7)
+        machine.run(trace, engine=engine)
+        ref = weakref.ref(machine)
+        del machine
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
