@@ -1,0 +1,334 @@
+"""The registry predictors' fast hooks against the reference rules.
+
+Each fast path is pinned to the definition it replaced:
+
+* ``fold_xor`` against the mask-calling loop it was;
+* the perceptron's memoised fill-time features against
+  ``_tlb_features``/``_cache_features``, and its explicit weight sum
+  against ``_PerceptronCore.predict``;
+* Leeway's O(1) percentile decision against sorting an independently
+  kept ring of the last ``ring_entries`` samples;
+* AIP's per-set lookup counters against the eager rule that aged every
+  way of a set on every lookup, on whole machines and both engines.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.bitops import fold_xor, mask
+from repro.predictors.aip import (
+    AipCachePredictor,
+    AipConfig,
+    AipTlbPredictor,
+    _AipState,
+)
+from repro.predictors.base import AccessContext
+from repro.predictors.leeway import LeewayConfig, _LeewayCore, _LeewayState
+from repro.predictors.perceptron import (
+    PerceptronCachePredictor,
+    PerceptronConfig,
+    PerceptronTlbPredictor,
+    _cache_features,
+    _tlb_features,
+)
+from repro.sim.config import CacheGeometry, TlbGeometry, fast_config
+from repro.sim.engine import ENGINE_BATCHED, ENGINE_SCALAR
+from repro.sim.machine import Machine
+from repro.workloads.trace import Trace
+
+SEED = 7
+#: Every LLT key and physical block address is below 2**63.
+KEYS = st.integers(0, 2**63 - 1)
+
+
+# ------------------------------------------------------------------ #
+# fold_xor
+# ------------------------------------------------------------------ #
+def _fold_xor_loop(value, width, input_bits=64):
+    """``fold_xor`` as it was, calling ``mask()`` for both masks."""
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    value &= mask(input_bits)
+    result = 0
+    m = mask(width)
+    while value:
+        result ^= value & m
+        value >>= width
+    return result
+
+
+@settings(deadline=None)
+@given(
+    value=st.integers(0, 2**80),
+    width=st.integers(1, 64),
+    input_bits=st.integers(0, 72),
+)
+def test_fold_xor_matches_the_mask_loop(value, width, input_bits):
+    assert fold_xor(value, width, input_bits) == _fold_xor_loop(
+        value, width, input_bits
+    )
+    assert fold_xor(value, width) == _fold_xor_loop(value, width)
+
+
+# ------------------------------------------------------------------ #
+# Perceptron features and weight sum
+# ------------------------------------------------------------------ #
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(1, 16), pc=KEYS, key=KEYS)
+def test_perceptron_fast_features_match_reference(bits, pc, key):
+    tlb = PerceptronTlbPredictor(PerceptronConfig(table_bits=bits))
+    llc = PerceptronCachePredictor(
+        PerceptronConfig(table_bits=bits), context=AccessContext()
+    )
+    for _ in range(2):  # the first call fills the memos, the second reads
+        assert tlb._features(pc, key) == _tlb_features(pc, key, bits)
+        assert llc._features(pc, key) == _cache_features(pc, key, bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bits=st.integers(1, 10),
+    weights=st.lists(st.integers(-31, 31), min_size=64, max_size=64),
+    fills=st.lists(st.tuples(KEYS, KEYS), min_size=1, max_size=20),
+)
+def test_perceptron_fill_decision_matches_predict(bits, weights, fills):
+    """The explicit four-weight sum is ``predict``'s sum: same decision,
+    and an allocated entry carries the reference features and sum."""
+    ctx = AccessContext()
+    config = PerceptronConfig(table_bits=bits, sample_period=10**6)
+    for pred, reference in (
+        (PerceptronTlbPredictor(config), _tlb_features),
+        (PerceptronCachePredictor(config, context=ctx), _cache_features),
+    ):
+        core = pred.core
+        rows = 1 << bits
+        for t, table in enumerate(core._tables):
+            for row in range(rows):
+                table[row] = weights[(t * 16 + row) % len(weights)]
+        for pc, key in fills:
+            state = core.predict(reference(pc, key, bits))
+            if isinstance(pred, PerceptronTlbPredictor):
+                decision = pred.on_fill(None, key, 0, pc, 0)
+            else:
+                ctx.pc = pc
+                decision = pred.on_fill(None, key, 0)
+            assert (decision == "bypass") == core.predicts_doa(state)
+            if decision == "allocate":
+                assert pred._pending.features == state.features
+                assert pred._pending.yout == state.yout
+            else:
+                assert pred._pending is None
+
+
+# ------------------------------------------------------------------ #
+# Leeway's percentile decision
+# ------------------------------------------------------------------ #
+@settings(max_examples=200, deadline=None)
+@given(
+    ring_entries=st.integers(1, 9),
+    percentile=st.one_of(st.just(100), st.integers(1, 100)),
+    samples=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from([0, 0, 1, 7, 255])),
+        max_size=80,
+    ),
+)
+def test_leeway_o1_decision_matches_sorted_ring(ring_entries, percentile, samples):
+    """After every training sample, each signature's O(1) decision is
+    the old rule on the last ``ring_entries`` samples: no prediction
+    until the ring is full, then DOA iff the percentile-th smallest
+    sample is 0."""
+    core = _LeewayCore(LeewayConfig(
+        signature_bits=2, ring_entries=ring_entries, percentile=percentile,
+    ))
+    rank = -(-ring_entries * percentile // 100) - 1
+    history = {sig: [] for sig in range(4)}
+    for sig, live in samples:
+        state = _LeewayState(sig)
+        state.live = live
+        core.train_eviction(state)
+        history[sig].append(live)
+        for s, seen in history.items():
+            ring = seen[-ring_entries:]
+            expected = (
+                len(ring) == ring_entries and sorted(ring)[rank] == 0
+            )
+            assert core.predicts_doa(s) == expected
+
+
+# ------------------------------------------------------------------ #
+# AIP's lazy ageing vs the eager per-way rule (whole machines)
+# ------------------------------------------------------------------ #
+class _EagerAipState(_AipState):
+    __slots__ = ("count",)
+
+
+class _EagerAip:
+    """The replaced rule: every lookup ages each valid way of its set by
+    one (saturating at ``max_interval``); a hit records the count as a
+    candidate maximum and restarts it; a confident entry whose count
+    passes its learned interval plus the margin is the victim."""
+
+    def on_lookup(self, structure, set_idx, now):
+        cap = self.core.config.max_interval
+        for slot in self._slots(structure)[set_idx]:
+            if slot is not None and slot.aux is not None:
+                if slot.aux.count < cap:
+                    slot.aux.count += 1
+
+    def on_hit(self, structure, slot, now):
+        state = slot.aux
+        if state is not None:
+            if state.count > state.max_seen:
+                state.max_seen = state.count
+            state.count = 0
+            state.hits += 1
+
+    def on_fill(self, *args):
+        decision = super().on_fill(*args)
+        lazy = self._pending
+        state = _EagerAipState(
+            lazy.pc_h, lazy.addr_h, lazy.threshold, lazy.confident
+        )
+        state.count = 0
+        self._pending = state
+        return decision
+
+    def choose_victim(self, structure, set_idx, slots, now):
+        margin = self.core.config.margin
+        for way, slot in enumerate(slots):
+            state = None if slot is None else slot.aux
+            if (
+                state is not None
+                and state.confident
+                and state.threshold >= 0
+                and state.count > state.threshold + margin
+            ):
+                self.stats.add("dead_victimisations")
+                return way
+        return None
+
+
+class _EagerAipTlb(_EagerAip, AipTlbPredictor):
+    @staticmethod
+    def _slots(tlb):
+        return tlb._entries
+
+
+class _EagerAipCache(_EagerAip, AipCachePredictor):
+    @staticmethod
+    def _slots(cache):
+        return cache._lines
+
+
+def _aip_run(trace, engine, aip, eager):
+    """Run ``trace`` with fresh AIP listeners at both levels, recording
+    every training sample and the listeners' stats."""
+    config = fast_config(
+        tlb_predictor="aip",
+        llc_predictor="aip",
+        # small structures, so both levels hit, evict and train within
+        # a few hundred records
+        l1_itlb=TlbGeometry(4, 2, 1),
+        l1_dtlb=TlbGeometry(4, 2, 1),
+        l2_tlb=TlbGeometry(16, 4, 8),
+        l1d=CacheGeometry(2, 2, 5),
+        l2=CacheGeometry(4, 4, 11),
+        llc=CacheGeometry(8, 4, 40),
+    )
+    machine = Machine(config, seed=SEED)
+    tlb_cls, llc_cls = (
+        (_EagerAipTlb, _EagerAipCache) if eager
+        else (AipTlbPredictor, AipCachePredictor)
+    )
+    tlb_pred = tlb_cls(aip)
+    llc_pred = llc_cls(machine.context, aip)
+    machine.l2_tlb.listener = machine._tlb_predictor = tlb_pred
+    machine.llc.listener = machine._llc_predictor = llc_pred
+    samples = []
+    for side, pred in enumerate((tlb_pred, llc_pred)):
+        train = pred.core.train_eviction
+
+        def logged(state, train=train, side=side):
+            samples.append((side, state.pc_h, state.addr_h, state.hits,
+                            state.max_seen))
+            train(state)
+
+        pred.core.train_eviction = logged
+    result = machine.run(trace, engine=engine)
+    stats = (tlb_pred.stats.snapshot(), llc_pred.stats.snapshot())
+    return result.to_wire(), samples, stats, machine.engine_stats
+
+
+def _check_aip_rules(records, max_interval):
+    trace = Trace(
+        "aip-hypo",
+        np.array([0x400000 + s * 4 for s, _, _, _ in records], np.uint64),
+        np.array(
+            [0x10000000 + p * 4096 + b * 64 for _, p, b, _ in records],
+            np.uint64,
+        ),
+        np.array([w for *_, w in records], np.bool_),
+        np.zeros(len(records), np.uint16),
+    )
+    aip = AipConfig(pc_hash_bits=4, addr_hash_bits=4,
+                    max_interval=max_interval, margin=0)
+    expected = _aip_run(trace, ENGINE_SCALAR, aip, eager=True)[:3]
+    for engine in (ENGINE_SCALAR, ENGINE_BATCHED):
+        *got, engine_stats = _aip_run(trace, engine, aip, eager=False)
+        assert tuple(got) == expected
+    assert engine_stats["mode"] == "flat"
+    return expected
+
+
+AIP_RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 3),        # pc site
+        st.integers(0, 24),       # page (the LLT below holds 16)
+        st.integers(0, 7),        # block within the page
+        st.booleans(),            # write
+    ),
+    min_size=50,
+    max_size=400,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(records=AIP_RECORDS, max_interval=st.sampled_from([2, 3, 4095]))
+def test_aip_lazy_aging_matches_eager_rule(records, max_interval):
+    """Per-set lookup counters give every training sample, every dead
+    victimisation and every wire byte the eager per-way ageing gave, at
+    the LLT and the LLC, on both engines, saturating or not."""
+    _check_aip_rules(records, max_interval)
+
+
+def _phased_records(rounds=4, cycles=3, scan=30):
+    """Hot sets that AIP learns with confidence, then scans that expire
+    them: six hot pages (one block each) for the LLT, three hot pages
+    (every block) for the LLC."""
+    records = []
+    for r in range(rounds):
+        for _ in range(cycles):
+            records += [(0, page, 0, False) for page in range(6)]
+            records += [
+                (1, 10 + page, block, False)
+                for page in range(3) for block in range(8)
+            ]
+        records += [(2, 100 + r * scan + i, i % 8, False) for i in range(scan)]
+    return records
+
+
+@pytest.mark.parametrize("max_interval", [3, 4095])
+def test_aip_aging_differential_is_not_vacuous(max_interval):
+    """Guard the guard: both levels train on hit residencies; unsaturated,
+    both pick dead victims; at a cap of 3, both saturate an interval."""
+    _, samples, stats = _check_aip_rules(_phased_records(), max_interval)
+    for side in (0, 1):
+        hit_maxima = [m for s, _, _, hits, m in samples if s == side and hits]
+        assert hit_maxima
+        if max_interval == 3:
+            assert max_interval in hit_maxima
+        else:
+            assert stats[side].get("dead_victimisations", 0) > 0
+    assert stats[0].get("dead_victimisations", 0) > 0
