@@ -54,6 +54,11 @@ class PredictorSpec(Protocol):
     * ``storage_bits(num_entries)`` — hardware budget accounting
       (Section V-D).
 
+    A hook may memoise pure functions of its inputs in its own state
+    (e.g. a PC's fold-XOR signature, keyed by the PC): a memo changes no
+    result, only how often the function runs, so ``storage_bits`` does
+    not count it — hardware computes those hashes combinationally.
+
     **Flat-interpreter contract.** The batched engine's flat interpreter
     (:class:`repro.sim.engine._FlatStepper`) inlines
     :class:`~repro.core.dppred.DeadPagePredictor` and
