@@ -61,8 +61,8 @@ PARALLEL_TARGET = 2.5
 #: Batched-engine suite-speedup floor: median-of-9 aggregate over the
 #: six-workload suite prefix with dpPred+cbPred enabled — the config the
 #: paper is about. 2.0x reflects the fully inlined flat tier (walk + PWC
-#: + pooled cache lines in the interpreter loop); see EXPERIMENTS.md
-#: "Engines".
+#: + fills that recycle their victims in the interpreter loop); see
+#: EXPERIMENTS.md "Engines".
 ENGINE_TARGET = 2.0
 #: The engine suite phase always measures this many suite workloads,
 #: independent of --workloads (which sizes the matrix phases): the CI

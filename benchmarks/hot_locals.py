@@ -1,0 +1,150 @@
+"""Rank the flat interpreter's locals by how often its loop touches them.
+
+``_FlatStepper.run`` (:mod:`repro.sim.engine`) binds its most-used
+locals to ``None`` in a block at the top of the function, so CPython
+numbers them below 256 and their loads and stores need no
+``EXTENDED_ARG`` prefix. This script re-derives that block: it runs the
+benchmark's suite cells (14 Table II workloads x {LRU, dpPred+cbPred})
+and scenario cells (tenant mixes, huge pages, Leeway, perceptron) at a
+small budget on the batched engine, traces every opcode ``run``
+executes, and counts each executed ``LOAD_FAST``/``STORE_FAST``/
+``DELETE_FAST`` against its local. An access to a local numbered 256 or
+above is reported at its ``EXTENDED_ARG`` prefix, so prefixes are
+mapped to the access they extend and counted too.
+
+It prints every local of ``run`` ranked by access count, with its
+current index (``*`` marks a local that needs the prefix today) and
+whether it is in the hot block, then the top ``--top`` names as the
+block to paste. It reports only and changes nothing. Tracing every
+opcode makes the run slow (minutes at the default budget), so it stays
+out of CI.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/hot_locals.py [--budget 8000] [--top 200]
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import dis
+import os
+import sys
+import time
+from collections import Counter
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+from cells import scenario_cells, suite_cells  # noqa: E402
+
+from repro.sim.engine import _FlatStepper  # noqa: E402
+
+SEED = 42
+EXTENDED_ARG = dis.opmap["EXTENDED_ARG"]
+
+
+def access_sites(code) -> dict:
+    """Offset of each local access in ``code`` -> the local's name.
+
+    A prefixed access is keyed by its first ``EXTENDED_ARG``'s offset,
+    the offset at which CPython reports the instruction to a tracer.
+    """
+    sites = {}
+    start = None
+    for ins in dis.get_instructions(code):
+        if ins.opcode == EXTENDED_ARG:
+            if start is None:
+                start = ins.offset
+            continue
+        if ins.opcode in dis.haslocal:
+            sites[ins.offset if start is None else start] = ins.argval
+        start = None
+    return sites
+
+
+def count_accesses(cells) -> Counter:
+    """Executed local accesses in ``run`` over every cell, by name."""
+    code = _FlatStepper.run.__code__
+    offsets = Counter()
+
+    def per_opcode(frame, event, arg):
+        if event == "opcode":
+            offsets[frame.f_lasti] += 1
+        return per_opcode
+
+    def per_call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_opcodes = True
+        return per_opcode
+
+    for cell in cells:
+        trace = cell.trace()
+        machine = cell.machine()
+        sys.settrace(per_call)
+        try:
+            machine.run(trace, engine="batched")
+        finally:
+            sys.settrace(None)
+        if machine.engine_stats["mode"] != "flat":
+            raise SystemExit(f"{cell.ident} did not run flat")
+    names = Counter()
+    for offset, name in access_sites(code).items():
+        names[name] += offsets[offset]
+    return names
+
+
+def hot_block(names) -> list:
+    """The leading ``a = b = ... = None`` statements' names, in order."""
+    code = _FlatStepper.run.__code__
+    block = []
+    for ins in dis.get_instructions(code):
+        if ins.opname in ("RESUME", "LOAD_CONST", "COPY", "NOP"):
+            continue
+        if ins.opname != "STORE_FAST":
+            break
+        block.append(ins.argval)
+    return [n for n in block if n in names]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--budget", type=int, default=8000)
+    parser.add_argument("--top", type=int, default=200)
+    args = parser.parse_args()
+    cells = [
+        dataclasses.replace(cell, budget=args.budget)
+        for cell in suite_cells(SEED) + scenario_cells(SEED)
+    ]
+    start = time.perf_counter()
+    counts = count_accesses(cells)
+    elapsed = time.perf_counter() - start
+    code = _FlatStepper.run.__code__
+    varnames = code.co_varnames
+    block = set(hot_block(varnames))
+    ranked = sorted(varnames, key=lambda n: (-counts[n], varnames.index(n)))
+    total = sum(counts.values())
+    wide = sum(counts[n] for n in varnames if varnames.index(n) >= 256)
+    print(
+        f"{len(cells)} cells at budget {args.budget:,}, traced in "
+        f"{elapsed:.0f} s: {total:,} local accesses over "
+        f"{len(varnames)} locals, {wide:,} of them to locals "
+        f"numbered 256 or above"
+    )
+    print(f"{'rank':>4}  {'accesses':>12}  {'index':>6}  block  name")
+    for rank, name in enumerate(ranked, 1):
+        index = varnames.index(name)
+        mark = "*" if index >= 256 else " "
+        print(
+            f"{rank:>4}  {counts[name]:>12,}  {index:>5}{mark}  "
+            f"{'yes' if name in block else '   '}    {name}"
+        )
+    top = [n for n in ranked[: args.top] if counts[n]]
+    print(f"\ntop {len(top)} names, most accessed first:")
+    print(" = ".join(top) + " = None")
+
+
+if __name__ == "__main__":
+    main()

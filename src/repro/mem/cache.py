@@ -51,41 +51,6 @@ class CacheLine:
         )
 
 
-# --------------------------------------------------------------------- #
-# CacheLine flyweight pool
-#
-# Fills allocate a CacheLine per install; on miss-heavy suites that is
-# millions of short-lived objects. Evicted lines are returned here once
-# their owner (the hierarchy's fill cascade or the flat engine tier) has
-# finished writeback/predictor training, and the next fill reuses them
-# reset-in-place. Listeners never retain line references past on_evict
-# (they copy ``aux``/``accessed`` into their own tables), so reuse is
-# invisible to simulation results. The cap only bounds idle pool memory.
-# --------------------------------------------------------------------- #
-_LINE_POOL: List[CacheLine] = []
-_LINE_POOL_CAP = 8192
-
-
-def acquire_line(tag: int, dirty: bool) -> CacheLine:
-    """Pop a reset CacheLine from the pool, or allocate a fresh one."""
-    pool = _LINE_POOL
-    if pool:
-        line = pool.pop()
-        line.tag = tag
-        line.dirty = dirty
-        line.accessed = False
-        line.dp = False
-        line.aux = None
-        return line
-    return CacheLine(tag, dirty)
-
-
-def release_line(line: Optional[CacheLine]) -> None:
-    """Return an evicted line to the pool once no caller references it."""
-    if line is not None and len(_LINE_POOL) < _LINE_POOL_CAP:
-        _LINE_POOL.append(line)
-
-
 class CacheListener:
     """Predictor-side hooks. The default implementation is a no-op."""
 
@@ -275,7 +240,7 @@ class SetAssocCache:
                     way = self._policy_victim(set_idx)
             victim_line = self._evict_way(set_idx, way, now)
 
-        line = acquire_line(block, is_write)
+        line = CacheLine(block, is_write)
         lines[way] = line
         if not self._lru:
             tags[block] = way

@@ -16,7 +16,7 @@ cites [Gupta et al., IPDPS'13].
 from __future__ import annotations
 
 from repro.common.stats import Stats
-from repro.mem.cache import SetAssocCache, release_line
+from repro.mem.cache import SetAssocCache
 from repro.mem.mainmem import MainMemory
 
 
@@ -104,19 +104,15 @@ class CacheHierarchy:
     # ------------------------------------------------------------------ #
     def _fill_l1(self, block: int, now: int, is_write: bool) -> None:
         victim = self.l1.fill(block, now, is_write)
-        if victim is not None:
-            if victim.dirty:
-                # Dirty L1 victims write back into L2 (cascading outward if
-                # the outer copies are already gone or were bypassed).
-                self._writeback(victim.tag, level=1)
-            release_line(victim)
+        if victim is not None and victim.dirty:
+            # Dirty L1 victims write back into L2 (cascading outward if
+            # the outer copies are already gone or were bypassed).
+            self._writeback(victim.tag, level=1)
 
     def _fill_l2(self, block: int, now: int) -> None:
         victim = self.l2.fill(block, now)
-        if victim is not None:
-            if victim.dirty:
-                self._writeback(victim.tag, level=2)
-            release_line(victim)
+        if victim is not None and victim.dirty:
+            self._writeback(victim.tag, level=2)
 
     def _fill_llc(self, block: int, now: int) -> None:
         """Fill the LLC and keep the hierarchy inclusive: the victim is
@@ -133,9 +129,6 @@ class CacheHierarchy:
                 self._stat["inclusion_victims"] += 1
             if victim.dirty or (inner1 and inner1.dirty) or (inner2 and inner2.dirty):
                 self.memory.access(victim.tag, is_write=True)
-            release_line(victim)
-            release_line(inner1)
-            release_line(inner2)
 
     def _writeback(self, block: int, level: int) -> None:
         """Propagate a dirty victim outward: mark the first outer level

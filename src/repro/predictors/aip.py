@@ -24,7 +24,9 @@ lookups per set, and each entry snapshots its set's count at fill and at
 every hit, so the counter is ``min(max_interval, set count - snapshot)``
 — read in O(1) where it is needed (a hit, a victim choice) instead of
 ageing every way of the set on every lookup. Huge LLT entries age with
-their own set.
+their own set. An entry's confidence is fixed at fill, so each listener
+also counts its resident confident entries per set, and a victim choice
+in a set that holds none returns at once instead of scanning the ways.
 """
 
 from __future__ import annotations
@@ -155,6 +157,9 @@ class AipTlbPredictor(TlbListener):
         self._pending: Optional[_AipState] = None
         # Lookups per set (an entry's set is ``entry.vpn & _set_mask``).
         self._set_lookups = defaultdict(int)
+        # Resident confident entries per set: a set without one has no
+        # dead victim to offer.
+        self._confident = defaultdict(int)
 
     def on_lookup(self, tlb: Tlb, set_idx: int, now: int) -> None:
         self._set_lookups[set_idx] += 1
@@ -176,14 +181,21 @@ class AipTlbPredictor(TlbListener):
         return "allocate"
 
     def filled(self, tlb: Tlb, entry: TlbEntry, now: int) -> None:
-        entry.aux = self._pending
+        state = entry.aux = self._pending
         self._pending = None
+        if state.confident:
+            self._confident[entry.vpn & tlb._set_mask] += 1
 
     def on_evict(self, tlb: Tlb, entry: TlbEntry, now: int) -> None:
-        if entry.aux is not None:
-            self.core.train_eviction(entry.aux)
+        state = entry.aux
+        if state is not None:
+            if state.confident:
+                self._confident[entry.vpn & tlb._set_mask] -= 1
+            self.core.train_eviction(state)
 
     def choose_victim(self, tlb: Tlb, set_idx: int, entries, now: int):
+        if not self._confident[set_idx]:
+            return None
         is_dead = self.core.is_dead
         set_lookups = self._set_lookups[set_idx]
         for way, entry in enumerate(entries):
@@ -219,6 +231,8 @@ class AipCachePredictor(CacheListener):
         self._pending: Optional[_AipState] = None
         # Lookups per set (a line's set is ``line.tag & _set_mask``).
         self._set_lookups = defaultdict(int)
+        # Resident confident lines per set (see AipTlbPredictor).
+        self._confident = defaultdict(int)
 
     def on_lookup(self, cache: SetAssocCache, set_idx: int, now: int) -> None:
         self._set_lookups[set_idx] += 1
@@ -238,14 +252,21 @@ class AipCachePredictor(CacheListener):
         return "allocate"
 
     def filled(self, cache: SetAssocCache, line: CacheLine, now: int) -> None:
-        line.aux = self._pending
+        state = line.aux = self._pending
         self._pending = None
+        if state.confident:
+            self._confident[line.tag & cache._set_mask] += 1
 
     def on_evict(self, cache: SetAssocCache, line: CacheLine, now: int) -> None:
-        if line.aux is not None:
-            self.core.train_eviction(line.aux)
+        state = line.aux
+        if state is not None:
+            if state.confident:
+                self._confident[line.tag & cache._set_mask] -= 1
+            self.core.train_eviction(state)
 
     def choose_victim(self, cache: SetAssocCache, set_idx: int, lines, now: int):
+        if not self._confident[set_idx]:
+            return None
         is_dead = self.core.is_dead
         set_lookups = self._set_lookups[set_idx]
         for way, line in enumerate(lines):

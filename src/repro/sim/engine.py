@@ -8,7 +8,10 @@ to the scalar reference loop (:meth:`Machine.run_scalar`):
   TLBs with the same-page filter, the L2 TLB (LLT) with its 2 MB
   huge-entry namespace, the radix walker (4 KB and huge leaves) and its
   PWCs, L1D/L2/LLC with writeback and inclusion cascades, LRU and
-  SRRIP, residency tracking, and the LLT/LLC predictors. dpPred's
+  SRRIP, residency tracking, and the LLT/LLC predictors. An inline
+  fill that evicts overwrites the victim's line or entry object in
+  place, and a walk that hits the L1 PWC loads its PTE from the leaf
+  node that entry holds, without descending the radix tree. dpPred's
   fill-time decision (pHIST probe, shadow-FIFO promote/evict, PFQ push,
   bypass, eviction-time training) and cbPred's fill decision (PFQ match,
   bHIST probe, LLC bypass, DP-marking) are inlined with their stats and
@@ -54,7 +57,7 @@ import numpy as np
 from repro.common.bitops import fold_xor
 from repro.core.cbpred import CorrelatingDeadBlockPredictor
 from repro.core.dppred import ACTION_BYPASS, DeadPagePredictor
-from repro.mem.cache import _LINE_POOL, CacheLine, CacheListener
+from repro.mem.cache import CacheLine, CacheListener
 from repro.obs.events import (
     EV_LLC_BYPASS,
     EV_LLC_MARK_DP,
@@ -89,7 +92,7 @@ from repro.vm.pagetable import (
     _Node,
 )
 from repro.vm.physmem import PAGE_SHIFT
-from repro.vm.tlb import _ENTRY_POOL, HUGE_KEY_BASE, TlbEntry, TlbListener
+from repro.vm.tlb import HUGE_KEY_BASE, TlbEntry, TlbListener
 from repro.vm.walker import BLOCK_SHIFT
 
 ENGINE_BATCHED = "batched"
@@ -394,6 +397,24 @@ class _FlatStepper:
     calls. A set with a free way finds the lowest one with
     ``lines.index(None)``: ``CacheLine`` and ``TlbEntry`` define no
     ``__eq__``, so the C scan matches ``None`` by identity.
+
+    Only a fill into a free way constructs a ``CacheLine`` or
+    ``TlbEntry``. A fill that evicts (L1D, L2 on the data and walk paths,
+    the LLC, the L1 D-TLB and the LLT) first reads what the victim's
+    writeback, inclusion cascade and dpPred/cbPred training need, then
+    overwrites the victim object with the incoming block or translation,
+    every field reset to a fresh object's value. Nothing else holds an
+    evicted object: predictors copy what they keep, residency trackers
+    key by (set, way), and with the same-page filter on, every D-TLB
+    fill becomes the filter's entry, so a recycled victim that was the
+    filter's entry is its new entry in the same step. Fills through a
+    generic listener stay real ``fill`` calls, which construct.
+
+    A 4 KB walk stores its region's leaf page-table node as the value of
+    its L1-PWC entry (the scalar walker stores None). A walk whose L1
+    PWC returns a node loads the one PTE from it and skips the descent:
+    the node exists once any walk has installed the entry, and a
+    region's leaf node is never replaced (``unmap`` drops PTEs only).
     """
 
     __slots__ = ("m", "_fx_pc", "_fx_vpn", "_fx_blk", "_fx_pgb")
@@ -422,47 +443,47 @@ class _FlatStepper:
         caller finalizes the machine."""
         # CPython numbers a function's locals in order of first
         # appearance, and an access to a local numbered above 255 needs
-        # an EXTENDED_ARG prefix. This interpreter has 368 locals, so
-        # the 200 its loop touches most are bound here first (by
-        # opcode-level access counts over the benchmark's suite and
-        # scenario cells: LRU and dpPred+cbPred suite runs, tenant mixes,
-        # huge pages, Leeway and perceptron; EXTENDED_ARG-prefixed
-        # accesses included).
+        # an EXTENDED_ARG prefix. This interpreter has 357 locals, so
+        # the 200 its loop touches most are bound here first, most
+        # accessed first (by opcode-level access counts over the
+        # benchmark's suite and scenario cells at budget 8,000: LRU and
+        # dpPred+cbPred suite runs, tenant mixes, huge pages, Leeway and
+        # perceptron; EXTENDED_ARG-prefixed accesses included).
+        # benchmarks/hot_locals.py prints that ranking; re-derive the
+        # block with it after a change that adds or renames hot locals.
         # Without this block the suite runs 7% slower (ten alternating
-        # benchmark pairs on a 2-core x86-64 host, CPython 3.11). A
-        # renamed or new hot local belongs in this list;
+        # benchmark pairs on a 2-core x86-64 host, CPython 3.11).
         # tests/test_engine_hot_locals.py checks that every name here
         # keeps an index below 256 and is still used.
-        ln = block = dvpn = dkey = wtag = dent = t1 = tags_d = victim2 = None
-        victim1 = pfn = node = widx = pool_ = penalty = vk_ = le = set_d = None
-        t2b = wl = ps = ch = tags_l = w1f = pc = w2f = instructions = None
-        set_1 = vaddr = gap = lines2 = pf = t3 = w1 = wd_ = victim_d = None
-        is_write = blk = lines1 = epool_ = abase = lkey = wd = set_l = None
-        entries_d = lines3 = wlat = ivpn = h_acc = now = None
-        cycles = it_hits = w3f = last_dent = tc = l2_tags = l2_mask = None
-        victim_l = set_2b = set_3 = last_dvpn = victim3 = last_ient = None
-        l2_rrpv = l1_rrpv = widx_mask = pw1 = hbase = wc = l2_misses = None
-        l2_fills = boff = bs = l3_gen = mark_dp = dt_mask = dt_tags = None
-        dt_rrpv = m_acc = l3_misses = l3_fills = bypass3 = w3_ = w2_ = None
-        t2 = set_2 = l1_misses = l1_fills = entries_l = l2_evicts = None
-        set_c = l1_evicts = h_demand = dentry = l2_lines = None
-        m_reads = sh3 = path_rem = vt = dt_misses = dt_fills = None
-        bmask = dt_evicts = l1_mask = l1_tags = lhuge = last_ivpn = None
-        next_at = base_cpi = l1_lines = lpfn = lt_pch = dt_hits = pc_h = None
-        lt_mask = lt_tags = sh_entries = asid = l3_mask = l3_tags = None
-        l3_lines = h_walkacc = pte_paddr = pw2 = dt_entries = huge_on = None
-        lt_install = sh2 = l3_res = l3_rrpv = cb_pfq = lt_res = lt_rrpv = None
-        pw3 = lt_misses = w_walks = w_memacc = w_cycles = sh1 = pt_root = None
-        p2 = p0 = p1 = path = l2_assoc = vh = pw1_mte = cb = l1_hits = None
-        line_cls = pw_l1h = dp = l3_assoc = lt_fills = l2_hits = None
-        l1_assoc = mem_penalty = lt_evicts = doa = s2 = wv2 = None
-        lt_g_lookup = dt_assoc = w2 = lt_entries = fx_vpn = dp_vbits = None
-        ph_vals = tc3 = pw2_mte = wlat2 = d_sh_miss = vh2 = pt_huge = None
-        vpn_limit = l2_tlb_latency = walk_exposure = pfn_to_vpn = None
-        pw_lat2 = wlat3 = probe = lt_delegate = pw3_mte = pw_lat3 = s3 = None
-        wv3 = pidx = pw_lat1 = ph_cols = wc3 = in2 = hl2_lat = None
-        set_c3 = in1 = lt_hits = bhh = s1 = wv = l3_evicts = None
-        l1_wb = None
+        ln = block = vt = dvpn = dkey = wtag = t1 = pfn = dent = tags_d = None
+        penalty = pc = t2b = instructions = set_1 = vaddr = gap = le = None
+        wl = pf = tags_l = w1 = t3 = is_write = set_d = abase = blk = ps = None
+        node = wd = now = set_l = lkey = wlat = l2_tags = l2_mask = ivpn = None
+        h_acc = cycles = it_hits = w1f = w2f = set_2b = tc = last_dvpn = None
+        set_3 = l2_rrpv = wd_ = widx = l1_rrpv = w3f = lines2 = wc = None
+        l2_misses = l2_fills = lines3 = dt_rrpv = bs = boff = m_acc = None
+        l3_gen = l2_evicts = w3_ = w2_ = t2 = l3_misses = set_c = lines1 = None
+        set_2 = l1_misses = l1_fills = dentry = l1_evicts = pw1 = None
+        h_demand = mark_dp = hbase = l2_lines = m_reads = path_rem = None
+        l1_mask = l1_tags = bypass3 = entries_d = last_dent = dt_misses = None
+        dt_fills = dt_evicts = l3_fills = bmask = lhuge = last_ivpn = None
+        last_ient = next_at = base_cpi = l1_lines = lpfn = lt_install = None
+        asid = lt_mask = lt_tags = dt_hits = dt_mask = dt_tags = None
+        dt_entries = l3_mask = l3_tags = h_walkacc = pte_paddr = sh3 = None
+        lt_pch = sh_entries = huge_on = pw2 = lt_misses = w_walks = None
+        w_memacc = w_cycles = pw3 = l3_res = l3_rrpv = pc_h = cb = None
+        l3_lines = pw1_mte = wv2 = s2 = l2_assoc = l1_hits = pw_l1h = None
+        lt_res = lt_rrpv = cb_pfq = l2_hits = l1_assoc = vh = None
+        mem_penalty = lt_g_lookup = dp = entries_l = dt_assoc = lt_fills = None
+        l3_assoc = widx_mask = doa = lt_evicts = sh2 = vdirty = wv = None
+        line_cls = lt_entries = pt_root = sh1 = pw2_mte = vpn_limit = None
+        l2_tlb_latency = walk_exposure = pfn_to_vpn = probe = None
+        lt_delegate = pw3_mte = s3 = wv3 = fx_vpn = dp_vbits = ph_vals = None
+        d_sh_miss = pw_lat1 = tc3 = wc3 = vh2 = ch = lt_hits = hl2_lat = None
+        s1 = l3_evicts = w2 = pidx = ph_cols = bhh = l1_wb = set_c3 = None
+        dp_probe = lt_assoc = l2_wb = sb_ = pv = pfq_q = lt_g_miss = pg_ = None
+        l3_hits = fx_pc = dp_obs = dp_thresh = lt_g_hit = None
+        l2_tlb_hit_penalty = m_writes = cb_probe = fx_blk = d_dp_evobs = None
         m = self.m
         pcs, vaddrs = trace.pcs, trace.vaddrs
         writes, gaps = trace.writes, trace.gaps
@@ -472,13 +493,9 @@ class _FlatStepper:
         fx_vpn = self._fx_vpn
         fx_blk = self._fx_blk
         fx_pgb = self._fx_pgb
-        # Free-list pools shared with the scalar-side structures. The
-        # flat tier's inline releases skip the cap check: every pooled
-        # object mirrors an evicted resident slot, so pool growth is
-        # bounded by structure capacity, not by traffic.
-        pool_ = _LINE_POOL
+        # A fill into a free way constructs its line or entry; a fill
+        # that evicts overwrites the victim object in place.
         line_cls = CacheLine
-        epool_ = _ENTRY_POOL
         entry_cls = TlbEntry
         # Predictor-stat deltas, flushed with the structure-stat
         # deltas at telemetry boundaries and run end. The flushes
@@ -957,84 +974,104 @@ class _FlatStepper:
                                         f"vpn {dvpn:#x} outside "
                                         f"{VPN_BITS}-bit space"
                                     )
-                                node = pt_root
-                                widx = (dvpn >> sh1) & widx_mask
-                                p0 = (node.frame << ps) | (widx << 3)
-                                ch = node.children.get(widx)
-                                if ch is None:
-                                    ch = _Node(pt_alloc())
-                                    node.children[widx] = ch
-                                    pt_stats_add("nodes_allocated")
-                                node = ch
-                                widx = (dvpn >> sh2) & widx_mask
-                                p1 = (node.frame << ps) | (widx << 3)
-                                ch = node.children.get(widx)
-                                if ch is None:
-                                    ch = _Node(pt_alloc())
-                                    node.children[widx] = ch
-                                    pt_stats_add("nodes_allocated")
-                                node = ch
-                                widx = (dvpn >> sh3) & widx_mask
-                                p2 = (node.frame << ps) | (widx << 3)
-                                ch = node.children.get(widx)
-                                if ch is None:
-                                    if pt_huge is not None and pt_huge(
-                                        dvpn >> sh3
-                                    ):
-                                        ch = hleaf_cls(
-                                            pt_alloc_huge(ENTRIES_PER_NODE)
-                                        )
-                                        pt_stats_add("huge_pages_mapped")
-                                    else:
-                                        ch = _Node(pt_alloc())
-                                        pt_stats_add("nodes_allocated")
-                                    node.children[widx] = ch
-                                if (
-                                    pt_huge is not None
-                                    and type(ch) is hleaf_cls
-                                ):
-                                    # 2 MB leaf: three loads, and the PWC
-                                    # plan skips the L1 PWC (max_resolved=2)
-                                    hbase = ch.base
-                                    pfn = hbase + (dvpn & widx_mask)
-                                    path = (p0, p1, p2)
-                                    wlat2 = pw_hlat2
-                                    wlat3 = pw_hlat3
-                                else:
+                                # This loop's L1-PWC entries hold their
+                                # region's leaf node, so a hit is the one
+                                # PTE load from it. A None value is an
+                                # entry the scalar walker installed: that
+                                # walk descends like a miss.
+                                wtag = abase | (dvpn >> sh3)
+                                node = pw1.get(wtag)
+                                if node is not None:
+                                    pw1_mte(wtag)
+                                    pw_l1h += 1
+                                    wlat = pw_lat1
                                     hbase = None
-                                    node = ch
                                     widx = dvpn & widx_mask
                                     pfn = node.children.get(widx)
                                     if pfn is None:
                                         pfn = pt_alloc()
                                         node.children[widx] = pfn
                                         pt_stats_add("pages_mapped")
-                                    path = (p0, p1, p2, (node.frame << ps) | (widx << 3))
-                                    wlat2 = pw_lat2
-                                    wlat3 = pw_lat3
-                                    wtag = abase | (dvpn >> sh3)
-                                if hbase is None and wtag in pw1:
-                                    pw1_mte(wtag)
-                                    pw_l1h += 1
-                                    wlat = pw_lat1
-                                    path_rem = path[3:]
+                                    path_rem = ((node.frame << ps) | (widx << 3),)
                                 else:
-                                    wtag = abase | (dvpn >> sh2)
-                                    if wtag in pw2:
-                                        pw2_mte(wtag)
-                                        pw_l2h += 1
-                                        wlat = wlat2
-                                        path_rem = path[2:]
-                                    else:
-                                        wtag = abase | (dvpn >> sh1)
-                                        wlat = wlat3
-                                        if wtag in pw3:
-                                            pw3_mte(wtag)
-                                            pw_l3h += 1
-                                            path_rem = path[1:]
+                                    node = pt_root
+                                    widx = (dvpn >> sh1) & widx_mask
+                                    p0 = (node.frame << ps) | (widx << 3)
+                                    ch = node.children.get(widx)
+                                    if ch is None:
+                                        ch = _Node(pt_alloc())
+                                        node.children[widx] = ch
+                                        pt_stats_add("nodes_allocated")
+                                    node = ch
+                                    widx = (dvpn >> sh2) & widx_mask
+                                    p1 = (node.frame << ps) | (widx << 3)
+                                    ch = node.children.get(widx)
+                                    if ch is None:
+                                        ch = _Node(pt_alloc())
+                                        node.children[widx] = ch
+                                        pt_stats_add("nodes_allocated")
+                                    node = ch
+                                    widx = (dvpn >> sh3) & widx_mask
+                                    p2 = (node.frame << ps) | (widx << 3)
+                                    ch = node.children.get(widx)
+                                    if ch is None:
+                                        if pt_huge is not None and pt_huge(
+                                            dvpn >> sh3
+                                        ):
+                                            ch = hleaf_cls(
+                                                pt_alloc_huge(ENTRIES_PER_NODE)
+                                            )
+                                            pt_stats_add("huge_pages_mapped")
                                         else:
-                                            pw_miss += 1
-                                            path_rem = path
+                                            ch = _Node(pt_alloc())
+                                            pt_stats_add("nodes_allocated")
+                                        node.children[widx] = ch
+                                    if (
+                                        pt_huge is not None
+                                        and type(ch) is hleaf_cls
+                                    ):
+                                        # 2 MB leaf: three loads, and the
+                                        # PWC plan skips the L1 PWC
+                                        # (max_resolved=2)
+                                        hbase = ch.base
+                                        pfn = hbase + (dvpn & widx_mask)
+                                        path = (p0, p1, p2)
+                                        wlat2 = pw_hlat2
+                                        wlat3 = pw_hlat3
+                                    else:
+                                        hbase = None
+                                        node = ch
+                                        widx = dvpn & widx_mask
+                                        pfn = node.children.get(widx)
+                                        if pfn is None:
+                                            pfn = pt_alloc()
+                                            node.children[widx] = pfn
+                                            pt_stats_add("pages_mapped")
+                                        path = (p0, p1, p2, (node.frame << ps) | (widx << 3))
+                                        wlat2 = pw_lat2
+                                        wlat3 = pw_lat3
+                                    if hbase is None and wtag in pw1:
+                                        pw1_mte(wtag)
+                                        pw_l1h += 1
+                                        wlat = pw_lat1
+                                        path_rem = path[3:]
+                                    else:
+                                        wtag = abase | (dvpn >> sh2)
+                                        if wtag in pw2:
+                                            pw2_mte(wtag)
+                                            pw_l2h += 1
+                                            wlat = wlat2
+                                            path_rem = path[2:]
+                                        else:
+                                            wtag = abase | (dvpn >> sh1)
+                                            wlat = wlat3
+                                            if wtag in pw3:
+                                                pw3_mte(wtag)
+                                                pw_l3h += 1
+                                                path_rem = path[1:]
+                                            else:
+                                                pw_miss += 1
+                                                path_rem = path
                                 w_memacc += len(path_rem)
                                 for pte_paddr in path_rem:
                                     blk = pte_paddr >> bs
@@ -1083,62 +1120,52 @@ class _FlatStepper:
                                         fill_llc(blk, now)
                                     # fill L2 (walk loads land in L2)
                                     lines2 = l2_lines[set_c]
-                                    victim2 = None
                                     if len(tc) < l2_assoc:
                                         w2 = lines2.index(None)
+                                        lines2[w2] = line_cls(blk, False)
                                     else:
                                         if l2_rrpv is None:
-                                            for vk_ in tc:
+                                            for vt in tc:
                                                 break
-                                            w2 = tc[vk_]
+                                            w2 = tc.pop(vt)
+                                            ln = lines2[w2]
                                         else:
                                             row = l2_rrpv[set_c]
                                             while l2_rmax not in row:
                                                 for wi2 in range(l2_assoc):
                                                     row[wi2] += 1
                                             w2 = row.index(l2_rmax)
-                                        victim2 = lines2[w2]
-                                        del tc[victim2.tag]
-                                        lines2[w2] = None
+                                            ln = lines2[w2]
+                                            vt = ln.tag
+                                            del tc[vt]
                                         l2_evicts += 1
-                                        if victim2.dirty:
+                                        if ln.dirty:
                                             l2_wb += 1
-                                    if pool_:
-                                        ln = pool_.pop()
-                                        ln.tag = blk
-                                        ln.dirty = False
-                                        ln.accessed = False
-                                        ln.dp = False
-                                        ln.aux = None
-                                    else:
-                                        ln = line_cls(blk, False)
-                                    lines2[w2] = ln
-                                    tc[blk] = w2
-                                    if l2_rrpv is not None:
-                                        l2_rrpv[set_c][w2] = l2_rmax - 1
-                                    l2_fills += 1
-                                    if victim2 is not None:
-                                        if victim2.dirty:
-                                            vt = victim2.tag
                                             s3 = vt & l3_mask
                                             wv3 = l3_tags[s3].get(vt)
                                             if wv3 is not None:
-                                                l3_lines[s3][wv3].dirty = (
-                                                    True
-                                                )
+                                                l3_lines[s3][wv3].dirty = True
                                             else:
                                                 m_acc += 1
                                                 m_writes += 1
                                                 h_orphan += 1
-                                        if victim2 is not None:
-                                            pool_.append(victim2)
+                                            ln.dirty = False
+                                        ln.tag = blk
+                                        ln.accessed = False
+                                        ln.dp = False
+                                        ln.aux = None
+                                    tc[blk] = w2
+                                    if l2_rrpv is not None:
+                                        l2_rrpv[set_c][w2] = l2_rmax - 1
+                                    l2_fills += 1
                                 # pwc.fill inlined: install the walk at
-                                # every level (L1 first, as the plan does)
+                                # every level (L1 first, as the plan does),
+                                # the L1 entry holding the leaf node
                                 if hbase is None:
                                     wtag = abase | (dvpn >> sh3)
                                     if wtag not in pw1 and len(pw1) >= pw1_cap:
                                         pw1_pop(last=False)
-                                    pw1[wtag] = None
+                                    pw1[wtag] = node
                                     pw1_mte(wtag)
                                 wtag = abase | (dvpn >> sh2)
                                 if wtag not in pw2 and len(pw2) >= pw2_cap:
@@ -1264,49 +1291,46 @@ class _FlatStepper:
                                     entries_l = lt_entries[set_l]
                                     if len(tags_l) < lt_assoc:
                                         wl = entries_l.index(None)
+                                        entries_l[wl] = entry_cls(
+                                            lkey, lpfn, lt_pch, asid, lhuge,
+                                        )
                                     else:
                                         if lt_rrpv is None:
-                                            for vk_ in tags_l:
+                                            for vt in tags_l:
                                                 break
-                                            wl = tags_l[vk_]
+                                            wl = tags_l.pop(vt)
+                                            le = entries_l[wl]
                                         else:
                                             row = lt_rrpv[set_l]
                                             while lt_rmax not in row:
                                                 for wi2 in range(lt_assoc):
                                                     row[wi2] += 1
                                             wl = row.index(lt_rmax)
-                                        victim_l = entries_l[wl]
-                                        del tags_l[victim_l.vpn]
-                                        entries_l[wl] = None
+                                            le = entries_l[wl]
+                                            vt = le.vpn
+                                            del tags_l[vt]
                                         lt_evicts += 1
-                                        if huge_on and victim_l.huge:
+                                        if huge_on and le.huge:
                                             lt._huge_count -= 1
-                                        # pooled early: only read (never reissued) until the fill below
-                                        if (
-                                            victim_l is not last_ient
-                                            and victim_l is not last_dent
-                                        ):
-                                            epool_.append(victim_l)
                                         if lt_res is not None:
                                             lt_res.evict((set_l, wl), now)
                                         if dp is not None:
                                             # on_evict training inlined
-                                            vv = victim_l.vpn
                                             if dp_vbits:
-                                                vh2 = fx_vpn.get(vv)
+                                                vh2 = fx_vpn.get(vt)
                                                 if vh2 is None:
-                                                    vh2 = fx_vpn[vv] = (
+                                                    vh2 = fx_vpn[vt] = (
                                                         fold_xor(
-                                                            vv, dp_vbits
+                                                            vt, dp_vbits
                                                         )
                                                     )
                                             else:
                                                 vh2 = 0
                                             pidx = (
-                                                (victim_l.pc_hash % ph_rows)
+                                                (le.pc_hash % ph_rows)
                                                 * ph_cols + vh2
                                             )
-                                            if victim_l.accessed:
+                                            if le.accessed:
                                                 ph_vals[pidx] = 0
                                                 d_ph_ndoa += 1
                                             else:
@@ -1318,11 +1342,9 @@ class _FlatStepper:
                                             if dp_probe is not None:
                                                 dp_probe.emit(
                                                     now, EV_LLT_VERDICT,
-                                                    victim_l.vpn, False,
-                                                    not victim_l.accessed,
+                                                    vt, False,
+                                                    not le.accessed,
                                                 )
-                                    if epool_:
-                                        le = epool_.pop()
                                         le.vpn = lkey
                                         le.pfn = lpfn
                                         le.pc_hash = lt_pch
@@ -1330,11 +1352,6 @@ class _FlatStepper:
                                         le.aux = None
                                         le.asid = asid
                                         le.huge = lhuge
-                                    else:
-                                        le = entry_cls(
-                                            lkey, lpfn, lt_pch, asid, lhuge,
-                                        )
-                                    entries_l[wl] = le
                                     tags_l[lkey] = wl
                                     if lhuge:
                                         lt._huge_count += 1
@@ -1343,34 +1360,30 @@ class _FlatStepper:
                                     lt_fills += 1
                                     if lt_res is not None:
                                         lt_res.fill((set_l, wl), now)
-                        # L1 D-TLB fill
-                        set_d = dkey & dt_mask
-                        tags_d = dt_tags[set_d]
+                        # L1 D-TLB fill (``set_d``/``tags_d`` are the
+                        # probe's). A recycled victim that is the
+                        # filter's ``last_dent`` is its new entry too.
                         entries_d = dt_entries[set_d]
                         if len(tags_d) < dt_assoc:
                             wd_ = entries_d.index(None)
+                            dent = entries_d[wd_] = entry_cls(
+                                dkey, pfn, pc, asid
+                            )
                         else:
                             if dt_rrpv is None:
-                                for vk_ in tags_d:
+                                for vt in tags_d:
                                     break
-                                wd_ = tags_d[vk_]
+                                wd_ = tags_d.pop(vt)
+                                dent = entries_d[wd_]
                             else:
                                 row = dt_rrpv[set_d]
                                 while dt_rmax not in row:
                                     for wi2 in range(dt_assoc):
                                         row[wi2] += 1
                                 wd_ = row.index(dt_rmax)
-                            victim_d = entries_d[wd_]
-                            del tags_d[victim_d.vpn]
-                            entries_d[wd_] = None
+                                dent = entries_d[wd_]
+                                del tags_d[dent.vpn]
                             dt_evicts += 1
-                            if (
-                                victim_d is not last_ient
-                                and victim_d is not last_dent
-                            ):
-                                epool_.append(victim_d)
-                        if epool_:
-                            dent = epool_.pop()
                             dent.vpn = dkey
                             dent.pfn = pfn
                             dent.pc_hash = pc
@@ -1378,9 +1391,6 @@ class _FlatStepper:
                             dent.aux = None
                             dent.asid = asid
                             dent.huge = False
-                        else:
-                            dent = entry_cls(dkey, pfn, pc, asid)
-                        entries_d[wd_] = dent
                         tags_d[dkey] = wd_
                         if dt_rrpv is not None:
                             dt_rrpv[set_d][wd_] = dt_rmax - 1
@@ -1500,53 +1510,57 @@ class _FlatStepper:
                                     )
                                 else:
                                     mark_dp = True
+                            vt = None
                             if l3_gen is not None:
-                                victim3 = l3_fill(block, now)
+                                ln = l3_fill(block, now)
+                                if ln is not None:
+                                    vt = ln.tag
+                                    vdirty = ln.dirty
                             elif bypass3:
                                 l3_byp += 1
-                                victim3 = None
                             else:
                                 lines3 = l3_lines[set_3]
-                                victim3 = None
                                 if len(t3) < l3_assoc:
                                     w3f = lines3.index(None)
+                                    ln = lines3[w3f] = line_cls(block, False)
                                 else:
                                     if l3_rrpv is None:
-                                        for vk_ in t3:
+                                        for vt in t3:
                                             break
-                                        w3f = t3[vk_]
+                                        w3f = t3.pop(vt)
+                                        ln = lines3[w3f]
                                     else:
                                         row = l3_rrpv[set_3]
                                         while l3_rmax not in row:
                                             for wi2 in range(l3_assoc):
                                                 row[wi2] += 1
                                         w3f = row.index(l3_rmax)
-                                    victim3 = lines3[w3f]
-                                    del t3[victim3.tag]
-                                    lines3[w3f] = None
+                                        ln = lines3[w3f]
+                                        vt = ln.tag
+                                        del t3[vt]
                                     l3_evicts += 1
-                                    if victim3.dirty:
+                                    vdirty = ln.dirty
+                                    if vdirty:
                                         l3_wb += 1
                                     if l3_res is not None:
                                         l3_res.evict((set_3, w3f), now)
-                                    if cb is not None and victim3.dp:
+                                    if cb is not None and ln.dp:
                                         # cb.on_evict inlined: bHIST training + verdict event
-                                        tv_ = victim3.tag
-                                        bhh2 = fx_blk.get(tv_)
+                                        bhh2 = fx_blk.get(vt)
                                         if bhh2 is None:
                                             if bh_pg:
-                                                pg_ = tv_ >> boff
+                                                pg_ = vt >> boff
                                                 sb_ = fx_pgb.get(pg_)
                                                 if sb_ is None:
                                                     sb_ = fx_pgb[pg_] = fold_xor(
                                                         pg_ << boff, bh_bits
                                                     )
-                                                bhh2 = fx_blk[tv_] = sb_ ^ (tv_ & bmask)
+                                                bhh2 = fx_blk[vt] = sb_ ^ (vt & bmask)
                                             else:
-                                                bhh2 = fx_blk[tv_] = fold_xor(
-                                                    tv_, bh_bits
+                                                bhh2 = fx_blk[vt] = fold_xor(
+                                                    vt, bh_bits
                                                 )
-                                        if victim3.accessed:
+                                        if ln.accessed:
                                             bh_vals[bhh2] = 0
                                             d_bh_ndoa += 1
                                         else:
@@ -1559,112 +1573,81 @@ class _FlatStepper:
                                             cb_probe.emit(
                                                 now,
                                                 EV_LLC_VERDICT,
-                                                tv_,
+                                                vt,
                                                 False,
-                                                not victim3.accessed,
+                                                not ln.accessed,
                                             )
-                                if pool_:
-                                    ln = pool_.pop()
                                     ln.tag = block
                                     ln.dirty = False
                                     ln.accessed = False
                                     ln.dp = False
                                     ln.aux = None
-                                else:
-                                    ln = line_cls(block, False)
                                 if mark_dp:
                                     ln.dp = True
-                                lines3[w3f] = ln
                                 t3[block] = w3f
                                 if l3_rrpv is not None:
                                     l3_rrpv[set_3][w3f] = l3_rmax - 1
                                 l3_fills += 1
                                 if l3_res is not None:
                                     l3_res.fill((set_3, w3f), now)
-                            if victim3 is not None:
-                                vt = victim3.tag
+                            if vt is not None:
+                                # inclusion: the LLC victim leaves L1 and
+                                # L2, written back if any copy was dirty
                                 s1 = vt & l1_mask
-                                wv = l1_tags[s1].get(vt)
-                                in1 = None
+                                wv = l1_tags[s1].pop(vt, None)
                                 if wv is not None:
                                     l1_inv += 1
-                                    in1 = l1_lines[s1][wv]
-                                    del l1_tags[s1][vt]
-                                    l1_lines[s1][wv] = None
                                     l1_evicts += 1
-                                    if in1.dirty:
+                                    lines1 = l1_lines[s1]
+                                    if lines1[wv].dirty:
                                         l1_wb += 1
+                                        vdirty = True
+                                    lines1[wv] = None
                                     if l1_rrpv is not None:
                                         l1_rrpv[s1][wv] = l1_rmax
                                 s2 = vt & l2_mask
-                                wv2 = l2_tags[s2].get(vt)
-                                in2 = None
+                                wv2 = l2_tags[s2].pop(vt, None)
                                 if wv2 is not None:
                                     l2_inv += 1
-                                    in2 = l2_lines[s2][wv2]
-                                    del l2_tags[s2][vt]
-                                    l2_lines[s2][wv2] = None
                                     l2_evicts += 1
-                                    if in2.dirty:
+                                    lines2 = l2_lines[s2]
+                                    if lines2[wv2].dirty:
                                         l2_wb += 1
+                                        vdirty = True
+                                    lines2[wv2] = None
                                     if l2_rrpv is not None:
                                         l2_rrpv[s2][wv2] = l2_rmax
-                                if in1 is not None or in2 is not None:
                                     h_incl += 1
-                                if (
-                                    victim3.dirty
-                                    or (in1 and in1.dirty)
-                                    or (in2 and in2.dirty)
-                                ):
+                                elif wv is not None:
+                                    h_incl += 1
+                                if vdirty:
                                     m_acc += 1
                                     m_writes += 1
-                                if victim3 is not None:
-                                    pool_.append(victim3)
-                                if in1 is not None:
-                                    pool_.append(in1)
-                                if in2 is not None:
-                                    pool_.append(in2)
                         # fill L2
                         set_2b = block & l2_mask
                         t2b = l2_tags[set_2b]
                         lines2 = l2_lines[set_2b]
-                        victim2 = None
                         if len(t2b) < l2_assoc:
                             w2f = lines2.index(None)
+                            lines2[w2f] = line_cls(block, False)
                         else:
                             if l2_rrpv is None:
-                                for vk_ in t2b:
+                                for vt in t2b:
                                     break
-                                w2f = t2b[vk_]
+                                w2f = t2b.pop(vt)
+                                ln = lines2[w2f]
                             else:
                                 row = l2_rrpv[set_2b]
                                 while l2_rmax not in row:
                                     for wi2 in range(l2_assoc):
                                         row[wi2] += 1
                                 w2f = row.index(l2_rmax)
-                            victim2 = lines2[w2f]
-                            del t2b[victim2.tag]
-                            lines2[w2f] = None
+                                ln = lines2[w2f]
+                                vt = ln.tag
+                                del t2b[vt]
                             l2_evicts += 1
-                            if victim2.dirty:
+                            if ln.dirty:
                                 l2_wb += 1
-                        if pool_:
-                            ln = pool_.pop()
-                            ln.tag = block
-                            ln.dirty = False
-                            ln.accessed = False
-                            ln.dp = False
-                            ln.aux = None
-                        else:
-                            ln = line_cls(block, False)
-                        lines2[w2f] = ln
-                        t2b[block] = w2f
-                        if l2_rrpv is not None:
-                            l2_rrpv[set_2b][w2f] = l2_rmax - 1
-                        l2_fills += 1
-                        if victim2 is not None:
-                            if victim2.dirty:
-                                vt = victim2.tag
                                 s3 = vt & l3_mask
                                 wv3 = l3_tags[s3].get(vt)
                                 if wv3 is not None:
@@ -1673,47 +1656,38 @@ class _FlatStepper:
                                     m_acc += 1
                                     m_writes += 1
                                     h_orphan += 1
-                            if victim2 is not None:
-                                pool_.append(victim2)
+                                ln.dirty = False
+                            ln.tag = block
+                            ln.accessed = False
+                            ln.dp = False
+                            ln.aux = None
+                        t2b[block] = w2f
+                        if l2_rrpv is not None:
+                            l2_rrpv[set_2b][w2f] = l2_rmax - 1
+                        l2_fills += 1
                     # fill L1
                     lines1 = l1_lines[set_1]
-                    victim1 = None
                     if len(t1) < l1_assoc:
                         w1f = lines1.index(None)
+                        lines1[w1f] = line_cls(block, is_write)
                     else:
                         if l1_rrpv is None:
-                            for vk_ in t1:
+                            for vt in t1:
                                 break
-                            w1f = t1[vk_]
+                            w1f = t1.pop(vt)
+                            ln = lines1[w1f]
                         else:
                             row = l1_rrpv[set_1]
                             while l1_rmax not in row:
                                 for wi2 in range(l1_assoc):
                                     row[wi2] += 1
                             w1f = row.index(l1_rmax)
-                        victim1 = lines1[w1f]
-                        del t1[victim1.tag]
-                        lines1[w1f] = None
+                            ln = lines1[w1f]
+                            vt = ln.tag
+                            del t1[vt]
                         l1_evicts += 1
-                        if victim1.dirty:
+                        if ln.dirty:
                             l1_wb += 1
-                    if pool_:
-                        ln = pool_.pop()
-                        ln.tag = block
-                        ln.dirty = is_write
-                        ln.accessed = False
-                        ln.dp = False
-                        ln.aux = None
-                    else:
-                        ln = line_cls(block, is_write)
-                    lines1[w1f] = ln
-                    t1[block] = w1f
-                    if l1_rrpv is not None:
-                        l1_rrpv[set_1][w1f] = l1_rmax - 1
-                    l1_fills += 1
-                    if victim1 is not None:
-                        if victim1.dirty:
-                            vt = victim1.tag
                             s2 = vt & l2_mask
                             wv2 = l2_tags[s2].get(vt)
                             if wv2 is not None:
@@ -1727,8 +1701,15 @@ class _FlatStepper:
                                     m_acc += 1
                                     m_writes += 1
                                     h_orphan += 1
-                        if victim1 is not None:
-                            pool_.append(victim1)
+                        ln.tag = block
+                        ln.dirty = is_write
+                        ln.accessed = False
+                        ln.dp = False
+                        ln.aux = None
+                    t1[block] = w1f
+                    if l1_rrpv is not None:
+                        l1_rrpv[set_1][w1f] = l1_rmax - 1
+                    l1_fills += 1
 
                 cycles += (gap + 1) * base_cpi + penalty
 

@@ -26,11 +26,15 @@ _ASID_SHIFT = VPN_BITS
 
 
 class _FullyAssocLru:
-    """A tiny fully-associative LRU cache of tags (no payload needed).
+    """A tiny fully-associative LRU cache of tags.
 
     ``_tags`` holds the resident tags in recency order, least recent
     first: a hit or refill moves its tag to the end, so the victim is
-    always the first key and eviction is ``popitem(last=False)``.
+    always the first key and eviction is ``popitem(last=False)``. This
+    class never reads a tag's value: :meth:`fill` stores None, and the
+    batched engine's flat interpreter stores the region's leaf
+    page-table node with each L1-PWC entry and reads it back on a hit
+    to skip the radix descent (see :class:`repro.sim.engine._FlatStepper`).
     """
 
     __slots__ = ("capacity", "_tags")
@@ -39,7 +43,7 @@ class _FullyAssocLru:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._tags: "OrderedDict[int, None]" = OrderedDict()
+        self._tags: "OrderedDict[int, object]" = OrderedDict()
 
     def lookup(self, tag: int) -> bool:
         tags = self._tags

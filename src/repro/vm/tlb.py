@@ -88,45 +88,6 @@ class TlbEntry:
         )
 
 
-# --------------------------------------------------------------------- #
-# TlbEntry flyweight pool
-#
-# The flat engine tier fills TLBs on every miss; on walk-heavy suites
-# that is tens of thousands of short-lived TlbEntry objects per run.
-# Evicted entries are returned here once the flat tier has finished
-# eviction-time predictor training (nothing retains entry references
-# past that point — the same-page filter slots are identity-checked at
-# release), and the next flat fill reuses them reset-in-place. The
-# scalar ``Tlb.fill`` path keeps allocating: its victims escape to
-# callers (shootdown results, listener hooks) whose lifetime this
-# module cannot see. The cap only bounds idle pool memory.
-# --------------------------------------------------------------------- #
-_ENTRY_POOL: List[TlbEntry] = []
-_ENTRY_POOL_CAP = 8192
-
-
-def acquire_entry(vpn: int, pfn: int, pc_hash: int) -> TlbEntry:
-    """Pop a reset TlbEntry from the pool, or allocate a fresh one."""
-    pool = _ENTRY_POOL
-    if pool:
-        entry = pool.pop()
-        entry.vpn = vpn
-        entry.pfn = pfn
-        entry.pc_hash = pc_hash
-        entry.accessed = False
-        entry.aux = None
-        entry.asid = 0
-        entry.huge = False
-        return entry
-    return TlbEntry(vpn, pfn, pc_hash)
-
-
-def release_entry(entry: Optional[TlbEntry]) -> None:
-    """Return an evicted TlbEntry to the pool (drops it when full)."""
-    if entry is not None and len(_ENTRY_POOL) < _ENTRY_POOL_CAP:
-        _ENTRY_POOL.append(entry)
-
-
 class TlbListener:
     """Predictor-side hooks; the default implementation is a no-op."""
 

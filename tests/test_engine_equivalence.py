@@ -20,6 +20,7 @@ import repro.sim.engine as engine_mod
 from repro.obs.telemetry import TelemetrySpec
 from repro.predictors import registry
 from repro.sim.config import (
+    CacheGeometry,
     TlbGeometry,
     fast_config,
     hugepage_config,
@@ -164,11 +165,72 @@ def test_repeated_traces_bit_identical(records, run_length):
     assert_equivalent(trace, fast_config(), telemetry=True)
 
 
+#: 1-2-way structures with few sets. Most records evict from several
+#: of them, dirty victims write back, the LLC's victims are still
+#: in L1/L2 (inclusion victims), and the direct-mapped L1 D-TLB evicts
+#: the same-page filter's own entry whenever two pages in a row share
+#: its set: the flat interpreter's fills that overwrite their victim in
+#: place run on most records.
+TINY = {
+    "l1_dtlb": TlbGeometry(2, 1, 1),
+    "l2_tlb": TlbGeometry(8, 2, 8),
+    "l1d": CacheGeometry(2, 1, 5),
+    "l2": CacheGeometry(4, 2, 11),
+    "llc": CacheGeometry(8, 2, 40),
+}
+DP_CB = {"tlb_predictor": "dppred", "llc_predictor": "cbpred"}
+PREDICTOR_CONFIGS = (
+    fast_config(**DP_CB),
+    # LRU: the same-page filter is on
+    fast_config(**TINY, **DP_CB),
+    # SRRIP: the filter is off
+    fast_config(
+        tlb_policy="srrip", cache_policy="srrip", **TINY, **DP_CB
+    ),
+)
+
+
 @settings(max_examples=15, deadline=None)
 @given(records=RECORDS)
 def test_random_traces_with_predictors(records):
-    config = fast_config(tlb_predictor="dppred", llc_predictor="cbpred")
-    assert_equivalent(build_trace(records), config, telemetry=True)
+    for config in PREDICTOR_CONFIGS:
+        assert_equivalent(build_trace(records), config, telemetry=True)
+
+
+@pytest.mark.parametrize("config", PREDICTOR_CONFIGS[1:],
+                         ids=["tiny-lru", "tiny-srrip"])
+def test_tiny_geometry_reaches_every_recycled_fill(config):
+    """Guard the guard: on the tiny geometry, every structure evicts,
+    dirty lines write back, the LLC makes inclusion victims, DP-marked
+    LLC victims train cbPred's bHIST and, with the filter on,
+    the D-TLB evicts the filter's own entry. One PC site lets dpPred
+    learn dead pages, so cbPred marks their lines."""
+    n = 1000
+    rng = np.random.default_rng(SEED)
+    records = list(zip(
+        [0] * n, rng.integers(0, 41, n).tolist(),
+        rng.integers(0, 71, n).tolist(), (rng.random(n) < 0.5).tolist(),
+        rng.integers(0, 6, n).tolist(),
+    ))
+    trace = build_trace(records)
+    machine = assert_equivalent(trace, config, telemetry=True)
+    assert_wholly_flat(machine, trace)
+    for struct in (machine.l1_dtlb, machine.l2_tlb, machine.l1d,
+                   machine.l2, machine.llc):
+        assert struct.stats.get("evictions") > 0, struct.name
+    for struct in (machine.l1d, machine.l2, machine.llc):
+        assert struct.stats.get("writebacks") > 0, struct.name
+    assert machine.hierarchy.stats.get("inclusion_victims") > 0
+    cbpred = machine.llc.listener
+    assert cbpred.stats.get("doa_evictions_observed") > 0
+    if machine._page_filter:
+        # Two pages in a row in the same one-way set (the set is the
+        # page's parity): the second evicts the first's entry, which is
+        # the filter's.
+        pages = [page for _, page, _, _, _ in records]
+        assert any(
+            a != b and a % 2 == b % 2 for a, b in zip(pages, pages[1:])
+        )
 
 
 LLT_32 = TlbGeometry(32, 4, 8)
@@ -176,8 +238,8 @@ LLT_32 = TlbGeometry(32, 4, 8)
 #: name -> (config, code-page stride in pages, data base, ASID segments).
 #: Every case misses the I-TLB many times, so each runs the flat
 #: interpreter's delegated instruction-side translate under a different
-#: LLT/walk state: predictors, huge leaves, tenants and SRRIP (which turns
-#: the same-page filter off).
+#: LLT/walk state: predictors, huge leaves, tenants, a PWC region shared
+#: by code and data, and SRRIP (which turns the same-page filter off).
 CODE_PAGE_CASES = {
     "baseline": (fast_config(l2_tlb=LLT_32), 1, 0x10000000, False),
     "dppred+cbpred": (
@@ -203,6 +265,10 @@ CODE_PAGE_CASES = {
         fast_config(l2_tlb=LLT_32, tlb_predictor="ship", llc_predictor="ship"),
         1, 0x10000000, False,
     ),
+    # Data shares the code's 4 KB-mapped 2 MB region: a flat D-side walk
+    # hits the L1-PWC entry the delegated I-side walk installed (with
+    # no leaf node), and the I-side hits the one the D-side refilled.
+    "shared-region": (fast_config(l2_tlb=LLT_32), 1, 0x500000, False),
     "leeway": (leeway_config(l2_tlb=LLT_32), 1, 0x10000000, False),
     "srrip": (
         fast_config(l2_tlb=LLT_32, tlb_policy="srrip"), 1, 0x10000000, False,

@@ -2,9 +2,11 @@
 
 ``_FlatStepper.run`` binds its most-used locals to ``None`` in a block
 at the top of the function, so CPython numbers them below 256 and their
-loads need no ``EXTENDED_ARG`` prefix. The block is kept by hand; this
-test fails when it outgrows the 256 cheap slots or keeps a name the
-interpreter no longer uses.
+loads need no ``EXTENDED_ARG`` prefix. The block is kept by hand and
+re-derived from the ranking ``benchmarks/hot_locals.py`` prints (access
+counts over the benchmark's cells; report-only, too slow for CI). This
+test fails when the block outgrows the 256 cheap slots or keeps a name
+the interpreter no longer uses.
 """
 
 from __future__ import annotations

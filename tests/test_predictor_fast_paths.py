@@ -9,7 +9,8 @@ Each fast path is pinned to the definition it replaced:
 * Leeway's O(1) percentile decision against sorting an independently
   kept ring of the last ``ring_entries`` samples;
 * AIP's per-set lookup counters against the eager rule that aged every
-  way of a set on every lookup, on whole machines and both engines.
+  way of a set on every lookup, on whole machines and both engines, and
+  its per-set counts of confident entries against recounts.
 """
 
 import numpy as np
@@ -222,9 +223,34 @@ class _EagerAipCache(_EagerAip, AipCachePredictor):
         return cache._lines
 
 
+def _confident_in(ways):
+    return sum(
+        1 for way in ways
+        if way is not None and way.aux is not None and way.aux.confident
+    )
+
+
+def _check_confident_counts(pred, sets):
+    """Wrap ``pred.choose_victim`` to check the set's count of resident
+    confident entries against a recount on every call; returns a check
+    of every set's count for the end of the run."""
+    choose = pred.choose_victim
+
+    def checked(structure, set_idx, ways, now):
+        assert pred._confident[set_idx] == _confident_in(ways)
+        return choose(structure, set_idx, ways, now)
+
+    pred.choose_victim = checked
+    return lambda: [pred._confident.get(i, 0) for i in range(len(sets))] == [
+        _confident_in(ways) for ways in sets
+    ]
+
+
 def _aip_run(trace, engine, aip, eager):
     """Run ``trace`` with fresh AIP listeners at both levels, recording
-    every training sample and the listeners' stats."""
+    every training sample and the listeners' stats. The lazy listeners'
+    per-set confident counts are checked against recounts at every
+    victim choice and at the end."""
     config = fast_config(
         tlb_predictor="aip",
         llc_predictor="aip",
@@ -256,7 +282,12 @@ def _aip_run(trace, engine, aip, eager):
             train(state)
 
         pred.core.train_eviction = logged
+    checks = [] if eager else [
+        _check_confident_counts(tlb_pred, machine.l2_tlb._entries),
+        _check_confident_counts(llc_pred, machine.llc._lines),
+    ]
     result = machine.run(trace, engine=engine)
+    assert all(check() for check in checks)
     stats = (tlb_pred.stats.snapshot(), llc_pred.stats.snapshot())
     return result.to_wire(), samples, stats, machine.engine_stats
 

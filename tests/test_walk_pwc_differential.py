@@ -1,7 +1,9 @@
 """Hypothesis differentials for the flat tier's inlined walk/PWC path.
 
-PR 10 inlined the 4-level radix walk, the 3-level PWC probe/fill, and the
-cache-line pool into ``_FlatStepper`` (:mod:`repro.sim.engine`). The
+The flat interpreter (``_FlatStepper`` in :mod:`repro.sim.engine`) inlines
+the 4-level radix walk and the 3-level PWC probe/fill; an L1-PWC hit
+loads its PTE from the leaf node the entry holds, skipping the descent,
+unless the scalar walker installed the entry (no node). The
 reference implementations — :meth:`repro.vm.walker.PageTableWalker.walk`
 over :class:`repro.vm.pagetable.PageTable` plus
 :class:`repro.vm.pwc.PageWalkCaches` — still run on the scalar engine, so
