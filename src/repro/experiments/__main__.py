@@ -16,9 +16,9 @@ skip simulation entirely.
 
 Resilience knobs: ``--retries`` / ``--run-timeout`` / ``--backoff``
 (env ``REPRO_RETRIES`` / ``REPRO_RUN_TIMEOUT`` / ``REPRO_BACKOFF``)
-bound how the executor supervises failing workers; ``--resume`` (env
-``REPRO_RESUME=1``) replays the checkpoint journal of an interrupted
-sweep so only unfinished cells re-execute. See EXPERIMENTS.md.
+bound how the executor supervises failing workers. Every completed cell
+is stored in the disk cache as it finishes, so rerunning an interrupted
+sweep re-executes only its unfinished cells. See EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import time
 
 import repro.sim.diskcache as diskcache
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.sim.checkpoint import set_default_resume
 from repro.sim.parallel import (
     RetryPolicy,
     resolve_retry,
@@ -71,12 +70,6 @@ def main(argv=None) -> int:
         "--cache-dir",
         default=None,
         help="cache directory (default: REPRO_CACHE_DIR or .repro_cache)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the checkpoint journal of an interrupted sweep and "
-        "only execute cells it is missing (also: REPRO_RESUME=1)",
     )
     parser.add_argument(
         "--retries",
@@ -180,8 +173,6 @@ def main(argv=None) -> int:
     if args.profile is not None and args.jobs is not None and args.jobs > 1:
         parser.error("--profile requires serial runs; drop --jobs")
     set_default_jobs(1 if args.profile is not None else args.jobs)
-    if args.resume:
-        set_default_resume(True)
     if (
         args.retries is not None
         or args.run_timeout is not None

@@ -43,7 +43,6 @@ from repro.obs.events import (
     EV_PFQ_HIT,
     EV_PFQ_PUSH,
     EV_POOL_REBUILD,
-    EV_RESUME_SKIP,
     EV_RUN_RETRY,
     EV_RUN_TIMEOUT,
     EV_SHADOW_EVICT,
@@ -76,7 +75,6 @@ __all__ = [
     "EV_CACHE_CORRUPT",
     "EV_FAULT_INJECT",
     "EV_POOL_REBUILD",
-    "EV_RESUME_SKIP",
     "EV_RUN_RETRY",
     "EV_RUN_TIMEOUT",
     "EV_LLC_BYPASS",

@@ -70,8 +70,6 @@ EV_RUN_TIMEOUT = "run_timeout"
 EV_POOL_REBUILD = "pool_rebuild"
 #: A ``.repro_cache/`` entry failed its integrity check and was quarantined.
 EV_CACHE_CORRUPT = "cache_corrupt"
-#: A cell was skipped because the resume journal already holds its result.
-EV_RESUME_SKIP = "resume_skip"
 #: A :class:`~repro.sim.faults.FaultPlan` fault fired (test harness only).
 EV_FAULT_INJECT = "fault_inject"
 #: A duplicate in-flight computation was coalesced onto its leader
@@ -118,7 +116,6 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     EV_POOL_REBUILD: ("pending",),
     # Field names must not shadow the row-level "now"/"kind" keys.
     EV_CACHE_CORRUPT: ("store", "path", "reason"),
-    EV_RESUME_SKIP: ("workload", "config", "seed"),
     EV_FAULT_INJECT: ("workload", "fault", "attempt"),
     EV_INFLIGHT_COALESCE: ("key",),
     EV_SERVE_REQUEST: ("method", "path"),

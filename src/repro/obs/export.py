@@ -184,7 +184,7 @@ def run_manifest(
         "peak_rss_bytes": peak_rss_bytes(),
         "python": sys.version.split()[0],
         # Per-kind harness counters (retries, timeouts, cache corruption,
-        # resume skips) accumulated so far in this process: a non-empty
+        # pool rebuilds) accumulated so far in this process: a non-empty
         # value flags that this run's sweep needed fault recovery.
         "resilience": dict(sorted(obs_harness.counters_snapshot().items())),
     }

@@ -13,8 +13,8 @@ byte-stable :func:`repro.sim.results.wire_bytes` encoding):
   row, one row per observation interval, then the final result row.
 * ``POST /matrix`` — a run matrix, executed by
   :func:`repro.sim.parallel.run_matrix` borrowing the server's warm
-  pool, so it inherits the supervised retry/timeout/checkpoint
-  machinery.
+  pool, so it inherits the supervised retry/timeout machinery; each
+  completed cell is stored in the disk cache as it arrives.
 * ``GET /result/<key>`` — raw read-through lookup of a stored result
   payload by content key.
 * ``GET /status`` — counters, in-flight snapshot, pool and cache state.

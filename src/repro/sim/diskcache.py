@@ -383,8 +383,9 @@ def store_trace(workload: str, budget: int, seed: int, trace: Trace) -> None:
 # Maintenance
 # ---------------------------------------------------------------------- #
 def purge() -> int:
-    """Delete every cache entry (results, traces, sidecars, checkpoints,
-    quarantined files); returns the number of files removed."""
+    """Delete every cache entry (results, traces, sidecars, quarantined
+    files, and the ``checkpoints/`` journals older versions wrote);
+    returns the number of files removed."""
     removed = 0
     base = cache_dir()
     for sub in ("results", "traces", "checkpoints", "quarantine", "locks"):

@@ -12,8 +12,8 @@ reproducible as a clean one.
 
 The executor (:func:`repro.sim.parallel.run_matrix`) threads the plan to
 its workers; production sweeps simply pass no plan and none of this code
-runs. Tests use plans to prove that retries, timeouts, and ``--resume``
-recover bit-identical results (see ``tests/test_sim_faults.py``).
+runs. Tests use plans to prove that retries, timeouts, and reruns of an
+interrupted sweep recover bit-identical results (see ``tests/test_sim_faults.py``).
 """
 
 from __future__ import annotations

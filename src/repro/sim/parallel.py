@@ -4,14 +4,16 @@ Every experiment reduces to a matrix of independent (workload, config,
 budget, seed) simulations. :func:`run_matrix` executes such a matrix over
 a :class:`~concurrent.futures.ProcessPoolExecutor` under a *supervisor*:
 each cell is submitted individually, retried with exponential backoff
-when its worker fails (:class:`RetryPolicy`), bounded by a per-run
-wall-clock timeout, and journaled to a resume checkpoint as it
-completes (:mod:`repro.sim.checkpoint`), so a crashed or interrupted
-sweep restarts where it stopped — and, because results are merged back
-in declared request order, a resumed or retried sweep is byte-identical
-to an uninterrupted one. Failures are surfaced as
-:mod:`repro.obs.harness` events (``run_retry``, ``run_timeout``,
-``pool_rebuild``, ``resume_skip``).
+when its worker fails (:class:`RetryPolicy`), and bounded by a per-run
+wall-clock timeout. Results are merged back in declared request order,
+so a retried sweep is byte-identical to a clean one. Failures are
+surfaced as :mod:`repro.obs.harness` events (``run_retry``,
+``run_timeout``, ``pool_rebuild``).
+
+The disk cache (:mod:`repro.sim.diskcache`) is the only checkpoint: the
+parent stores every completed cell as it arrives, so rerunning an
+interrupted sweep with the cache on simulates only the cells it is
+missing, and the rerun's merged output is byte-identical.
 
 Job count resolution, in priority order:
 
@@ -23,22 +25,20 @@ Job count resolution, in priority order:
 Retry policy resolves the same way (argument, :func:`set_default_retry`
 for the CLI's ``--retries``/``--run-timeout``/``--backoff`` flags, then
 the ``REPRO_RETRIES`` / ``REPRO_RUN_TIMEOUT`` / ``REPRO_BACKOFF``
-environment variables); resume via argument, :func:`repro.sim.checkpoint
-.set_default_resume` (``--resume``), or ``REPRO_RESUME``.
+environment variables).
 
 Workers are plain processes running :func:`repro.sim.runner.run_cached`,
 so a worker that lands on a disk-cached entry skips simulation exactly
 like the parent would; determinism is inherited from the simulator
 (results are bit-identical across ``jobs=1`` and ``jobs=N``, and across
-clean, retried, and resumed executions).
+clean, retried, and rerun executions).
 
-Traces reach pooled workers through shared memory
-(:mod:`repro.workloads.shm`), and publishing is pipelined with dispatch:
-the pending cells are grouped by trace, the parent publishes the first
-group's trace and submits its cells, then generates and publishes the
-next group's while the workers simulate (see
-:meth:`_Supervisor.run_pool`). Each task carries only its own trace's
-descriptor.
+Each pooled task carries its own trace, and making traces is pipelined
+with dispatch: the pending cells are grouped by trace, the parent makes
+the first group's trace and submits its cells, then makes the next
+group's while the workers simulate (see :meth:`_Supervisor.run_pool`).
+A worker keeps the traces it receives in its ordinary bounded trace
+memo (:func:`repro.workloads.suite.remember_trace`).
 
 Deterministic fault injection for tests goes through ``faults=`` — a
 :class:`repro.sim.faults.FaultPlan` killing, hanging, or corrupting
@@ -65,12 +65,10 @@ from repro.obs.events import (
     EV_FAULT_INJECT,
     EV_INFLIGHT_COALESCE,
     EV_POOL_REBUILD,
-    EV_RESUME_SKIP,
     EV_RUN_RETRY,
     EV_RUN_TIMEOUT,
 )
 from repro.sim.inflight import global_inflight
-from repro.sim.checkpoint import MatrixJournal, resolve_resume
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
 from repro.sim.runner import (
@@ -134,8 +132,8 @@ class RetryPolicy:
 class MatrixError(RuntimeError):
     """A matrix cell exhausted its retry budget.
 
-    Completed cells up to the failure are journaled (and disk-cached),
-    so rerunning with ``--resume`` only re-executes unfinished work.
+    With the disk cache on, completed cells up to the failure are
+    stored, so rerunning the sweep only re-executes unfinished work.
     """
 
     def __init__(self, request: RunRequest, attempts: int, reason: str):
@@ -215,33 +213,6 @@ def resolve_retry(retry: Optional[RetryPolicy] = None) -> RetryPolicy:
 # ---------------------------------------------------------------------- #
 # Worker side
 # ---------------------------------------------------------------------- #
-#: Worker-side memo of shared-trace keys already attached, so the tasks
-#: that carry a trace's descriptor attach its segment at most once per
-#: worker process.
-_attached_trace_keys: set = set()
-
-
-def _attach_shared_trace(descriptor: Optional[dict]) -> None:
-    """Attach a published shared-memory trace this worker has not seen
-    yet and register it with the suite's shared-trace registry."""
-    if descriptor is None:
-        return
-    key = tuple(descriptor["key"])
-    if key in _attached_trace_keys:
-        return
-    from repro.workloads import shm, suite
-
-    trace = shm.attach_trace(descriptor)
-    if trace is None:
-        # Segment gone (parent closed its arena): fall back to the
-        # ordinary generate/disk-load path, and retry next time in case
-        # the same key is re-published.
-        return
-    _attached_trace_keys.add(key)
-    name, budget, seed = key
-    suite.register_shared_trace(name, int(budget), int(seed), trace)
-
-
 def _worker_init(cache_directory: Optional[str], obs_state=None) -> None:
     """Propagate the parent's disk-cache and auto-telemetry settings into
     pool workers (the fork start method would inherit them, but spawn
@@ -297,10 +268,15 @@ def _execute_cell(request, attempt, faults, telemetry_spec, in_pool):
 
 
 def _worker_cell(args) -> tuple:
-    """Pool task: attach the cell's own published trace (``None`` when it
-    travels no shared-memory descriptor), then run the cell."""
-    request, attempt, faults, telemetry_spec, shm_descriptor = args
-    _attach_shared_trace(shm_descriptor)
+    """Pool task: put the cell's own trace (a ``(key, trace)`` pair, or
+    ``None`` when the worker makes it itself) into this worker's trace
+    memo, then run the cell."""
+    request, attempt, faults, telemetry_spec, carried = args
+    if carried is not None:
+        from repro.workloads import suite
+
+        key, trace = carried
+        suite.remember_trace(*key, trace)
     return _execute_cell(
         request, attempt, faults, telemetry_spec, _in_pool_worker
     )
@@ -342,8 +318,8 @@ class WarmPool:
     (re)creation, so a pool built before ``diskcache.enable()`` picks the
     setting up on its next rebuild; :func:`shared_warm_pool` goes further
     and rebuilds automatically when the settings change. Each task carries
-    its own trace's shared-memory descriptor (see :func:`_worker_cell`),
-    so fresh, rebuilt and reused workers all get zero-copy traces.
+    its own trace (see :func:`_worker_cell`), so fresh, rebuilt and reused
+    workers never regenerate one.
     """
 
     def __init__(self, max_workers: Optional[int] = None):
@@ -552,24 +528,22 @@ class _Supervisor:
         self,
         pending: Sequence[RunRequest],
         jobs: int,
-        arena=None,
         pool: Optional[WarmPool] = None,
     ) -> None:
         """Drive ``pending`` over a worker pool (transient, or a borrowed
         :class:`WarmPool`).
 
-        With a shared-memory ``arena``, trace publishing is pipelined
-        with dispatch. The cells are grouped by trace key in declared
-        order, and :func:`_publish_traces` makes a group's trace in this
-        process and returns the descriptor its tasks carry (``None``:
-        workers make the trace themselves). The first group is published
-        before any cell is submitted; each later one as soon as every
-        published cell has been submitted, so the parent generates the
+        Making traces is pipelined with dispatch. The cells are grouped
+        by trace key in declared order, and :func:`_publish_traces`
+        makes a group's trace in this process and returns the
+        ``(key, trace)`` pair its tasks carry (``None``: workers make the
+        trace themselves). The first group's trace is made before any
+        cell is submitted; each later one as soon as every cell of the
+        groups before it has been submitted, so the parent generates the
         next trace while the workers simulate and never runs more than
-        one group ahead. Without an arena every cell is dispatchable at
-        once.
+        one group ahead.
 
-        Publishing runs on the supervising thread, so completions and
+        Trace making runs on the supervising thread, so completions and
         the per-run deadline sweep wait for it. Deadlines are absolute,
         so a hung cell is still caught, but up to one trace generation
         late.
@@ -585,13 +559,9 @@ class _Supervisor:
             pool.acquire()
             max_workers = min(max_workers, pool.max_workers)
 
-        descriptors: Dict[RunRequest, dict] = {}
-        if arena is None:
-            groups: deque = deque()
-            queue = deque(pending)
-        else:
-            groups = deque(_group_by_trace(pending))
-            queue = deque()
+        carried: Dict[RunRequest, tuple] = {}
+        groups = deque(_group_by_trace(pending))
+        queue: deque = deque()
         inflight: Dict = {}  # future -> (request, deadline or None)
         executor = pool.executor()
         try:
@@ -612,7 +582,7 @@ class _Supervisor:
                         future = executor.submit(
                             _worker_cell,
                             (request, attempt, self.faults,
-                             self.telemetry_spec, descriptors.get(request)),
+                             self.telemetry_spec, carried.get(request)),
                         )
                     except BrokenProcessPool:
                         # A worker died between the completion sweep and
@@ -631,12 +601,12 @@ class _Supervisor:
                     continue
 
                 if groups and not queue:
-                    # Every published cell is submitted: make the next
+                    # Every cell with a trace is submitted: make the next
                     # trace while the workers simulate, then dispatch it.
                     group = groups.popleft()
-                    descriptor = _publish_traces(group, arena)
-                    if descriptor is not None:
-                        descriptors.update(dict.fromkeys(group, descriptor))
+                    trace = _publish_traces(group)
+                    if trace is not None:
+                        carried.update(dict.fromkeys(group, trace))
                     queue.extend(group)
                     continue
 
@@ -648,40 +618,25 @@ class _Supervisor:
                     set(inflight), timeout=wait_for,
                     return_when=FIRST_COMPLETED,
                 )
-
-                broken = False
                 for future in done:
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        # Left in flight: the rebuild accounts for it
+                        # with every other in-flight cell.
+                        broken = True
+                        break
                     request, _deadline = inflight.pop(future)
                     try:
                         outcome = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        # Put it back; the rebuild path below accounts
-                        # for every in-flight cell uniformly.
-                        inflight[future] = (request, _deadline)
-                        break
                     except Exception as exc:
-                        self._failed(
-                            request, f"{type(exc).__name__}: {exc}"
-                        )
+                        self._failed(request, f"{type(exc).__name__}: {exc}")
                         queue.append(request)
                     else:
                         self.on_complete(request, outcome)
 
                 if broken:
-                    # A worker died hard (os._exit, OOM kill, segfault):
-                    # the pool is unusable and every in-flight future
-                    # fails. The culprit is indistinguishable from the
-                    # victims, so each in-flight cell is charged one
-                    # attempt (bounded collateral; retries are cheap
-                    # against the disk cache).
-                    obs_harness.record(EV_POOL_REBUILD, len(inflight))
-                    requests = [req for req, _ in inflight.values()]
-                    inflight.clear()
-                    executor = pool.rebuild()
-                    for request in requests:
-                        self._failed(request, "worker process died")
-                        queue.append(request)
+                    executor = self._rebuild_broken_pool(
+                        pool, inflight, queue
+                    )
                     continue
 
                 # Per-run deadline sweep.
@@ -709,11 +664,13 @@ class _Supervisor:
     def _rebuild_broken_pool(
         self, pool: WarmPool, inflight, queue
     ) -> ProcessPoolExecutor:
-        """The pool broke during submit: a worker died after the last
-        completion sweep, so the breakage surfaces from ``submit``
-        rather than ``result``. Same accounting as the post-wait
-        rebuild, except cells that finished cleanly before the collapse
-        keep their results."""
+        """A worker died hard (os._exit, OOM kill, segfault), so the pool
+        is unusable; the breakage surfaces from ``submit`` or from a
+        finished future. The culprit is indistinguishable from the
+        victims, so each in-flight cell that did not finish cleanly is
+        charged one attempt (bounded collateral; retries are cheap
+        against the disk cache) and requeued. Cells that finished
+        cleanly before the collapse keep their results."""
         obs_harness.record(EV_POOL_REBUILD, len(inflight))
         pool.kill_workers()
         for future, (request, _) in list(inflight.items()):
@@ -778,38 +735,33 @@ def run_matrix(
     telemetry_out: Optional[Dict[RunRequest, dict]] = None,
     retry: Optional[RetryPolicy] = None,
     faults=None,
-    resume: Optional[bool] = None,
-    checkpoint_dir=None,
     pool: Optional[WarmPool] = None,
 ) -> Dict[RunRequest, SimResult]:
     """Execute a declared run matrix, parallelising cache misses.
 
     Duplicate requests are coalesced; requests already satisfied by the
-    resume journal, the in-process cache, or the disk cache never reach
-    the pool. Cells another thread is *already computing* (a concurrent
-    ``run_matrix`` or a server request, via the process-wide
+    in-process cache or the disk cache never reach the pool. Cells
+    another thread is *already computing* (a concurrent ``run_matrix``
+    or a server request, via the process-wide
     :func:`repro.sim.inflight.global_inflight` registry) are likewise
     coalesced: this matrix waits for that in-flight result instead of
-    re-simulating. Results are merged into the run cache so later
-    ``run_cached`` calls hit in-process, and the returned mapping is
-    rebuilt in declared request order, so its serialised form is
-    byte-stable regardless of completion order, retries, or resume.
+    re-simulating. Results are merged into the run cache (and stored on
+    disk when the disk cache is on) so later ``run_cached`` calls hit,
+    and the returned mapping is rebuilt in declared request order, so
+    its serialised form is byte-stable regardless of completion order,
+    retries, or reruns.
 
     ``telemetry_spec`` — optional :class:`repro.obs.TelemetrySpec`; every
     request is then simulated live (cached aggregates carry no dynamics)
     with its own bundle, and the JSON-safe payloads are merged into
-    ``telemetry_out`` keyed by request. Journal/resume skipping is
-    disabled for such sweeps — a skipped cell would carry no dynamics —
-    and so is in-flight coalescing (each caller needs its own dynamics).
+    ``telemetry_out`` keyed by request. Cache skipping is disabled for
+    such sweeps — a skipped cell would carry no dynamics — and so is
+    in-flight coalescing (each caller needs its own dynamics).
 
-    ``retry`` / ``faults`` / ``resume`` / ``checkpoint_dir`` — the
-    resilience controls (see the module docstring). Checkpointing is on
-    whenever the disk cache is enabled (journals live under
-    ``<cache_dir>/checkpoints/``) or an explicit ``checkpoint_dir`` is
-    given. A cell that exhausts ``retry.max_attempts`` raises
-    :class:`MatrixError`; completed cells stay journaled, so rerunning
-    with ``resume=True`` (CLI ``--resume``, env ``REPRO_RESUME=1``)
-    skips them.
+    ``retry`` / ``faults`` — the resilience controls (see the module
+    docstring). A cell that exhausts ``retry.max_attempts`` raises
+    :class:`MatrixError`; with the disk cache on, the cells completed
+    before it are stored, so rerunning the matrix skips them.
 
     ``pool`` — an optional :class:`WarmPool` to run worker cells on;
     the pool is borrowed (acquired/released, never torn down), so
@@ -823,46 +775,11 @@ def run_matrix(
     results: Dict[RunRequest, SimResult] = {}
     pending: List[RunRequest] = []
 
-    journal: Optional[MatrixJournal] = None
-    keys: Dict[RunRequest, str] = {}
-    journaled: Dict[str, SimResult] = {}
-    if unique and telemetry_spec is None and (
-        checkpoint_dir is not None or diskcache.is_enabled()
-    ):
-        directory = (
-            checkpoint_dir
-            if checkpoint_dir is not None
-            else diskcache.cache_dir() / "checkpoints"
-        )
-        keys = {
-            req: diskcache.result_key(
-                req.workload, req.config, req.budget, req.seed
-            )
-            for req in unique
-        }
-        journal = MatrixJournal.for_matrix(list(keys.values()), directory)
-        resuming = resolve_resume(resume)
-        if resuming:
-            journaled = journal.load()
-        journal.start(fresh=not resuming)
-
     if telemetry_spec is not None:
         telemetry_spec.validate()
         pending = unique
     else:
         for req in unique:
-            key = keys.get(req)
-            if key is not None and key in journaled:
-                hit = journaled[key]
-                prime_run_cache(
-                    req.workload, req.config, req.budget, req.seed, hit,
-                    persist=False,
-                )
-                obs_harness.record(
-                    EV_RESUME_SKIP, req.workload, req.config.name, req.seed
-                )
-                results[req] = hit
-                continue
             hit = cached_result(
                 req.workload, req.config, req.budget, req.seed
             )
@@ -872,8 +789,6 @@ def run_matrix(
                     persist=False,
                 )
                 results[req] = hit
-                if journal is not None:
-                    journal.record(key, hit)
             else:
                 pending.append(req)
 
@@ -889,7 +804,7 @@ def run_matrix(
     if telemetry_spec is None and pending:
         claimed: List[RunRequest] = []
         for req in pending:
-            key = keys.get(req) or diskcache.result_key(
+            key = diskcache.result_key(
                 req.workload, req.config, req.budget, req.seed
             )
             is_leader, future = registry.lead_or_follow(key)
@@ -907,11 +822,13 @@ def run_matrix(
             telemetry_out[req] = payload
         if progress is not None:
             progress(_label(req))
+        # Persisted here, not only in the worker: a borrowed pool's
+        # workers may have been built with the disk cache off, and this
+        # store is what lets a rerun of an interrupted sweep skip the
+        # cell.
         prime_run_cache(
             req.workload, req.config, req.budget, req.seed, result
         )
-        if journal is not None:
-            journal.record(keys[req], result)
         results[req] = result
         key = leaders.pop(req, None)
         if key is not None:
@@ -919,16 +836,11 @@ def run_matrix(
 
     supervisor = _Supervisor(retry, faults, telemetry_spec, on_complete)
     jobs = resolve_jobs(jobs)
-    arena = None
     try:
         if jobs <= 1 or len(pending) <= 1:
             supervisor.run_serial(pending)
         else:
-            from repro.workloads import shm
-
-            if shm.shm_enabled():
-                arena = shm.SharedTraceArena()
-            supervisor.run_pool(pending, jobs, arena, pool=pool)
+            supervisor.run_pool(pending, jobs, pool=pool)
         # Own leaders are done (and resolved); now collect cells other
         # threads were computing. Safe to block: every leader eventually
         # resolves or abandons its key in a ``finally`` like this one.
@@ -945,18 +857,12 @@ def run_matrix(
                 req.workload, req.config, req.budget, req.seed, result,
                 persist=False,
             )
-            if journal is not None:
-                journal.record(keys[req], result)
             results[req] = result
     finally:
         # Leaders that never completed (MatrixError, crash) must not
         # leave followers in other threads hanging.
         for req, key in leaders.items():
             registry.abandon(key, "matrix execution aborted")
-        if arena is not None:
-            arena.close()
-        if journal is not None:
-            journal.close()
 
     return {req: results[req] for req in unique}
 
@@ -975,23 +881,21 @@ def _group_by_trace(pending: Sequence[RunRequest]) -> List[List[RunRequest]]:
     return list(groups.values())
 
 
-def _publish_traces(group: Sequence[RunRequest], arena) -> Optional[dict]:
-    """Publish one trace group's trace to shared memory (best effort).
+def _publish_traces(group: Sequence[RunRequest]) -> Optional[tuple]:
+    """Make one trace group's trace in this process (best effort).
 
-    Returns the trace's descriptor, or None when it cannot be published
-    (the group's workers then make the trace themselves, as with
-    ``REPRO_SHM=0``). Generating in the parent is not wasted work: traces
-    are deterministic and memoised, so the parent pays each one once and
-    every worker maps it for free.
+    Returns the ``(key, trace)`` pair the group's tasks carry, or None
+    when the trace cannot be made here (the group's workers then try
+    themselves and report the error through the retry path). Generating
+    in the parent is not wasted work: traces are deterministic and
+    memoised, so the parent pays each one once and no worker generates.
     """
     from repro.workloads import suite
 
     key = _trace_key(group[0])
     try:
-        return arena.publish(key, suite.get_trace(*key))
+        return key, suite.get_trace(*key)
     except Exception:
-        # /dev/shm full or read-only, exotic platform, trace error — the
-        # pool path works without the transport, so degrade silently.
         return None
 
 
@@ -1047,7 +951,6 @@ class MatrixPlan:
         telemetry_out: Optional[Dict[RunRequest, dict]] = None,
         retry: Optional[RetryPolicy] = None,
         faults=None,
-        resume: Optional[bool] = None,
     ) -> Dict[RunRequest, SimResult]:
         return run_matrix(
             self.requests,
@@ -1057,5 +960,4 @@ class MatrixPlan:
             telemetry_out=telemetry_out,
             retry=retry,
             faults=faults,
-            resume=resume,
         )

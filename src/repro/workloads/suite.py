@@ -6,7 +6,9 @@ The memo is a bounded LRU (``REPRO_TRACE_CACHE_MAX`` traces, default 32):
 a multi-budget/multi-seed sweep would otherwise pin hundreds of MB of
 numpy arrays for traces it will never touch again. When the persistent
 disk cache (:mod:`repro.sim.diskcache`) is enabled, generated traces are
-also stored as ``.npz`` and reloaded across processes.
+also stored as ``.npz`` and reloaded across processes. A pooled matrix
+worker receives each cell's trace with its task and keeps it in the same
+memo (:func:`remember_trace`).
 """
 
 from __future__ import annotations
@@ -90,25 +92,6 @@ TRACE_CACHE_MAX = int(os.environ.get("REPRO_TRACE_CACHE_MAX", "32"))
 
 _trace_cache: "OrderedDict[tuple, Trace]" = OrderedDict()
 
-#: Traces attached from shared memory (see :mod:`repro.workloads.shm`).
-#: Kept outside the LRU memo: the arrays are zero-copy views into the
-#: parent's segments, so "caching" them costs nothing and evicting them
-#: would just force a redundant regeneration in the worker.
-_shared_traces: Dict[tuple, Trace] = {}
-
-
-def register_shared_trace(
-    name: str, budget: int, seed: int, trace: Trace
-) -> None:
-    """Serve ``get_trace(name, budget, seed)`` from a shared-memory trace."""
-    _shared_traces[(name, budget, seed)] = trace
-
-
-def clear_shared_traces() -> None:
-    """Forget all shared-memory traces (worker teardown/test helper)."""
-    _shared_traces.clear()
-
-
 def workload_names() -> List[str]:
     """All 14 workloads in Table II order."""
     return list(WORKLOAD_CLASSES)
@@ -149,9 +132,6 @@ def get_trace(name: str, budget: int = DEFAULT_BUDGET, seed: int = 42) -> Trace:
     if trace is not None:
         _trace_cache.move_to_end(key)
         return trace
-    shared = _shared_traces.get(key)
-    if shared is not None:
-        return shared
     # Imported lazily: repro.sim.runner imports this module at class-level,
     # so a top-level import of repro.sim.diskcache here would be circular.
     import repro.sim.diskcache as diskcache
@@ -160,10 +140,18 @@ def get_trace(name: str, budget: int = DEFAULT_BUDGET, seed: int = 42) -> Trace:
     if trace is None:
         trace = make_workload(name, seed).generate(budget)
         diskcache.store_trace(name, budget, seed, trace)
+    remember_trace(name, budget, seed, trace)
+    return trace
+
+
+def remember_trace(name: str, budget: int, seed: int, trace: Trace) -> None:
+    """Memoise ``trace`` as ``get_trace(name, budget, seed)``'s answer
+    (most recently used), evicting the LRU traces beyond the bound."""
+    key = (name, budget, seed)
     _trace_cache[key] = trace
+    _trace_cache.move_to_end(key)
     while len(_trace_cache) > max(1, TRACE_CACHE_MAX):
         _trace_cache.popitem(last=False)
-    return trace
 
 
 def clear_trace_cache() -> None:

@@ -15,7 +15,7 @@ Two invariants make mixes comparable to their components:
   standalone run;
 * the schedule depends only on ``(components, budget, seed)`` — the
   quantum jitter draws from a ``machine_seed_for``-derived stream, so
-  mixes are byte-stable across processes, resume, and the serve path.
+  mixes are byte-stable across processes, reruns, and the serve path.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ lists and makes the arrays once, at the end.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -66,24 +65,14 @@ class Trace:
     #: Default records converted per ``iter_records`` chunk. Large enough
     #: that the tolist() vectorisation dominates, small enough that the
     #: temporary Python lists stay a few MB regardless of trace length.
-    #: Override per-process with the ``REPRO_CHUNK`` environment variable
-    #: or per-call with the ``chunk`` argument.
+    #: Override per call with the ``chunk`` argument.
     ITER_CHUNK = 65536
 
     @classmethod
     def resolve_chunk(cls, chunk: Optional[int] = None) -> int:
-        """Effective chunk size: argument > ``REPRO_CHUNK`` > ITER_CHUNK."""
+        """Effective chunk size: the argument, else ITER_CHUNK."""
         if chunk is None:
-            env = os.environ.get("REPRO_CHUNK")
-            if env:
-                try:
-                    chunk = int(env)
-                except ValueError:
-                    raise ValueError(
-                        f"REPRO_CHUNK must be an integer, got {env!r}"
-                    ) from None
-            else:
-                return cls.ITER_CHUNK
+            return cls.ITER_CHUNK
         if chunk <= 0:
             raise ValueError(f"chunk must be positive, got {chunk}")
         return chunk

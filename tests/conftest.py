@@ -33,16 +33,13 @@ def _no_ambient_jobs(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _isolated_resilience(monkeypatch):
-    """Reset retry/resume defaults and the harness event trace per test."""
+    """Reset retry defaults and the harness event trace per test."""
     import repro.obs.harness as obs_harness
-    import repro.sim.checkpoint as checkpoint
     import repro.sim.parallel as parallel
 
-    for var in ("REPRO_RETRIES", "REPRO_RUN_TIMEOUT", "REPRO_BACKOFF",
-                "REPRO_RESUME"):
+    for var in ("REPRO_RETRIES", "REPRO_RUN_TIMEOUT", "REPRO_BACKOFF"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(parallel, "_default_retry", None)
-    monkeypatch.setattr(checkpoint, "_default_resume", None)
     obs_harness.reset_harness()
     yield
     obs_harness.reset_harness()
@@ -50,11 +47,9 @@ def _isolated_resilience(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _isolated_engine(monkeypatch):
-    """Reset engine selection (CLI default, env, chunk override) per test."""
+    """Reset engine selection (CLI default, env) per test."""
     import repro.sim.engine as engine
 
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_CHUNK", raising=False)
-    monkeypatch.delenv("REPRO_SHM", raising=False)
     monkeypatch.setattr(engine, "_default_engine", None)
     yield

@@ -17,6 +17,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import repro.sim.engine as engine_mod
+from repro.common.stats import Stats
 from repro.obs.telemetry import TelemetrySpec
 from repro.predictors import registry
 from repro.sim.config import (
@@ -46,6 +47,7 @@ from repro.workloads.trace import Trace
 
 BUDGET = 6000
 SEED = 42
+DP_CB = {"tlb_predictor": "dppred", "llc_predictor": "cbpred"}
 
 
 def fingerprint(result) -> bytes:
@@ -79,10 +81,53 @@ def tag_orders(machine):
     ]
 
 
+def stats_bags(machine):
+    """``Stats.snapshot()`` of every counter bag reachable from the
+    machine through ``repro`` objects, keyed by attribute path: each
+    structure, the walker, PWC, memory, hierarchy, tenancy, and both
+    predictors with their pHIST/bHIST/PFQ/shadow. Many of these counters
+    never reach ``SimResult``, so only this comparison sees them."""
+    bags = {}
+    seen = set()
+
+    def is_ours(value):
+        return type(value).__module__.startswith("repro.")
+
+    def visit(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, Stats):
+            bags[path] = obj.snapshot()
+            return
+        items = list(getattr(obj, "__dict__", {}).items())
+        items += [
+            (slot, getattr(obj, slot))
+            for slot in getattr(type(obj), "__slots__", ())
+            if hasattr(obj, slot)
+        ]
+        for name, value in items:
+            if isinstance(value, dict):
+                children = value.items()
+            elif isinstance(value, (list, tuple)):
+                children = enumerate(value)
+            else:
+                if is_ours(value):
+                    visit(value, f"{path}.{name}")
+                continue
+            for key, child in children:
+                if is_ours(child):
+                    visit(child, f"{path}.{name}[{key!r}]")
+
+    visit(machine, "machine")
+    return bags
+
+
 def assert_equivalent(trace, config, telemetry=False, seed=SEED):
     (r_s, m_s), (r_b, m_b) = run_both(trace, config, telemetry, seed)
     assert fingerprint(r_s) == fingerprint(r_b)
     assert tag_orders(m_s) == tag_orders(m_b)
+    assert stats_bags(m_s) == stats_bags(m_b)
     if telemetry:
         assert m_s.telemetry.to_payload() == m_b.telemetry.to_payload()
     return m_b
@@ -93,8 +138,13 @@ def assert_equivalent(trace, config, telemetry=False, seed=SEED):
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("workload", workload_names())
 def test_suite_workloads_bit_identical(workload):
+    """The LRU baseline and the paper's dpPred+cbPred on every kernel.
+    On cg.B and mcf, a flat LLC fill that kept a recycled line's DP bit
+    left the wire bytes identical but moved cbPred's and bHIST's
+    counters, so the counter comparison is what catches it here."""
     trace = get_trace(workload, BUDGET, SEED)
-    assert_equivalent(trace, fast_config(), telemetry=True)
+    for config in (fast_config(), fast_config(**DP_CB)):
+        assert_equivalent(trace, config, telemetry=True)
 
 
 @pytest.mark.parametrize("workload", sorted(EXTRA_WORKLOAD_CLASSES))
@@ -178,7 +228,6 @@ TINY = {
     "l2": CacheGeometry(4, 2, 11),
     "llc": CacheGeometry(8, 2, 40),
 }
-DP_CB = {"tlb_predictor": "dppred", "llc_predictor": "cbpred"}
 PREDICTOR_CONFIGS = (
     fast_config(**DP_CB),
     # LRU: the same-page filter is on
@@ -401,6 +450,7 @@ def test_mix_configs_run_batched_and_bit_identical(mix, profile):
     config = factory(tlb_predictor="dppred", llc_predictor="cbpred")
     (r_s, m_s), (r_b, m_b) = run_both(trace, config, telemetry=True)
     assert fingerprint(r_s) == fingerprint(r_b)
+    assert stats_bags(m_s) == stats_bags(m_b)
     assert m_s.telemetry.to_payload() == m_b.telemetry.to_payload()
     ev_s = m_s.telemetry.probe.events()
     ev_b = m_b.telemetry.probe.events()
@@ -546,7 +596,7 @@ def test_every_decline_reason_has_a_producer():
 def test_shipped_profile_coverage(config, workload, mode, reason):
     """Every shipped profile runs the mode and counted reason the docs'
     coverage table states, accounts for every record, and matches the
-    scalar engine's wire bytes."""
+    scalar engine's wire bytes and counters."""
     trace = get_trace(workload, 2000, SEED)
     machine = Machine(config, seed=SEED)
     result = machine.run(trace, engine=ENGINE_BATCHED)
@@ -557,8 +607,10 @@ def test_shipped_profile_coverage(config, workload, mode, reason):
         stats.get("flat_records", 0) + stats.get("scalar_records", 0)
         == len(trace)
     )
-    reference = Machine(config, seed=SEED).run(trace, engine=ENGINE_SCALAR)
+    scalar = Machine(config, seed=SEED)
+    reference = scalar.run(trace, engine=ENGINE_SCALAR)
     assert result.to_wire() == reference.to_wire()
+    assert stats_bags(machine) == stats_bags(scalar)
 
 
 #: Registered predictors the flat interpreter still declines, with the

@@ -2,8 +2,9 @@
 
 Every scenario asserts the tentpole invariant: a sweep degraded by
 injected worker kills, hangs, or cache corruption — possibly completed
-across two invocations via ``--resume`` — produces ``SimResult.to_dict``
-output byte-identical to an uninterrupted run.
+across two invocations, the rerun skipping every cell the disk cache
+already holds — produces ``SimResult.to_dict`` output byte-identical to
+an uninterrupted run.
 """
 
 import json
@@ -15,11 +16,9 @@ import repro.sim.diskcache as diskcache
 from repro.obs.events import (
     EV_FAULT_INJECT,
     EV_POOL_REBUILD,
-    EV_RESUME_SKIP,
     EV_RUN_RETRY,
     EV_RUN_TIMEOUT,
 )
-from repro.sim.checkpoint import MatrixJournal, matrix_digest, resolve_resume
 from repro.sim.config import fast_config, mix2_config
 from repro.sim.faults import KILL, FaultPlan, FaultSpec, InjectedFault
 from repro.sim.parallel import (
@@ -29,7 +28,8 @@ from repro.sim.parallel import (
     resolve_retry,
     run_matrix,
 )
-from repro.sim.runner import clear_run_cache, run_cached
+import repro.sim.runner as runner
+from repro.sim.runner import clear_run_cache
 
 BUDGET = 2000
 
@@ -54,7 +54,7 @@ def _requests():
     ]
     # A multi-tenant cell rides along: ASID-tagged traces and their
     # context switches must survive kills, hangs, corruption, and
-    # --resume byte-identically, like every single-tenant cell.
+    # reruns byte-identically, like every single-tenant cell.
     cells.append(RunRequest("mix2", mix2_config(), BUDGET, 42))
     return cells
 
@@ -169,10 +169,11 @@ class TestSerialFaults:
         assert "cg.B" in str(err.value)
 
     def test_interrupt_then_resume_is_byte_identical(
-        self, clean_fingerprints
+        self, clean_fingerprints, monkeypatch
     ):
-        """The acceptance criterion: kill a sweep partway, rerun with
-        resume, and require byte-identical merged output."""
+        """The acceptance criterion: kill a sweep partway, rerun it with
+        no flag, and require byte-identical merged output with only the
+        unfinished cells simulated."""
         requests = _requests()
         fatal = FaultPlan.kill("cg.B", hard=False, attempts=99)
         with pytest.raises(MatrixError):
@@ -182,27 +183,18 @@ class TestSerialFaults:
                 faults=fatal,
             )
         clear_run_cache()
-        obs_harness.reset_harness()
-        resumed = run_matrix(requests, retry=NO_BACKOFF, resume=True)
-        assert _fingerprints(requests, resumed) == clean_fingerprints
-        kinds = _event_kinds()
-        # mcf cells completed pre-crash and were replayed, not re-run.
-        assert kinds.count(EV_RESUME_SKIP) == 2
+        simulated = []
+        real_run_trace = runner.run_trace
 
-    def test_without_resume_journal_is_discarded(self, clean_fingerprints):
-        requests = _requests()
-        with pytest.raises(MatrixError):
-            run_matrix(
-                requests,
-                retry=RetryPolicy(max_attempts=1),
-                faults=FaultPlan.kill("cg.B", hard=False, attempts=99),
-            )
-        clear_run_cache()
-        diskcache.purge()  # also drops cached results: cells must re-run
-        obs_harness.reset_harness()
-        results = run_matrix(requests, retry=NO_BACKOFF)  # no resume
-        assert _fingerprints(requests, results) == clean_fingerprints
-        assert EV_RESUME_SKIP not in _event_kinds()
+        def counting_run_trace(trace, config, *args, **kwargs):
+            simulated.append(trace.name)
+            return real_run_trace(trace, config, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_trace", counting_run_trace)
+        resumed = run_matrix(requests, retry=NO_BACKOFF)
+        assert _fingerprints(requests, resumed) == clean_fingerprints
+        # mcf cells completed pre-crash and were read back, not re-run.
+        assert simulated == ["cg.B", "cg.B", "mix2"]
 
 
 # --------------------------------------------------------------------- #
@@ -223,9 +215,8 @@ class TestPoolFaults:
     def test_hard_kill_on_trace_published_after_pool_start(
         self, clean_fingerprints, monkeypatch
     ):
-        """cg.B's trace is published while the pool already runs mcf: the
-        workers that replace the killed one attach it from the task's own
-        descriptor."""
+        """cg.B's trace is made while the pool already runs mcf: the
+        workers that replace the killed one get it with their tasks."""
         from tests.test_sim_parallel import record_dispatch
 
         events = record_dispatch(monkeypatch)
@@ -255,8 +246,10 @@ class TestPoolFaults:
         assert EV_POOL_REBUILD in kinds
 
     def test_resume_after_pool_crash_is_byte_identical(
-        self, clean_fingerprints
+        self, clean_fingerprints, monkeypatch
     ):
+        from tests.test_sim_parallel import record_dispatch
+
         requests = _requests()
         fatal = FaultPlan.kill("cg.B", seed=42, attempts=99)
         with pytest.raises(MatrixError):
@@ -266,58 +259,20 @@ class TestPoolFaults:
                 faults=fatal,
             )
         clear_run_cache()
-        resumed = run_matrix(requests, jobs=2, retry=NO_BACKOFF, resume=True)
+        stored = [
+            req.workload for req in requests
+            if diskcache.load_result(
+                req.workload, req.config, req.budget, req.seed
+            ) is not None
+        ]
+        # A cg.B cell is only submitted once an mcf cell has finished.
+        assert "mcf" in stored
+        clear_run_cache()
+        events = record_dispatch(monkeypatch)
+        resumed = run_matrix(requests, jobs=2, retry=NO_BACKOFF)
         assert _fingerprints(requests, resumed) == clean_fingerprints
-
-
-# --------------------------------------------------------------------- #
-# Journal mechanics
-# --------------------------------------------------------------------- #
-class TestMatrixJournal:
-    def _result(self):
-        return run_cached("mcf", fast_config(), BUDGET)
-
-    def test_round_trip_and_last_wins(self, cache_dir, tmp_path):
-        result = self._result()
-        journal = MatrixJournal(tmp_path / "j.jsonl")
-        with journal:
-            journal.start(fresh=True)
-            journal.record("cell-a", result)
-            journal.record("cell-a", result)  # retried duplicate
-            journal.record("cell-b", result)
-        loaded = journal.load()
-        assert sorted(loaded) == ["cell-a", "cell-b"]
-        assert loaded["cell-a"].to_dict() == result.to_dict()
-
-    def test_torn_tail_line_is_skipped(self, cache_dir, tmp_path):
-        result = self._result()
-        journal = MatrixJournal(tmp_path / "j.jsonl")
-        with journal:
-            journal.start(fresh=True)
-            journal.record("cell-a", result)
-            journal.record("cell-b", result)
-        data = journal.path.read_bytes()
-        journal.path.write_bytes(data[: len(data) - len(data) // 3])
-        loaded = journal.load()
-        assert list(loaded) == ["cell-a"]
-
-    def test_checksum_mismatch_is_skipped(self, cache_dir, tmp_path):
-        result = self._result()
-        journal = MatrixJournal(tmp_path / "j.jsonl")
-        with journal:
-            journal.start(fresh=True)
-            journal.record("cell-a", result)
-        line = json.loads(journal.path.read_text())
-        line["payload"]["instructions"] += 1  # tamper without re-hashing
-        journal.path.write_text(json.dumps(line) + "\n")
-        assert journal.load() == {}
-
-    def test_matrix_digest_order_independent(self):
-        assert matrix_digest(["a", "b"]) == matrix_digest(["b", "a"])
-        assert matrix_digest(["a"]) != matrix_digest(["a", "b"])
-
-    def test_resolve_resume_env(self, monkeypatch):
-        assert resolve_resume() is False
-        monkeypatch.setenv("REPRO_RESUME", "1")
-        assert resolve_resume() is True
-        assert resolve_resume(False) is False
+        submitted = [wl for kind, wl in events if kind == "submit"]
+        expected = [req.workload for req in requests]
+        for workload in stored:
+            expected.remove(workload)
+        assert submitted == expected

@@ -151,31 +151,25 @@ class TestIterRecordsChunking:
             assert type(pc) is int and type(vaddr) is int
             assert type(write) is bool and type(gap) is int
 
-    def test_repro_chunk_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "4")
-        assert Trace.resolve_chunk() == 4
+    def test_chunk_argument_override(self):
+        assert Trace.resolve_chunk(4) == 4
         trace = self.make(11)
-        assert list(trace.iter_records()) == self.reference(trace)
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "4")
-        assert Trace.resolve_chunk(9) == 9
+        assert list(trace.iter_records(chunk=4)) == self.reference(trace)
 
     def test_default_chunk(self):
         assert Trace.resolve_chunk() == Trace.ITER_CHUNK
 
-    @pytest.mark.parametrize("bad", ["0", "-3", "many"])
-    def test_invalid_repro_chunk_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_CHUNK", bad)
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_invalid_chunk_rejected(self, bad):
         with pytest.raises(ValueError):
-            Trace.resolve_chunk()
+            Trace.resolve_chunk(bad)
 
     def test_invalid_chunk_argument_rejected(self):
         with pytest.raises(ValueError):
             list(self.make(3).iter_records(chunk=0))
 
     def test_simulation_invariant_under_chunk_size(self, monkeypatch):
-        """End to end: a tiny REPRO_CHUNK leaves simulation results
+        """End to end: a tiny default chunk leaves simulation results
         byte-identical (the regression the reusable buffer must not cause)."""
         import json
 
@@ -189,7 +183,7 @@ class TestIterRecordsChunking:
             return json.dumps(result.to_dict(), sort_keys=True)
 
         baseline = run()
-        monkeypatch.setenv("REPRO_CHUNK", "17")
+        monkeypatch.setattr(Trace, "ITER_CHUNK", 17)
         assert run() == baseline
 
 
