@@ -5,23 +5,30 @@ locals to ``None`` in a block at the top of the function, so CPython
 numbers them below 256 and their loads and stores need no
 ``EXTENDED_ARG`` prefix. This script re-derives that block: it runs the
 benchmark's suite cells (14 Table II workloads x {LRU, dpPred+cbPred})
-and scenario cells (tenant mixes, huge pages, Leeway, perceptron) at a
-small budget on the batched engine, traces every opcode ``run``
+and scenario cells (tenant mixes, huge pages, Leeway, perceptron) at the
+benchmark's budget on the batched engine, traces every opcode ``run``
 executes, and counts each executed ``LOAD_FAST``/``STORE_FAST``/
 ``DELETE_FAST`` against its local. An access to a local numbered 256 or
 above is reported at its ``EXTENDED_ARG`` prefix, so prefixes are
 mapped to the access they extend and counted too.
 
-It prints every local of ``run`` ranked by access count, with its
-current index (``*`` marks a local that needs the prefix today) and
-whether it is in the hot block, then the top ``--top`` names as the
-block to paste. It reports only and changes nothing. Tracing every
-opcode makes the run slow (minutes at the default budget), so it stays
-out of CI.
+The default budget is the benchmark's 40,000. Smaller budgets over-weight
+the cold-cache paths: at 6,000 the LLC's free-way fill ran 0.505 times
+per record, at 40,000 about 0.1 times.
+
+It prints the executed bytecodes per record (all of them, and
+``BINARY_OP`` alone) for the suite and the scenario cells, every local
+of ``run`` ranked by access count, with its current index (``*`` marks
+a local that needs the prefix today) and whether it is in the hot
+block, then the top ``--top`` names as the block to paste. It reports
+only and changes nothing. Tracing every opcode is slow: the 28 suite
+cells at budget 40,000 took 290-450 s to trace on a 2-core x86-64 host
+under CPython 3.11, and the 8 scenario cells 80-90 s, so it stays out
+of CI.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/hot_locals.py [--budget 8000] [--top 200]
+    PYTHONPATH=src python benchmarks/hot_locals.py [--budget 40000] [--top 200]
 """
 
 from __future__ import annotations
@@ -64,10 +71,12 @@ def access_sites(code) -> dict:
     return sites
 
 
-def count_accesses(cells) -> Counter:
-    """Executed local accesses in ``run`` over every cell, by name."""
+def count_opcodes(cells):
+    """(executed instructions in ``run`` by offset, records run) over
+    every cell."""
     code = _FlatStepper.run.__code__
     offsets = Counter()
+    records = 0
 
     def per_opcode(frame, event, arg):
         if event == "opcode":
@@ -82,6 +91,7 @@ def count_accesses(cells) -> Counter:
 
     for cell in cells:
         trace = cell.trace()
+        records += len(trace)
         machine = cell.machine()
         sys.settrace(per_call)
         try:
@@ -90,10 +100,30 @@ def count_accesses(cells) -> Counter:
             sys.settrace(None)
         if machine.engine_stats["mode"] != "flat":
             raise SystemExit(f"{cell.ident} did not run flat")
+    return offsets, records
+
+
+def count_accesses(offsets) -> Counter:
+    """Executed local accesses in ``run``, by name."""
     names = Counter()
-    for offset, name in access_sites(code).items():
+    for offset, name in access_sites(_FlatStepper.run.__code__).items():
         names[name] += offsets[offset]
     return names
+
+
+def per_record(offsets, records: int) -> str:
+    """Executed bytecodes per record, all and ``BINARY_OP`` alone."""
+    binary = {
+        ins.offset
+        for ins in dis.get_instructions(_FlatStepper.run.__code__)
+        if ins.opname == "BINARY_OP"
+    }
+    total = sum(offsets.values())
+    ops = sum(count for offset, count in offsets.items() if offset in binary)
+    return (
+        f"{total / records:.1f} bytecodes per record, "
+        f"{ops / records:.1f} of them BINARY_OP"
+    )
 
 
 def hot_block(names) -> list:
@@ -111,16 +141,27 @@ def hot_block(names) -> list:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--budget", type=int, default=8000)
+    parser.add_argument("--budget", type=int, default=40000)
     parser.add_argument("--top", type=int, default=200)
     args = parser.parse_args()
-    cells = [
-        dataclasses.replace(cell, budget=args.budget)
-        for cell in suite_cells(SEED) + scenario_cells(SEED)
-    ]
-    start = time.perf_counter()
-    counts = count_accesses(cells)
-    elapsed = time.perf_counter() - start
+    groups = {
+        name: [dataclasses.replace(cell, budget=args.budget) for cell in cells]
+        for name, cells in (
+            ("suite", suite_cells(SEED)),
+            ("scenario", scenario_cells(SEED)),
+        )
+    }
+    offsets = Counter()
+    for name, cells in groups.items():
+        start = time.perf_counter()
+        group, records = count_opcodes(cells)
+        elapsed = time.perf_counter() - start
+        print(
+            f"{len(cells)} {name} cells at budget {args.budget:,}, traced "
+            f"in {elapsed:.0f} s: {per_record(group, records)}"
+        )
+        offsets += group
+    counts = count_accesses(offsets)
     code = _FlatStepper.run.__code__
     varnames = code.co_varnames
     block = set(hot_block(varnames))
@@ -128,10 +169,8 @@ def main() -> None:
     total = sum(counts.values())
     wide = sum(counts[n] for n in varnames if varnames.index(n) >= 256)
     print(
-        f"{len(cells)} cells at budget {args.budget:,}, traced in "
-        f"{elapsed:.0f} s: {total:,} local accesses over "
-        f"{len(varnames)} locals, {wide:,} of them to locals "
-        f"numbered 256 or above"
+        f"{total:,} local accesses over {len(varnames)} locals, "
+        f"{wide:,} of them to locals numbered 256 or above"
     )
     print(f"{'rank':>4}  {'accesses':>12}  {'index':>6}  block  name")
     for rank, name in enumerate(ranked, 1):

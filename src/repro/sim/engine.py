@@ -345,6 +345,13 @@ def run_batched(machine, trace):
 # --------------------------------------------------------------------- #
 # Flat interpreter
 # --------------------------------------------------------------------- #
+# Records per predecoded chunk. The chunk's eight columns are most of
+# a run's transient memory: one run's tracemalloc peak (mcf, LRU,
+# budget 40,000, trace built beforehand) reads 9.7 MB at 65,536 records
+# and 4.7 MB at 16,384, which runs at the same speed.
+_CHUNK_RECORDS = 16384
+
+
 class _FlatStepper:
     """Flattened per-record interpreter over the canonical structures.
 
@@ -362,13 +369,18 @@ class _FlatStepper:
     simulated event is handled exactly once, either inline or by the
     real method. All *structural* state (tags, entries, RRPVs,
     predictor tables, residency trackers, the PFQ) lives on the real
-    objects; the only locally buffered state is additive Stats counter
-    deltas, flushed into the live dicts before every telemetry sample
-    and at run end. Rare events call the real methods: L1 I-TLB misses
-    (the whole instruction-side chain after the filter and the I-TLB
-    hit probe: 0.005% of suite records, 0.03% of scenario records), LLC
-    fills by page-walk loads (:meth:`CacheHierarchy._fill_llc` — fill
-    decision, victim training, inclusion cascade — for the PTE loads
+    objects; the only locally buffered state is Stats counter deltas,
+    flushed into the live dicts at the end of every chunk. The loop
+    counts each event once, and the flush derives the counters that
+    follow from others over the chunk's records: hits from the record
+    count or from lookups less misses, L1 D-TLB/L1D/L2 fills from
+    misses, evictions from fills less free-way fills, memory accesses
+    from reads plus writes, walks from their PWC outcomes. Rare events
+    call the real methods: L1 I-TLB misses (the whole instruction-side
+    chain after the filter and the I-TLB hit probe: 0.005% of suite
+    records, 0.03% of scenario records), LLC fills by page-walk loads
+    (:meth:`CacheHierarchy._fill_llc` — fill decision, victim training,
+    inclusion cascade — for the PTE loads
     that miss the LLC: 0.015 per suite record, 0.017 per scenario one;
     the walk's L2 and LLC probes and its L2 fill stay inline), dpPred's
     shadow *hits* (misprediction refills) and LLT fills under the
@@ -388,6 +400,15 @@ class _FlatStepper:
     cascade then continues inline from the returned victim.
     ``fold_xor`` hashes are memoized per run (pure function of its
     inputs).
+
+    The trace runs in chunks of at most :data:`_CHUNK_RECORDS` records,
+    predecoded by numpy into the columns the loop reads: the page
+    numbers of the PC and the data address, the block offset within the
+    page, the running instruction count and each record's base cycles.
+    A chunk ends at an ASID segment's end and at the record whose
+    instruction count reaches the next timeline boundary, so every
+    sample and context switch falls between chunks and observes exactly
+    the scalar loop's counter values.
 
     LRU state is each set's tag dict itself, least recent first, as in
     :class:`~repro.vm.tlb.Tlb` and :class:`~repro.mem.cache.SetAssocCache`:
@@ -443,47 +464,49 @@ class _FlatStepper:
         caller finalizes the machine."""
         # CPython numbers a function's locals in order of first
         # appearance, and an access to a local numbered above 255 needs
-        # an EXTENDED_ARG prefix. This interpreter has 357 locals, so
+        # an EXTENDED_ARG prefix. This interpreter has 353 locals, so
         # the 200 its loop touches most are bound here first, most
         # accessed first (by opcode-level access counts over the
-        # benchmark's suite and scenario cells at budget 8,000: LRU and
+        # benchmark's suite and scenario cells at budget 40,000: LRU and
         # dpPred+cbPred suite runs, tenant mixes, huge pages, Leeway and
-        # perceptron; EXTENDED_ARG-prefixed accesses included).
-        # benchmarks/hot_locals.py prints that ranking; re-derive the
-        # block with it after a change that adds or renames hot locals.
+        # perceptron; EXTENDED_ARG-prefixed accesses included). At that
+        # budget the function executes 457 bytecodes per suite record
+        # (26 of them BINARY_OP) and 495 per scenario record.
+        # benchmarks/hot_locals.py prints that ranking and those counts;
+        # re-derive the block with it after a change that adds or
+        # renames hot locals.
         # Without this block the suite runs 7% slower (ten alternating
         # benchmark pairs on a 2-core x86-64 host, CPython 3.11).
         # tests/test_engine_hot_locals.py checks that every name here
         # keeps an index below 256 and is still used.
-        ln = block = vt = dvpn = dkey = wtag = t1 = pfn = dent = tags_d = None
-        penalty = pc = t2b = instructions = set_1 = vaddr = gap = le = None
-        wl = pf = tags_l = w1 = t3 = is_write = set_d = abase = blk = ps = None
-        node = wd = now = set_l = lkey = wlat = l2_tags = l2_mask = ivpn = None
-        h_acc = cycles = it_hits = w1f = w2f = set_2b = tc = last_dvpn = None
-        set_3 = l2_rrpv = wd_ = widx = l1_rrpv = w3f = lines2 = wc = None
-        l2_misses = l2_fills = lines3 = dt_rrpv = bs = boff = m_acc = None
-        l3_gen = l2_evicts = w3_ = w2_ = t2 = l3_misses = set_c = lines1 = None
-        set_2 = l1_misses = l1_fills = dentry = l1_evicts = pw1 = None
-        h_demand = mark_dp = hbase = l2_lines = m_reads = path_rem = None
-        l1_mask = l1_tags = bypass3 = entries_d = last_dent = dt_misses = None
-        dt_fills = dt_evicts = l3_fills = bmask = lhuge = last_ivpn = None
-        last_ient = next_at = base_cpi = l1_lines = lpfn = lt_install = None
-        asid = lt_mask = lt_tags = dt_hits = dt_mask = dt_tags = None
-        dt_entries = l3_mask = l3_tags = h_walkacc = pte_paddr = sh3 = None
-        lt_pch = sh_entries = huge_on = pw2 = lt_misses = w_walks = None
-        w_memacc = w_cycles = pw3 = l3_res = l3_rrpv = pc_h = cb = None
-        l3_lines = pw1_mte = wv2 = s2 = l2_assoc = l1_hits = pw_l1h = None
-        lt_res = lt_rrpv = cb_pfq = l2_hits = l1_assoc = vh = None
-        mem_penalty = lt_g_lookup = dp = entries_l = dt_assoc = lt_fills = None
-        l3_assoc = widx_mask = doa = lt_evicts = sh2 = vdirty = wv = None
-        line_cls = lt_entries = pt_root = sh1 = pw2_mte = vpn_limit = None
-        l2_tlb_latency = walk_exposure = pfn_to_vpn = probe = None
-        lt_delegate = pw3_mte = s3 = wv3 = fx_vpn = dp_vbits = ph_vals = None
-        d_sh_miss = pw_lat1 = tc3 = wc3 = vh2 = ch = lt_hits = hl2_lat = None
-        s1 = l3_evicts = w2 = pidx = ph_cols = bhh = l1_wb = set_c3 = None
-        dp_probe = lt_assoc = l2_wb = sb_ = pv = pfq_q = lt_g_miss = pg_ = None
-        l3_hits = fx_pc = dp_obs = dp_thresh = lt_g_hit = None
-        l2_tlb_hit_penalty = m_writes = cb_probe = fx_blk = d_dp_evobs = None
+        ln = block = vt = dvpn = dkey = wtag = t1 = dent = pfn = tags_d = None
+        penalty = t2b = t3 = set_1 = pf = le = wl = w1 = tags_l = set_d = None
+        is_write = abase = blk = wd = node = pc = l2_tags = l2_mask = None
+        set_l = lkey = wlat = ivpn = cycles = cpi = boff_v = w1f = w2f = None
+        set_2b = last_dvpn = tc = set_3 = l2_rrpv = wd_ = l1_rrpv = widx = None
+        wc = lines2 = l2_misses = dt_rrpv = w3f = boff = l1_mask = None
+        l1_tags = w3_ = dentry = l3_gen = w2_ = t2 = set_2 = lines1 = None
+        l1_misses = set_c = now = pw1 = l3_misses = l2_lines = wv2 = s2 = None
+        hbase = path_rem = vdirty = wv = bypass3 = entries_d = dt_misses = None
+        mark_dp = last_dent = m_reads = lines3 = last_ivpn = None
+        instructions = last_ient = l1_lines = lpfn = l3_res = l3_rrpv = None
+        cb = lhuge = sh_entries = lt_install = dt_mask = dt_tags = None
+        dt_entries = asid = lt_mask = lt_tags = l3_mask = l3_tags = None
+        pte_paddr = sh3 = huge_on = lt_pch = pw2 = pc_h = w_memacc = None
+        w_cycles = pw3 = s1 = pw1_mte = l2_assoc = l3_lines = pw_l1h = None
+        cb_pfq = lt_res = lt_rrpv = l1_assoc = lt_g_lookup = mem_penalty = None
+        dp = dt_assoc = vh = doa = widx_mask = entries_l = ps = l3_assoc = None
+        sh2 = bs = pt_root = sh1 = pw2_mte = lt_entries = s3 = wv3 = bhh = None
+        lt_delegate = vpn_limit = l2_tlb_latency = walk_exposure = None
+        pfn_to_vpn = probe = pw3_mte = tc3 = wc3 = pw_lat1 = lt_hits = None
+        m_writes = ch = ph_vals = hl2_lat = dp_probe = fx_vpn = dp_vbits = None
+        vh2 = sb_ = w2 = l1_wb = l2_wb = set_c3 = pfq_q = ph_cols = pidx = None
+        lt_assoc = cb_probe = fx_blk = pg_ = lt_g_miss = pfq_members = None
+        d_cb_pfqm = pv = lt_g_hit = bh_vals = fx_pc = dp_obs = dp_thresh = None
+        l3_wb = l2_tlb_hit_penalty = l3_free = bhh2 = lt_byp = d_cb_note = None
+        d_dp_doap = d_sh_ins = d_sh_ev = d_pfq_ins = d_pfq_ev = d_ph_doa = None
+        l3_g_lookup = l3_g_hit = hkey = cv_ = fx_pgb = line_cls = cb_obs = None
+        bh_thresh = ph_rows = hl3_lat = bmask = bh_pg = l3_byp = None
         m = self.m
         pcs, vaddrs = trace.pcs, trace.vaddrs
         writes, gaps = trace.writes, trace.gaps
@@ -498,13 +521,18 @@ class _FlatStepper:
         line_cls = CacheLine
         entry_cls = TlbEntry
         # Predictor-stat deltas, flushed with the structure-stat
-        # deltas at telemetry boundaries and run end. The flushes
-        # are guarded so a counter that never fired does not create
-        # a zero-valued key the scalar engine would not have.
-        d_cb_pfqm = d_cb_doap = d_cb_note = d_cb_evobs = 0
-        d_dp_doap = d_dp_evobs = 0
+        # deltas at every chunk end. The flushes are guarded so a
+        # counter that never fired does not create a zero-valued key
+        # the scalar engine would not have. Eviction-time training
+        # counts each DOA verdict twice (the history table's
+        # ``doa_trainings`` and the predictor's
+        # ``doa_evictions_observed``), so ``d_ph_doa``/``d_bh_doa`` feed
+        # both; dpPred's shadow misses are the LLT misses less its
+        # shadow hits (``sh_hits``).
+        d_cb_pfqm = d_cb_doap = d_cb_note = 0
+        d_dp_doap = sh_hits = 0
         d_ph_doa = d_ph_ndoa = d_bh_doa = d_bh_ndoa = 0
-        d_pfq_ins = d_pfq_ev = d_sh_ins = d_sh_ev = d_sh_miss = 0
+        d_pfq_ins = d_pfq_ev = d_sh_ins = d_sh_ev = 0
         # --- machine scalars ------------------------------------------- #
         now = m.now
         instructions = m.instructions
@@ -528,9 +556,7 @@ class _FlatStepper:
             sample = sampler.sample
             next_at = interval
         else:
-            interval = 0
             sample = None
-            next_at = float("inf")
 
         # --- L1 I-TLB --------------------------------------------------- #
         it = m.l1_itlb
@@ -539,7 +565,7 @@ class _FlatStepper:
         it_entries = it._entries
         it_rrpv = None if it._lru else it.policy._rrpv
         it_stat = it._stat
-        it_hits = 0
+        it_miss = 0
         translate = m._translate
         # --- L1 D-TLB --------------------------------------------------- #
         dt = m.l1_dtlb
@@ -550,7 +576,7 @@ class _FlatStepper:
         dt_rrpv = None if dt._lru else dt.policy._rrpv
         dt_rmax = 0 if dt._lru else dt.policy.rrpv_max
         dt_stat = dt._stat
-        dt_hits = dt_misses = dt_fills = dt_evicts = 0
+        dt_misses = dt_free = 0
         # --- LLT (may carry dpPred and residency) ----------------------- #
         lt = m.l2_tlb
         lt_mask = lt._set_mask
@@ -564,7 +590,7 @@ class _FlatStepper:
         lt_on_miss = None if lt_listener is None else lt_listener.on_miss
         lt_fill = lt.fill
         lt_res = lt.residency
-        lt_hits = lt_misses = lt_vbh = lt_fills = lt_evicts = lt_byp = 0
+        lt_hits = lt_vbh = lt_free = lt_byp = 0
         # dpPred wiring: fill-time prediction, bypass bookkeeping, the
         # shadow FIFO and eviction-time training are inlined; shadow
         # *hits* (misprediction refills) and the demote ablation call
@@ -602,7 +628,7 @@ class _FlatStepper:
         l1_rrpv = None if l1._lru else l1.policy._rrpv
         l1_rmax = 0 if l1._lru else l1.policy.rrpv_max
         l1_stat = l1._stat
-        l1_hits = l1_misses = l1_fills = l1_evicts = l1_wb = l1_inv = 0
+        l1_misses = l1_free = l1_wb = l1_inv = 0
         l2 = m.l2
         l2_mask = l2._set_mask
         l2_assoc = l2.assoc
@@ -611,7 +637,7 @@ class _FlatStepper:
         l2_rrpv = None if l2._lru else l2.policy._rrpv
         l2_rmax = 0 if l2._lru else l2.policy.rrpv_max
         l2_stat = l2._stat
-        l2_hits = l2_misses = l2_fills = l2_evicts = l2_wb = l2_inv = 0
+        l2_misses = l2_free = l2_wb = l2_inv = 0
         l3 = m.llc
         l3_mask = l3._set_mask
         l3_assoc = l3.assoc
@@ -622,7 +648,7 @@ class _FlatStepper:
         l3_stat = l3._stat
         l3_fill = l3.fill
         l3_res = l3.residency
-        l3_hits = l3_misses = l3_fills = l3_evicts = l3_wb = l3_byp = 0
+        l3_misses = l3_free = l3_wb = l3_byp = w_llc_miss = 0
         # cbPred wiring: every LLC fill decision is inlined — the PFQ-miss
         # fast path resets nothing and allocates; PFQ matches (and the
         # no-PFQ ablation, which predicts on every fill) replicate
@@ -689,17 +715,17 @@ class _FlatStepper:
         # --- hierarchy / memory / walker -------------------------------- #
         hier = m.hierarchy
         h_stat = hier._stat
-        h_acc = h_demand = h_walkacc = h_incl = h_orphan = 0
+        h_incl = h_orphan = 0
         mem = hier.memory
         mem_stat = mem._stat
         mem_lat = mem.latency
-        m_acc = m_reads = m_writes = 0
+        m_reads = m_writes = 0
         hl2_lat = hier.l2_latency
         hl3_lat = hier.llc_latency
         fill_llc = hier._fill_llc  # walk loads' LLC fills (see docstring)
         walker = m.walker
         w_stat = walker._stat
-        w_walks = w_memacc = w_cycles = 0
+        w_memacc = w_cycles = 0
         # Radix walk inlined: local bindings of the current address
         # space's root node and huge-region policy, the shared frame
         # allocator, and the telemetry-unregistered page-table stats
@@ -778,76 +804,97 @@ class _FlatStepper:
         table_for = walker.table_for
         si = 0
         pos = 0
-        recs = None
-        while True:
-            if recs is None:
-                if pos >= n:
-                    break
-                if pos == starts[si]:
-                    asid = seg_asids[si]
-                    si += 1
-                    if pos:
-                        m.now = now
-                        actx.pc = pc
-                        m._last_ivpn = (
-                            None if last_ivpn is None else last_ivpn | abase
-                        )
-                        m._last_ientry = last_ient
-                        m._last_dvpn = (
-                            None if last_dvpn is None else last_dvpn | abase
-                        )
-                        m._last_dentry = last_dent
-                    if asids is not None and asid != current:
-                        if current >= 0:
-                            m._context_switch(current, asid)
-                            last_ient = m._last_ientry
-                            last_dent = m._last_dentry
-                        if asid not in seen:
-                            seen.add(asid)
-                            tenancy.add("tenants_seen")
-                        current = asid
-                    abase = asid << VPN_BITS
-                    key = m._last_ivpn
-                    last_ivpn = (
-                        key & vpn_mask
-                        if key is not None and key >> VPN_BITS == asid
-                        else None
+        # Records retired up to the last flush: the flush window holds
+        # ``now - now0`` records.
+        now0 = now
+        while pos < n:
+            if pos == starts[si]:
+                asid = seg_asids[si]
+                si += 1
+                if pos:
+                    m.now = now
+                    actx.pc = pc
+                    m._last_ivpn = (
+                        None if last_ivpn is None else last_ivpn | abase
                     )
-                    key = m._last_dvpn
-                    last_dvpn = (
-                        key & vpn_mask
-                        if key is not None and key >> VPN_BITS == asid
-                        else None
+                    m._last_ientry = last_ient
+                    m._last_dvpn = (
+                        None if last_dvpn is None else last_dvpn | abase
                     )
-                    # The tenant's table is created by its first walk,
-                    # as in the scalar walker (root frames come from the
-                    # shared allocator, so creation order matters).
-                    table = (
-                        page_table if asid == 0
-                        else walker._tables.get(asid)
-                    )
-                    if table is None:
-                        pt_root = None
-                    else:
-                        pt_root = table._root
-                        pt_stats_add = table.stats.add
-                        pt_huge = table._huge_policy
-                seg = min(pos + 65536, starts[si])
-                recs = zip(
-                    pcs[pos:seg].tolist(),
-                    vaddrs[pos:seg].tolist(),
-                    writes[pos:seg].tolist(),
-                    gaps[pos:seg].tolist(),
+                    m._last_dentry = last_dent
+                if asids is not None and asid != current:
+                    if current >= 0:
+                        m._context_switch(current, asid)
+                        last_ient = m._last_ientry
+                        last_dent = m._last_dentry
+                    if asid not in seen:
+                        seen.add(asid)
+                        tenancy.add("tenants_seen")
+                    current = asid
+                abase = asid << VPN_BITS
+                key = m._last_ivpn
+                last_ivpn = (
+                    key & vpn_mask
+                    if key is not None and key >> VPN_BITS == asid
+                    else None
                 )
-                pos = seg
-            for pc, vaddr, is_write, gap in recs:
-                now += 1
-                instructions += gap + 1
-
+                key = m._last_dvpn
+                last_dvpn = (
+                    key & vpn_mask
+                    if key is not None and key >> VPN_BITS == asid
+                    else None
+                )
+                # The tenant's table is created by its first walk, as in
+                # the scalar walker (root frames come from the shared
+                # allocator, so creation order matters).
+                table = (
+                    page_table if asid == 0 else walker._tables.get(asid)
+                )
+                if table is None:
+                    pt_root = None
+                else:
+                    pt_root = table._root
+                    pt_stats_add = table.stats.add
+                    pt_huge = table._huge_policy
+            # ---- predecode one chunk ----------------------------------- #
+            # Columns numpy derives once per chunk instead of per record:
+            # the page numbers, the block offset within the page, the
+            # running instruction count (taken in int64: ``gaps`` may be
+            # uint16, so ``gap + 1`` must not wrap) and each record's base
+            # cycles, ``(gap + 1) * base_cpi`` in float64 (the same IEEE
+            # product as Python's int times float, so ``cycles`` adds in
+            # the scalar loop's order). A chunk ends at the record whose
+            # instruction count reaches the next timeline boundary, so
+            # samples fall between chunks.
+            seg = min(pos + _CHUNK_RECORDS, starts[si])
+            c_ins = gaps[pos:seg].astype(np.int64)
+            c_ins += 1
+            np.cumsum(c_ins, out=c_ins)
+            c_ins += instructions
+            if sample is not None:
+                cut = int(np.searchsorted(c_ins, next_at))
+                if cut < seg - pos:
+                    seg = pos + cut + 1
+                    c_ins = c_ins[: cut + 1]
+            c_cpi = gaps[pos:seg].astype(np.float64)
+            c_cpi += 1.0
+            c_cpi *= base_cpi
+            c_pc = pcs[pos:seg]
+            c_va = vaddrs[pos:seg]
+            for (
+                now, pc, ivpn, dvpn, boff_v, is_write, instructions, cpi,
+            ) in zip(
+                range(now + 1, now + 1 + seg - pos),
+                c_pc.tolist(),
+                (c_pc >> ps).tolist(),
+                (c_va >> ps).tolist(),
+                ((c_va >> bs) & bmask).tolist(),
+                writes[pos:seg].tolist(),
+                c_ins.tolist(),
+                c_cpi.tolist(),
+            ):
                 # ---- instruction-side translation ---------------------- #
-                ivpn = pc >> ps
                 if pf and ivpn == last_ivpn:
-                    it_hits += 1
                     last_ient.accessed = True
                     penalty = 0.0
                 else:
@@ -856,7 +903,6 @@ class _FlatStepper:
                     tags_i = it_tags[set_i]
                     way = tags_i.get(ikey)
                     if way is not None:
-                        it_hits += 1
                         entry = it_entries[set_i][way]
                         entry.accessed = True
                         if it_rrpv is None:
@@ -877,6 +923,7 @@ class _FlatStepper:
                         # fixed for the run, a tenant table the walk
                         # creates is bound by the next D-side walk, and
                         # nothing on the path reads ``m.now``.
+                        it_miss += 1
                         actx.pc = pc
                         penalty = translate(it, ivpn, pc, now, asid)[1]
                         if pf:
@@ -884,9 +931,7 @@ class _FlatStepper:
                             last_ient = it.probe(ivpn, asid)
 
                 # ---- data-side translation ----------------------------- #
-                dvpn = vaddr >> ps
                 if pf and dvpn == last_dvpn:
-                    dt_hits += 1
                     last_dent.accessed = True
                     pfn = last_dent.pfn
                 else:
@@ -895,7 +940,6 @@ class _FlatStepper:
                     tags_d = dt_tags[set_d]
                     wd = tags_d.get(dkey)
                     if wd is not None:
-                        dt_hits += 1
                         dentry = dt_entries[set_d][wd]
                         dentry.accessed = True
                         if dt_rrpv is None:
@@ -941,19 +985,17 @@ class _FlatStepper:
                                 pfn += dvpn & widx_mask
                             penalty += l2_tlb_hit_penalty
                         else:
-                            lt_misses += 1
                             if sh_entries is not None:
                                 # shadow-miss fast path; hits (rare
                                 # misprediction refills) take the real
                                 # on_miss slow path
                                 if dkey in sh_entries:
+                                    sh_hits += 1
                                     buffered = lt_on_miss(lt, dkey, now)
                                     if buffered is not None:
                                         lt_vbh += 1
                                         pfn = buffered
                                         penalty += l2_tlb_hit_penalty
-                                else:
-                                    d_sh_miss += 1
                             elif lt_g_miss is not None:
                                 buffered = lt_g_miss(lt, dkey, now)
                                 if buffered is not None:
@@ -963,7 +1005,6 @@ class _FlatStepper:
                             if pfn is None:
                                 # ---- page walk (walker.walk, the radix
                                 # descent and the PWC probe all inlined) - #
-                                w_walks += 1
                                 if pt_root is None:
                                     table = table_for(asid)
                                     pt_root = table._root
@@ -1075,12 +1116,10 @@ class _FlatStepper:
                                 w_memacc += len(path_rem)
                                 for pte_paddr in path_rem:
                                     blk = pte_paddr >> bs
-                                    h_walkacc += 1
                                     set_c = blk & l2_mask
                                     tc = l2_tags[set_c]
                                     wc = tc.get(blk)
                                     if wc is not None:
-                                        l2_hits += 1
                                         ln = l2_lines[set_c][wc]
                                         ln.accessed = True
                                         if l2_rrpv is None:
@@ -1099,7 +1138,6 @@ class _FlatStepper:
                                             l3_g_lookup(l3, set_c3, now)
                                     wc3 = tc3.get(blk)
                                     if wc3 is not None:
-                                        l3_hits += 1
                                         ln = l3_lines[set_c3][wc3]
                                         ln.accessed = True
                                         if l3_rrpv is None:
@@ -1114,13 +1152,14 @@ class _FlatStepper:
                                         wlat += hl3_lat
                                     else:
                                         l3_misses += 1
-                                        m_acc += 1
+                                        w_llc_miss += 1
                                         m_reads += 1
                                         wlat += hl3_lat + mem_lat
                                         fill_llc(blk, now)
                                     # fill L2 (walk loads land in L2)
                                     lines2 = l2_lines[set_c]
                                     if len(tc) < l2_assoc:
+                                        l2_free += 1
                                         w2 = lines2.index(None)
                                         lines2[w2] = line_cls(blk, False)
                                     else:
@@ -1138,7 +1177,6 @@ class _FlatStepper:
                                             ln = lines2[w2]
                                             vt = ln.tag
                                             del tc[vt]
-                                        l2_evicts += 1
                                         if ln.dirty:
                                             l2_wb += 1
                                             s3 = vt & l3_mask
@@ -1146,7 +1184,6 @@ class _FlatStepper:
                                             if wv3 is not None:
                                                 l3_lines[s3][wv3].dirty = True
                                             else:
-                                                m_acc += 1
                                                 m_writes += 1
                                                 h_orphan += 1
                                             ln.dirty = False
@@ -1157,7 +1194,6 @@ class _FlatStepper:
                                     tc[blk] = w2
                                     if l2_rrpv is not None:
                                         l2_rrpv[set_c][w2] = l2_rmax - 1
-                                    l2_fills += 1
                                 # pwc.fill inlined: install the walk at
                                 # every level (L1 first, as the plan does),
                                 # the L1 entry holding the leaf node
@@ -1290,6 +1326,7 @@ class _FlatStepper:
                                     tags_l = lt_tags[set_l]
                                     entries_l = lt_entries[set_l]
                                     if len(tags_l) < lt_assoc:
+                                        lt_free += 1
                                         wl = entries_l.index(None)
                                         entries_l[wl] = entry_cls(
                                             lkey, lpfn, lt_pch, asid, lhuge,
@@ -1309,7 +1346,6 @@ class _FlatStepper:
                                             le = entries_l[wl]
                                             vt = le.vpn
                                             del tags_l[vt]
-                                        lt_evicts += 1
                                         if huge_on and le.huge:
                                             lt._huge_count -= 1
                                         if lt_res is not None:
@@ -1338,7 +1374,6 @@ class _FlatStepper:
                                                 if pv < ph_max:
                                                     ph_vals[pidx] = pv + 1
                                                 d_ph_doa += 1
-                                                d_dp_evobs += 1
                                             if dp_probe is not None:
                                                 dp_probe.emit(
                                                     now, EV_LLT_VERDICT,
@@ -1357,7 +1392,6 @@ class _FlatStepper:
                                         lt._huge_count += 1
                                     if lt_rrpv is not None:
                                         lt_rrpv[set_l][wl] = lt_rmax - 1
-                                    lt_fills += 1
                                     if lt_res is not None:
                                         lt_res.fill((set_l, wl), now)
                         # L1 D-TLB fill (``set_d``/``tags_d`` are the
@@ -1365,6 +1399,7 @@ class _FlatStepper:
                         # filter's ``last_dent`` is its new entry too.
                         entries_d = dt_entries[set_d]
                         if len(tags_d) < dt_assoc:
+                            dt_free += 1
                             wd_ = entries_d.index(None)
                             dent = entries_d[wd_] = entry_cls(
                                 dkey, pfn, pc, asid
@@ -1383,7 +1418,6 @@ class _FlatStepper:
                                 wd_ = row.index(dt_rmax)
                                 dent = entries_d[wd_]
                                 del tags_d[dent.vpn]
-                            dt_evicts += 1
                             dent.vpn = dkey
                             dent.pfn = pfn
                             dent.pc_hash = pc
@@ -1394,19 +1428,16 @@ class _FlatStepper:
                         tags_d[dkey] = wd_
                         if dt_rrpv is not None:
                             dt_rrpv[set_d][wd_] = dt_rmax - 1
-                        dt_fills += 1
                         if pf:
                             last_dvpn = dvpn
                             last_dent = dent
 
                 # ---- physical data access ------------------------------ #
-                block = (pfn << boff) | ((vaddr >> bs) & bmask)
-                h_acc += 1
+                block = (pfn << boff) | boff_v
                 set_1 = block & l1_mask
                 t1 = l1_tags[set_1]
                 w1 = t1.get(block)
                 if w1 is not None:
-                    l1_hits += 1
                     ln = l1_lines[set_1][w1]
                     ln.accessed = True
                     if is_write:
@@ -1422,7 +1453,6 @@ class _FlatStepper:
                     t2 = l2_tags[set_2]
                     w2_ = t2.get(block)
                     if w2_ is not None:
-                        l2_hits += 1
                         ln = l2_lines[set_2][w2_]
                         ln.accessed = True
                         if is_write:
@@ -1443,7 +1473,6 @@ class _FlatStepper:
                                 l3_g_lookup(l3, set_3, now)
                         w3_ = t3.get(block)
                         if w3_ is not None:
-                            l3_hits += 1
                             ln = l3_lines[set_3][w3_]
                             ln.accessed = True
                             if is_write:
@@ -1460,12 +1489,10 @@ class _FlatStepper:
                             penalty += llc_hit_penalty
                         else:
                             l3_misses += 1
-                            m_acc += 1
                             if is_write:
                                 m_writes += 1
                             else:
                                 m_reads += 1
-                            h_demand += 1
                             penalty += mem_penalty
                             # fill LLC (cbPred inlined)
                             bypass3 = mark_dp = False
@@ -1521,6 +1548,7 @@ class _FlatStepper:
                             else:
                                 lines3 = l3_lines[set_3]
                                 if len(t3) < l3_assoc:
+                                    l3_free += 1
                                     w3f = lines3.index(None)
                                     ln = lines3[w3f] = line_cls(block, False)
                                 else:
@@ -1538,7 +1566,6 @@ class _FlatStepper:
                                         ln = lines3[w3f]
                                         vt = ln.tag
                                         del t3[vt]
-                                    l3_evicts += 1
                                     vdirty = ln.dirty
                                     if vdirty:
                                         l3_wb += 1
@@ -1568,7 +1595,6 @@ class _FlatStepper:
                                             if cv_ < bh_cmax:
                                                 bh_vals[bhh2] = cv_ + 1
                                             d_bh_doa += 1
-                                            d_cb_evobs += 1
                                         if cb_probe is not None:
                                             cb_probe.emit(
                                                 now,
@@ -1587,7 +1613,6 @@ class _FlatStepper:
                                 t3[block] = w3f
                                 if l3_rrpv is not None:
                                     l3_rrpv[set_3][w3f] = l3_rmax - 1
-                                l3_fills += 1
                                 if l3_res is not None:
                                     l3_res.fill((set_3, w3f), now)
                             if vt is not None:
@@ -1597,7 +1622,6 @@ class _FlatStepper:
                                 wv = l1_tags[s1].pop(vt, None)
                                 if wv is not None:
                                     l1_inv += 1
-                                    l1_evicts += 1
                                     lines1 = l1_lines[s1]
                                     if lines1[wv].dirty:
                                         l1_wb += 1
@@ -1609,7 +1633,6 @@ class _FlatStepper:
                                 wv2 = l2_tags[s2].pop(vt, None)
                                 if wv2 is not None:
                                     l2_inv += 1
-                                    l2_evicts += 1
                                     lines2 = l2_lines[s2]
                                     if lines2[wv2].dirty:
                                         l2_wb += 1
@@ -1621,13 +1644,13 @@ class _FlatStepper:
                                 elif wv is not None:
                                     h_incl += 1
                                 if vdirty:
-                                    m_acc += 1
                                     m_writes += 1
                         # fill L2
                         set_2b = block & l2_mask
                         t2b = l2_tags[set_2b]
                         lines2 = l2_lines[set_2b]
                         if len(t2b) < l2_assoc:
+                            l2_free += 1
                             w2f = lines2.index(None)
                             lines2[w2f] = line_cls(block, False)
                         else:
@@ -1645,7 +1668,6 @@ class _FlatStepper:
                                 ln = lines2[w2f]
                                 vt = ln.tag
                                 del t2b[vt]
-                            l2_evicts += 1
                             if ln.dirty:
                                 l2_wb += 1
                                 s3 = vt & l3_mask
@@ -1653,7 +1675,6 @@ class _FlatStepper:
                                 if wv3 is not None:
                                     l3_lines[s3][wv3].dirty = True
                                 else:
-                                    m_acc += 1
                                     m_writes += 1
                                     h_orphan += 1
                                 ln.dirty = False
@@ -1664,10 +1685,10 @@ class _FlatStepper:
                         t2b[block] = w2f
                         if l2_rrpv is not None:
                             l2_rrpv[set_2b][w2f] = l2_rmax - 1
-                        l2_fills += 1
                     # fill L1
                     lines1 = l1_lines[set_1]
                     if len(t1) < l1_assoc:
+                        l1_free += 1
                         w1f = lines1.index(None)
                         lines1[w1f] = line_cls(block, is_write)
                     else:
@@ -1685,7 +1706,6 @@ class _FlatStepper:
                             ln = lines1[w1f]
                             vt = ln.tag
                             del t1[vt]
-                        l1_evicts += 1
                         if ln.dirty:
                             l1_wb += 1
                             s2 = vt & l2_mask
@@ -1698,7 +1718,6 @@ class _FlatStepper:
                                 if wv3 is not None:
                                     l3_lines[s3][wv3].dirty = True
                                 else:
-                                    m_acc += 1
                                     m_writes += 1
                                     h_orphan += 1
                         ln.tag = block
@@ -1709,69 +1728,79 @@ class _FlatStepper:
                     t1[block] = w1f
                     if l1_rrpv is not None:
                         l1_rrpv[set_1][w1f] = l1_rmax - 1
-                    l1_fills += 1
 
-                cycles += (gap + 1) * base_cpi + penalty
+                cycles += cpi + penalty
+            pos = seg
 
-                # ---- telemetry boundary -------------------------------- #
-                if instructions >= next_at:
-                    break
-            else:
-                recs = None
-            # ---- flush counter deltas (chunk end or telemetry boundary) #
-            it_stat["hits"] += it_hits
-            it_hits = 0
-            dt_stat["hits"] += dt_hits
+            # ---- flush counter deltas (chunk end) ---------------------- #
+            # Each event is counted once; the counters it implies follow
+            # from identities over the window's ``nrec`` records: every
+            # record makes one I-TLB, D-TLB and L1D access (hits are the
+            # rest after the misses), every L1 D-TLB/L1D/L2 miss fills,
+            # L2 lookups are L1D misses plus walk loads, LLC lookups are
+            # L2 misses, each memory access is a read or a write, each
+            # walk ends at one PWC level or misses them all, and a fill
+            # evicts unless it takes a free way.
+            nrec = now - now0
+            now0 = now
+            it_stat["hits"] += nrec - it_miss
+            it_miss = 0
+            dt_stat["hits"] += nrec - dt_misses
             dt_stat["misses"] += dt_misses
-            dt_stat["fills"] += dt_fills
-            dt_stat["evictions"] += dt_evicts
-            dt_hits = dt_misses = dt_fills = dt_evicts = 0
+            dt_stat["fills"] += dt_misses
+            dt_stat["evictions"] += dt_misses - dt_free
+            walks = pw_l1h + pw_l2h + pw_l3h + pw_miss
+            # Inline LLT fills: every walk's, less dpPred's bypasses
+            # (``Tlb.fill`` counts delegated fills itself).
+            lt_fills = 0 if lt_delegate else walks - lt_byp
+            lt_misses = dt_misses - lt_hits
             lt_stat["hits"] += lt_hits
             lt_stat["misses"] += lt_misses
             lt_stat["victim_buffer_hits"] += lt_vbh
             lt_stat["fills"] += lt_fills
-            lt_stat["evictions"] += lt_evicts
+            lt_stat["evictions"] += lt_fills - lt_free
             lt_stat["bypasses"] += lt_byp
-            lt_hits = lt_misses = lt_vbh = lt_fills = 0
-            lt_evicts = lt_byp = 0
-            l1_stat["hits"] += l1_hits
+            dt_misses = dt_free = 0
+            lt_hits = lt_vbh = lt_free = lt_byp = 0
+            l1_stat["hits"] += nrec - l1_misses
             l1_stat["misses"] += l1_misses
-            l1_stat["fills"] += l1_fills
-            l1_stat["evictions"] += l1_evicts
+            l1_stat["fills"] += l1_misses
+            l1_stat["evictions"] += l1_misses - l1_free + l1_inv
             l1_stat["writebacks"] += l1_wb
             l1_stat["invalidations"] += l1_inv
-            l1_hits = l1_misses = l1_fills = 0
-            l1_evicts = l1_wb = l1_inv = 0
-            l2_stat["hits"] += l2_hits
+            l2_stat["hits"] += l1_misses + w_memacc - l2_misses
+            l1_misses = l1_free = l1_wb = l1_inv = 0
             l2_stat["misses"] += l2_misses
-            l2_stat["fills"] += l2_fills
-            l2_stat["evictions"] += l2_evicts
+            l2_stat["fills"] += l2_misses
+            l2_stat["evictions"] += l2_misses - l2_free + l2_inv
             l2_stat["writebacks"] += l2_wb
             l2_stat["invalidations"] += l2_inv
-            l2_hits = l2_misses = l2_fills = 0
-            l2_evicts = l2_wb = l2_inv = 0
-            l3_stat["hits"] += l3_hits
+            l3_stat["hits"] += l2_misses - l3_misses
+            l2_misses = l2_free = l2_wb = l2_inv = 0
+            # Data-path LLC misses; a generic listener's LLC fills are
+            # real ``fill`` calls that count themselves.
+            h_demand = l3_misses - w_llc_miss
+            l3_fills = 0 if l3_gen is not None else h_demand - l3_byp
             l3_stat["misses"] += l3_misses
             l3_stat["fills"] += l3_fills
-            l3_stat["evictions"] += l3_evicts
+            l3_stat["evictions"] += l3_fills - l3_free
             l3_stat["writebacks"] += l3_wb
             l3_stat["bypasses"] += l3_byp
-            l3_hits = l3_misses = l3_fills = 0
-            l3_evicts = l3_wb = l3_byp = 0
-            h_stat["accesses"] += h_acc
+            l3_misses = l3_free = l3_wb = l3_byp = w_llc_miss = 0
+            h_stat["accesses"] += nrec
             h_stat["llc_demand_misses"] += h_demand
-            h_stat["walk_accesses"] += h_walkacc
+            h_stat["walk_accesses"] += w_memacc
             h_stat["inclusion_victims"] += h_incl
             h_stat["orphan_writebacks"] += h_orphan
-            h_acc = h_demand = h_walkacc = h_incl = h_orphan = 0
-            mem_stat["accesses"] += m_acc
+            h_incl = h_orphan = 0
+            mem_stat["accesses"] += m_reads + m_writes
             mem_stat["reads"] += m_reads
             mem_stat["writes"] += m_writes
-            m_acc = m_reads = m_writes = 0
-            w_stat["walks"] += w_walks
+            m_reads = m_writes = 0
+            w_stat["walks"] += walks
             w_stat["walk_memory_accesses"] += w_memacc
             w_stat["walk_cycles"] += w_cycles
-            w_walks = w_memacc = w_cycles = 0
+            w_memacc = w_cycles = 0
             pwc_stat["pwc_l1_hits"] += pw_l1h
             pwc_stat["pwc_l2_hits"] += pw_l2h
             pwc_stat["pwc_l3_hits"] += pw_l3h
@@ -1781,17 +1810,16 @@ class _FlatStepper:
                 bh_stat["doa_trainings"] = (
                     bh_stat.get("doa_trainings", 0) + d_bh_doa
                 )
-                d_bh_doa = 0
             if d_bh_ndoa:
                 bh_stat["not_doa_trainings"] = (
                     bh_stat.get("not_doa_trainings", 0) + d_bh_ndoa
                 )
                 d_bh_ndoa = 0
-            if d_cb_evobs:
+            if d_bh_doa:
                 cb_stat["doa_evictions_observed"] = (
-                    cb_stat.get("doa_evictions_observed", 0) + d_cb_evobs
+                    cb_stat.get("doa_evictions_observed", 0) + d_bh_doa
                 )
-                d_cb_evobs = 0
+                d_bh_doa = 0
             if d_cb_doap:
                 cb_stat["doa_predictions"] = (
                     cb_stat.get("doa_predictions", 0) + d_cb_doap
@@ -1807,11 +1835,10 @@ class _FlatStepper:
                     cb_stat.get("pfq_matches", 0) + d_cb_pfqm
                 )
                 d_cb_pfqm = 0
-            if d_dp_evobs:
+            if d_ph_doa:
                 dp_stat["doa_evictions_observed"] = (
-                    dp_stat.get("doa_evictions_observed", 0) + d_dp_evobs
+                    dp_stat.get("doa_evictions_observed", 0) + d_ph_doa
                 )
-                d_dp_evobs = 0
             if d_dp_doap:
                 dp_stat["doa_predictions"] = (
                     dp_stat.get("doa_predictions", 0) + d_dp_doap
@@ -1847,12 +1874,14 @@ class _FlatStepper:
                     sh_stat.get("inserts", 0) + d_sh_ins
                 )
                 d_sh_ins = 0
-            if d_sh_miss:
-                sh_stat["misses"] = (
-                    sh_stat.get("misses", 0) + d_sh_miss
-                )
-                d_sh_miss = 0
-            if instructions >= next_at:
+            if sh_entries is not None:
+                d_sh_miss = lt_misses - sh_hits
+                sh_hits = 0
+                if d_sh_miss:
+                    sh_stat["misses"] = (
+                        sh_stat.get("misses", 0) + d_sh_miss
+                    )
+            if sample is not None and instructions >= next_at:
                 sample(instructions, cycles)
                 next_at = instructions + interval
 

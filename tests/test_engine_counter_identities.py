@@ -1,0 +1,139 @@
+"""Counter identities the flat interpreter's flush relies on.
+
+``_FlatStepper.run`` counts each event once and derives the counters
+that follow from others when it flushes: L1D and L1 D-TLB hits from the
+record count, fills from misses, L2 and LLC hits from their lookups,
+memory accesses from reads and writes, walks from their PWC outcomes.
+Each test here asserts the whole-machine form of one such identity on
+both engines, so a change that breaks one (in the scalar reference or in
+the flat interpreter) fails by name rather than as a counter drift.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.sim.config import (
+    CacheGeometry,
+    TlbGeometry,
+    fast_config,
+    hugepage_config,
+    leeway_config,
+    mix2_config,
+    perceptron_config,
+)
+from repro.sim.engine import ENGINE_BATCHED, ENGINE_SCALAR
+from repro.sim.machine import Machine
+from repro.workloads.suite import get_trace
+
+BUDGET = 4000
+SEED = 42
+DP_CB = {"tlb_predictor": "dppred", "llc_predictor": "cbpred"}
+
+CONFIGS = {
+    "lru": fast_config,
+    "dppred+cbpred": lambda: fast_config(**DP_CB),
+    "srrip": lambda: fast_config(cache_policy="srrip", **DP_CB),
+    "mix2": lambda: mix2_config(**DP_CB),
+    "hugepage": lambda: hugepage_config(**DP_CB),
+    "leeway": leeway_config,
+    "perceptron": perceptron_config,
+    "ship": lambda: fast_config(tlb_predictor="ship", llc_predictor="ship"),
+    "demote": lambda: fast_config(
+        tlb_predictor="dppred_demote", llc_predictor="cbpred"
+    ),
+    # 1-2-way structures with few sets: nearly every fill evicts.
+    "tiny": lambda: fast_config(
+        l1_dtlb=TlbGeometry(2, 1, 1), l2_tlb=TlbGeometry(8, 2, 8),
+        l1d=CacheGeometry(2, 1, 5), l2=CacheGeometry(4, 2, 11),
+        llc=CacheGeometry(8, 2, 40), **DP_CB,
+    ),
+}
+
+CASES = [
+    pytest.param((label, workload, engine), id=f"{label}-{workload}-{engine}")
+    for label in CONFIGS
+    for workload in ("mcf", "bfs")
+    if not (label == "mix2" and workload == "bfs")
+    for engine in (ENGINE_SCALAR, ENGINE_BATCHED)
+]
+
+
+@pytest.fixture(scope="module", params=CASES)
+def run(request):
+    """(record count, counter getter by structure) of one finished run."""
+    label, workload, engine = request.param
+    trace = get_trace("mix2" if label == "mix2" else workload, BUDGET, SEED)
+    machine = Machine(CONFIGS[label](), seed=SEED)
+    machine.run(trace, engine=engine)
+    if engine == ENGINE_BATCHED:
+        assert machine.engine_stats["mode"] == "flat", label
+    structures = {
+        "itlb": machine.l1_itlb,
+        "dtlb": machine.l1_dtlb,
+        "llt": machine.l2_tlb,
+        "l1d": machine.l1d,
+        "l2": machine.l2,
+        "llc": machine.llc,
+        "hier": machine.hierarchy,
+        "mem": machine.hierarchy.memory,
+        "walker": machine.walker,
+        "pwc": machine.walker.pwc,
+    }
+    return len(trace), lambda name, counter: structures[name].stats.get(
+        counter
+    )
+
+
+def test_hierarchy_accesses_equal_records(run):
+    records, c = run
+    assert c("hier", "accesses") == records
+
+
+def test_l1d_lookups_equal_records(run):
+    records, c = run
+    assert c("l1d", "hits") + c("l1d", "misses") == records
+
+
+@pytest.mark.parametrize("name", ["l1d", "dtlb", "l2"])
+def test_fills_equal_misses(run, name):
+    _, c = run
+    assert c(name, "misses") > 0
+    assert c(name, "fills") == c(name, "misses")
+
+
+def test_memory_accesses_are_reads_plus_writes(run):
+    _, c = run
+    assert c("mem", "accesses") == c("mem", "reads") + c("mem", "writes")
+
+
+def test_each_walk_ends_at_one_pwc_outcome(run):
+    _, c = run
+    assert c("walker", "walks") == (
+        c("pwc", "pwc_l1_hits") + c("pwc", "pwc_l2_hits")
+        + c("pwc", "pwc_l3_hits") + c("pwc", "pwc_misses")
+    )
+
+
+def test_hierarchy_walk_accesses_equal_walk_loads(run):
+    _, c = run
+    assert c("hier", "walk_accesses") == c("walker", "walk_memory_accesses")
+
+
+def test_llc_lookups_equal_l2_misses(run):
+    _, c = run
+    assert c("llc", "hits") + c("llc", "misses") == c("l2", "misses")
+
+
+def test_l2_lookups_are_l1d_misses_plus_walk_loads(run):
+    _, c = run
+    assert c("l2", "hits") + c("l2", "misses") == (
+        c("l1d", "misses") + c("hier", "walk_accesses")
+    )
+
+
+def test_llt_lookups_are_l1_tlb_misses(run):
+    _, c = run
+    assert c("llt", "hits") + c("llt", "misses") == (
+        c("dtlb", "misses") + c("itlb", "misses")
+    )

@@ -147,6 +147,38 @@ def test_suite_workloads_bit_identical(workload):
         assert_equivalent(trace, config, telemetry=True)
 
 
+@pytest.mark.parametrize("edge", ["chunk-end", "every-record"])
+def test_telemetry_across_chunk_edges(edge):
+    """The flat interpreter predecodes the trace in chunks and ends a
+    chunk early at each timeline boundary. On a trace longer than two
+    chunks, sample with the first boundary on a chunk's last record, and
+    at every record."""
+    trace = get_trace("mcf", 40000, SEED)
+    chunk = engine_mod._CHUNK_RECORDS
+    assert len(trace) > 2 * chunk
+    if edge == "chunk-end":
+        interval = int(np.sum(trace.gaps[:chunk], dtype=np.int64)) + chunk
+    else:
+        interval = 1
+    runs = []
+    for engine in (ENGINE_SCALAR, ENGINE_BATCHED):
+        tel = TelemetrySpec(interval=interval).build()
+        machine = Machine(fast_config(**DP_CB), seed=SEED, telemetry=tel)
+        result = machine.run(trace, engine=engine)
+        marks = tel.timeline.marks
+        if edge == "chunk-end":
+            assert marks[0] == interval
+        else:
+            assert len(marks) == len(trace)
+        runs.append((
+            fingerprint(result),
+            json.dumps(tel.to_payload(), sort_keys=True),
+            json.dumps(stats_bags(machine), sort_keys=True),
+        ))
+    assert machine.engine_stats["mode"] == "flat"
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("workload", sorted(EXTRA_WORKLOAD_CLASSES))
 def test_extra_workloads_bit_identical(workload):
     trace = get_trace(workload, BUDGET, SEED)
