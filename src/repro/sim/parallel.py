@@ -33,12 +33,15 @@ like the parent would; determinism is inherited from the simulator
 (results are bit-identical across ``jobs=1`` and ``jobs=N``, and across
 clean, retried, and rerun executions).
 
-Each pooled task carries its own trace, and making traces is pipelined
-with dispatch: the pending cells are grouped by trace, the parent makes
-the first group's trace and submits its cells, then makes the next
-group's while the workers simulate (see :meth:`_Supervisor.run_pool`).
-A worker keeps the traces it receives in its ordinary bounded trace
-memo (:func:`repro.workloads.suite.remember_trace`).
+Traces are made in the workers too. The pending cells are grouped by
+trace; each group's trace is a pool task of its own (:func:`_make_trace`),
+submitted when a slot is free and no cell waits, so every worker starts
+at once and the parent only dispatches, collects and stores. Each of the
+group's cells then carries the trace to its worker, which keeps it in
+its ordinary bounded trace memo
+(:func:`repro.workloads.suite.remember_trace`); see
+:meth:`_Supervisor.run_pool`, which also states the trade-off for pools
+smaller than the core count.
 
 Deterministic fault injection for tests goes through ``faults=`` — a
 :class:`repro.sim.faults.FaultPlan` killing, hanging, or corrupting
@@ -77,6 +80,7 @@ from repro.sim.runner import (
     prime_run_cache,
     run_cached,
 )
+from repro.workloads import suite
 from repro.workloads.suite import DEFAULT_BUDGET
 
 _default_jobs: Optional[int] = None
@@ -85,6 +89,10 @@ _default_retry: Optional["RetryPolicy"] = None
 #: True inside pool worker processes (set by the pool initializer); lets
 #: injected kills hard-exit only where a supervisor is watching.
 _in_pool_worker = False
+
+#: Seconds a killed executor's manager thread gets to exit (it only has
+#: to notice the dead workers and close its queues).
+_MANAGER_EXIT_TIMEOUT_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -273,8 +281,6 @@ def _worker_cell(args) -> tuple:
     memo, then run the cell."""
     request, attempt, faults, telemetry_spec, carried = args
     if carried is not None:
-        from repro.workloads import suite
-
         key, trace = carried
         suite.remember_trace(*key, trace)
     return _execute_cell(
@@ -288,12 +294,21 @@ def _worker_cell(args) -> tuple:
 def _kill_executor(executor: ProcessPoolExecutor) -> None:
     """Shut an executor down without waiting on possibly-hung workers."""
     processes = getattr(executor, "_processes", None) or {}
+    # Taken before shutdown(), which drops the executor's reference.
+    manager = getattr(executor, "_executor_manager_thread", None)
     for proc in list(processes.values()):
         try:
             proc.kill()
         except (OSError, ValueError, AttributeError):
             pass
     executor.shutdown(wait=False, cancel_futures=True)
+    # Let the manager thread see the kills and exit before the caller
+    # forks new workers. A fork while that thread holds the executor's
+    # shutdown lock copies the lock, held, into each new worker, and a
+    # worker that later garbage-collects the dead executor (exception
+    # tracebacks keep it in reference cycles) waits on it forever.
+    if manager is not None:
+        manager.join(timeout=_MANAGER_EXIT_TIMEOUT_S)
 
 
 class WarmPool:
@@ -317,9 +332,9 @@ class WarmPool:
     Disk-cache and telemetry settings are captured at each executor
     (re)creation, so a pool built before ``diskcache.enable()`` picks the
     setting up on its next rebuild; :func:`shared_warm_pool` goes further
-    and rebuilds automatically when the settings change. Each task carries
-    its own trace (see :func:`_worker_cell`), so fresh, rebuilt and reused
-    workers never regenerate one.
+    and rebuilds automatically when the settings change. A matrix cell
+    carries its trace (see :func:`_worker_cell`), so fresh, rebuilt and
+    reused workers need not regenerate it.
     """
 
     def __init__(self, max_workers: Optional[int] = None):
@@ -475,6 +490,12 @@ class _Supervisor:
         self.telemetry_spec = telemetry_spec
         self.on_complete = on_complete
         self.attempts: Dict[RunRequest, int] = {}
+        # Pool state, shared by run_pool and its two recovery paths.
+        self.groups: deque = deque()  # trace groups not yet started
+        self.queue: deque = deque()  # cells ready to submit
+        self.inflight: Dict[Future, tuple] = {}  # -> (request, deadline)
+        self.tracing: Dict[Future, List[RunRequest]] = {}  # -> group
+        self.carried: Dict[RunRequest, tuple] = {}  # -> (key, trace)
 
     # -- shared bookkeeping -------------------------------------------- #
     def _next_attempt(self, request: RunRequest) -> int:
@@ -533,20 +554,29 @@ class _Supervisor:
         """Drive ``pending`` over a worker pool (transient, or a borrowed
         :class:`WarmPool`).
 
-        Making traces is pipelined with dispatch. The cells are grouped
-        by trace key in declared order, and :func:`_publish_traces`
-        makes a group's trace in this process and returns the
-        ``(key, trace)`` pair its tasks carry (``None``: workers make the
-        trace themselves). The first group's trace is made before any
-        cell is submitted; each later one as soon as every cell of the
-        groups before it has been submitted, so the parent generates the
-        next trace while the workers simulate and never runs more than
-        one group ahead.
+        Traces are made in the workers, as tasks of their own. The cells
+        are grouped by trace key in declared order. Whenever a slot is
+        free and no cell is queued, the next group's trace task
+        (:func:`_make_trace`) is submitted, so every worker starts at
+        once and this process only dispatches, collects and stores. A
+        trace that comes back goes through :func:`_publish_traces`,
+        which memoises it here and returns the ``(key, trace)`` pair the
+        group's cells carry; a trace already memoised here is published
+        at once, with no task. A trace task that returns no trace (it
+        raised, or its worker died or was killed) queues its group's
+        cells uncarried: each of their workers makes the trace itself,
+        within the cells' own retry budget.
 
-        Trace making runs on the supervising thread, so completions and
-        the per-run deadline sweep wait for it. Deadlines are absolute,
-        so a hung cell is still caught, but up to one trace generation
-        late.
+        Trace tasks and cells share the sliding window of ``max_workers``
+        outstanding tasks, so the parent never runs more than
+        ``max_workers`` groups ahead. Trace tasks carry no deadline; the
+        per-run timeout bounds cells only. A cell's carried trace is
+        dropped when the cell completes, so only the bounded trace memo
+        keeps a trace past its cells.
+
+        Trade-off: a trace takes a worker's slot. A pool smaller than
+        the core count (``--jobs 2`` on an 8-core box, ``repro.serve
+        --workers 1``) no longer makes traces on a spare core.
         """
         # Never oversubscribe the machine: workers beyond the real core
         # count only add scheduling and startup overhead (the requested
@@ -559,71 +589,49 @@ class _Supervisor:
             pool.acquire()
             max_workers = min(max_workers, pool.max_workers)
 
-        carried: Dict[RunRequest, tuple] = {}
-        groups = deque(_group_by_trace(pending))
-        queue: deque = deque()
-        inflight: Dict = {}  # future -> (request, deadline or None)
+        self.groups.extend(_group_by_trace(pending))
+        queue, inflight, tracing = self.queue, self.inflight, self.tracing
         executor = pool.executor()
         try:
-            while queue or inflight or groups:
+            while self.groups or queue or inflight or tracing:
                 # Sliding window: at most max_workers outstanding, so a
                 # submitted cell starts (nearly) immediately and its
-                # deadline measures run time, not queueing time.
-                broken = False
-                while queue and len(inflight) < max_workers:
-                    request = queue.popleft()
-                    attempt = self._next_attempt(request)
-                    deadline = (
-                        time.monotonic() + self.retry.timeout
-                        if self.retry.timeout is not None
-                        else None
-                    )
-                    try:
-                        future = executor.submit(
-                            _worker_cell,
-                            (request, attempt, self.faults,
-                             self.telemetry_spec, carried.get(request)),
-                        )
-                    except BrokenProcessPool:
-                        # A worker died between the completion sweep and
-                        # this submit. The cell never ran: refund its
-                        # attempt and fall through to the rebuild path.
-                        self.attempts[request] -= 1
-                        queue.appendleft(request)
-                        broken = True
-                        break
-                    inflight[future] = (request, deadline)
-
-                if broken:
-                    executor = self._rebuild_broken_pool(
-                        pool, inflight, queue
-                    )
+                # deadline measures run time, not queueing time. Queued
+                # cells go first; a trace task only when none waits.
+                try:
+                    while len(inflight) + len(tracing) < max_workers:
+                        if queue:
+                            self._submit_cell(executor)
+                        elif self.groups:
+                            self._submit_trace(executor)
+                        else:
+                            break
+                except BrokenProcessPool:
+                    # A worker died between the completion sweep and
+                    # this submit; the task never ran and is back in
+                    # line, so fall through to the rebuild path.
+                    executor = self._rebuild_broken_pool(pool)
                     continue
 
-                if groups and not queue:
-                    # Every cell with a trace is submitted: make the next
-                    # trace while the workers simulate, then dispatch it.
-                    group = groups.popleft()
-                    trace = _publish_traces(group)
-                    if trace is not None:
-                        carried.update(dict.fromkeys(group, trace))
-                    queue.extend(group)
-                    continue
-
-                wait_for = None
-                if self.retry.timeout is not None:
-                    soonest = min(d for _, d in inflight.values())
-                    wait_for = max(0.0, soonest - time.monotonic())
+                deadlines = [d for _, d in inflight.values() if d is not None]
+                wait_for = (
+                    max(0.0, min(deadlines) - time.monotonic())
+                    if deadlines else None
+                )
                 done, _ = _futures_wait(
-                    set(inflight), timeout=wait_for,
+                    set(inflight) | set(tracing), timeout=wait_for,
                     return_when=FIRST_COMPLETED,
                 )
+                broken = False
                 for future in done:
                     if isinstance(future.exception(), BrokenProcessPool):
                         # Left in flight: the rebuild accounts for it
-                        # with every other in-flight cell.
+                        # with every other in-flight task.
                         broken = True
                         break
+                    if future in tracing:
+                        self._publish(tracing.pop(future), _result_of(future))
+                        continue
                     request, _deadline = inflight.pop(future)
                     try:
                         outcome = future.result()
@@ -631,16 +639,14 @@ class _Supervisor:
                         self._failed(request, f"{type(exc).__name__}: {exc}")
                         queue.append(request)
                     else:
-                        self.on_complete(request, outcome)
+                        self._complete(request, outcome)
 
                 if broken:
-                    executor = self._rebuild_broken_pool(
-                        pool, inflight, queue
-                    )
+                    executor = self._rebuild_broken_pool(pool)
                     continue
 
                 # Per-run deadline sweep.
-                if self.retry.timeout is not None:
+                if deadlines:
                     now = time.monotonic()
                     expired = [
                         future
@@ -650,9 +656,7 @@ class _Supervisor:
                         and not future.done()
                     ]
                     if expired:
-                        executor = self._handle_timeouts(
-                            pool, inflight, expired, queue
-                        )
+                        executor = self._handle_timeouts(pool, expired)
         finally:
             if own_pool:
                 pool.close()
@@ -661,34 +665,97 @@ class _Supervisor:
                 # matrix (that is the whole point of sharing it).
                 pool.release()
 
-    def _rebuild_broken_pool(
-        self, pool: WarmPool, inflight, queue
-    ) -> ProcessPoolExecutor:
+    def _submit_cell(self, executor: ProcessPoolExecutor) -> None:
+        """Submit the first queued cell with its carried trace, if any."""
+        request = self.queue.popleft()
+        attempt = self._next_attempt(request)
+        deadline = (
+            time.monotonic() + self.retry.timeout
+            if self.retry.timeout is not None
+            else None
+        )
+        try:
+            future = executor.submit(
+                _worker_cell,
+                (request, attempt, self.faults, self.telemetry_spec,
+                 self.carried.get(request)),
+            )
+        except BrokenProcessPool:
+            # The cell never ran: refund its attempt.
+            self.attempts[request] -= 1
+            self.queue.appendleft(request)
+            raise
+        self.inflight[future] = (request, deadline)
+
+    def _submit_trace(self, executor: ProcessPoolExecutor) -> None:
+        """Start the next group: publish its trace at once if this
+        process memoises it, else submit a task that makes it."""
+        group = self.groups.popleft()
+        key = _trace_key(group[0])
+        trace = suite.memoised_trace(*key)
+        if trace is not None:
+            self._publish(group, trace)
+            return
+        try:
+            future = executor.submit(_make_trace, key)
+        except BrokenProcessPool:
+            self.groups.appendleft(group)
+            raise
+        self.tracing[future] = group
+
+    def _publish(self, group: List[RunRequest], trace) -> None:
+        """Queue ``group``'s cells, each carrying ``trace`` unless it is
+        None (their workers then make it themselves)."""
+        pair = _publish_traces(group, trace)
+        if pair is not None:
+            self.carried.update(dict.fromkeys(group, pair))
+        self.queue.extend(group)
+
+    def _complete(self, request: RunRequest, outcome: tuple) -> None:
+        """A cell finished: report it and drop its carried trace (a
+        retried cell keeps its own until it completes)."""
+        self.carried.pop(request, None)
+        self.on_complete(request, outcome)
+
+    def _drain_traces(self) -> None:
+        """After a pool kill, publish each in-flight trace task: its trace
+        if it finished first, else none."""
+        for future, group in self.tracing.items():
+            self._publish(group, _result_of(future))
+        self.tracing.clear()
+
+    def _rebuild_broken_pool(self, pool: WarmPool) -> ProcessPoolExecutor:
         """A worker died hard (os._exit, OOM kill, segfault), so the pool
         is unusable; the breakage surfaces from ``submit`` or from a
         finished future. The culprit is indistinguishable from the
         victims, so each in-flight cell that did not finish cleanly is
         charged one attempt (bounded collateral; retries are cheap
         against the disk cache) and requeued. Cells that finished
-        cleanly before the collapse keep their results."""
-        obs_harness.record(EV_POOL_REBUILD, len(inflight))
+        cleanly before the collapse keep their results; so do trace
+        tasks, and an unfinished one queues its group uncarried."""
+        obs_harness.record(
+            EV_POOL_REBUILD, len(self.inflight) + len(self.tracing)
+        )
         pool.kill_workers()
-        for future, (request, _) in list(inflight.items()):
-            if future.done() and future.exception() is None:
-                self.on_complete(request, future.result())
+        self._drain_traces()
+        for future, (request, _) in list(self.inflight.items()):
+            if _succeeded(future):
+                self._complete(request, future.result())
             else:
                 self._failed(request, "worker process died")
-                queue.append(request)
-        inflight.clear()
+                self.queue.append(request)
+        self.inflight.clear()
         return pool.executor()
 
     def _handle_timeouts(
-        self, pool: WarmPool, inflight, expired, queue
+        self, pool: WarmPool, expired
     ) -> ProcessPoolExecutor:
         """A worker exceeded its per-run wall clock. Hung processes can
         only be stopped by killing them, which takes the pool down: the
         timed-out cells are charged an attempt, innocent in-flight cells
-        are resubmitted with their attempt refunded."""
+        are resubmitted with their attempt refunded, and trace tasks are
+        drained as on a rebuild."""
+        inflight = self.inflight
         for future in expired:
             request, _ = inflight[future]
             obs_harness.record(
@@ -699,29 +766,45 @@ class _Supervisor:
                 self.attempts[request],
                 self.retry.timeout,
             )
-        obs_harness.record(EV_POOL_REBUILD, len(inflight))
+        obs_harness.record(EV_POOL_REBUILD, len(inflight) + len(self.tracing))
         pool.kill_workers()
+        self._drain_traces()
         expired_set = set(expired)
         timed_out: List[RunRequest] = []
         for future, (request, _) in list(inflight.items()):
             if future in expired_set:
                 timed_out.append(request)
-            elif future.done() and future.exception() is None:
+            elif _succeeded(future):
                 # Completed between the wait and the kill — keep it.
-                self.on_complete(request, future.result())
+                self._complete(request, future.result())
             else:
                 # Innocent casualty of the pool kill: refund the attempt
                 # ( _next_attempt re-charges it on resubmission).
                 self.attempts[request] -= 1
-                queue.append(request)
+                self.queue.append(request)
         inflight.clear()
         for request in timed_out:
             self._failed(
                 request,
                 f"timed out after {self.retry.timeout:.3g}s",
             )
-            queue.append(request)
+            self.queue.append(request)
         return pool.executor()
+
+
+def _succeeded(future: Future) -> bool:
+    """Whether ``future`` finished with a result (not an error, and not
+    cancelled by a pool kill)."""
+    return (
+        future.done()
+        and not future.cancelled()
+        and future.exception() is None
+    )
+
+
+def _result_of(future: Future):
+    """``future``'s result if it succeeded, else None."""
+    return future.result() if _succeeded(future) else None
 
 
 # ---------------------------------------------------------------------- #
@@ -881,22 +964,27 @@ def _group_by_trace(pending: Sequence[RunRequest]) -> List[List[RunRequest]]:
     return list(groups.values())
 
 
-def _publish_traces(group: Sequence[RunRequest]) -> Optional[tuple]:
-    """Make one trace group's trace in this process (best effort).
+def _make_trace(key: tuple):
+    """Pool task: the trace ``key`` names, from this worker's memo, the
+    disk cache, or generated here; :func:`repro.workloads.suite.get_trace`
+    stores a trace it generates to the disk cache."""
+    return suite.get_trace(*key)
 
-    Returns the ``(key, trace)`` pair the group's tasks carry, or None
-    when the trace cannot be made here (the group's workers then try
-    themselves and report the error through the retry path). Generating
-    in the parent is not wasted work: traces are deterministic and
-    memoised, so the parent pays each one once and no worker generates.
+
+def _publish_traces(group: Sequence[RunRequest], trace) -> Optional[tuple]:
+    """Publish the trace a worker made for ``group``.
+
+    Memoises ``trace`` in this process, so a later ``get_trace`` here
+    hits as if the parent had made it, and returns the ``(key, trace)``
+    pair each of the group's tasks carries; returns None when there is
+    no trace (the group's workers then make it themselves and report any
+    error through the retry path).
     """
-    from repro.workloads import suite
-
-    key = _trace_key(group[0])
-    try:
-        return key, suite.get_trace(*key)
-    except Exception:
+    if trace is None:
         return None
+    key = _trace_key(group[0])
+    suite.remember_trace(*key, trace)
+    return key, trace
 
 
 def _label(request: RunRequest) -> str:

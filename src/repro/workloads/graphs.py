@@ -17,6 +17,9 @@ import numpy as np
 from repro.workloads.synthetic import AddressSpace, Workload, addresses
 from repro.workloads.trace import Trace, TraceBuilder, pc_for_site
 
+#: Edges per block in :meth:`CsrGraph.random`'s blockwise steps.
+_EDGE_BLOCK = 1 << 16
+
 #: Element sizes of the core structures (bytes).
 OFFSET_SIZE = 8
 EDGE_SIZE = 4
@@ -64,6 +67,10 @@ class CsrGraph:
         of ``sources``, and each target rides along in its key's low bits.
         Graphs too large to pack (``2 * vbits + jbits > 63``) fall back to
         ``np.argsort(kind="stable")``.
+
+        The draw indices and the targets are made a block of
+        ``_EDGE_BLOCK`` edges at a time, so a packed build holds one
+        edge-sized array, not two.
         """
         rng = np.random.RandomState(seed)
         m = num_vertices * avg_degree
@@ -76,28 +83,33 @@ class CsrGraph:
             # Build the keys in the sources' own buffer; the targets are
             # OR-ed in once drawn.
             sources <<= jbits
-            sources |= np.arange(m)
+            for i in range(0, m, _EDGE_BLOCK):
+                keys = sources[i:i + _EDGE_BLOCK]
+                keys |= np.arange(i, i + len(keys))
             sources <<= vbits
         else:
             order = np.argsort(sources, kind="stable")
             del sources
-        if skew > 0:
-            # In place, in the order ``(raw * n * 0.05) % n`` evaluates.
-            raw = rng.pareto(skew, size=m)
-            raw *= num_vertices
-            raw *= 0.05
-            # ``raw.astype(np.int64)`` into raw's own buffer, a block at
-            # a time (numpy copies each overlapping block first), so the
-            # peak holds two edge-sized arrays, not three.
-            targets = raw.view(np.int64)
-            for i in range(0, m, 1 << 16):
-                targets[i:i + (1 << 16)] = raw[i:i + (1 << 16)]
-            targets %= num_vertices
-        else:
-            targets = rng.randint(0, num_vertices, size=m)
+        # Legacy ``pareto`` and ``randint`` take each value from the bit
+        # stream in turn, so the blocks hold the values one call would.
+        if not packed:
+            targets = np.empty(m, dtype=np.int64)
+        for i in range(0, m, _EDGE_BLOCK):
+            size = min(_EDGE_BLOCK, m - i)
+            if skew > 0:
+                # In the order ``(raw * n * 0.05) % n`` evaluates.
+                raw = rng.pareto(skew, size=size)
+                raw *= num_vertices
+                raw *= 0.05
+                block = raw.astype(np.int64)
+                block %= num_vertices
+            else:
+                block = rng.randint(0, num_vertices, size=size)
+            if packed:
+                sources[i:i + size] |= block
+            else:
+                targets[i:i + size] = block
         if packed:
-            sources |= targets
-            del targets
             sources.sort()
             targets = np.bitwise_and(sources, (1 << vbits) - 1, out=sources)
         else:

@@ -7,15 +7,15 @@ a multi-budget/multi-seed sweep would otherwise pin hundreds of MB of
 numpy arrays for traces it will never touch again. When the persistent
 disk cache (:mod:`repro.sim.diskcache`) is enabled, generated traces are
 also stored as ``.npz`` and reloaded across processes. A pooled matrix
-worker receives each cell's trace with its task and keeps it in the same
-memo (:func:`remember_trace`).
+makes each trace in a worker; the parent and the workers that run the
+trace's cells keep it in the same memo (:func:`remember_trace`).
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, List, Type
+from typing import Dict, List, Optional, Type
 
 from repro.workloads.graphs import (
     BetweennessCentrality,
@@ -142,6 +142,12 @@ def get_trace(name: str, budget: int = DEFAULT_BUDGET, seed: int = 42) -> Trace:
         diskcache.store_trace(name, budget, seed, trace)
     remember_trace(name, budget, seed, trace)
     return trace
+
+
+def memoised_trace(name: str, budget: int, seed: int) -> Optional[Trace]:
+    """``get_trace(name, budget, seed)``'s answer if it is memoised here,
+    else None; never loads or generates."""
+    return _trace_cache.get((name, budget, seed))
 
 
 def remember_trace(name: str, budget: int, seed: int, trace: Trace) -> None:

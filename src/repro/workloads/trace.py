@@ -45,6 +45,15 @@ class Trace:
             raise ValueError("trace arrays must have equal length")
         if self.asids is not None and len(self.asids) != n:
             raise ValueError("asids array must match trace length")
+        # A gap counts the instructions between two accesses. A negative
+        # one would read back as a huge count from the uint64 staging of
+        # long traces, and would let the instruction count fall.
+        gaps = self.gaps
+        if gaps.dtype.kind != "u" and n and gaps.min() < 0:
+            raise ValueError(
+                f"trace gaps must be >= 0, got {gaps.min()} "
+                f"in trace {self.name!r}"
+            )
 
     def __len__(self) -> int:
         return len(self.pcs)

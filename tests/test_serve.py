@@ -253,6 +253,19 @@ class TestWarmPool:
         finally:
             close_shared_pool()
 
+    def test_kill_waits_for_the_manager_thread(self):
+        """A killed executor's manager thread has exited when the kill
+        returns, so no new worker is forked while it holds a lock."""
+        pool = WarmPool(max_workers=1)
+        try:
+            executor = pool.executor()
+            assert executor.submit(int, "7").result() == 7
+            manager = executor._executor_manager_thread
+            pool.kill_workers()
+            assert not manager.is_alive()
+        finally:
+            pool.close()
+
     def test_release_keeps_workers_warm(self):
         pool = WarmPool(max_workers=1)
         try:

@@ -30,6 +30,7 @@ from repro.sim.parallel import (
 )
 import repro.sim.runner as runner
 from repro.sim.runner import clear_run_cache
+from repro.workloads.suite import clear_trace_cache
 
 BUDGET = 2000
 
@@ -213,12 +214,16 @@ class TestPoolFaults:
         assert EV_RUN_RETRY in kinds
 
     def test_hard_kill_on_trace_published_after_pool_start(
-        self, clean_fingerprints, monkeypatch
+        self, clean_fingerprints, monkeypatch, tmp_path
     ):
-        """cg.B's trace is made while the pool already runs mcf: the
-        workers that replace the killed one get it with their tasks."""
-        from tests.test_sim_parallel import record_dispatch
+        """cg.B's trace is made in a worker once the pool runs and is
+        published before its first cell is submitted. The workers that
+        replace the killed one get it with their tasks, so it is
+        generated once."""
+        from tests.test_sim_parallel import count_generation, record_dispatch
 
+        clear_trace_cache()
+        generated = count_generation(monkeypatch, tmp_path / "gen.log")
         events = record_dispatch(monkeypatch)
         requests = _requests()
         results = run_matrix(
@@ -226,9 +231,11 @@ class TestPoolFaults:
             faults=FaultPlan.kill("cg.B", seed=42),  # hard: os._exit(87)
         )
         assert _fingerprints(requests, results) == clean_fingerprints
-        assert events.index(("submit", "mcf")) < events.index(
-            ("publish", "cg.B")
+        assert ("trace", "cg.B") in events
+        assert events.index(("publish", "cg.B")) < events.index(
+            ("submit", "cg.B")
         )
+        assert [name for _, name in generated()].count("cg.B") == 1
         kinds = _event_kinds()
         assert EV_POOL_REBUILD in kinds
         assert EV_RUN_RETRY in kinds

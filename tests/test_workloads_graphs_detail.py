@@ -1,5 +1,7 @@
 """Deeper behavioural tests of the graph kernels' access structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,20 @@ class TestGraphGrouping:
 
     def test_suite_sized_graph(self):
         self.check(150_000, 14, seed=42, skew=0.8)
+
+    @pytest.mark.parametrize("skew", [0.0, 0.8])
+    def test_packed_build_holds_one_edge_sized_array(self, skew):
+        """The draw indices and the Pareto targets are made a block at a
+        time, so the build's traced peak stays near the one int64 key
+        array it sorts (two such arrays would read 2.0 and up)."""
+        edge_bytes = 150_000 * 14 * 8
+        tracemalloc.start()
+        try:
+            CsrGraph.random(150_000, 14, seed=42, skew=skew)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * edge_bytes
 
     @pytest.mark.parametrize("num_vertices,avg_degree,fallback", [
         # 2 * 21 vertex bits + 21 edge bits: the widest packed key.

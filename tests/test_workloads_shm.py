@@ -1,8 +1,9 @@
 """Tests for the trace hand-off to pool workers.
 
-Each pooled task carries its trace's descriptor, the ``(key, trace)``
-pair made by :func:`repro.sim.parallel._publish_traces`; the worker puts
-it into its ordinary bounded trace memo (:func:`suite.remember_trace`).
+A pool worker makes each trace (:func:`repro.sim.parallel._make_trace`),
+and :func:`repro.sim.parallel._publish_traces` turns it into the
+``(key, trace)`` pair each pooled cell carries; the cell's worker puts it
+into its ordinary bounded trace memo (:func:`suite.remember_trace`).
 """
 
 import numpy as np
@@ -58,3 +59,19 @@ def test_worker_cell_attaches_descriptor(monkeypatch):
         got = parallel._worker_cell((request, 1, None, None, descriptor))
         assert got is trace
         assert suite.trace_cache_size() == min(seed + 1, 2)
+
+
+def test_make_trace_reads_the_workers_memo():
+    trace = make_trace()
+    suite.remember_trace("locality", 77, 3, trace)
+    assert parallel._make_trace(("locality", 77, 3)) is trace
+
+
+def test_publish_memoises_and_returns_the_carried_pair():
+    request = parallel.RunRequest("locality", fast_config(), 77, 5)
+    assert parallel._publish_traces([request], None) is None
+    assert suite.memoised_trace("locality", 77, 5) is None
+    trace = make_trace()
+    key = parallel._trace_key(request)
+    assert parallel._publish_traces([request], trace) == (key, trace)
+    assert suite.memoised_trace(*key) is trace

@@ -115,6 +115,32 @@ class TestTrace:
                 np.zeros(3, dtype=np.uint16),
             )
 
+    @pytest.mark.parametrize("n", [3, Trace.ITER_CHUNK + 1])
+    def test_negative_gaps_rejected(self, n):
+        """Short and multi-chunk traces alike: a negative gap would read
+        back as itself from one and as 2**64 - 2 from the other."""
+        gaps = np.full(n, 3, dtype=np.int16)
+        gaps[-1] = -2
+        with pytest.raises(ValueError, match="gaps must be >= 0"):
+            Trace(
+                "bad",
+                np.arange(n, dtype=np.uint64),
+                np.arange(n, dtype=np.uint64),
+                np.zeros(n, dtype=bool),
+                gaps,
+            )
+
+    def test_signed_non_negative_gaps_accepted(self):
+        gaps = np.array([0, 1, 2**15 - 1], dtype=np.int16)
+        trace = Trace(
+            "ok",
+            np.arange(3, dtype=np.uint64),
+            np.arange(3, dtype=np.uint64),
+            np.zeros(3, dtype=bool),
+            gaps,
+        )
+        assert [r[3] for r in trace.iter_records()] == [0, 1, 2**15 - 1]
+
 
 class TestIterRecordsChunking:
     def make(self, n):
