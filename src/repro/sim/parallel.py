@@ -560,12 +560,11 @@ class _Supervisor:
         (:func:`_make_trace`) is submitted, so every worker starts at
         once and this process only dispatches, collects and stores. A
         trace that comes back goes through :func:`_publish_traces`,
-        which memoises it here and returns the ``(key, trace)`` pair the
-        group's cells carry; a trace already memoised here is published
-        at once, with no task. A trace task that returns no trace (it
-        raised, or its worker died or was killed) queues its group's
-        cells uncarried: each of their workers makes the trace itself,
-        within the cells' own retry budget.
+        which memoises and stores it here and returns the
+        ``(key, trace)`` pair the group's cells carry. A trace task that
+        returns no trace (it raised, or its worker died or was killed)
+        queues its group's cells uncarried: each of their workers makes
+        the trace itself, within the cells' own retry budget.
 
         Trace tasks and cells share the sliding window of ``max_workers``
         outstanding tasks, so the parent never runs more than
@@ -688,16 +687,10 @@ class _Supervisor:
         self.inflight[future] = (request, deadline)
 
     def _submit_trace(self, executor: ProcessPoolExecutor) -> None:
-        """Start the next group: publish its trace at once if this
-        process memoises it, else submit a task that makes it."""
+        """Start the next group: submit a task that makes its trace."""
         group = self.groups.popleft()
-        key = _trace_key(group[0])
-        trace = suite.memoised_trace(*key)
-        if trace is not None:
-            self._publish(group, trace)
-            return
         try:
-            future = executor.submit(_make_trace, key)
+            future = executor.submit(_make_trace, _trace_key(group[0]))
         except BrokenProcessPool:
             self.groups.appendleft(group)
             raise
@@ -967,7 +960,8 @@ def _group_by_trace(pending: Sequence[RunRequest]) -> List[List[RunRequest]]:
 def _make_trace(key: tuple):
     """Pool task: the trace ``key`` names, from this worker's memo, the
     disk cache, or generated here; :func:`repro.workloads.suite.get_trace`
-    stores a trace it generates to the disk cache."""
+    stores a trace it generates to the worker's disk cache, if it has
+    one."""
     return suite.get_trace(*key)
 
 
@@ -975,15 +969,19 @@ def _publish_traces(group: Sequence[RunRequest], trace) -> Optional[tuple]:
     """Publish the trace a worker made for ``group``.
 
     Memoises ``trace`` in this process, so a later ``get_trace`` here
-    hits as if the parent had made it, and returns the ``(key, trace)``
-    pair each of the group's tasks carries; returns None when there is
-    no trace (the group's workers then make it themselves and report any
-    error through the retry path).
+    hits as if the parent had made it, stores it to this process's disk
+    cache when that is on, and returns the ``(key, trace)`` pair each of
+    the group's tasks carries; returns None when there is no trace (the
+    group's workers then make it themselves and report any error through
+    the retry path).
     """
     if trace is None:
         return None
     key = _trace_key(group[0])
     suite.remember_trace(*key, trace)
+    # Usually a no-op (the worker stored it), but a borrowed pool's
+    # workers may have been built with the disk cache off.
+    diskcache.store_trace(*key, trace)
     return key, trace
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from repro.workloads.graphs import (
     BetweennessCentrality,
@@ -142,12 +142,6 @@ def get_trace(name: str, budget: int = DEFAULT_BUDGET, seed: int = 42) -> Trace:
         diskcache.store_trace(name, budget, seed, trace)
     remember_trace(name, budget, seed, trace)
     return trace
-
-
-def memoised_trace(name: str, budget: int, seed: int) -> Optional[Trace]:
-    """``get_trace(name, budget, seed)``'s answer if it is memoised here,
-    else None; never loads or generates."""
-    return _trace_cache.get((name, budget, seed))
 
 
 def remember_trace(name: str, budget: int, seed: int, trace: Trace) -> None:

@@ -229,6 +229,27 @@ class TestWarmPool:
         finally:
             pool.close()
 
+    def test_trace_stored_when_borrowed_workers_have_no_cache(
+        self, tmp_path
+    ):
+        """Workers built with the disk cache off make the trace; the
+        parent, whose cache is on, stores it when it is published."""
+        configs = [fast_config(), fast_config(tlb_predictor="dppred")]
+        pool = WarmPool(max_workers=2)
+        try:
+            pool.executor()  # workers start with the disk cache off
+            diskcache.enable(tmp_path / "cache")
+            clear_run_cache()
+            clear_trace_cache()
+            run_matrix(
+                [RunRequest("mcf", c, BUDGET) for c in configs],
+                jobs=2, pool=pool,
+            )
+            assert diskcache.load_trace("mcf", BUDGET, 42) is not None
+        finally:
+            diskcache.disable()
+            pool.close()
+
     def test_shared_pool_identity_and_settings_rebuild(self, tmp_path):
         close_shared_pool()
         try:

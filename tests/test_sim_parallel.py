@@ -220,7 +220,9 @@ class TestPipelinedDispatch:
         """Both workers start on trace tasks (mcf's and cg.B's). lbm's
         trace task waits until mcf's cells are submitted, and no cell is
         submitted before its group's trace is published. cg.B's trace is
-        slowed down so that mcf's comes back first."""
+        slowed down so that mcf's comes back first, and the window is two
+        tasks wide whatever the host's core count."""
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
         count_generation(monkeypatch, tmp_path / "gen.log", slow=("cg.B",))
         events = record_dispatch(monkeypatch)
         self._cold(self._requests(), 2)
@@ -246,22 +248,6 @@ class TestPipelinedDispatch:
             self.WORKLOADS
         )
         assert os.getpid() not in {pid for pid, _ in generated()}
-
-    def test_memoised_trace_published_without_a_task(self, monkeypatch):
-        """A trace this process already memoises is published at once:
-        no trace task, and the cells keep declared order."""
-        requests = self._requests()
-        clear_run_cache()
-        clear_trace_cache()
-        for wl in self.WORKLOADS:
-            suite.get_trace(wl, BUDGET, 42)
-        events = record_dispatch(monkeypatch)
-        run_matrix(requests, jobs=2)
-        assert [e for e in events if e[0] == "publish"] == [
-            ("publish", wl) for wl in self.WORKLOADS
-        ]
-        submitted = [wl for kind, wl in events if kind == "submit"]
-        assert submitted == [req.workload for req in requests]
 
     def test_cold_matrix_under_timeout_matches_serial(self):
         """With a per-run timeout, the deadline sweep must cope with a

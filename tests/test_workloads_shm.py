@@ -70,8 +70,8 @@ def test_make_trace_reads_the_workers_memo():
 def test_publish_memoises_and_returns_the_carried_pair():
     request = parallel.RunRequest("locality", fast_config(), 77, 5)
     assert parallel._publish_traces([request], None) is None
-    assert suite.memoised_trace("locality", 77, 5) is None
+    assert suite.trace_cache_size() == 0
     trace = make_trace()
     key = parallel._trace_key(request)
     assert parallel._publish_traces([request], trace) == (key, trace)
-    assert suite.memoised_trace(*key) is trace
+    assert suite.get_trace(*key) is trace
