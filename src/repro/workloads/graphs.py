@@ -12,6 +12,8 @@ and a 256 KB LLC reproduces the paper's pressure ratios.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from repro.workloads.synthetic import AddressSpace, Workload, addresses
@@ -24,6 +26,22 @@ _EDGE_BLOCK = 1 << 16
 OFFSET_SIZE = 8
 EDGE_SIZE = 4
 VALUE_SIZE = 64
+
+
+def _mapped_int64(n: int) -> np.ndarray:
+    """A writable int64 array of ``n`` zeros in an anonymous mapping of
+    its own, unmapped when the array is freed.
+
+    An edge-sized array from ``malloc`` would be mapped too, but freeing
+    it raises glibc's dynamic mmap threshold past its size, so the next
+    graph's array lands on the heap. Whether that heap memory is reused or
+    a fresh copy stays resident then depends on the process's allocation
+    history: peak RSS stepped by about 10 MB between runs of one set-up
+    that differed only in their checkout path.
+    """
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.int64)
 
 
 class CsrGraph:
@@ -68,13 +86,19 @@ class CsrGraph:
         Graphs too large to pack (``2 * vbits + jbits > 63``) fall back to
         ``np.argsort(kind="stable")``.
 
-        The draw indices and the targets are made a block of
+        The sources, the draw indices and the targets are made a block of
         ``_EDGE_BLOCK`` edges at a time, so a packed build holds one
-        edge-sized array, not two.
+        edge-sized array, not two, and that array is mapped on its own
+        (:func:`_mapped_int64`).
         """
         rng = np.random.RandomState(seed)
         m = num_vertices * avg_degree
-        sources = rng.randint(0, num_vertices, size=m)
+        # Legacy ``randint`` and ``pareto`` take each value from the bit
+        # stream in turn, so the blocks hold the values one call would.
+        sources = _mapped_int64(m)
+        for i in range(0, m, _EDGE_BLOCK):
+            size = min(_EDGE_BLOCK, m - i)
+            sources[i:i + size] = rng.randint(0, num_vertices, size=size)
         counts = np.bincount(sources, minlength=num_vertices)
         vbits = (num_vertices - 1).bit_length()
         jbits = (m - 1).bit_length()
@@ -90,8 +114,6 @@ class CsrGraph:
         else:
             order = np.argsort(sources, kind="stable")
             del sources
-        # Legacy ``pareto`` and ``randint`` take each value from the bit
-        # stream in turn, so the blocks hold the values one call would.
         if not packed:
             targets = np.empty(m, dtype=np.int64)
         for i in range(0, m, _EDGE_BLOCK):
