@@ -13,6 +13,13 @@ both levels (distant insertion), dpPred's demote variant, AIP
 replacement, ``track_reference=True`` ground-truth references, both
 tenant mixes and huge pages. Each cell is the SHA-256 of ``wire_bytes``
 of one run (budget 4,000, trace and machine seed 42) on both engines.
+The ``obs_gate_*`` cells are the ``repro.obs`` baseline gate's runs at
+its other seeds: mcf and bfs under its ``baseline`` and ``combined``
+configs at seeds 43 and 44, seeded as ``run_cached`` seeds them (trace
+seed ``s``, machine seed ``machine_seed_for(s)``). Reference tracking
+sends ``combined`` to the scalar loop on both engines, so the
+``dppred_cbpred_*_seed*`` cells run the same pairs without it, on the
+batched engine's flat interpreter.
 
 A result change is a simulator-semantics change, so it must come with a
 :data:`~repro.sim.diskcache.CACHE_SCHEMA_VERSION` bump (stale disk-cache
@@ -44,6 +51,7 @@ from repro.sim.config import (
 from repro.sim.diskcache import CACHE_SCHEMA_VERSION
 from repro.sim.machine import Machine
 from repro.sim.results import wire_bytes
+from repro.sim.runner import machine_seed_for
 from repro.workloads.suite import get_trace, workload_names
 
 GOLDEN = Path(__file__).parent / "data" / "result_fingerprints.json"
@@ -105,12 +113,28 @@ CELLS.update(
     for workload in workload_names()
     if workload != "mcf"
 )
+#: label -> (trace seed, machine seed), for cells not run at SEED.
+SEEDS = {}
+# The obs gate's cells at its seeds beyond 42 (budget 4,000, as here).
+for _seed in (43, 44):
+    for _workload in ("mcf", "bfs"):
+        for _name, _config in (
+            ("baseline", fast_config()),
+            ("combined", fast_config(track_reference=True, **_DP_CB)),
+        ):
+            _label = f"obs_gate_{_workload}_{_name}_seed{_seed}"
+            CELLS[_label] = (_workload, _config)
+            SEEDS[_label] = (_seed, machine_seed_for(_seed))
+        _label = f"dppred_cbpred_{_workload}_seed{_seed}"
+        CELLS[_label] = (_workload, fast_config(**_DP_CB))
+        SEEDS[_label] = (_seed, machine_seed_for(_seed))
 
 
 def fingerprint(label: str, engine: str) -> str:
     workload, config = CELLS[label]
-    trace = get_trace(workload, BUDGET, SEED)
-    result = Machine(config, seed=SEED).run(trace, engine=engine)
+    trace_seed, machine_seed = SEEDS.get(label, (SEED, SEED))
+    trace = get_trace(workload, BUDGET, trace_seed)
+    result = Machine(config, seed=machine_seed).run(trace, engine=engine)
     return hashlib.sha256(wire_bytes(result.to_dict())).hexdigest()
 
 
