@@ -10,6 +10,7 @@ enforcement.
 """
 
 import json
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import repro.sim.engine as engine_mod
 from repro.common.stats import Stats
 from repro.obs.telemetry import TelemetrySpec
 from repro.predictors import registry
+from repro.predictors.ship import ShipTlbPredictor
 from repro.sim.config import (
     CacheGeometry,
     TlbGeometry,
@@ -55,16 +57,25 @@ def fingerprint(result) -> bytes:
     return json.dumps(result.to_dict(), sort_keys=True).encode()
 
 
-def run_both(trace, config, telemetry=False, seed=SEED):
+def run_both(
+    trace, config, telemetry=False, seed=SEED, prepare=None,
+    **machine_kwargs,
+):
     """Run one trace under both engines; returns the two (result, machine)
     pairs. Telemetry uses a small interval so flat runs straddle many
-    sampling boundaries."""
+    sampling boundaries. ``machine_kwargs`` go to both machines (e.g. an
+    oracle's pass-1 outcomes), and ``prepare`` is called on each machine
+    before it runs."""
     out = []
     for engine in (ENGINE_SCALAR, ENGINE_BATCHED):
         tel = (
             TelemetrySpec(interval=500).build() if telemetry else None
         )
-        machine = Machine(config, seed=seed, telemetry=tel)
+        machine = Machine(
+            config, seed=seed, telemetry=tel, **machine_kwargs
+        )
+        if prepare is not None:
+            prepare(machine)
         result = machine.run(trace, engine=engine)
         out.append((result, machine))
     return out
@@ -181,8 +192,13 @@ def structural_state(machine):
     return state
 
 
-def assert_equivalent(trace, config, telemetry=False, seed=SEED):
-    (r_s, m_s), (r_b, m_b) = run_both(trace, config, telemetry, seed)
+def assert_equivalent(
+    trace, config, telemetry=False, seed=SEED, prepare=None,
+    **machine_kwargs,
+):
+    (r_s, m_s), (r_b, m_b) = run_both(
+        trace, config, telemetry, seed, prepare, **machine_kwargs
+    )
     assert fingerprint(r_s) == fingerprint(r_b)
     assert tag_orders(m_s) == tag_orders(m_b)
     assert stats_bags(m_s) == stats_bags(m_b)
@@ -206,25 +222,152 @@ def test_suite_workloads_bit_identical(workload):
         assert_equivalent(trace, config, telemetry=True)
 
 
-@pytest.mark.parametrize(
-    "workload,make_config",
-    [
-        ("mcf", lambda: fast_config(**DP_CB)),
-        ("bfs", fast_config),
-        ("lbm", lambda: fast_config(**DP_CB)),
-        ("mix2", lambda: mix2_config(**DP_CB)),
-        ("mcf", lambda: hugepage_config(**DP_CB)),
-    ],
-    ids=["mcf-dp_cb", "bfs-lru", "lbm-dp_cb", "mix2-dp_cb", "mcf-hugepage"],
-)
-def test_structural_state_identical(workload, make_config):
-    """Entry and line fields, ``aux``, RRPV rows and PWC key order match
-    after a run long enough for every structure to recycle its fills."""
-    trace = get_trace(workload, 8000, SEED)
-    machine = assert_equivalent(trace, make_config())
+SHIP = {"tlb_predictor": "ship", "llc_predictor": "ship"}
+SRRIP = {"tlb_policy": "srrip", "cache_policy": "srrip"}
+AIP = {"tlb_predictor": "aip", "llc_predictor": "aip"}
+ORACLE = {"tlb_predictor": "oracle", "llc_predictor": "oracle"}
+LEEWAY = {"tlb_predictor": "leeway", "llc_predictor": "leeway"}
+
+class SparseShipTlb(ShipTlbPredictor):
+    """SHiP-TLB that keeps a signature only on the fills it predicts
+    reused: a distant fill leaves the entry's ``aux`` as the fill made it
+    (None). So an inline fill that recycled an entry without resetting
+    its ``aux`` would leave a stale signature for hits and evictions to
+    train with, where the scalar ``Tlb.fill`` builds a fresh entry."""
+
+    def on_fill(self, tlb, vpn, pfn, pc_hash, now):
+        decision = super().on_fill(tlb, vpn, pfn, pc_hash, now)
+        self._keep = decision != "distant"
+        return decision
+
+    def filled(self, tlb, entry, now):
+        if self._keep:
+            super().filled(tlb, entry, now)
+        else:
+            self._pending = None
+
+
+def sparse_ship_llt(machine):
+    machine.l2_tlb.listener = machine._tlb_predictor = SparseShipTlb()
+
+
+class Cell(NamedTuple):
+    """A structural-state cell: its workload and config factory, whether
+    it is an oracle's second pass, the listener counters it must move at
+    the LLT and at the LLC (so it reaches its fill path), and what to do
+    to each machine before it runs."""
+
+    workload: str
+    make_config: Callable[[], object]
+    second_pass: bool = False
+    llt_counters: tuple = ()
+    llc_counters: tuple = ()
+    prepare: Optional[Callable] = None
+
+
+BYPASSES = ("doa_predictions", "sampled_allocations")
+STRUCTURAL_CELLS = {
+    "mcf-dp_cb": Cell("mcf", lambda: fast_config(**DP_CB)),
+    "bfs-lru": Cell("bfs", fast_config),
+    "lbm-dp_cb": Cell("lbm", lambda: fast_config(**DP_CB)),
+    "mix2-dp_cb": Cell("mix2", lambda: mix2_config(**DP_CB)),
+    "mcf-hugepage": Cell("mcf", lambda: hugepage_config(**DP_CB)),
+    "mcf-leeway": Cell(
+        "mcf", leeway_config, llt_counters=BYPASSES, llc_counters=BYPASSES,
+    ),
+    "bfs-leeway": Cell(
+        "bfs", leeway_config, llt_counters=BYPASSES, llc_counters=BYPASSES,
+    ),
+    "mcf-perceptron": Cell(
+        "mcf", perceptron_config, llt_counters=BYPASSES,
+        llc_counters=BYPASSES,
+    ),
+    "bfs-perceptron": Cell(
+        "bfs", perceptron_config, llt_counters=BYPASSES,
+        llc_counters=BYPASSES,
+    ),
+    "mcf-ship-lru": Cell(
+        "mcf", lambda: fast_config(**SHIP),
+        llt_counters=("distant_predictions",),
+        llc_counters=("distant_predictions",),
+    ),
+    "mcf-ship-srrip": Cell(
+        "mcf", lambda: fast_config(**SHIP, **SRRIP),
+        llt_counters=("distant_predictions",),
+        llc_counters=("distant_predictions",),
+    ),
+    "mcf-ship-sparse": Cell(
+        "mcf", lambda: fast_config(**SHIP),
+        llt_counters=("distant_predictions",),
+        prepare=sparse_ship_llt,
+    ),
+    "bfs-aip": Cell(
+        "bfs", lambda: fast_config(**AIP),
+        llt_counters=("dead_victimisations",),
+    ),
+    "mcf-oracle-record": Cell(
+        "mcf", lambda: fast_config(**ORACLE),
+        llt_counters=("doa_residencies",), llc_counters=("doa_residencies",),
+    ),
+    "mcf-oracle-bypass": Cell(
+        "mcf", lambda: fast_config(**ORACLE), second_pass=True,
+        llt_counters=("oracle_bypasses",), llc_counters=("oracle_bypasses",),
+    ),
+    "mcf-demote": Cell(
+        "mcf", lambda: fast_config(tlb_predictor="dppred_demote"),
+        llt_counters=("doa_predictions",),
+    ),
+    "mix2-leeway": Cell(
+        "mix2", lambda: mix2_config(**LEEWAY),
+        llt_counters=("doa_predictions",), llc_counters=("doa_predictions",),
+    ),
+    "hugepage-leeway": Cell(
+        "mcf", lambda: hugepage_config(**LEEWAY),
+        llt_counters=("doa_predictions",), llc_counters=("doa_predictions",),
+    ),
+}
+
+
+def oracle_outcomes(trace, config):
+    """The oracle's pass-1 DOA recordings (scalar engine), as the
+    keyword arguments of its pass-2 machine."""
+    recorder = Machine(config, seed=SEED)
+    recorder.run(trace, engine=ENGINE_SCALAR)
+    return {
+        "oracle_outcomes": recorder.oracle_recorder.outcomes,
+        "llc_oracle_outcomes": recorder.llc_oracle_recorder.outcomes,
+    }
+
+
+@pytest.mark.parametrize("cell", sorted(STRUCTURAL_CELLS))
+def test_structural_state_identical(cell, monkeypatch):
+    """Entry and line fields, ``aux`` (by slot values), RRPV rows and PWC
+    key order match after a run long enough for every structure to
+    recycle its fills, for the inline predictors and for every generic
+    listener: Leeway, the perceptron, SHiP's distant insertion under
+    LRU and SRRIP, AIP's victim choice, both oracle passes, the dpPred
+    demote ablation, Leeway under tenants and huge pages, and a SHiP
+    variant that leaves some entries' ``aux`` unset (a recycled entry
+    must start with none)."""
+    spec = STRUCTURAL_CELLS[cell]
+    monkeypatch.setattr(
+        engine_mod, "GENERIC_TLB_LISTENERS",
+        engine_mod.GENERIC_TLB_LISTENERS | {SparseShipTlb},
+    )
+    trace = get_trace(spec.workload, 8000, SEED)
+    config = spec.make_config()
+    kwargs = oracle_outcomes(trace, config) if spec.second_pass else {}
+    machine = assert_equivalent(
+        trace, config, prepare=spec.prepare, **kwargs
+    )
     assert machine.engine_stats["mode"] == "flat"
     assert machine.l2_tlb.stats.get("evictions") > 0
     assert machine.l2.stats.get("evictions") > 0
+    for struct, counters in (
+        (machine.l2_tlb, spec.llt_counters), (machine.llc, spec.llc_counters),
+    ):
+        for counter in counters:
+            assert struct.listener.stats.get(counter) > 0, counter
 
 
 @pytest.mark.parametrize("edge", ["chunk-end", "every-record"])
