@@ -495,6 +495,10 @@ class _Supervisor:
         self.queue: deque = deque()  # cells ready to submit
         self.inflight: Dict[Future, tuple] = {}  # -> (request, deadline)
         self.tracing: Dict[Future, List[RunRequest]] = {}  # -> group
+        # Groups whose trace task was submitted, in declared order, and
+        # the traces of those back before an earlier group's (by id).
+        self.started: deque = deque()
+        self.traced: Dict[int, object] = {}
         self.carried: Dict[RunRequest, tuple] = {}  # -> (key, trace)
 
     # -- shared bookkeeping -------------------------------------------- #
@@ -564,7 +568,11 @@ class _Supervisor:
         ``(key, trace)`` pair the group's cells carry. A trace task that
         returns no trace (it raised, or its worker died or was killed)
         queues its group's cells uncarried: each of their workers makes
-        the trace itself, within the cells' own retry budget.
+        the trace itself, within the cells' own retry budget. Groups are
+        published in declared order: a trace that comes back before an
+        earlier group's waits for it, so cells are submitted in declared
+        order whatever order the trace tasks finish in (two tasks racing
+        on a loaded host finish in either order).
 
         Trace tasks and cells share the sliding window of ``max_workers``
         outstanding tasks, so the parent never runs more than
@@ -629,7 +637,7 @@ class _Supervisor:
                         broken = True
                         break
                     if future in tracing:
-                        self._publish(tracing.pop(future), _result_of(future))
+                        self._traced(tracing.pop(future), _result_of(future))
                         continue
                     request, _deadline = inflight.pop(future)
                     try:
@@ -695,6 +703,17 @@ class _Supervisor:
             self.groups.appendleft(group)
             raise
         self.tracing[future] = group
+        self.started.append(group)
+
+    def _traced(self, group: List[RunRequest], trace) -> None:
+        """``group``'s trace task is back (``trace`` None when it made
+        none): publish every started group whose trace is back, up to
+        the first one still out, in the order they started."""
+        self.traced[id(group)] = trace
+        started = self.started
+        while started and id(started[0]) in self.traced:
+            group = started.popleft()
+            self._publish(group, self.traced.pop(id(group)))
 
     def _publish(self, group: List[RunRequest], trace) -> None:
         """Queue ``group``'s cells, each carrying ``trace`` unless it is
@@ -714,7 +733,7 @@ class _Supervisor:
         """After a pool kill, publish each in-flight trace task: its trace
         if it finished first, else none."""
         for future, group in self.tracing.items():
-            self._publish(group, _result_of(future))
+            self._traced(group, _result_of(future))
         self.tracing.clear()
 
     def _rebuild_broken_pool(self, pool: WarmPool) -> ProcessPoolExecutor:

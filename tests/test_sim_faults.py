@@ -272,7 +272,8 @@ class TestPoolFaults:
                 req.workload, req.config, req.budget, req.seed
             ) is not None
         ]
-        # A cg.B cell is only submitted once an mcf cell has finished.
+        # Cells are submitted in declared order, so a cg.B cell is only
+        # submitted once an mcf cell has finished and freed its slot.
         assert "mcf" in stored
         clear_run_cache()
         events = record_dispatch(monkeypatch)
