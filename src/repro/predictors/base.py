@@ -67,16 +67,23 @@ class PredictorSpec(Protocol):
     instruction (stat names, event order, table indexing). It runs the
     listener classes in :data:`repro.sim.engine.GENERIC_TLB_LISTENERS`
     and :data:`~repro.sim.engine.GENERIC_LLC_LISTENERS` through a generic
-    path: ``on_lookup``/``on_hit``/``on_miss`` are called where the
-    scalar lookup calls them (only if the class overrides the no-op), and
-    the structure's fills go through the real ``fill``. A listener may
+    path: every hook the class overrides (``on_lookup``/``on_hit``/
+    ``on_miss``, and ``on_fill``/``choose_victim``/``on_evict``/``filled``)
+    is called where the scalar ``lookup`` and ``fill`` call it, in the
+    same order, from the interpreter's own inline fills. A listener may
     join those sets only if its hooks are *pure* in this sense: they
     touch only the listener's own state, the entry or line they are
     handed, and a read of that set's slots; they read the in-flight PC
     only through the :class:`AccessContext` (or the LLT fill's
     ``pc_hash``); and they never read the structure's stats or re-enter
     the structure (no ``fill``/``lookup``/``invalidate`` from a hook —
-    why the distance prefetcher stays out). Any listener type outside
+    why the distance prefetcher stays out). Two more rules follow from
+    the inline fill recycling its victim: ``on_evict`` must not read
+    the victim's way of the set (the scalar ``_evict_way`` has emptied
+    it; the inline fill still holds the victim there), and no hook may
+    keep a reference to an evicted entry or line, since the same object
+    is overwritten with the incoming translation or block right after
+    (``aux`` reset) — copy what must outlive the eviction. Any listener type outside
     those sets makes :func:`repro.sim.engine.flat_reason` return
     ``"predictor"`` (an exact ``type()`` check, so subclasses decline
     too): the whole run goes to the scalar reference loop, and the

@@ -44,12 +44,16 @@ state and the entry or line they are handed), so Leeway configs run on the
 batched engine's flat interpreter through its generic listener path.
 Semantics live here only. Signatures are memoised per PC (a pure
 function of the PC, so the memo is not predictor state and
-``storage_bits`` does not count it).
+``storage_bits`` does not count it). Each ``on_fill`` runs in one frame:
+it reads the memo, makes the O(1) decision, advances the sample streak
+and bumps its counters itself; :meth:`_LeewayCore.predicts_doa` and
+:meth:`_LeewayCore.should_sample` stay the reference definitions. The
+per-set lookup counts are a list, sized to the structure's sets by the
+first hook that counts or reads one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -189,6 +193,13 @@ class _LeewayCore:
         return table + per_entry
 
 
+def _sized(listener, structure) -> List[int]:
+    """``listener``'s per-set lookup counts, sized to ``structure``'s sets
+    (its first hook that counts or reads one)."""
+    listener._set_lookups = lookups = [0] * structure.num_sets
+    return lookups
+
+
 class LeewayTlbPredictor(TlbListener):
     """Leeway applied to the LLT: variability-aware dead-page bypass."""
 
@@ -205,10 +216,10 @@ class LeewayTlbPredictor(TlbListener):
         self.probe = None
         self._pending: Optional[_LeewayState] = None
         # Lookups per set (an entry's set is ``entry.vpn & _set_mask``).
-        self._set_lookups = defaultdict(int)
+        self._set_lookups: List[int] = []
 
     def on_lookup(self, tlb: Tlb, set_idx: int, now: int) -> None:
-        self._set_lookups[set_idx] += 1
+        (self._set_lookups or _sized(self, tlb))[set_idx] += 1
 
     def on_hit(self, tlb: Tlb, entry: TlbEntry, now: int) -> None:
         if entry.aux is not None:
@@ -218,15 +229,28 @@ class LeewayTlbPredictor(TlbListener):
 
     def on_fill(self, tlb: Tlb, vpn: int, pfn: int, pc: int, now: int) -> str:
         core = self.core
-        sig = core.signature(pc)
-        predicted_doa = core.predicts_doa(sig)
+        sig = core._signatures.get(pc)
+        if sig is None:
+            sig = core.signature(pc)
+        # core.predicts_doa(sig)
+        predicted_doa = core._full[sig] and core._zeros[sig] > core._rank
         if self.prediction_observer is not None:
             self.prediction_observer(vpn, predicted_doa)
         if predicted_doa:
-            if core.should_sample(sig):
-                self.stats.add("sampled_allocations")
+            # core.should_sample(sig)
+            streaks = core._bypass_streak
+            streak = streaks[sig] + 1
+            counters = self.stats.counters
+            if streak >= core.config.sample_period:
+                streaks[sig] = 0
+                counters["sampled_allocations"] = (
+                    counters.get("sampled_allocations", 0) + 1
+                )
             else:
-                self.stats.add("doa_predictions")
+                streaks[sig] = streak
+                counters["doa_predictions"] = (
+                    counters.get("doa_predictions", 0) + 1
+                )
                 if self.probe is not None:
                     self.probe.emit(now, EV_LLT_BYPASS, vpn, pfn)
                 self._pending = None
@@ -236,7 +260,9 @@ class LeewayTlbPredictor(TlbListener):
 
     def filled(self, tlb: Tlb, entry: TlbEntry, now: int) -> None:
         state = self._pending
-        state.base = self._set_lookups[entry.vpn & tlb._set_mask]
+        state.base = (self._set_lookups or _sized(self, tlb))[
+            entry.vpn & tlb._set_mask
+        ]
         entry.aux = state
         self._pending = None
 
@@ -274,10 +300,10 @@ class LeewayCachePredictor(CacheListener):
         self.probe = None
         self._pending: Optional[_LeewayState] = None
         # Lookups per set (a line's set is ``line.tag & _set_mask``).
-        self._set_lookups = defaultdict(int)
+        self._set_lookups: List[int] = []
 
     def on_lookup(self, cache: SetAssocCache, set_idx: int, now: int) -> None:
-        self._set_lookups[set_idx] += 1
+        (self._set_lookups or _sized(self, cache))[set_idx] += 1
 
     def on_hit(self, cache: SetAssocCache, line: CacheLine, now: int) -> None:
         if line.aux is not None:
@@ -287,15 +313,29 @@ class LeewayCachePredictor(CacheListener):
 
     def on_fill(self, cache: SetAssocCache, block: int, now: int) -> str:
         core = self.core
-        sig = core.signature(self.context.pc)
-        predicted_doa = core.predicts_doa(sig)
+        pc = self.context.pc
+        sig = core._signatures.get(pc)
+        if sig is None:
+            sig = core.signature(pc)
+        # core.predicts_doa(sig)
+        predicted_doa = core._full[sig] and core._zeros[sig] > core._rank
         if self.prediction_observer is not None:
             self.prediction_observer(block, predicted_doa)
         if predicted_doa:
-            if core.should_sample(sig):
-                self.stats.add("sampled_allocations")
+            # core.should_sample(sig)
+            streaks = core._bypass_streak
+            streak = streaks[sig] + 1
+            counters = self.stats.counters
+            if streak >= core.config.sample_period:
+                streaks[sig] = 0
+                counters["sampled_allocations"] = (
+                    counters.get("sampled_allocations", 0) + 1
+                )
             else:
-                self.stats.add("doa_predictions")
+                streaks[sig] = streak
+                counters["doa_predictions"] = (
+                    counters.get("doa_predictions", 0) + 1
+                )
                 if self.probe is not None:
                     self.probe.emit(now, EV_LLC_BYPASS, block)
                 self._pending = None
@@ -305,7 +345,9 @@ class LeewayCachePredictor(CacheListener):
 
     def filled(self, cache: SetAssocCache, line: CacheLine, now: int) -> None:
         state = self._pending
-        state.base = self._set_lookups[line.tag & cache._set_mask]
+        state.base = (self._set_lookups or _sized(self, cache))[
+            line.tag & cache._set_mask
+        ]
         line.aux = state
         self._pending = None
 

@@ -37,8 +37,13 @@ rotated left by ``k`` bits within the table width while ``x << k`` stays
 below ``2**64`` (every LLT key does for ``k = 1``: the huge namespace
 starts at ``1 << 62``; every block's page does for ``k = 6``). So a
 block's fold is its page's rotated fold XOR its offset's fold.
-:func:`_tlb_features`, :func:`_cache_features` and
-:meth:`_PerceptronCore.predict` stay the reference definitions.
+
+Each ``on_fill`` and ``on_evict`` runs in one frame: the fill reads the
+memo, folds the key, rotates, sums the weights, advances the sample
+streak and bumps its counters itself, and the eviction applies the
+training rule in place. :func:`_tlb_features`, :func:`_cache_features`,
+:meth:`_PerceptronCore.predict`, :meth:`~_PerceptronCore.should_sample`
+and :meth:`~_PerceptronCore.train` stay the reference definitions.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ from repro.vm.tlb import FILL_ALLOCATE, FILL_BYPASS, Tlb, TlbEntry, TlbListener
 #: Block-to-page shift (64-byte blocks in 4 KB pages).
 _PAGE_OF_BLOCK_SHIFT = 6
 _BLOCK_IN_PAGE_MASK = (1 << _PAGE_OF_BLOCK_SHIFT) - 1
+#: ``fold_xor`` folds the low 64 bits of its input.
+_FOLD_INPUT_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -185,15 +192,55 @@ def _cache_features(pc: int, block: int, bits: int) -> Tuple[int, ...]:
     )
 
 
-def _rotl(value: int, shift: int, bits: int) -> int:
-    """``value`` (< 2**bits) rotated left by ``shift`` (< bits) bits within
-    ``bits`` bits: ``fold_xor(x << k, bits) == _rotl(fold_xor(x, bits),
-    k % bits, bits)`` for every ``x << k < 2**64``."""
-    return ((value << shift) | (value >> (bits - shift))) & ((1 << bits) - 1)
+class _PerceptronEviction:
+    """The eviction hook both listeners share, in one frame:
+    :meth:`_PerceptronCore.train` applied in place, then the verdict
+    event. Subclasses name the event and the slot's key field."""
+
+    _verdict_event: str
+    _key_field: str
+
+    def on_evict(self, structure, slot, now: int) -> None:
+        state = slot.aux
+        if state is None:
+            return
+        was_doa = not slot.accessed
+        core = self.core
+        config = core.config
+        yout = state.yout
+        margin = config.train_margin
+        # core.train(state, was_doa)
+        if (yout >= config.threshold) != was_doa or -margin <= yout <= margin:
+            limit = core.weight_limit
+            step = 1 if was_doa else -1
+            f0, f1, f2, f3 = state.features
+            t0, t1, t2, t3 = core._tables
+            w = t0[f0] + step
+            if -limit <= w <= limit:
+                t0[f0] = w
+            w = t1[f1] + step
+            if -limit <= w <= limit:
+                t1[f1] = w
+            w = t2[f2] + step
+            if -limit <= w <= limit:
+                t2[f2] = w
+            w = t3[f3] + step
+            if -limit <= w <= limit:
+                t3[f3] = w
+            counters = core.stats.counters
+            counters["trainings"] = counters.get("trainings", 0) + 1
+        if self.probe is not None:
+            self.probe.emit(
+                now, self._verdict_event, getattr(slot, self._key_field),
+                False, was_doa,
+            )
 
 
-class PerceptronTlbPredictor(TlbListener):
+class PerceptronTlbPredictor(_PerceptronEviction, TlbListener):
     """Hashed-perceptron dead-page bypass on the LLT."""
+
+    _verdict_event = EV_LLT_VERDICT
+    _key_field = "vpn"
 
     def __init__(
         self,
@@ -209,62 +256,69 @@ class PerceptronTlbPredictor(TlbListener):
         self._pending: Optional[_PerceptronState] = None
         # Memoised folds: pc -> (fold(pc), fold(pc >> 4)).
         self._pc_folds: Dict[int, Tuple[int, int]] = {}
-        self._shift1 = 1 % config.table_bits
+        self._bits = bits = config.table_bits
+        self._mask = (1 << bits) - 1
+        self._shift1 = 1 % bits
 
-    def _features(self, pc: int, vpn: int) -> Tuple[int, int, int, int]:
-        """``_tlb_features(pc, vpn, table_bits)`` from memoised folds."""
-        bits = self.core.config.table_bits
+    def on_fill(self, tlb: Tlb, vpn: int, pfn: int, pc: int, now: int) -> str:
+        core = self.core
+        bits = self._bits
+        mask = self._mask
         pc_folds = self._pc_folds.get(pc)
         if pc_folds is None:
             pc_folds = self._pc_folds[pc] = (
                 fold_xor(pc, bits), fold_xor(pc >> 4, bits)
             )
         f_pc, f_pc4 = pc_folds
-        f_vpn = fold_xor(vpn, bits)
-        return (
-            f_pc, f_vpn, f_pc ^ _rotl(f_vpn, self._shift1, bits), f_pc4 ^ f_vpn
-        )
-
-    def on_fill(self, tlb: Tlb, vpn: int, pfn: int, pc: int, now: int) -> str:
-        core = self.core
-        features = self._features(pc, vpn)
-        f0, f1, f2, f3 = features
+        # fold_xor(vpn, bits)
+        f_vpn = 0
+        value = vpn & _FOLD_INPUT_MASK
+        while value:
+            f_vpn ^= value & mask
+            value >>= bits
+        # fold(pc ^ (vpn << 1)): fold(vpn) rotated left by one bit
+        shift = self._shift1
+        f_mix = f_pc ^ (((f_vpn << shift) | (f_vpn >> (bits - shift))) & mask)
+        f_mix4 = f_pc4 ^ f_vpn
         t0, t1, t2, t3 = core._tables
-        yout = t0[f0] + t1[f1] + t2[f2] + t3[f3]
+        yout = t0[f_pc] + t1[f_vpn] + t2[f_mix] + t3[f_mix4]
         predicted_doa = yout >= core.config.threshold
         if self.prediction_observer is not None:
             self.prediction_observer(vpn, predicted_doa)
         if predicted_doa:
-            if core.should_sample():
-                self.stats.add("sampled_allocations")
+            # core.should_sample()
+            streak = core._bypass_streak + 1
+            counters = self.stats.counters
+            if streak >= core.config.sample_period:
+                core._bypass_streak = 0
+                counters["sampled_allocations"] = (
+                    counters.get("sampled_allocations", 0) + 1
+                )
             else:
-                self.stats.add("doa_predictions")
+                core._bypass_streak = streak
+                counters["doa_predictions"] = (
+                    counters.get("doa_predictions", 0) + 1
+                )
                 if self.probe is not None:
                     self.probe.emit(now, EV_LLT_BYPASS, vpn, pfn)
                 self._pending = None
                 return FILL_BYPASS
-        self._pending = _PerceptronState(features, yout)
+        self._pending = _PerceptronState((f_pc, f_vpn, f_mix, f_mix4), yout)
         return FILL_ALLOCATE
 
     def filled(self, tlb: Tlb, entry: TlbEntry, now: int) -> None:
         entry.aux = self._pending
         self._pending = None
 
-    def on_evict(self, tlb: Tlb, entry: TlbEntry, now: int) -> None:
-        if entry.aux is None:
-            return
-        self.core.train(entry.aux, not entry.accessed)
-        if self.probe is not None:
-            self.probe.emit(
-                now, EV_LLT_VERDICT, entry.vpn, False, not entry.accessed
-            )
-
     def storage_bits(self, llt_entries: int) -> int:
         return self.core.storage_bits(llt_entries)
 
 
-class PerceptronCachePredictor(CacheListener):
+class PerceptronCachePredictor(_PerceptronEviction, CacheListener):
     """Hashed-perceptron dead-block bypass on the LLC."""
+
+    _verdict_event = EV_LLC_VERDICT
+    _key_field = "tag"
 
     def __init__(
         self,
@@ -285,7 +339,8 @@ class PerceptronCachePredictor(CacheListener):
         self._pending: Optional[_PerceptronState] = None
         # Memoised folds: pc -> fold(pc).
         self._pc_folds: Dict[int, int] = {}
-        bits = config.table_bits
+        self._bits = bits = config.table_bits
+        self._mask = (1 << bits) - 1
         self._shift1 = 1 % bits
         self._shift_page = _PAGE_OF_BLOCK_SHIFT % bits
         # fold(offset) for each block offset in a page: the identity from
@@ -294,52 +349,60 @@ class PerceptronCachePredictor(CacheListener):
             fold_xor(off, bits) for off in range(1 << _PAGE_OF_BLOCK_SHIFT)
         ]
 
-    def _features(self, pc: int, block: int) -> Tuple[int, int, int, int]:
-        """``_cache_features(pc, block, table_bits)`` from memoised folds."""
-        bits = self.core.config.table_bits
+    def on_fill(self, cache: SetAssocCache, block: int, now: int) -> str:
+        core = self.core
+        bits = self._bits
+        mask = self._mask
+        pc = self.context.pc
         f_pc = self._pc_folds.get(pc)
         if f_pc is None:
             f_pc = self._pc_folds[pc] = fold_xor(pc, bits)
-        f_page = fold_xor(block >> _PAGE_OF_BLOCK_SHIFT, bits)
+        # fold_xor(block >> 6, bits): the block's page
+        f_page = 0
+        value = (block >> _PAGE_OF_BLOCK_SHIFT) & _FOLD_INPUT_MASK
+        while value:
+            f_page ^= value & mask
+            value >>= bits
+        # fold(block): the page's fold rotated left by the page shift,
+        # XOR the offset's fold
+        shift = self._shift_page
         f_block = (
-            _rotl(f_page, self._shift_page, bits)
-            ^ self._offset_folds[block & _BLOCK_IN_PAGE_MASK]
+            ((f_page << shift) | (f_page >> (bits - shift))) & mask
+        ) ^ self._offset_folds[block & _BLOCK_IN_PAGE_MASK]
+        # fold(pc ^ (block << 1)): fold(block) rotated left by one bit
+        shift = self._shift1
+        f_mix = f_pc ^ (
+            ((f_block << shift) | (f_block >> (bits - shift))) & mask
         )
-        return f_pc, f_block, f_page, f_pc ^ _rotl(f_block, self._shift1, bits)
-
-    def on_fill(self, cache: SetAssocCache, block: int, now: int) -> str:
-        core = self.core
-        features = self._features(self.context.pc, block)
-        f0, f1, f2, f3 = features
         t0, t1, t2, t3 = core._tables
-        yout = t0[f0] + t1[f1] + t2[f2] + t3[f3]
+        yout = t0[f_pc] + t1[f_block] + t2[f_page] + t3[f_mix]
         predicted_doa = yout >= core.config.threshold
         if self.prediction_observer is not None:
             self.prediction_observer(block, predicted_doa)
         if predicted_doa:
-            if core.should_sample():
-                self.stats.add("sampled_allocations")
+            # core.should_sample()
+            streak = core._bypass_streak + 1
+            counters = self.stats.counters
+            if streak >= core.config.sample_period:
+                core._bypass_streak = 0
+                counters["sampled_allocations"] = (
+                    counters.get("sampled_allocations", 0) + 1
+                )
             else:
-                self.stats.add("doa_predictions")
+                core._bypass_streak = streak
+                counters["doa_predictions"] = (
+                    counters.get("doa_predictions", 0) + 1
+                )
                 if self.probe is not None:
                     self.probe.emit(now, EV_LLC_BYPASS, block)
                 self._pending = None
                 return CACHE_BYPASS
-        self._pending = _PerceptronState(features, yout)
+        self._pending = _PerceptronState((f_pc, f_block, f_page, f_mix), yout)
         return CACHE_ALLOCATE
 
     def filled(self, cache: SetAssocCache, line: CacheLine, now: int) -> None:
         line.aux = self._pending
         self._pending = None
-
-    def on_evict(self, cache: SetAssocCache, line: CacheLine, now: int) -> None:
-        if line.aux is None:
-            return
-        self.core.train(line.aux, not line.accessed)
-        if self.probe is not None:
-            self.probe.emit(
-                now, EV_LLC_VERDICT, line.tag, False, not line.accessed
-            )
 
     def storage_bits(self, llc_blocks: int) -> int:
         return self.core.storage_bits(llc_blocks)

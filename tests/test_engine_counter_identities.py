@@ -4,10 +4,12 @@
 that follow from others when it flushes: L1D and L1 D-TLB hits from the
 record count, fills from misses, L2 and LLC hits from their lookups,
 memory accesses from reads and writes, walks from their PWC outcomes,
-walk loads from the PWC outcomes of 4 KB and 2 MB walks. Each test here
-asserts the whole-machine form of one such identity on both engines, so
-a change that breaks one (in the scalar reference or in the flat
-interpreter) fails by name rather than as a counter drift.
+walk loads from the PWC outcomes of 4 KB and 2 MB walks, and the LLT's
+and LLC's fills and evictions from walks, misses, bypasses and free-way
+fills under every listener. Each test here asserts the whole-machine
+form of one such identity on both engines, so a change that breaks one
+(in the scalar reference or in the flat interpreter) fails by name
+rather than as a counter drift.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ CONFIGS = {
     "leeway": leeway_config,
     "perceptron": perceptron_config,
     "ship": lambda: fast_config(tlb_predictor="ship", llc_predictor="ship"),
+    "aip": lambda: fast_config(tlb_predictor="aip", llc_predictor="aip"),
     "demote": lambda: fast_config(
         tlb_predictor="dppred_demote", llc_predictor="cbpred"
     ),
@@ -190,3 +193,61 @@ def test_llt_lookups_are_l1_tlb_misses(run):
     assert c("llt", "hits") + c("llt", "misses") == (
         c("dtlb", "misses") + c("itlb", "misses")
     )
+
+
+#: Configs whose LLT and LLC listeners run the flat interpreter's
+#: generic fill path (a listener's own ``on_fill``, ``choose_victim``,
+#: ``on_evict`` and ``filled``).
+GENERIC = ("leeway", "perceptron", "ship", "aip")
+#: Long enough for the LLC to evict under each of them.
+GENERIC_BUDGET = 8000
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        pytest.param((label, workload, engine), id=f"{label}-{workload}-{engine}")
+        for label in GENERIC
+        for workload in ("mcf", "bfs")
+        for engine in (ENGINE_SCALAR, ENGINE_BATCHED)
+    ],
+)
+def generic_run(request):
+    """One finished single-tenant run under a generic listener."""
+    label, workload, engine = request.param
+    machine = Machine(CONFIGS[label](), seed=SEED)
+    machine.run(get_trace(workload, GENERIC_BUDGET, SEED), engine=engine)
+    if engine == ENGINE_BATCHED:
+        assert machine.engine_stats["mode"] == "flat", label
+    return machine
+
+
+def test_llt_fills_plus_bypasses_are_walks(generic_run):
+    """Every walk ends in one LLT fill decision: fill or bypass (no
+    victim buffer refills the LLT under these listeners)."""
+    llt = generic_run.l2_tlb.stats
+    assert llt.get("fills") + llt.get("bypasses") == (
+        generic_run.walker.stats.get("walks")
+    )
+
+
+def test_llc_fills_plus_bypasses_are_llc_misses(generic_run):
+    """Every LLC miss ends in one fill decision: the data path's demand
+    misses and the walk loads' misses (``llc_demand_misses`` counts the
+    first)."""
+    llc = generic_run.llc.stats
+    demand = generic_run.hierarchy.stats.get("llc_demand_misses")
+    assert 0 < demand <= llc.get("misses")
+    assert llc.get("fills") + llc.get("bypasses") == llc.get("misses")
+
+
+@pytest.mark.parametrize("name", ["l2_tlb", "llc"])
+def test_evictions_are_fills_less_free_way_fills(generic_run, name):
+    """A fill evicts unless it takes a free way. Nothing invalidates
+    these structures in a single-tenant run, so a way once filled stays
+    valid: the free-way fills are the final occupancy."""
+    struct = getattr(generic_run, name)
+    stats = struct.stats
+    assert stats.get("invalidations") == 0
+    assert stats.get("evictions") > 0
+    assert stats.get("evictions") == stats.get("fills") - struct.occupancy()

@@ -3,11 +3,16 @@
 Each fast path is pinned to the definition it replaced:
 
 * ``fold_xor`` against the mask-calling loop it was;
-* the perceptron's memoised fill-time features against
-  ``_tlb_features``/``_cache_features``, and its explicit weight sum
-  against ``_PerceptronCore.predict``;
-* Leeway's O(1) percentile decision against sorting an independently
-  kept ring of the last ``ring_entries`` samples;
+* each perceptron listener's one-frame ``on_fill`` (decision, sample
+  streak, counters, and the state ``filled`` stores) against
+  ``_tlb_features``/``_cache_features``, ``_PerceptronCore.predict`` and
+  ``should_sample``, and its one-frame ``on_evict`` against
+  ``_PerceptronCore.train``;
+* Leeway's O(1) percentile decision, and each Leeway listener's
+  one-frame ``on_fill`` (decision, sample streak, counters, and the
+  signature and set lookup count ``filled`` stores), against sorting an
+  independently kept ring of the last ``ring_entries`` samples and
+  ``should_sample``;
 * AIP's per-set lookup counters against the eager rule that aged every
   way of a set on every lookup, on whole machines and both engines, and
   its per-set counts of confident entries against recounts.
@@ -26,17 +31,27 @@ from repro.predictors.aip import (
     _AipState,
 )
 from repro.predictors.base import AccessContext
-from repro.predictors.leeway import LeewayConfig, _LeewayCore, _LeewayState
+from repro.mem.cache import CacheLine, SetAssocCache
+from repro.predictors.leeway import (
+    LeewayCachePredictor,
+    LeewayConfig,
+    LeewayTlbPredictor,
+    _LeewayCore,
+    _LeewayState,
+)
 from repro.predictors.perceptron import (
     PerceptronCachePredictor,
     PerceptronConfig,
     PerceptronTlbPredictor,
     _cache_features,
+    _PerceptronCore,
+    _PerceptronState,
     _tlb_features,
 )
 from repro.sim.config import CacheGeometry, TlbGeometry, fast_config
 from repro.sim.engine import ENGINE_BATCHED, ENGINE_SCALAR
 from repro.sim.machine import Machine
+from repro.vm.tlb import Tlb, TlbEntry
 from repro.workloads.trace import Trace
 
 SEED = 7
@@ -74,18 +89,42 @@ def test_fold_xor_matches_the_mask_loop(value, width, input_bits):
 
 
 # ------------------------------------------------------------------ #
-# Perceptron features and weight sum
+# Perceptron fill and eviction hooks
 # ------------------------------------------------------------------ #
+def _slot(pred, key):
+    """A fresh entry (LLT) or line (LLC) for ``key``."""
+    if isinstance(pred, PerceptronTlbPredictor):
+        return TlbEntry(key, 0, 0)
+    return CacheLine(key, False)
+
+
+def _perceptron_fill(pred, ctx, pc, key):
+    """``on_fill`` on ``pred``'s structure side, with ``pc`` in flight."""
+    if isinstance(pred, PerceptronTlbPredictor):
+        return pred.on_fill(None, key, 0, pc, 0)
+    ctx.pc = pc
+    return pred.on_fill(None, key, 0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(bits=st.integers(1, 16), pc=KEYS, key=KEYS)
 def test_perceptron_fast_features_match_reference(bits, pc, key):
-    tlb = PerceptronTlbPredictor(PerceptronConfig(table_bits=bits))
-    llc = PerceptronCachePredictor(
-        PerceptronConfig(table_bits=bits), context=AccessContext()
-    )
-    for _ in range(2):  # the first call fills the memos, the second reads
-        assert tlb._features(pc, key) == _tlb_features(pc, key, bits)
-        assert llc._features(pc, key) == _cache_features(pc, key, bits)
+    """With all-zero weights every fill allocates, and ``filled`` stores
+    the reference features (memo filled by the first fill, read by the
+    second)."""
+    ctx = AccessContext()
+    config = PerceptronConfig(table_bits=bits)
+    for pred, reference in (
+        (PerceptronTlbPredictor(config), _tlb_features),
+        (PerceptronCachePredictor(config, context=ctx), _cache_features),
+    ):
+        for _ in range(2):
+            assert _perceptron_fill(pred, ctx, pc, key) == "allocate"
+            slot = _slot(pred, key)
+            pred.filled(None, slot, 0)
+            assert slot.aux.features == reference(pc, key, bits)
+            assert slot.aux.yout == 0
+            assert pred._pending is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -93,39 +132,181 @@ def test_perceptron_fast_features_match_reference(bits, pc, key):
     bits=st.integers(1, 10),
     weights=st.lists(st.integers(-31, 31), min_size=64, max_size=64),
     fills=st.lists(st.tuples(KEYS, KEYS), min_size=1, max_size=20),
+    period=st.sampled_from([2, 3, 10**6]),
 )
-def test_perceptron_fill_decision_matches_predict(bits, weights, fills):
-    """The explicit four-weight sum is ``predict``'s sum: same decision,
-    and an allocated entry carries the reference features and sum."""
+def test_perceptron_fill_decision_matches_predict(bits, weights, fills, period):
+    """Each fill decides as ``predict`` and ``should_sample`` on a twin
+    core: bypass iff the reference sum predicts DOA and the twin's
+    streak does not sample it. An allocated entry carries the reference
+    features and sum, and the decision counters match the twin's
+    decisions."""
     ctx = AccessContext()
-    config = PerceptronConfig(table_bits=bits, sample_period=10**6)
+    config = PerceptronConfig(table_bits=bits, sample_period=period)
     for pred, reference in (
         (PerceptronTlbPredictor(config), _tlb_features),
         (PerceptronCachePredictor(config, context=ctx), _cache_features),
     ):
         core = pred.core
+        twin = _PerceptronCore(config)
         rows = 1 << bits
         for t, table in enumerate(core._tables):
             for row in range(rows):
                 table[row] = weights[(t * 16 + row) % len(weights)]
+        expected = {}
         for pc, key in fills:
             state = core.predict(reference(pc, key, bits))
-            if isinstance(pred, PerceptronTlbPredictor):
-                decision = pred.on_fill(None, key, 0, pc, 0)
+            bypass = False
+            if core.predicts_doa(state):
+                name = (
+                    "sampled_allocations" if twin.should_sample()
+                    else "doa_predictions"
+                )
+                expected[name] = expected.get(name, 0) + 1
+                bypass = name == "doa_predictions"
+            decision = _perceptron_fill(pred, ctx, pc, key)
+            assert decision == ("bypass" if bypass else "allocate")
+            assert core._bypass_streak == twin._bypass_streak
+            if bypass:
+                assert pred._pending is None
+                continue
+            slot = _slot(pred, key)
+            pred.filled(None, slot, 0)
+            assert slot.aux.features == state.features
+            assert slot.aux.yout == state.yout
+        assert pred.stats.snapshot() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bits=st.integers(1, 6),
+    margin=st.integers(0, 40),
+    weights=st.lists(st.integers(-31, 31), min_size=64, max_size=64),
+    evictions=st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 63)] * 4),
+            st.integers(-130, 130),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_perceptron_eviction_matches_train(bits, margin, weights, evictions):
+    """``on_evict`` updates the weights and the training count exactly as
+    ``train`` does on a twin core, saturating weights included."""
+    ctx = AccessContext()
+    config = PerceptronConfig(table_bits=bits, train_margin=margin)
+    rows = 1 << bits
+    for pred in (
+        PerceptronTlbPredictor(config),
+        PerceptronCachePredictor(config, context=ctx),
+    ):
+        core = pred.core
+        twin = _PerceptronCore(config)
+        for t in range(core.NUM_FEATURES):
+            for row in range(rows):
+                core._tables[t][row] = twin._tables[t][row] = weights[
+                    (t * 16 + row) % len(weights)
+                ]
+        for features, yout, accessed in evictions:
+            features = tuple(f % rows for f in features)
+            slot = _slot(pred, 0)
+            slot.aux = _PerceptronState(features, yout)
+            slot.accessed = accessed
+            pred.on_evict(None, slot, 0)
+            twin.train(_PerceptronState(features, yout), not accessed)
+            assert core._tables == twin._tables
+        assert core.stats.snapshot() == twin.stats.snapshot()
+
+
+# ------------------------------------------------------------------ #
+# Leeway's fill hook and percentile decision
+# ------------------------------------------------------------------ #
+@settings(max_examples=100, deadline=None)
+@given(
+    bits=st.integers(1, 4),
+    ring_entries=st.integers(1, 5),
+    percentile=st.integers(1, 100),
+    period=st.sampled_from([2, 3, 10**6]),
+    ops=st.lists(
+        st.one_of(
+            # train a residency: (signature, live distance)
+            st.tuples(st.just("train"), st.integers(0, 15),
+                      st.sampled_from([0, 0, 1, 9])),
+            # fill: (pc, key)
+            st.tuples(st.just("fill"), st.integers(0, 2**20), KEYS),
+            # lookup of a set
+            st.tuples(st.just("lookup"), st.integers(0, 3), st.just(0)),
+        ),
+        max_size=60,
+    ),
+)
+def test_leeway_fill_hook_matches_sorted_ring(
+    bits, ring_entries, percentile, period, ops
+):
+    """Each fill of both Leeway listeners decides as the sorted-ring
+    rule on an independently kept history, with ``should_sample`` on a
+    twin core deciding which predicted-DOA fills allocate; ``filled``
+    stores the PC's fold-XOR signature and the set's lookup count, and
+    the decision counters match."""
+    config = LeewayConfig(
+        signature_bits=bits, ring_entries=ring_entries,
+        percentile=percentile, sample_period=period,
+    )
+    rank = -(-ring_entries * percentile // 100) - 1
+    ctx = AccessContext()
+    for pred, struct in (
+        (LeewayTlbPredictor(config), Tlb("t", 8, 2)),
+        (LeewayCachePredictor(config, context=ctx),
+         SetAssocCache("c", 4, 2)),
+    ):
+        core = pred.core
+        twin = _LeewayCore(config)
+        history = {}
+        lookups = [0] * struct.num_sets
+        expected = {}
+        for op, a, b in ops:
+            if op == "train":
+                sig = a % (1 << bits)
+                state = _LeewayState(sig)
+                state.live = b
+                core.train_eviction(state)
+                history.setdefault(sig, []).append(b)
+                continue
+            if op == "lookup":
+                pred.on_lookup(struct, a, 0)
+                lookups[a] += 1
+                continue
+            pc, key = a, b
+            sig = fold_xor(pc, bits)
+            ring = history.get(sig, [])[-ring_entries:]
+            bypass = False
+            if len(ring) == ring_entries and sorted(ring)[rank] == 0:
+                name = (
+                    "sampled_allocations" if twin.should_sample(sig)
+                    else "doa_predictions"
+                )
+                expected[name] = expected.get(name, 0) + 1
+                bypass = name == "doa_predictions"
+            if isinstance(pred, LeewayTlbPredictor):
+                decision = pred.on_fill(struct, key, 0, pc, 0)
+                slot = TlbEntry(key, 0, 0)
             else:
                 ctx.pc = pc
-                decision = pred.on_fill(None, key, 0)
-            assert (decision == "bypass") == core.predicts_doa(state)
-            if decision == "allocate":
-                assert pred._pending.features == state.features
-                assert pred._pending.yout == state.yout
-            else:
+                decision = pred.on_fill(struct, key, 0)
+                slot = CacheLine(key, False)
+            assert decision == ("bypass" if bypass else "allocate")
+            assert core._bypass_streak == twin._bypass_streak
+            if bypass:
                 assert pred._pending is None
+                continue
+            pred.filled(struct, slot, 0)
+            assert slot.aux.sig == sig
+            assert slot.aux.base == lookups[key & struct._set_mask]
+            assert slot.aux.live == 0
+        assert pred.stats.snapshot() == expected
 
 
-# ------------------------------------------------------------------ #
-# Leeway's percentile decision
-# ------------------------------------------------------------------ #
 @settings(max_examples=200, deadline=None)
 @given(
     ring_entries=st.integers(1, 9),
