@@ -39,6 +39,8 @@ import hashlib
 import json
 import os
 import tempfile
+import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
@@ -354,7 +356,7 @@ def load_trace(workload: str, budget: int, seed: int) -> Optional[Trace]:
         return None
     try:
         return Trace.load(path)
-    except (ValueError, OSError, KeyError):
+    except (ValueError, OSError, KeyError, zipfile.BadZipFile, zlib.error):
         _quarantine(path, "trace", "npz does not decode to Trace")
         return None
 

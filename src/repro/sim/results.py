@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional
 
 from repro.common.residency import ResidencySummary
@@ -197,9 +197,18 @@ class SimResult:
 
         The ``raw`` counter dicts are emitted with sorted keys so the
         serialised form is byte-stable regardless of counter creation
-        order (two equal results always serialise identically).
+        order (two equal results always serialise identically). The
+        other fields hold scalars, or a residency summary of scalars, so
+        a copy per field gives what ``dataclasses.asdict`` gives without
+        its recursive deep copy.
         """
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in _RESULT_FIELDS}
+        for key in ("llt_residency", "llc_residency"):
+            summary = data[key]
+            if summary is not None:
+                data[key] = {
+                    name: getattr(summary, name) for name in _RESIDENCY_FIELDS
+                }
         data["raw"] = {
             structure: dict(sorted(counters.items()))
             for structure, counters in sorted(self.raw.items())
@@ -234,3 +243,7 @@ class SimResult:
             f"IPC={self.ipc:6.3f} LLT-MPKI={self.llt_mpki:7.3f} "
             f"LLC-MPKI={self.llc_mpki:7.3f}"
         )
+
+
+_RESULT_FIELDS = tuple(f.name for f in fields(SimResult))
+_RESIDENCY_FIELDS = tuple(f.name for f in fields(ResidencySummary))

@@ -19,8 +19,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.synthetic import AddressSpace, Workload, mix_pcs
-from repro.workloads.trace import Trace, TraceBuilder, pc_for_site
+from repro.workloads.synthetic import (
+    AddressSpace,
+    Workload,
+    draw_words,
+    ints_from_words,
+    uniforms_from_words,
+)
+from repro.workloads.trace import (
+    Trace,
+    TraceBuilder,
+    check_budget,
+    pc_for_site,
+    trace_from_steps,
+)
 
 
 class CactusAdm(Workload):
@@ -50,54 +62,58 @@ class CactusAdm(Workload):
     gap = 4
 
     def generate(self, budget: int) -> Trace:
-        builder = TraceBuilder(self.name, budget)
+        # One sweep step touches the current page of every grid function
+        # a few times (the plane window), gathers coefficients, and
+        # writes the output page. Per function it takes the touches'
+        # offset words, then a uniform (two words) per touch to mix in
+        # the shared PC; then the gathers' offset words and a uniform
+        # each. The output writes draw nothing.
+        funcs, touches = self.num_functions, self.touches_per_page
+        gathers = 2 * funcs
+        per_step = funcs * touches + gathers + 4
+        steps = -(-check_budget(budget) // per_step)
         space = AddressSpace()
-        bases = [
+        bases = np.array([
             space.region(f"gf{a}", self.function_bytes)
-            for a in range(self.num_functions)
-        ]
+            for a in range(funcs)
+        ])
         out = space.region("gf_out", self.function_bytes)
         coeff = space.region("coeff", self.coeff_bytes)
-        rng = self._rng()
-        pages_per_fn = self.function_bytes >> 12
-        coeff_elems = self.coeff_bytes // 8
-        pc_write = pc_for_site(40)
-        pc_coeff = pc_for_site(41)
+        grid_width = funcs * 3 * touches
+        words = draw_words(self._rng(), steps * (grid_width + 3 * gathers))
+        grid_words, gather_words, gather_mix = np.split(
+            words.reshape(steps, -1),
+            [grid_width, grid_width + gathers], axis=1,
+        )
+        grid_words = grid_words.reshape(steps, funcs, 3 * touches)
+        offs = ints_from_words(grid_words[..., :touches], 4096 // 8)
+        grid_mix = uniforms_from_words(grid_words[..., touches:])
+        rows = (np.arange(steps) % (self.function_bytes >> 12)) << 12
         pc_shared = pc_for_site(60)  # inlined helper shared by all sites
-        gap = self.gap
-        page = 0
-
-        def emit_mixed(primary_pc, vaddrs, fraction):
-            pcs = mix_pcs(rng, primary_pc, pc_shared, len(vaddrs), fraction)
-            builder.emit_interleaved(
-                pcs, vaddrs, [False] * len(vaddrs), [gap] * len(vaddrs)
-            )
-
-        while not builder.full:
-            # One sweep step: touch the current page of every grid
-            # function a few times (the plane window), gather coefficients,
-            # and write the output page.
-            for a in range(self.num_functions):
-                offs = rng.randint(0, 4096 // 8, size=self.touches_per_page)
-                row = bases[a] + (page << 12)
-                emit_mixed(
-                    pc_for_site(a),
-                    [row + o * 8 for o in offs.tolist()],
-                    self.shared_pc_fraction,
-                )
-            gathers = rng.randint(0, coeff_elems, size=2 * self.num_functions)
-            emit_mixed(
-                pc_coeff,
-                [coeff + g * 8 for g in gathers.tolist()],
-                self.shared_gather_fraction,
-            )
-            row = out + (page << 12)
-            builder.emit_chunk(
-                pc_write, [row, row + 8, row + 16, row + 24],
-                write=True, gap=gap,
-            )
-            page = (page + 1) % pages_per_fn
-        return builder.build()
+        fn_pcs = np.array([pc_for_site(a) for a in range(funcs)])
+        grid = bases[:, None] + rows[:, None, None] + offs * 8
+        grid_pcs = np.where(
+            grid_mix < self.shared_pc_fraction, pc_shared, fn_pcs[:, None]
+        )
+        coeff_idx = ints_from_words(gather_words, self.coeff_bytes // 8)
+        coeff_pcs = np.where(
+            uniforms_from_words(gather_mix) < self.shared_gather_fraction,
+            pc_shared, pc_for_site(41),
+        )
+        vaddrs = np.hstack([
+            grid.reshape(steps, -1),
+            coeff + coeff_idx * 8,
+            out + rows[:, None] + np.arange(0, 32, 8),
+        ])
+        pcs = np.hstack([
+            grid_pcs.reshape(steps, -1),
+            coeff_pcs,
+            np.full((steps, 4), pc_for_site(40)),
+        ])
+        writes = np.repeat([False, True], [per_step - 4, 4])
+        return trace_from_steps(
+            self.name, budget, pcs, vaddrs, writes, self.gap
+        )
 
 
 class Lbm(Workload):
@@ -121,47 +137,50 @@ class Lbm(Workload):
     gap = 5
 
     def generate(self, budget: int) -> Trace:
-        builder = TraceBuilder(self.name, budget)
+        # One step reads a few cells of the current page of src, writes
+        # the same cells of dst, and gathers two obstacle entries. It
+        # takes the cells' offset words, a uniform (two words) per read
+        # and per write to mix in the shared PC, then the gathers' offset
+        # words and a uniform each. After the last page the lattices
+        # swap roles (ping-pong sweeps).
+        touches = self.touches_per_page
+        per_step = 2 * touches + 2
+        steps = -(-check_budget(budget) // per_step)
         space = AddressSpace()
         src = space.region("src", self.lattice_bytes)
         dst = space.region("dst", self.lattice_bytes)
         obstacle = space.region("obstacle", self.obstacle_bytes)
-        rng = self._rng()
+        words = draw_words(self._rng(), steps * (5 * touches + 6))
+        offs, src_mix, dst_mix, gathers, obst_mix = np.split(
+            words.reshape(steps, -1),
+            np.cumsum([touches, 2 * touches, 2 * touches, 2]), axis=1,
+        )
         pages = self.lattice_bytes >> 12
-        obst_elems = self.obstacle_bytes // 8
-        pc_src = pc_for_site(0)
-        pc_dst = pc_for_site(1)
-        pc_obst = pc_for_site(2)
+        step = np.arange(steps)[:, None]
+        cells = (step % pages << 12) + ints_from_words(offs, 4096 // 8) * 8
+        swapped = step // pages % 2 == 1
+        obst_idx = ints_from_words(gathers, self.obstacle_bytes // 8)
+        vaddrs = np.hstack([
+            np.where(swapped, dst, src) + cells,
+            np.where(swapped, src, dst) + cells,
+            obstacle + obst_idx * 8,
+        ])
         pc_shared = pc_for_site(60)
-        gap = self.gap
-        page = 0
-
-        def emit_mixed(primary_pc, vaddrs, fraction, write=False):
-            pcs = mix_pcs(rng, primary_pc, pc_shared, len(vaddrs), fraction)
-            builder.emit_interleaved(
-                pcs, vaddrs, [write] * len(vaddrs), [gap] * len(vaddrs)
-            )
-
-        while not builder.full:
-            offs = rng.randint(0, 4096 // 8, size=self.touches_per_page)
-            cells = [(page << 12) + o * 8 for o in offs.tolist()]
-            emit_mixed(
-                pc_src, [src + c for c in cells], self.shared_pc_fraction
-            )
-            emit_mixed(
-                pc_dst, [dst + c for c in cells], self.shared_pc_fraction,
-                write=True,
-            )
-            gathers = rng.randint(0, obst_elems, size=2)
-            emit_mixed(
-                pc_obst,
-                [obstacle + g * 8 for g in gathers.tolist()],
-                self.shared_gather_fraction,
-            )
-            page = (page + 1) % pages
-            if page == 0:
-                src, dst = dst, src  # ping-pong sweeps
-        return builder.build()
+        fraction = self.shared_pc_fraction
+        pcs = np.hstack([
+            np.where(uniforms_from_words(src_mix) < fraction,
+                     pc_shared, pc_for_site(0)),
+            np.where(uniforms_from_words(dst_mix) < fraction,
+                     pc_shared, pc_for_site(1)),
+            np.where(
+                uniforms_from_words(obst_mix) < self.shared_gather_fraction,
+                pc_shared, pc_for_site(2),
+            ),
+        ])
+        writes = np.repeat([False, True, False], [touches, touches, 2])
+        return trace_from_steps(
+            self.name, budget, pcs, vaddrs, writes, self.gap
+        )
 
 
 class Mcf(Workload):
@@ -176,45 +195,38 @@ class Mcf(Workload):
     gap = 2
 
     def generate(self, budget: int) -> Trace:
-        builder = TraceBuilder(self.name, budget)
         space = AddressSpace()
         arcs = space.region("arcs", self.num_arcs * self.arc_size)
         nodes = space.region("nodes", self.num_nodes * self.node_size)
         rng = self._rng()
         # A single random Hamiltonian cycle over the arcs: the pointer
-        # chase. (A raw permutation would decompose into short cycles and
-        # trap the chase in a tiny working set.)
+        # chase, from each arc to the next in ``order``. (A raw
+        # permutation would decompose into short cycles and trap the
+        # chase in a tiny working set.)
         order = rng.permutation(self.num_arcs)
-        chase = np.empty(self.num_arcs, dtype=np.int64)
-        chase[order] = np.roll(order, -1)
-        chase = chase.tolist()
-        heads = rng.randint(0, self.num_nodes, size=self.num_arcs).tolist()
-        tails = rng.randint(0, self.num_nodes, size=self.num_arcs).tolist()
+        heads = rng.randint(0, self.num_nodes, size=self.num_arcs)
+        tails = rng.randint(0, self.num_nodes, size=self.num_arcs)
         pos = int(rng.randint(0, self.num_arcs))
-        pc_arc = pc_for_site(0)
-        pc_head = pc_for_site(1)
-        pc_tail = pc_for_site(2)
-        pc_update = pc_for_site(3)
-        while not builder.full:
-            builder.emit(
-                pc_arc, arcs + pos * self.arc_size, gap=self.gap
-            )
-            builder.emit(
-                pc_head, nodes + heads[pos] * self.node_size,
-                gap=self.gap,
-            )
-            builder.emit(
-                pc_tail, nodes + tails[pos] * self.node_size,
-                gap=self.gap,
-            )
-            # Occasional pivot updates write the arc back.
-            if pos % 7 == 0:
-                builder.emit(
-                    pc_update, arcs + pos * self.arc_size,
-                    write=True, gap=self.gap,
-                )
-            pos = chase[pos]
-        return builder.build()
+        # Each step reads the arc and its head and tail nodes; occasional
+        # pivot updates write the arc back. Steps emit at least three
+        # records, so ceil(budget / 3) steps fill the budget.
+        steps = -(-check_budget(budget) // 3)
+        start = int(np.flatnonzero(order == pos)[0])
+        visit = order[(start + np.arange(steps)) % self.num_arcs]
+        arc = arcs + visit * self.arc_size
+        vaddrs = np.stack([
+            arc,
+            nodes + heads[visit] * self.node_size,
+            nodes + tails[visit] * self.node_size,
+            arc,
+        ], axis=1)
+        keep = np.ones((steps, 4), dtype=bool)
+        keep[:, 3] = visit % 7 == 0
+        pcs = np.array([pc_for_site(site) for site in range(4)])
+        writes = np.array([False, False, False, True])
+        return trace_from_steps(
+            self.name, budget, pcs, vaddrs, writes, self.gap, keep
+        )
 
 
 class ConjugateGradient(Workload):

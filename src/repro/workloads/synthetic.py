@@ -81,6 +81,61 @@ def mix_pcs(
     ]
 
 
+# Bulk draws. A kernel whose every step takes a fixed number of MT19937
+# words draws all its steps' words in one call and decodes them with the
+# helpers below, which reproduce numpy's legacy ``RandomState``
+# algorithms bit for bit, so the trace equals the per-step kernel's.
+
+
+def draw_words(rng: np.random.RandomState, count: int) -> np.ndarray:
+    """The next ``count`` raw 32-bit MT19937 words of ``rng`` (uint32).
+
+    ``randint(0, 2**32, dtype=np.uint32)`` takes the full-range branch of
+    numpy's legacy ``random_bounded_uint32_fill`` (``rng ==
+    0xFFFFFFFF``), which returns one ``next_uint32`` per value, unmasked
+    and never rejected: the stream every other legacy draw decodes.
+    """
+    return rng.randint(0, 1 << 32, size=count, dtype=np.uint32)
+
+
+def uniforms_from_words(words: np.ndarray) -> np.ndarray:
+    """The float64 values ``rng.rand`` makes from ``words``: one value
+    per consecutive pair along the last axis, which must be even.
+
+    Legacy ``rand`` calls ``mt19937_next_double``: ``a = next32 >> 5``,
+    ``b = next32 >> 6``, ``(a * 67108864.0 + b) / 9007199254740992.0``.
+    ``a * 2**26 + b < 2**53``, so each step is exact in float64.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    if words.shape[-1] % 2:
+        raise ValueError(
+            f"uniforms take word pairs, got {words.shape[-1]} words"
+        )
+    pairs = words.reshape(words.shape[:-1] + (-1, 2))
+    high = (pairs[..., 0] >> 5).astype(np.float64)
+    low = (pairs[..., 1] >> 6).astype(np.float64)
+    return (high * 67108864.0 + low) / 9007199254740992.0
+
+
+def ints_from_words(words: np.ndarray, high: int) -> np.ndarray:
+    """The int64 values ``rng.randint(0, high)`` makes from ``words``,
+    one per word, for a power-of-two ``high`` from 2 to 2**32.
+
+    Legacy ``randint`` (``buffered_bounded_masked_uint32``) takes
+    ``next32 & mask``, with ``mask`` the smallest ``2**k - 1 >= high -
+    1``, and redraws while the value exceeds ``high - 1``. For ``high ==
+    2**k`` no value is redrawn, so each is ``w & (high - 1)``. Any other
+    range rejects some words, and ``high == 1`` takes none, so the word
+    count would vary: those raise.
+    """
+    if high < 2 or high > 1 << 32 or high & (high - 1):
+        raise ValueError(
+            f"high must be a power of two from 2 to 2**32, got {high}"
+        )
+    words = np.asarray(words, dtype=np.uint32)
+    return (words & np.uint32(high - 1)).astype(np.int64)
+
+
 def strided_indices(count: int, stride: int, start: int = 0) -> np.ndarray:
     return (start + np.arange(count, dtype=np.uint64) * stride)
 

@@ -7,7 +7,11 @@ post-mortem, surfaced as an ``cache_corrupt`` harness event), and
 *recomputed* (the caller sees a miss, never a stale or mangled result).
 """
 
+import hashlib
 import json
+import struct
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ import repro.sim.diskcache as diskcache
 from repro.sim.config import fast_config
 from repro.sim.runner import clear_run_cache, run_cached
 from repro.workloads.suite import get_trace
+from repro.workloads.trace import Trace
 
 BUDGET = 2000
 
@@ -138,6 +143,80 @@ class TestTraceIntegrity:
         path.with_suffix(".npz.sha256").unlink()
         assert diskcache.load_trace("mcf", BUDGET, 42) is None
         assert _corruption_events()
+
+    def test_stored_trace_round_trips_identical_arrays(self, cache_dir):
+        trace, path = self._store_trace()
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) == [
+            "gaps.npy", "name.npy", "pcs.npy", "vaddrs.npy", "writes.npy",
+        ]
+        assert {m.compress_type for m in members} == {zipfile.ZIP_DEFLATED}
+        loaded = diskcache.load_trace("mcf", BUDGET, 42)
+        assert loaded.name == trace.name and loaded.asids is None
+        for field in ("pcs", "vaddrs", "writes", "gaps"):
+            got, expected = getattr(loaded, field), getattr(trace, field)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+    def test_savez_compressed_entry_still_loads(self, cache_dir):
+        """Entries written by ``np.savez_compressed`` (zlib level 6)
+        before traces were stored at level 1 stay valid."""
+        trace = get_trace("mcf", BUDGET)
+        key = diskcache.trace_key("mcf", BUDGET, 42)
+        path = cache_dir / "traces" / f"{key}.npz"
+        path.parent.mkdir(parents=True)
+        np.savez_compressed(
+            path, name=np.asarray(trace.name), pcs=trace.pcs,
+            vaddrs=trace.vaddrs, writes=trace.writes, gaps=trace.gaps,
+        )
+        path.with_suffix(".npz.sha256").write_text(
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        )
+        loaded = diskcache.load_trace("mcf", BUDGET, 42)
+        assert loaded is not None and loaded.name == trace.name
+        for field in ("pcs", "vaddrs", "writes", "gaps"):
+            np.testing.assert_array_equal(
+                getattr(loaded, field), getattr(trace, field)
+            )
+        assert not _corruption_events()
+
+    def test_undecodable_member_quarantined(self, cache_dir):
+        """A member whose deflate stream is invalid (its first block
+        type set to the reserved 0b11) is quarantined even when the
+        sidecar was hashed over the damaged bytes."""
+        _, path = self._store_trace()
+        data = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as archive:
+            header = archive.getinfo("vaddrs.npy").header_offset
+        name_len, extra_len = struct.unpack_from("<HH", data, header + 26)
+        data[header + 30 + name_len + extra_len] = 0xFF
+        path.write_bytes(bytes(data))
+        path.with_suffix(".npz.sha256").write_text(
+            hashlib.sha256(bytes(data)).hexdigest()
+        )
+        with pytest.raises(zlib.error):
+            Trace.load(path)
+        assert diskcache.load_trace("mcf", BUDGET, 42) is None
+        assert (diskcache.quarantine_dir() / path.name).exists()
+
+    @pytest.mark.parametrize("rehash", (False, True), ids=("stale", "rehashed"))
+    def test_truncated_trace_quarantined(self, cache_dir, rehash):
+        """A cut npz is quarantined whether its sidecar fails to match
+        or (hashed after the cut) matches and the archive fails to
+        decode."""
+        _, path = self._store_trace()
+        data = path.read_bytes()[: path.stat().st_size // 2]
+        path.write_bytes(data)
+        if rehash:
+            path.with_suffix(".npz.sha256").write_text(
+                hashlib.sha256(data).hexdigest()
+            )
+        assert diskcache.load_trace("mcf", BUDGET, 42) is None
+        assert not path.exists()
+        assert (diskcache.quarantine_dir() / path.name).exists()
+        (event,) = _corruption_events()
+        assert event["store"] == "trace"
 
 
 class TestMaintenance:

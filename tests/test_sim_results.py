@@ -2,6 +2,7 @@
 merging, and serialisation stability."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -151,3 +152,32 @@ class TestSerialisation:
         data["surprise"] = 1
         with pytest.raises(ValueError):
             SimResult.from_dict(data)
+
+    @pytest.mark.parametrize("residency", (False, True))
+    def test_to_dict_matches_asdict(self, residency):
+        """``to_dict`` equals the ``dataclasses.asdict`` form, ``raw``
+        sorted, and shares no mutable state with the result."""
+        summaries = {}
+        if residency:
+            summaries = dict(
+                llt_residency=ResidencySummary(3, 9.5, 4.0, 1.5, 1, 1, 1),
+                llc_residency=ResidencySummary(2, 4.0, 1.0, 0.0, 0, 2, 0),
+            )
+        r = _result(
+            instructions=10, cycles=20.5, tlb_accuracy=0.25,
+            raw={"llt": {"misses": 2, "hits": 1}, "l1d": {"hits": 7}},
+            **summaries,
+        )
+        expected = asdict(r)
+        expected["raw"] = {
+            structure: dict(sorted(counters.items()))
+            for structure, counters in sorted(r.raw.items())
+        }
+        data = r.to_dict()
+        assert data == expected
+        assert json.dumps(data) == json.dumps(expected)
+        data["raw"]["llt"]["hits"] = 99
+        if residency:
+            data["llt_residency"]["residencies"] = 99
+            assert r.llt_residency.residencies == 3
+        assert r.raw["llt"]["hits"] == 1

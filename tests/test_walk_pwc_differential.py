@@ -19,7 +19,8 @@ the inlined walk (4 KB and 2 MB leaves), the per-ASID keys and the
 context switches between ASID segments on *every* record. The last
 differential drives every flat-eligible registry predictor pair through
 the same traces, pinning the flat tier's generic listener path (hooks at
-the lookup sites, fills delegated to the real ``fill``).
+the lookup sites, LLT and LLC fills run inline with the listener's
+``on_fill`` deciding).
 """
 
 import json
