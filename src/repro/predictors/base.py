@@ -72,12 +72,16 @@ class PredictorSpec(Protocol):
     is called where the scalar ``lookup`` and ``fill`` call it, in the
     same order, from the interpreter's own inline fills. A listener may
     join those sets only if its hooks are *pure* in this sense: they
-    touch only the listener's own state, the entry or line they are
-    handed, and a read of that set's slots; they read the in-flight PC
-    only through the :class:`AccessContext` (or the LLT fill's
-    ``pc_hash``); and they never read the structure's stats or re-enter
-    the structure (no ``fill``/``lookup``/``invalidate`` from a hook —
-    why the distance prefetcher stays out). Two more rules follow from
+    write only the listener's own state and the entry or line they are
+    handed; a hook may read other structures' resident state (the set's
+    slots, or another structure's resident entries, as the Table III
+    correlation listener on the LLC probes the LLT), and never writes
+    it; they read the in-flight PC only through the
+    :class:`AccessContext` (or the LLT fill's ``pc_hash``); and they
+    never read any structure's stats, which the flat interpreter
+    buffers until a chunk ends, or re-enter a structure (no
+    ``fill``/``lookup``/``invalidate`` from a hook — why the distance
+    prefetcher stays out). Two more rules follow from
     the inline fill recycling its victim: ``on_evict`` must not read
     the victim's way of the set (the scalar ``_evict_way`` has emptied
     it; the inline fill still holds the victim there), and no hook may

@@ -329,24 +329,24 @@ def tear_result_entry(
 # ---------------------------------------------------------------------- #
 # Trace store
 # ---------------------------------------------------------------------- #
-def load_trace(workload: str, budget: int, seed: int) -> Optional[Trace]:
-    """Fetch a cached trace, or None on miss / disabled cache.
+def _checked_trace(path: Path) -> Optional[Trace]:
+    """The trace stored at ``path``, or None after quarantining it.
 
     The ``.npz`` bytes must match the ``.sha256`` sidecar written with
-    them; a missing sidecar or a mismatch quarantines the pair.
-    """
-    if not _enabled:
-        return None
-    path = _trace_path(trace_key(workload, budget, seed))
-    if not path.exists():
-        return None
+    them, and must decode to a :class:`Trace`: a sidecar hashed over
+    damaged bytes matches them. A missing sidecar, a mismatch (which
+    also drops the stale sidecar) or a failed decode quarantines the
+    npz."""
     sidecar = _trace_sidecar(path)
     try:
         expected = sidecar.read_text().strip()
     except OSError:
         _quarantine(path, "trace", "missing checksum sidecar")
         return None
-    actual = hashlib.sha256(path.read_bytes()).hexdigest()
+    try:
+        actual = hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        actual = None
     if actual != expected:
         _quarantine(path, "trace", "npz checksum mismatch")
         try:
@@ -359,6 +359,17 @@ def load_trace(workload: str, budget: int, seed: int) -> Optional[Trace]:
     except (ValueError, OSError, KeyError, zipfile.BadZipFile, zlib.error):
         _quarantine(path, "trace", "npz does not decode to Trace")
         return None
+
+
+def load_trace(workload: str, budget: int, seed: int) -> Optional[Trace]:
+    """Fetch a cached trace, or None on miss / disabled cache / a
+    quarantined integrity failure (see :func:`_checked_trace`)."""
+    if not _enabled:
+        return None
+    path = _trace_path(trace_key(workload, budget, seed))
+    if not path.exists():
+        return None
+    return _checked_trace(path)
 
 
 def store_trace(workload: str, budget: int, seed: int, trace: Trace) -> None:
@@ -404,10 +415,11 @@ def purge() -> int:
 def verify() -> dict:
     """Integrity-scan every entry in the active cache directory.
 
-    Loads each result envelope and trace checksum without touching the
-    in-process caches; corrupt entries are quarantined exactly as a
-    normal load would. Returns counts: ``{"results_ok", "results_bad",
-    "traces_ok", "traces_bad"}``.
+    Checks each result envelope, and each trace as :func:`load_trace`
+    does (checksum and decode), without touching the in-process caches;
+    corrupt entries are quarantined as a normal load would. Returns
+    counts: ``{"results_ok", "results_bad", "traces_ok",
+    "traces_bad"}``.
     """
     base = cache_dir()
     report = {"results_ok": 0, "results_bad": 0,
@@ -437,20 +449,10 @@ def verify() -> dict:
     traces = base / "traces"
     if traces.is_dir():
         for path in sorted(traces.glob("*.npz")):
-            sidecar = _trace_sidecar(path)
-            ok = False
-            try:
-                ok = (
-                    hashlib.sha256(path.read_bytes()).hexdigest()
-                    == sidecar.read_text().strip()
-                )
-            except OSError:
-                ok = False
-            if ok:
-                report["traces_ok"] += 1
-            else:
-                _quarantine(path, "trace", "verify scan failure")
+            if _checked_trace(path) is None:
                 report["traces_bad"] += 1
+            else:
+                report["traces_ok"] += 1
     return report
 
 

@@ -25,22 +25,25 @@ to the scalar reference loop (:meth:`Machine.run_scalar`):
   benchmark's suite cells, 0.017 on its scenario cells, against 0.62
   data-path L2 misses per suite record). The other registry
   predictors (Leeway, perceptron, SHiP, AIP, the oracle passes, and
-  dpPred under its demote ablation) run through one generic listener
-  path: each hook a listener overrides is called where
+  dpPred under its demote ablation) and the Table III correlation
+  listeners run through one generic listener path: each hook a
+  listener overrides is called where
   :meth:`Tlb.lookup` / :meth:`SetAssocCache.lookup` and
   :meth:`Tlb.fill` / :meth:`SetAssocCache.fill` call it, from the same
   inline fills every other run uses (a bypass, a ``"distant"`` insertion
   at the LRU end or at RRPV max, a listener's own victim choice), so
-  every flat LLT and data-path LLC fill is counted one way. ASID-carrying traces
-  run as segments of constant ASID: every key is the combined
+  every flat LLT and data-path LLC fill is counted one way. The
+  ground-truth reference structures (Tables VI/VII) are fed at the
+  scalar engine's two points. ASID-carrying traces run as segments of
+  constant ASID: every key is the combined
   ``(asid, vpn)`` key, and the context switch between segments is the
   real :meth:`Machine._context_switch`.
 * **scalar** — a machine or trace the flat interpreter does not model
   runs :meth:`Machine.run_scalar` instead, with exactly one counted
   reason (:func:`flat_reason`, ``engine_stats["flat_reason"]``,
   :func:`engine_totals`): listeners outside the flat-eligible set (the
-  distance prefetcher, the correlation listeners, unlisted plug-ins),
-  reference structures, unexpected trace dtypes, or an empty trace.
+  distance prefetcher, unlisted plug-ins), unexpected trace dtypes, or
+  an empty trace.
 
 Bit-identity with the scalar engine is a hard guarantee, not a goal
 (``tests/test_engine_equivalence.py`` enforces it property-wise).
@@ -87,6 +90,10 @@ from repro.predictors.perceptron import (
     PerceptronTlbPredictor,
 )
 from repro.predictors.ship import ShipCachePredictor, ShipTlbPredictor
+from repro.sim.machine import (
+    _CorrelationCacheListener,
+    _CorrelationTlbListener,
+)
 from repro.vm.pagetable import (
     ENTRIES_PER_NODE,
     LEVEL_BITS,
@@ -150,18 +157,18 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 #: (``engine_stats["flat_reason"]`` and :func:`engine_totals`'s
 #: ``flat_declines``).
 REASON_PREDICTOR = "predictor"  # listener outside the flat-eligible sets
-#                                 (prefetcher, correlation, unlisted
+#                                 (the distance prefetcher, unlisted
 #                                 plug-ins), or any L1 listener/residency
-REASON_REFERENCE = "reference"  # ground-truth reference structures attached
 REASON_DTYPE = "dtype"          # unexpected trace array dtypes
 REASON_EMPTY = "empty"          # zero-record trace
 
 #: Listeners the flat tier runs through its generic path: hooks called
 #: where the scalar ``lookup`` and ``fill`` call them, from the inline
-#: fills. Each touches only its own state, the entry or line it is
-#: handed, and a read of that set (see
-#: :class:`~repro.predictors.base.PredictorSpec`). dpPred and cbPred are
-#: inlined instead, so they are not listed; dpPred under the demote
+#: fills. Each writes only its own state and the entry or line it is
+#: handed, and at most reads other structures' resident state (see
+#: :class:`~repro.predictors.base.PredictorSpec`): the Table III
+#: correlation listener on the LLC probes the LLT. dpPred and cbPred
+#: are inlined instead, so they are not listed; dpPred under the demote
 #: ablation takes the generic path too.
 GENERIC_TLB_LISTENERS = frozenset({
     LeewayTlbPredictor,
@@ -170,6 +177,7 @@ GENERIC_TLB_LISTENERS = frozenset({
     AipTlbPredictor,
     DoaRecordingListener,
     OracleTlbListener,
+    _CorrelationTlbListener,
 })
 GENERIC_LLC_LISTENERS = frozenset({
     LeewayCachePredictor,
@@ -178,6 +186,7 @@ GENERIC_LLC_LISTENERS = frozenset({
     AipCachePredictor,
     DoaRecordingCacheListener,
     OracleCacheListener,
+    _CorrelationCacheListener,
 })
 
 
@@ -185,8 +194,9 @@ def flat_reason(machine) -> Optional[str]:
     """Why the flat interpreter cannot run this machine (None = it can).
 
     The flat path inlines the whole scalar access chain — L1 TLBs, LLT,
-    walker, L1D/L2/LLC, dpPred/cbPred — so it is restricted to the
-    structures and hooks it models exactly:
+    walker, L1D/L2/LLC, dpPred/cbPred, and the ground-truth reference
+    structures' two feeds — so it is restricted to the structures and
+    hooks it models exactly:
 
     * the L1 TLBs, L1D and L2 must be bare (no listener, no residency) —
       true for every shipped configuration;
@@ -196,22 +206,18 @@ def flat_reason(machine) -> Optional[str]:
       cbPred (inlined)
       or a listener in :data:`GENERIC_LLC_LISTENERS`. Both checks are
       exact ``type()`` checks, so any other listener — the distance
-      prefetcher (it re-enters ``tlb.fill`` from its own hooks), the
-      machine's correlation listeners, a subclass, or anything newly
-      registered through :mod:`repro.predictors.registry` — declines
-      with ``predictor``: it runs bit-exact on the scalar reference with
-      zero engine work, and the decline is counted
-      (``engine_stats["flat_reason"]``, ``engine_totals()``'s
-      ``flat_declines``) — never silent;
-    * ground-truth reference structures hook the scalar access path
-      only, so they decline too.
+      prefetcher (it re-enters ``tlb.fill`` from its own hooks), a
+      subclass, or anything newly registered through
+      :mod:`repro.predictors.registry` — declines with ``predictor``: it
+      runs bit-exact on the scalar reference with zero engine work, and
+      the decline is counted (``engine_stats["flat_reason"]``,
+      ``engine_totals()``'s ``flat_declines``) — never silent.
 
     Both replacement policies (LRU's tag-dict reordering, SRRIP's RRPV
-    aging), multi-tenant (ASID-carrying) traces and huge-page tables run
-    flat.
+    aging), multi-tenant (ASID-carrying) traces, huge-page tables,
+    ground-truth reference structures and the Table III correlation
+    listeners run flat.
     """
-    if machine.ref_llt is not None or machine.ref_llc is not None:
-        return REASON_REFERENCE
     for struct in (
         machine.l1_itlb, machine.l1_dtlb, machine.l1d, machine.l2
     ):
@@ -273,9 +279,8 @@ def engine_totals() -> dict:
     """Snapshot of batched-engine dispatch since the last reset: runs,
     the flat/scalar record split, and per-reason counts of runs sent to
     the scalar reference (``flat_declines`` — e.g. every distance-
-    prefetcher or correlation-tracking run counts one ``predictor``,
-    every ground-truth-reference run one ``reference``). Diagnostics
-    only — never part of simulation results."""
+    prefetcher run counts one ``predictor``). Diagnostics only — never
+    part of simulation results."""
     out = dict(_totals)
     out["flat_declines"] = dict(_totals["flat_declines"])
     return out
@@ -422,6 +427,14 @@ class _FlatStepper:
     ``fold_xor`` hashes are memoized per run (pure function of its
     inputs).
 
+    The ground-truth reference structures (Tables VI/VII) are fed where
+    the scalar engine feeds them: the LLT reference on each L1 D-TLB
+    miss, with the combined key, before the LLT probe (an L1 I-TLB miss
+    feeds it inside the delegated :meth:`Machine._translate`), and the
+    LLC reference on each data access that misses L2, after the fills;
+    walk loads feed neither. Fill-time predictions reach them through
+    the predictors' ``prediction_observer``, inline and generic alike.
+
     The trace runs in chunks of at most :data:`_CHUNK_RECORDS` records,
     predecoded by numpy into the columns the loop reads: the PC, a mark
     on each record whose code page differs from the previous record's
@@ -442,6 +455,18 @@ class _FlatStepper:
     between, so such a hit changes state only after a miss: the new
     entry's ``accessed`` bit, and its RRPV to 0 under SRRIP. A miss
     whose next record is unmarked applies that change itself.
+
+    The same-page filter is this interpreter's own; the scalar loop
+    probes both L1 TLBs on every record. With LRU L1 TLBs (``pf``), a
+    record on the page of the previous D-side (or I-side) translation
+    reuses that entry, setting its ``accessed`` bit, without probing
+    its set. That is exact: after a translation its entry is the most
+    recent of its set, nothing else touches that TLB before the next
+    record (the L1 TLBs carry no listener, so no fill bypasses), and
+    re-promoting the most recent entry under LRU moves nothing. An
+    SRRIP hit resets the RRPV, so the filter is off there. It holds raw
+    VPNs of one ASID segment and starts empty at each segment, after
+    the context switch's shootdown.
 
     LRU state is each set's tag dict itself, least recent first, as in
     :class:`~repro.vm.tlb.Tlb` and :class:`~repro.mem.cache.SetAssocCache`:
@@ -524,8 +549,8 @@ class _FlatStepper:
         # benchmark's suite and scenario cells at budget 40,000: LRU and
         # dpPred+cbPred suite runs, tenant mixes, huge pages, Leeway and
         # perceptron; EXTENDED_ARG-prefixed accesses included). At that
-        # budget the function executes 411 bytecodes per suite record
-        # (24 of them BINARY_OP) and 456 per scenario record (578 in
+        # budget the function executes 414 bytecodes per suite record
+        # (24 of them BINARY_OP) and 459 per scenario record (580 in
         # all frames, the listener hooks' included).
         # benchmarks/hot_locals.py prints that ranking and those counts;
         # re-derive the block with it after a change that adds or
@@ -537,7 +562,7 @@ class _FlatStepper:
         ln = block = vt = dkey = dvpn = t1 = pfn = tags_d = penalty = None
         dent = t2 = t3 = set_1 = wl = tags_l = le = w1 = set_d = None
         is_write = blk = wd = pc = set_l = lkey = node = wlat = cycles = None
-        inew = cpi = boff_v = w1f = set_2 = w2f = last_dvpn = pf = tc = None
+        inew = cpi = boff_v = w1f = set_2 = w2f = pf = last_dvpn = tc = None
         set_3 = l2_rrpv = abase = wd_ = l1_rrpv = l2_tags = l2_mask = None
         widx = wc = lines2 = l2_misses = dt_rrpv = w3f = boff = l1_mask = None
         l1_tags = w3_ = dentry = now = bypass3 = w2_ = lines1 = None
@@ -548,29 +573,29 @@ class _FlatStepper:
         lt_mask = lt_tags = l3_mask = l3_tags = l3_slow = hbase = None
         pte_paddr = huge_on = lt_pch = asid = pc_h = w_memacc = w_cycles = None
         s1 = l3_gen = l2_assoc = l3_lines = pw_l1h = cb_pfq = dp = None
-        l1_assoc = l3_rrpv = lt_g_lookup = mem_penalty = dt_assoc = None
-        entries_l = vh = doa = pw1 = widx_mask = lt_slow = ps = l3_assoc = None
-        sh2 = sh3 = lt_rrpv = lt_entries = bs = pt_root = s3 = wv3 = bhh = None
-        pw_last = vpn_limit = l2_tlb_latency = walk_exposure = None
-        pfn_to_vpn = probe = pw1_mte = l3_vlru = l3_g_fill = tc3 = wc3 = None
-        pw_lat1 = lt_hits = m_writes = ch = ph_vals = hl2_lat = dp_probe = None
-        dec = fx_vpn = dp_vbits = vh2 = sb_ = w2 = l1_wb = l2_wb = None
-        set_c3 = lt_g_fill = pfq_q = ph_cols = lt_assoc = pidx = lt_vlru = None
-        cb_probe = lt_byp = fx_blk = l3_byp = pg_ = lt_g_miss = None
-        pfq_members = lt_res = d_cb_pfqm = pv = l3_free = lt_g_hit = None
-        bh_vals = lt = fx_pc = dp_obs = dp_thresh = l3_wb = None
-        l2_tlb_hit_penalty = bhh2 = d_cb_note = d_dp_doap = d_sh_ins = None
-        d_sh_ev = d_pfq_ins = d_pfq_ev = l3 = l3_res = d_ph_doa = None
-        l3_g_lookup = l3_g_hit = hkey = cv_ = line_cls = fx_pgb = cb_obs = None
-        bh_thresh = ph_rows = hl3_lat = bmask = bh_pg = d_cb_doap = None
-        d_bh_doa = actx = pw_l2h = p0 = p1 = p2 = path = wlat2 = dp_sink = None
-        sh_cap = sh_probe = ev_vpn = _ = pfq_cap = ph_max = d_ph_ndoa = None
-        pt_stats_add = pt_alloc = h_orphan = bh_cmax = llc_hit_penalty = None
-        pt_huge = pw2 = sh1 = pw2_mte = pw_lat2 = wlat3 = pw1_cap = None
-        pw_lat3 = pw1_pop = huge_key_base = w_llc_miss = lt_g_filled = None
-        lt_dist = lt_g_evict = l2_free = lt_free = l3_g_filled = l3_dist = None
-        mem_lat = fill_llc = bh_bits = entry_cls = l2_hit_penalty = None
-        l1_free = d_bh_ndoa = dt_free = l2_inv = h_incl = None
+        l1_assoc = ref_llc = l3_rrpv = lt_g_lookup = mem_penalty = None
+        dt_assoc = ref_llt = entries_l = vh = doa = pw1 = widx_mask = None
+        lt_slow = ps = l3_assoc = sh2 = sh3 = lt_rrpv = lt_entries = bs = None
+        pt_root = s3 = wv3 = bhh = pw_last = vpn_limit = l2_tlb_latency = None
+        walk_exposure = pfn_to_vpn = probe = pw1_mte = l3_vlru = None
+        l3_g_fill = tc3 = wc3 = pw_lat1 = lt_hits = m_writes = ch = None
+        ph_vals = hl2_lat = dp_probe = dec = fx_vpn = dp_vbits = vh2 = None
+        sb_ = w2 = l1_wb = l2_wb = set_c3 = lt_g_fill = pfq_q = ph_cols = None
+        lt_assoc = pidx = lt_vlru = cb_probe = lt_byp = fx_blk = l3_byp = None
+        pg_ = lt_g_miss = pfq_members = lt_res = d_cb_pfqm = pv = None
+        l3_free = lt_g_hit = bh_vals = lt = fx_pc = dp_obs = dp_thresh = None
+        l3_wb = l2_tlb_hit_penalty = bhh2 = d_cb_note = d_dp_doap = None
+        d_sh_ins = d_sh_ev = d_pfq_ins = d_pfq_ev = l3 = l3_res = None
+        d_ph_doa = l3_g_lookup = l3_g_hit = hkey = cv_ = line_cls = None
+        fx_pgb = cb_obs = bh_thresh = ph_rows = hl3_lat = bmask = bh_pg = None
+        d_cb_doap = d_bh_doa = actx = pw_l2h = p0 = p1 = p2 = path = None
+        wlat2 = dp_sink = sh_cap = sh_probe = ev_vpn = _ = pfq_cap = None
+        ph_max = d_ph_ndoa = pt_stats_add = pt_alloc = h_orphan = None
+        bh_cmax = llc_hit_penalty = pt_huge = pw2 = sh1 = pw2_mte = None
+        pw_lat2 = wlat3 = pw1_cap = pw_lat3 = pw1_pop = huge_key_base = None
+        w_llc_miss = lt_g_filled = lt_dist = lt_g_evict = l2_free = None
+        lt_free = l3_g_filled = l3_dist = mem_lat = fill_llc = bh_bits = None
+        entry_cls = l2_hit_penalty = l1_free = d_bh_ndoa = dt_free = None
         m = self.m
         pcs, vaddrs = trace.pcs, trace.vaddrs
         writes, gaps = trace.writes, trace.gaps
@@ -610,7 +635,8 @@ class _FlatStepper:
         walk_exposure = m._walk_exposure
         pfn_to_vpn = m.pfn_to_vpn
         probe = m._probe
-        pf = m._page_filter
+        ref_llt = None if m.ref_llt is None else m.ref_llt.access
+        ref_llc = None if m.ref_llc is None else m.ref_llc.access
         ps = PAGE_SHIFT
         bs = BLOCK_SHIFT
         boff = PAGE_SHIFT - BLOCK_SHIFT
@@ -628,6 +654,7 @@ class _FlatStepper:
         it_tags = it._tags
         it_entries = it._entries
         it_rrpv = None if it._lru else it.policy._rrpv
+        pf = it._lru  # the same-page filter (see the class docstring)
         it_stat = it._stat
         it_miss = 0
         translate = m._translate
@@ -827,7 +854,6 @@ class _FlatStepper:
         huge_key_base = HUGE_KEY_BASE
         hleaf_cls = _HugeLeaf
         vpn_limit = 1 << VPN_BITS
-        vpn_mask = vpn_limit - 1
         sh1 = LEVEL_BITS * (NUM_LEVELS - 1)
         sh2 = LEVEL_BITS * (NUM_LEVELS - 2)
         sh3 = LEVEL_BITS
@@ -858,12 +884,6 @@ class _FlatStepper:
         pw_hlat2 = pwcs._latencies[1]
         pw_hlat3 = pw_hlat2 + pwcs._latencies[2]
         pw_l1h = pw_l2h = pw_l3h = pw_miss = 0
-        # --- same-page filter state ------------------------------------- #
-        # The machine keeps combined (asid, vpn) keys; inside a segment
-        # the filter holds raw VPNs of the segment's ASID (a key of any
-        # other ASID could never match, so it reads back as None).
-        last_ient = m._last_ientry
-        last_dent = m._last_dentry
         # --- ASID segments ---------------------------------------------- #
         # Runs of constant ASID. A plain trace is one segment at ASID 0,
         # where every combined key is the raw VPN (``abase == 0``).
@@ -897,19 +917,9 @@ class _FlatStepper:
                 if pos:
                     m.now = now
                     actx.pc = pc
-                    m._last_ivpn = (
-                        None if last_ivpn is None else last_ivpn | abase
-                    )
-                    m._last_ientry = last_ient
-                    m._last_dvpn = (
-                        None if last_dvpn is None else last_dvpn | abase
-                    )
-                    m._last_dentry = last_dent
                 if asids is not None and asid != current:
                     if current >= 0:
                         m._context_switch(current, asid)
-                        last_ient = m._last_ientry
-                        last_dent = m._last_dentry
                     if asid not in seen:
                         seen.add(asid)
                         tenancy.add("tenants_seen")
@@ -918,18 +928,10 @@ class _FlatStepper:
                 # No walk yet in this segment, and a context switch may
                 # have flushed the PWC: the next walk installs.
                 pw_last = None
-                key = m._last_ivpn
-                last_ivpn = (
-                    key & vpn_mask
-                    if key is not None and key >> VPN_BITS == asid
-                    else None
-                )
-                key = m._last_dvpn
-                last_dvpn = (
-                    key & vpn_mask
-                    if key is not None and key >> VPN_BITS == asid
-                    else None
-                )
+                # The same-page filter holds raw VPNs of the segment's
+                # ASID, and a shootdown may have dropped its entries: it
+                # starts empty.
+                last_ivpn = last_dvpn = None
                 # The tenant's table is created by its first walk, as in
                 # the scalar walker (root frames come from the shared
                 # allocator, so creation order matters).
@@ -1067,6 +1069,8 @@ class _FlatStepper:
                     else:
                         dt_misses += 1
                         pfn = None
+                        if ref_llt is not None:
+                            ref_llt(dkey, now)
                         set_l = dkey & lt_mask
                         if lt_g_lookup is not None:
                             lt_g_lookup(lt, set_l, now)
@@ -1861,6 +1865,8 @@ class _FlatStepper:
                         t2[block] = w2f
                         if l2_rrpv is not None:
                             l2_rrpv[set_2][w2f] = l2_rmax - 1
+                        if ref_llc is not None:
+                            ref_llc(block, now)
                     # fill L1
                     lines1 = l1_lines[set_1]
                     if len(t1) < l1_assoc:
@@ -2066,10 +2072,6 @@ class _FlatStepper:
         actx.pc = pc
         m.instructions = instructions
         m.cycles = cycles
-        m._last_ivpn = None if last_ivpn is None else last_ivpn | abase
-        m._last_ientry = last_ient
-        m._last_dvpn = None if last_dvpn is None else last_dvpn | abase
-        m._last_dentry = last_dent
         if sampler is not None and (
             not sampler.marks or sampler.marks[-1] != instructions
         ):

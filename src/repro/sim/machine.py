@@ -279,29 +279,6 @@ class Machine:
         # single-tenant SimResults stay byte-stable.
         self.tenancy = Stats()
 
-        # Per-access bound-method aliases (structures are fixed after
-        # construction; saves repeated attribute chains in the hot loop).
-        self._hier_access = self.hierarchy.access
-        self._l2_tlb_lookup = self.l2_tlb.lookup
-        self._l2_tlb_fill = self.l2_tlb.fill
-        self._walker_walk = self.walker.walk
-
-        # Same-page filter: consecutive accesses to one page skip the L1
-        # TLB machinery. Correct because after any translate() the page is
-        # resident in the L1 TLB (no listener there, so fills can't
-        # bypass), nothing else touches that TLB in between, and under
-        # LRU re-promoting the already-MRU entry is a no-op — so only
-        # redundant bookkeeping is elided. Hit counters and the Accessed
-        # bit are still maintained exactly. SRRIP hits reset RRPV (not
-        # idempotent), so the filter is on for LRU only.
-        self._page_filter = self.l1_itlb._lru
-        self._last_ivpn: Optional[int] = None
-        self._last_ientry = None
-        self._last_dvpn: Optional[int] = None
-        self._last_dentry = None
-        self._itlb_stat = self.l1_itlb.stats.counters
-        self._dtlb_stat = self.l1_dtlb.stats.counters
-
         # --- ground-truth references (Tables VI/VII) ------------------- #
         self.ref_llt: Optional[ReferenceStructure] = None
         self.ref_llc: Optional[ReferenceStructure] = None
@@ -409,15 +386,13 @@ class Machine:
         if pfn is not None:
             return pfn, 0.0
         if self.ref_llt is not None:
-            self.ref_llt.access(
-                vpn if asid == 0 else (asid << ASID_SHIFT) | vpn, now
-            )
-        pfn = self._l2_tlb_lookup(vpn, now, asid)
+            self.ref_llt.access(tlb_key(vpn, asid), now)
+        pfn = self.l2_tlb.lookup(vpn, now, asid)
         if pfn is not None:
             penalty = self._l2_tlb_hit_penalty
         else:
             # The PC travels in the LLT MSHR to be available at fill time.
-            pfn, walk_latency, huge_base = self._walker_walk(vpn, now, asid)
+            pfn, walk_latency, huge_base = self.walker.walk(vpn, now, asid)
             # Stored as the combined (asid, vpn) key — raw VPN at ASID 0 —
             # so the correlation listener can classify per address space.
             self.pfn_to_vpn[pfn] = tlb_key(vpn, asid)
@@ -428,12 +403,12 @@ class Machine:
                 self._l2_tlb_latency + walk_latency * self._walk_exposure
             )
             if huge_base is None:
-                self._l2_tlb_fill(vpn, pfn, pc, now, asid)
+                self.l2_tlb.fill(vpn, pfn, pc, now, asid)
             else:
                 # Only the LLT holds the 2 MB entry; the L1 TLBs below get
-                # splintered 4 KB granules, so their geometry and the
-                # same-page filter are untouched by huge mappings.
-                self._l2_tlb_fill(vpn, huge_base, pc, now, asid, huge=True)
+                # splintered 4 KB granules, so their geometry is untouched
+                # by huge mappings.
+                self.l2_tlb.fill(vpn, huge_base, pc, now, asid, huge=True)
         l1_tlb.fill(vpn, pfn, pc, now, asid)
         return pfn, penalty
 
@@ -445,44 +420,22 @@ class Machine:
         self.now = now = self.now + 1
         self.instructions += gap + 1
         self.context.pc = pc
-        translate = self._translate
 
         # Instruction-side translation (small code footprint; nearly
-        # always an L1 I-TLB hit after warm-up). The same-page filter
-        # caches the *combined* (asid, vpn) key, so a context switch to a
-        # tenant sharing the VPN can never reuse the wrong entry.
-        ivpn = pc >> PAGE_SHIFT
-        ikey = ivpn if asid == 0 else (asid << ASID_SHIFT) | ivpn
-        if ikey == self._last_ivpn:
-            self._itlb_stat["hits"] += 1
-            self._last_ientry.accessed = True
-            penalty = 0.0
-        else:
-            _, penalty = translate(self.l1_itlb, ivpn, pc, now, asid)
-            if self._page_filter:
-                self._last_ivpn = ikey
-                self._last_ientry = self.l1_itlb.probe(ivpn, asid)
-
-        # Data-side translation.
-        dvpn = vaddr >> PAGE_SHIFT
-        dkey = dvpn if asid == 0 else (asid << ASID_SHIFT) | dvpn
-        if dkey == self._last_dvpn:
-            self._dtlb_stat["hits"] += 1
-            dentry = self._last_dentry
-            dentry.accessed = True
-            pfn = dentry.pfn
-        else:
-            pfn, dpenalty = translate(self.l1_dtlb, dvpn, pc, now, asid)
-            penalty += dpenalty
-            if self._page_filter:
-                self._last_dvpn = dkey
-                self._last_dentry = self.l1_dtlb.probe(dvpn, asid)
+        # always an L1 I-TLB hit after warm-up), then data-side.
+        _, penalty = self._translate(
+            self.l1_itlb, pc >> PAGE_SHIFT, pc, now, asid
+        )
+        pfn, dpenalty = self._translate(
+            self.l1_dtlb, vaddr >> PAGE_SHIFT, pc, now, asid
+        )
+        penalty += dpenalty
 
         # Physical data access.
         block = (pfn << _BLOCK_OFFSET_BITS) | (
             (vaddr >> BLOCK_SHIFT) & _BLOCK_IN_PAGE_MASK
         )
-        _, level = self._hier_access(block, now, is_write)
+        _, level = self.hierarchy.access(block, now, is_write)
         if level != "l1":
             if level == "l2":
                 penalty += self._l2_hit_penalty
@@ -582,15 +535,6 @@ class Machine:
     # ------------------------------------------------------------------ #
     # TLB shootdowns
     # ------------------------------------------------------------------ #
-    def _reset_page_filter(self) -> None:
-        # The same-page filter carries live TlbEntry references; any
-        # shootdown may have invalidated them, so drop the cached state
-        # (the next access re-probes and repopulates it).
-        self._last_ivpn = None
-        self._last_ientry = None
-        self._last_dvpn = None
-        self._last_dentry = None
-
     def shootdown_page(self, vpn: int, asid: int = 0) -> None:
         """INVLPG: drop one translation (all TLB levels + PWC region)."""
         now = self.now
@@ -600,7 +544,6 @@ class Machine:
         probe = self._probe
         if probe is not None:
             probe.emit(now, EV_SHOOTDOWN, asid, "page")
-        self._reset_page_filter()
 
     def shootdown_asid(self, asid: int) -> int:
         """Drop every translation belonging to ``asid`` (ASID recycle);
@@ -613,7 +556,6 @@ class Machine:
         probe = self._probe
         if probe is not None:
             probe.emit(now, EV_SHOOTDOWN, asid, "asid")
-        self._reset_page_filter()
         return dropped
 
     def shootdown_all(self) -> int:
@@ -627,7 +569,6 @@ class Machine:
         probe = self._probe
         if probe is not None:
             probe.emit(now, EV_SHOOTDOWN, -1, "all")
-        self._reset_page_filter()
         return dropped
 
     # ------------------------------------------------------------------ #

@@ -196,7 +196,7 @@ class LocalityWorkload(Workload):
     reference) and the batched engine's showcase.
 
     Four pages x 12 lines each (48 blocks) are swept page-major: the page
-    changes on *every* record, so the scalar engine's same-page filter
+    changes on *every* record, so the flat interpreter's same-page filter
     never applies and each record pays full D-TLB + L1D lookups, yet after
     one warm-up sweep every record hits in the L1 D-TLB and L1D. The
     footprint fits the smallest shipped geometry (fast profile: 16-entry

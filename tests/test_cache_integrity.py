@@ -238,6 +238,30 @@ class TestMaintenance:
         assert diskcache.load_result("mcf", good_cfg, BUDGET, 42) is not None
         assert not _result_path(cache_dir, bad_cfg).exists()
 
+    def test_verify_decodes_traces(self, cache_dir):
+        """A trace cut short and re-hashed matches its sidecar but does
+        not decode: ``verify`` counts it bad and quarantines it, as the
+        next ``load_trace`` would."""
+        diskcache.store_trace("mcf", BUDGET, 42, get_trace("mcf", BUDGET))
+        diskcache.store_trace("bfs", BUDGET, 42, get_trace("bfs", BUDGET))
+        key = diskcache.trace_key("mcf", BUDGET, 42)
+        path = cache_dir / "traces" / f"{key}.npz"
+        data = path.read_bytes()[:4000]
+        path.write_bytes(data)
+        path.with_suffix(".npz.sha256").write_text(
+            hashlib.sha256(data).hexdigest()
+        )
+        report = diskcache.verify()
+        assert report == {
+            "results_ok": 0, "results_bad": 0,
+            "traces_ok": 1, "traces_bad": 1,
+        }
+        assert not path.exists()
+        assert (diskcache.quarantine_dir() / path.name).exists()
+        (event,) = _corruption_events()
+        assert event["store"] == "trace"
+        assert diskcache.load_trace("bfs", BUDGET, 42) is not None
+
     def test_migrate_removes_legacy_entries(self, cache_dir):
         config = fast_config()
         kept = _store_result(config)

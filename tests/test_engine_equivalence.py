@@ -40,7 +40,6 @@ from repro.sim.engine import (
 )
 from repro.sim.machine import Machine
 from repro.vm.pagetable import huge_region_policy
-from repro.vm.tlb import ASID_SHIFT
 from repro.workloads.suite import (
     EXTRA_WORKLOAD_CLASSES,
     get_trace,
@@ -192,6 +191,21 @@ def structural_state(machine):
     return state
 
 
+def correlation_state(machine):
+    """The Table III correlation listeners' plain counters and each
+    page's last LLT DOA verdict (None without ``track_correlation``):
+    they are not ``Stats`` bags, so :func:`stats_bags` misses them."""
+    cache = machine._correlation_cache
+    if cache is None:
+        return None
+    return (
+        cache.doa_blocks_total,
+        cache.doa_blocks_classified,
+        cache.doa_blocks_on_doa_page,
+        sorted(machine._correlation_tlb.last_doa_status.items()),
+    )
+
+
 def assert_equivalent(
     trace, config, telemetry=False, seed=SEED, prepare=None,
     **machine_kwargs,
@@ -203,6 +217,7 @@ def assert_equivalent(
     assert tag_orders(m_s) == tag_orders(m_b)
     assert stats_bags(m_s) == stats_bags(m_b)
     assert structural_state(m_s) == structural_state(m_b)
+    assert correlation_state(m_s) == correlation_state(m_b)
     if telemetry:
         assert m_s.telemetry.to_payload() == m_b.telemetry.to_payload()
     return m_b
@@ -408,23 +423,53 @@ def test_extra_workloads_bit_identical(workload):
     assert_equivalent(trace, fast_config(), telemetry=True)
 
 
+REF = {"track_reference": True}
+PAIRS = ("sssp", "locality")
+#: id -> (config, workloads): predictors and instrumentation beyond the
+#: L1s, among them the Tables VI/VII ground-truth references under every
+#: shipped predictor pair they score and the Table III correlation
+#: listeners on the workloads fig1-4 characterise.
+PREDICTOR_CASES = {
+    "dppred": (fast_config(tlb_predictor="dppred"), PAIRS),
+    "dppred+cbpred": (fast_config(**DP_CB), PAIRS),
+    "ship": (fast_config(**SHIP), PAIRS),
+    "residency": (fast_config(track_residency=True), PAIRS),
+    "reference": (fast_config(**REF), PAIRS),
+    "reference-dppred+cbpred": (fast_config(**DP_CB, **REF), PAIRS),
+    "reference-dppred_sh": (
+        fast_config(tlb_predictor="dppred_sh", **REF), PAIRS,
+    ),
+    "reference-ship": (fast_config(**SHIP, **REF), PAIRS),
+    "reference-aip": (fast_config(**AIP, **REF), PAIRS),
+    "reference-leeway": (leeway_config(**REF), ("mcf",)),
+    "reference-perceptron": (perceptron_config(**REF), ("mcf",)),
+    "reference-mix2": (mix2_config(**DP_CB, **REF), ("mix2",)),
+    "reference-hugepage": (hugepage_config(**DP_CB, **REF), ("mcf",)),
+    "correlation": (
+        fast_config(track_residency=True, track_correlation=True),
+        ("mcf", "bfs", "lbm"),
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"tlb_predictor": "dppred"},
-        {"tlb_predictor": "dppred", "llc_predictor": "cbpred"},
-        {"tlb_predictor": "ship", "llc_predictor": "ship"},
-        {"track_residency": True},
-        {"track_reference": True},
-    ],
-    ids=["dppred", "dppred+cbpred", "ship", "residency", "reference"],
+    "config,workloads",
+    list(PREDICTOR_CASES.values()),
+    ids=list(PREDICTOR_CASES),
 )
-def test_predictor_configs_bit_identical(kwargs):
+def test_predictor_configs_bit_identical(config, workloads):
     """Predictors/instrumentation live beyond the L1s; their slow-path
-    event streams must match whichever way the batched engine runs."""
-    for workload in ("sssp", "locality"):
+    event streams, reference scores and correlation counters must match
+    the scalar engine's, and the batched engine runs them wholly flat."""
+    for workload in workloads:
         trace = get_trace(workload, BUDGET, SEED)
-        assert_equivalent(trace, fast_config(**kwargs), telemetry=True)
+        machine = assert_equivalent(trace, config, telemetry=True)
+        assert_wholly_flat(machine, trace)
+        if config.track_reference:
+            assert machine.ref_llt.stats.get("misses") > 0
+            assert machine.ref_llc.stats.get("misses") > 0
+        if config.track_correlation:
+            assert machine._correlation_cache.doa_blocks_classified > 0
 
 
 # --------------------------------------------------------------------- #
@@ -527,7 +572,7 @@ def test_tiny_geometry_reaches_every_recycled_fill(config):
     assert machine.hierarchy.stats.get("inclusion_victims") > 0
     cbpred = machine.llc.listener
     assert cbpred.stats.get("doa_evictions_observed") > 0
-    if machine._page_filter:
+    if machine.l1_itlb._lru:
         # Two pages in a row in the same one-way set (the set is the
         # page's parity): the second evicts the first's entry, which is
         # the filter's.
@@ -657,7 +702,7 @@ def test_itlb_miss_on_a_chunks_last_record(policy):
     trace = edge_trace(pcs, data_pages(n))
     machine = assert_equivalent(trace, fast_config(tlb_policy=policy))
     assert_wholly_flat(machine, trace)
-    assert machine._page_filter == (policy == "lru")
+    assert machine.l1_itlb._lru == (policy == "lru")
     assert machine.l1_itlb.stats.get("misses") == 2
 
 
@@ -733,6 +778,78 @@ def test_huge_walk_right_after_a_4k_walk_in_one_region():
 
 
 # --------------------------------------------------------------------- #
+# The config space
+# --------------------------------------------------------------------- #
+LLT_LISTENERS = (
+    "none", "ship", "aip", "leeway", "perceptron", "dppred", "dppred_demote",
+)
+LLC_LISTENERS = ("none", "ship", "aip", "leeway", "perceptron", "cbpred")
+
+
+@st.composite
+def machine_configs(draw):
+    """A machine from the space the flat interpreter models: every LLT
+    and LLC listener pair the config accepts (cbPred needs dpPred), LRU
+    or SRRIP, the tiny or the ``fast`` geometry, 4 KB, mixed or all-huge
+    pages, one or two tenants, ground-truth references on or off, and
+    the Table III correlation listeners, which need a machine without
+    predictors."""
+    tlb = draw(st.sampled_from(LLT_LISTENERS))
+    llc = draw(st.sampled_from(
+        LLC_LISTENERS if tlb.startswith("dppred") else LLC_LISTENERS[:-1]
+    ))
+    policy = draw(st.sampled_from(("lru", "srrip")))
+    kwargs = dict(
+        tlb_predictor=tlb, llc_predictor=llc,
+        tlb_policy=policy, cache_policy=policy,
+        huge_fraction=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        track_reference=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        kwargs.update(TINY)
+    if draw(st.booleans()):
+        kwargs.update(
+            num_tenants=2, shootdown_on_switch=draw(st.booleans())
+        )
+    if tlb == "none" and llc == "none" and draw(st.booleans()):
+        kwargs.update(track_residency=True, track_correlation=True)
+    return fast_config(**kwargs)
+
+
+def config_space_trace(seed, tenants, n=1500) -> Trace:
+    """``n`` records over 192 data pages in four 2 MB regions, hot pages
+    drawn more often, with code on three pages, mostly the first; two
+    tenants alternate in segments of 1-199 records."""
+    rng = np.random.default_rng(seed)
+    pages = np.minimum(rng.geometric(0.02, n), 192) - 1
+    vaddrs = (
+        DATA_BASE + (pages // 48) * (1 << 21) + (pages % 48) * 4096
+        + rng.integers(0, 64, n) * 64
+    )
+    code = np.where(rng.random(n) < 0.05, rng.integers(1, 3, n), 0)
+    pcs = CODE_BASE + code * 4096 + rng.integers(0, 8, n) * 4
+    asids = None
+    if tenants == 2:
+        lengths = rng.integers(1, 200, n)
+        asids = np.repeat(np.arange(n) % 2 + 1, lengths)[:n]
+    return Trace(
+        "config-space", pcs.astype(np.uint64), vaddrs.astype(np.uint64),
+        rng.random(n) < 0.3, rng.integers(0, 6, n).astype(np.uint16),
+        asids,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=machine_configs(), seed=st.integers(0, 2**32 - 1))
+def test_config_space_bit_identical(config, seed):
+    """Any point of the config space runs wholly flat and matches the
+    scalar engine on every comparison :func:`assert_equivalent` makes."""
+    trace = config_space_trace(seed, config.num_tenants)
+    machine = assert_equivalent(trace, config, telemetry=True)
+    assert_wholly_flat(machine, trace)
+
+
+# --------------------------------------------------------------------- #
 # Dispatch + selection
 # --------------------------------------------------------------------- #
 def test_srrip_policy_runs_flat():
@@ -768,7 +885,7 @@ def test_predictor_configs_run_batched_without_fallback():
 def test_engine_totals_accumulate_fallback_reasons():
     engine_mod.reset_engine_totals()
     trace = get_trace("locality", 500, SEED)
-    Machine(fast_config(track_reference=True), seed=SEED).run(
+    Machine(fast_config(tlb_predictor="distance_prefetch"), seed=SEED).run(
         trace, engine=ENGINE_BATCHED
     )
     Machine(fast_config(), seed=SEED).run(trace, engine=ENGINE_BATCHED)
@@ -777,7 +894,7 @@ def test_engine_totals_accumulate_fallback_reasons():
         "runs": 2,
         "flat_records": len(trace),
         "scalar_records": len(trace),
-        "flat_declines": {"reference": 1},
+        "flat_declines": {"predictor": 1},
     }
     engine_mod.reset_engine_totals()
 
@@ -916,13 +1033,11 @@ def test_same_vpn_different_tenants_never_share_a_filter_hit():
         asid: m_b.walker.table_for(asid).lookup(vpn) for asid in (1, 2)
     }
     assert frames[1] != frames[2]
-    # Both tenants' translations are live, each tagged with its ASID;
-    # the filter's key is tenant 2's (it ran last).
+    # Both tenants' translations are live, each tagged with its ASID.
     for asid in (1, 2):
         entry = m_b.l1_dtlb.probe(vpn, asid)
         assert entry is not None and entry.asid == asid
         assert entry.pfn == frames[asid]
-    assert m_b._last_dvpn == (2 << ASID_SHIFT) | vpn
     # Each tenant walks its own table: 2 code + 2 data walks, as scalar.
     assert m_b.walker.stats.get("walks") == m_s.walker.stats.get("walks")
     assert m_b.walker.stats.get("walks") == 4
@@ -966,8 +1081,10 @@ COVERAGE = [
      "sssp", "flat", None),
     ("distance_prefetch", fast_config(tlb_predictor="distance_prefetch"),
      "sssp", "scalar", "predictor"),
-    ("reference", fast_config(track_reference=True), "sssp",
-     "scalar", "reference"),
+    ("reference", fast_config(track_reference=True), "sssp", "flat", None),
+    ("track_correlation",
+     fast_config(track_residency=True, track_correlation=True), "sssp",
+     "flat", None),
 ]
 
 

@@ -479,7 +479,7 @@ def test_engine_note_states_what_ran():
     before = engine_totals()
     trace = get_trace("locality", 500, SEED)
     Machine(leeway_config(), seed=SEED).run(trace, engine=ENGINE_BATCHED)
-    Machine(leeway_config(track_reference=True), seed=SEED).run(
+    Machine(fast_config(tlb_predictor="distance_prefetch"), seed=SEED).run(
         trace, engine=ENGINE_BATCHED
     )
     Machine(leeway_config(), seed=SEED).run(trace, engine=ENGINE_SCALAR)
@@ -488,11 +488,11 @@ def test_engine_note_states_what_ran():
         "runs": 2,
         "flat_records": len(trace),
         "scalar_records": len(trace),
-        "flat_declines": {"reference": 1},
+        "flat_declines": {"predictor": 1},
     }
     assert engine_note(totals) == (
         f"engine (this process): 2 runs, {len(trace)} flat / "
-        f"{len(trace)} scalar records; flat declines (reference: 1)"
+        f"{len(trace)} scalar records; flat declines (predictor: 1)"
     )
 
 

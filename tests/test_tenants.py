@@ -229,13 +229,13 @@ class TestPwcShootdownConsistency:
         assert new_pfn != old_pfn  # demand-remapped to a fresh frame
 
     def test_page_filter_reset_on_shootdown(self):
-        """The same-page filter holds live TlbEntry references; a
-        shootdown must drop them or the next access revives a dead
-        translation without a TLB probe."""
+        """A shootdown between two accesses to one page makes the
+        second miss the L1 D-TLB: nothing serves it from the dropped
+        entry without a TLB probe."""
         machine = Machine(fast_config(), seed=SEED)
         vaddr = 0x10000000
         machine.access(0x400000, vaddr, False, 2)
-        machine.access(0x400000, vaddr + 8, False, 2)  # filter armed
+        machine.access(0x400000, vaddr + 8, False, 2)  # an L1 D-TLB hit
         hits_before = machine.l1_dtlb.stats.get("hits")
         misses_before = machine.l1_dtlb.stats.get("misses")
         machine.shootdown_page(vaddr >> 12)
